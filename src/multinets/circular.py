@@ -34,9 +34,8 @@ from .projective import (
     normalize,
     polar_reflect,
     span_rank,
-    span_ranks,
 )
-from .qnets import PointNet, translation_gauge
+from .qnets import PointNet, multi_q_violations, q_violations, translation_gauge
 from .quadric_nets import generate_by_reflections
 
 EIG_ZERO_RTOL = 1e-7  # zero-eigenvalue threshold for span classification
@@ -137,36 +136,10 @@ def is_concyclic(p0, p1, p2, p3) -> bool:
     return span_rank(lifts) <= 3
 
 
-def _rect_lift_stacks(net: EuclidNet, elementary: bool):
-    nu, nv = net.dims
-    lifted = lift_net(net).points
-    if elementary:
-        ii = [(i, i + 1) for i in range(nu - 1)]
-        jj = [(j, j + 1) for j in range(nv - 1)]
-    else:
-        ii = [(i0, i1) for i0 in range(nu) for i1 in range(i0 + 1, nu)]
-        jj = [(j0, j1) for j0 in range(nv) for j1 in range(j0 + 1, nv)]
-    idx = [(a, b) for a in ii for b in jj]
-    stacks = np.stack(
-        [
-            np.stack([lifted[i0, j0], lifted[i1, j0], lifted[i0, j1], lifted[i1, j1]])
-            for (i0, i1), (j0, j1) in idx
-        ]
-    )
-    return idx, stacks
-
-
 def multi_circular_violations(net: EuclidNet):
-    """Non-concyclic coordinate rectangles as ((i0,i1,j0,j1), residual)."""
-    idx, stacks = _rect_lift_stacks(net, elementary=False)
-    ranks = span_ranks(stacks)
-    bad = []
-    for k, r in enumerate(ranks):
-        if r > 3:
-            (i0, i1), (j0, j1) = idx[k]
-            s = np.linalg.svd(stacks[k], compute_uv=False)
-            bad.append(((i0, i1, j0, j1), float(s[-1] / s[0])))
-    return bad
+    """Non-concyclic coordinate rectangles as ((i0,i1,j0,j1), residual):
+    the non-planar rectangles of the lift onto the Moebius quadric."""
+    return multi_q_violations(lift_net(net))
 
 
 def is_multi_circular(net: EuclidNet) -> bool:
@@ -176,15 +149,7 @@ def is_multi_circular(net: EuclidNet) -> bool:
 
 def circular_violations(net: EuclidNet):
     """Non-concyclic elementary quads."""
-    idx, stacks = _rect_lift_stacks(net, elementary=True)
-    ranks = span_ranks(stacks)
-    bad = []
-    for k, r in enumerate(ranks):
-        if r > 3:
-            (i0, i1), (j0, j1) = idx[k]
-            s = np.linalg.svd(stacks[k], compute_uv=False)
-            bad.append(((i0, i1, j0, j1), float(s[-1] / s[0])))
-    return bad
+    return q_violations(lift_net(net))
 
 
 def is_circular_net(net: EuclidNet) -> bool:

@@ -30,6 +30,7 @@ from .projective import (
     QuadricForm,
     meet_lines,
     normalize,
+    rank_violations,
     span_rank,
 )
 
@@ -90,20 +91,30 @@ def lines_intersect(l1: ProjLine, l2: ProjLine) -> bool:
 
 
 def multi_congruence_violations(g: IsoLineGrid):
-    """Same-row / same-column line pairs that fail to intersect."""
+    """Same-row / same-column line pairs that fail to intersect, as
+    (("row", i0, i1, j) or ("col", i, j0, j1), residual) entries.
+
+    A pair is the 4-point stack of both spanning pairs; it fails when the
+    stack spans rank 4.  A degenerate spanning pair raises ZeroVector or
+    IdenticalLines, like ProjLine.
+    """
     nu, nv = g.dims
-    bad = []
     for j in range(nv):
-        for i0 in range(nu):
-            for i1 in range(i0 + 1, nu):
-                if not lines_intersect(g.line(i0, j), g.line(i1, j)):
-                    bad.append((("row", i0, i1, j), 1.0))
-    for i in range(nu):
-        for j0 in range(nv):
-            for j1 in range(j0 + 1, nv):
-                if not lines_intersect(g.line(i, j0), g.line(i, j1)):
-                    bad.append((("col", i, j0, j1), 1.0))
-    return bad
+        for i in range(nu):
+            g.line(i, j)
+    d = g.form.dim
+    by_col = g.lines.swapaxes(0, 1)  # (nv, nu, 2, d): lines of column j
+    i0, i1 = np.triu_indices(nu, 1)
+    j0, j1 = np.triu_indices(nv, 1)
+    keys = [("row", a, b, j) for j in range(nv) for a, b in zip(i0.tolist(), i1.tolist())]
+    keys += [("col", i, a, b) for i in range(nu) for a, b in zip(j0.tolist(), j1.tolist())]
+    stacks = np.concatenate(
+        [
+            np.concatenate([by_col[:, i0], by_col[:, i1]], axis=2).reshape(-1, 4, d),
+            np.concatenate([g.lines[:, j0], g.lines[:, j1]], axis=2).reshape(-1, 4, d),
+        ]
+    )
+    return rank_violations(keys, stacks, 3)
 
 
 def is_multi_congruence(g: IsoLineGrid) -> bool:

@@ -17,10 +17,12 @@ from .circular import (
     _span_signature,
     is_concyclic,
     is_multi_circular,
+    lift_net,
 )
 from .errors import (
     DegenerateProfile,
     DimensionMismatch,
+    DuplicatePoints,
     InconsistentCorner,
     NotConcurrent,
     NotMultiCircular,
@@ -28,8 +30,8 @@ from .errors import (
     SingularPropagation,
     ZeroNormal,
 )
-from .projective import MOEBIUS_S2, span_rank
-from .qnets import PlaneNet, PointNet, is_multi_qstar, translation_gauge
+from .projective import MOEBIUS_S2, rank_violations, rect_stacks, span_rank, span_ranks
+from .qnets import PlaneNet, PointNet, translation_gauge
 
 
 class GaussClass:
@@ -86,56 +88,57 @@ def is_conical_quad(planes) -> bool:
     return is_concyclic(n[0], n[1], n[2], n[3])
 
 
+# corner pairs of a 4-point stack, for the pairwise-distinct check
+_CORNER_PAIRS = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+
+
+def _conical_violations(pn: PlaneNet, elementary: bool):
+    """Rectangles failing the conical condition as (key, reason) pairs.
+
+    Concurrency is span rank <= 3 of the homogeneous covectors; on the
+    concurrent rectangles, concyclicity of the unit normals is span rank
+    <= 3 of their Moebius lifts.  Like is_conical_quad, the first concurrent
+    rectangle with a vanishing or a repeated normal raises.
+    """
+    keys, planes = rect_stacks(pn.homogeneous(), elementary)
+    reasons = {k: "planes not concurrent" for k, _ in rank_violations(keys, planes, 3)}
+    concurrent = np.array([k not in reasons for k in keys], dtype=bool)
+    normals = pn.covectors[..., :3]
+    norms = np.linalg.norm(normals, axis=-1)
+    zero = norms <= 1e-13
+    unit = normals / np.where(zero, 1.0, norms)[..., None]
+    _, lifts = rect_stacks(lift_net(EuclidNet(unit)).points, elementary)
+    _, zero_corners = rect_stacks(zero, elementary)
+    pairs = lifts[:, _CORNER_PAIRS].reshape(-1, 2, lifts.shape[-1])
+    repeated = (span_ranks(pairs) < 2).reshape(len(keys), len(_CORNER_PAIRS)).any(axis=1)
+    vanishing = zero_corners.any(axis=1)
+    degenerate = np.flatnonzero(concurrent & (vanishing | repeated))
+    if degenerate.size and vanishing[degenerate[0]]:
+        raise ZeroNormal("plane covector with vanishing normal part")
+    if degenerate.size:
+        raise DuplicatePoints("concyclicity needs pairwise distinct points")
+    idx = np.flatnonzero(concurrent)
+    for k, _ in rank_violations([keys[i] for i in idx], lifts[idx], 3):
+        reasons[k] = "normals not concyclic"
+    return [(k, reasons[k]) for k in keys if k in reasons]
+
+
 def conical_violations(pn: PlaneNet):
-    """Elementary quads failing the conical condition, with reasons."""
-    nu, nv = pn.dims
-    cov = pn.covectors
-    bad = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            quad = np.stack([cov[i, j], cov[i + 1, j], cov[i + 1, j + 1], cov[i, j + 1]])
-            try:
-                if not is_conical_quad(quad):
-                    bad.append(((i, j), "normals not concyclic"))
-            except NotConcurrent:
-                bad.append(((i, j), "planes not concurrent"))
-    return bad
-
-
-def is_conical_net(pn: PlaneNet) -> bool:
-    return not conical_violations(pn)
+    """Elementary quads failing the conical condition, as ((i, j), reason)."""
+    return [((i, j), why) for (i, _, j, _), why in _conical_violations(pn, True)]
 
 
 def multi_conical_violations(pn: PlaneNet):
-    """Rectangles failing the multi-conical condition, exhaustively."""
-    nu, nv = pn.dims
-    cov = pn.covectors
-    bad = []
-    for i0 in range(nu):
-        for i1 in range(i0 + 1, nu):
-            for j0 in range(nv):
-                for j1 in range(j0 + 1, nv):
-                    quad = np.stack(
-                        [cov[i0, j0], cov[i1, j0], cov[i1, j1], cov[i0, j1]]
-                    )
-                    try:
-                        if not is_conical_quad(quad):
-                            bad.append(((i0, i1, j0, j1), "normals not concyclic"))
-                    except NotConcurrent:
-                        bad.append(((i0, i1, j0, j1), "planes not concurrent"))
-    return bad
+    """Rectangles failing the multi-conical condition, exhaustively, as
+    ((i0, i1, j0, j1), reason)."""
+    return _conical_violations(pn, elementary=False)
 
 
 def is_multi_conical(pn: PlaneNet) -> bool:
-    """Fast path (multi-Q* and multi-circular Gauss map) cross-checked
-    against the exhaustive per-rectangle cone test."""
-    fast = is_multi_qstar(pn) and is_multi_circular(gauss_map(pn))
-    reference = not multi_conical_violations(pn)
-    if fast != reference:
-        raise AssertionError(
-            "conical fast path and reference rectangle sweep disagree"
-        )
-    return fast
+    """True iff every coordinate rectangle of planes is concurrent with
+    concyclic unit normals (equivalently: multi-Q* with a multi-circular
+    Gauss map)."""
+    return not multi_conical_violations(pn)
 
 
 def polarize_spherical(net: EuclidNet) -> PlaneNet:

@@ -113,13 +113,44 @@ def span_rank(points, rtol: float = RANK_RTOL) -> int:
 
 def span_ranks(stacks, rtol: float = RANK_RTOL) -> np.ndarray:
     """Batched span_rank over an array of shape (N, k, d)."""
-    m = np.asarray(stacks, dtype=float)
-    norms = np.linalg.norm(m, axis=-1)
-    if np.any(norms <= _ABS_EPS):
-        raise ZeroVector("zero vector among span points")
-    m = m / norms[..., None]
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.linalg.svd(normalized_rows(stacks), compute_uv=False)
     return np.sum(s > rtol * s[..., :1], axis=-1)
+
+
+# -- rectangle kernel ----------------------------------------------------------
+
+
+def rect_stacks(grid, elementary: bool):
+    """Corner stacks of the coordinate rectangles of a grid (nu, nv, ...).
+
+    Returns the keys (i0, i1, j0, j1) in lexicographic order and an array
+    (N, 4, ...) of the corners (i0,j0), (i1,j0), (i0,j1), (i1,j1).  With
+    elementary=True only the quads with i1 = i0 + 1, j1 = j0 + 1 are taken.
+    """
+    g = np.asarray(grid)
+    nu, nv = g.shape[:2]
+    if elementary:
+        i0, j0 = np.arange(nu - 1), np.arange(nv - 1)
+        i1, j1 = i0 + 1, j0 + 1
+    else:
+        i0, i1 = np.triu_indices(nu, 1)
+        j0, j1 = np.triu_indices(nv, 1)
+    a0, a1 = np.repeat(i0, len(j0)), np.repeat(i1, len(j0))
+    b0, b1 = np.tile(j0, len(i0)), np.tile(j1, len(i0))
+    stacks = np.stack([g[a0, b0], g[a1, b0], g[a0, b1], g[a1, b1]], axis=1)
+    keys = list(zip(a0.tolist(), a1.tolist(), b0.tolist(), b1.tolist()))
+    return keys, stacks
+
+
+def rank_violations(keys, stacks, max_rank: int):
+    """Stacks whose span rank exceeds max_rank, as (key, residual) pairs.
+
+    One batched SVD of the row-normalized stacks (N, k, d) decides every
+    rank; the residual is sigma_min / sigma_max of the violating stack.
+    """
+    s = np.linalg.svd(normalized_rows(stacks), compute_uv=False)
+    ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=-1)
+    return [(keys[k], float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(ranks > max_rank)]
 
 
 def orthonormal_span(points, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import (
     ZeroVector,
 )
 from .projective import (
+    RANK_RTOL,
     ProjLine,
     common_point_of_spans,
     hpoint,
@@ -33,8 +34,9 @@ from .projective import (
     normalized_rows,
     proj_distance,
     proj_equal,
+    rank_violations,
+    rect_stacks,
     span_rank,
-    span_ranks,
 )
 
 _GAUGE_TOL = 1e-8
@@ -144,41 +146,9 @@ def laplace_data(x00, x10, x01, x11) -> LaplaceData:
 # -- planarity predicates ------------------------------------------------------
 
 
-def _rect_stacks(net: PointNet, elementary: bool):
-    nu, nv = net.dims
-    if elementary:
-        ii = [(i, i + 1) for i in range(nu - 1)]
-        jj = [(j, j + 1) for j in range(nv - 1)]
-    else:
-        ii = [(i0, i1) for i0 in range(nu) for i1 in range(i0 + 1, nu)]
-        jj = [(j0, j1) for j0 in range(nv) for j1 in range(j0 + 1, nv)]
-    idx = [(a, b) for a in ii for b in jj]
-    p = net.points
-    stacks = np.stack(
-        [
-            np.stack([p[i0, j0], p[i1, j0], p[i0, j1], p[i1, j1]])
-            for (i0, i1), (j0, j1) in idx
-        ]
-    )
-    return idx, stacks
-
-
-def _planarity_violations(net: PointNet, elementary: bool):
-    idx, stacks = _rect_stacks(net, elementary)
-    ranks = span_ranks(stacks)
-    bad = []
-    for k, r in enumerate(ranks):
-        if r > 3:
-            (i0, i1), (j0, j1) = idx[k]
-            m = normalized_rows(stacks[k])
-            s = np.linalg.svd(m, compute_uv=False)
-            bad.append(((i0, i1, j0, j1), float(s[-1] / s[0])))
-    return bad
-
-
 def q_violations(net: PointNet):
     """Non-planar elementary quads as ((i0,i1,j0,j1), residual) entries."""
-    return _planarity_violations(net, elementary=True)
+    return rank_violations(*rect_stacks(net.points, elementary=True), 3)
 
 
 def is_q_net(net: PointNet) -> bool:
@@ -188,7 +158,7 @@ def is_q_net(net: PointNet) -> bool:
 
 def multi_q_violations(net: PointNet):
     """Non-planar coordinate rectangles, exhaustively over all index pairs."""
-    return _planarity_violations(net, elementary=False)
+    return rank_violations(*rect_stacks(net.points, elementary=False), 3)
 
 
 def is_multi_q_net(net: PointNet) -> bool:
@@ -416,15 +386,9 @@ def has_planar_parameter_polygons(net: PointNet) -> bool:
 # -- Q*-nets -------------------------------------------------------------------
 
 
-def _qstar_violations(pn: PlaneNet, elementary: bool):
-    h = pn.homogeneous()
-    net = PointNet(h, ambient="RP3*")
-    return _planarity_violations(net, elementary=elementary)
-
-
 def qstar_violations(pn: PlaneNet):
     """Elementary plane quadruples that do not meet in a point."""
-    return _qstar_violations(pn, elementary=True)
+    return rank_violations(*rect_stacks(pn.homogeneous(), elementary=True), 3)
 
 
 def is_qstar_net(pn: PlaneNet) -> bool:
@@ -434,7 +398,7 @@ def is_qstar_net(pn: PlaneNet) -> bool:
 
 def multi_qstar_violations(pn: PlaneNet):
     """Plane rectangles failing concurrency, exhaustively."""
-    return _qstar_violations(pn, elementary=False)
+    return rank_violations(*rect_stacks(pn.homogeneous(), elementary=False), 3)
 
 
 def is_multi_qstar(pn: PlaneNet) -> bool:
@@ -454,7 +418,7 @@ def qstar_vertices(pn: PlaneNet):
                 np.stack([h[i, j], h[i + 1, j], h[i + 1, j + 1], h[i, j + 1]])
             )
             u, s, vh = np.linalg.svd(quad)
-            r = int(np.sum(s > 1e-9 * s[0]))
+            r = int(np.sum(s > RANK_RTOL * s[0]))
             if r > 3:
                 raise NonPlanarQuad(f"planes of quad ({i},{j}) are not concurrent")
             if r == 3:

@@ -42,7 +42,7 @@ from .projective import (
     proj_equal,
     span_rank,
 )
-from .qnets import PointNet, is_q_net, laplace_data, laplace_gauge
+from .qnets import PointNet, laplace_data, laplace_gauge
 from .quadric_nets import generate_by_reflections
 
 C1_ANGLE_TOL = 1e-6  # radians
@@ -619,14 +619,3 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0_arcs, col0_arcs):
         for l in range(n_v)
     ]
     return EuclidNet(fine), new_u, new_v
-
-
-def verify_q_subdivision(net: PointNet, fine: PointNet, n) -> bool:
-    """Interpolation and structure check for a Q-subdivision result."""
-    n_u, n_v = _resolve_counts(n)
-    nu, nv = net.dims
-    for i in range(nu):
-        for j in range(nv):
-            if not np.array_equal(fine.points[i * n_u, j * n_v], net.points[i, j]):
-                return False
-    return is_q_net(fine)

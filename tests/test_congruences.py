@@ -14,18 +14,22 @@ from multinets.congruences import (
     lie_point_rep,
     lie_sphere_rep,
     lines_intersect,
+    multi_congruence_violations,
     pluecker_embed,
     torus_contact_grid,
 )
 from multinets.errors import (
     CoincidentPoints,
+    IdenticalLines,
     NotMultiCongruence,
     NotOnQuadric,
     PlanarFamily,
+    ZeroVector,
 )
 from multinets.projective import (
     LIE,
     PLUECKER,
+    RANK_RTOL,
     ProjLine,
     bilinear_eval,
     normalize,
@@ -78,6 +82,58 @@ def test_random_isotropic_lines_not_congruence(rng):
             lines[i, j] = contact_element(p, n)
     g = IsoLineGrid(lines, LIE)
     assert not is_multi_congruence(g)
+
+
+def scalar_congruence_keys(g):
+    """Reference sweep: lines_intersect on every same-row / same-column pair."""
+    nu, nv = g.dims
+    keys = [
+        ("row", i0, i1, j)
+        for j in range(nv)
+        for i0 in range(nu)
+        for i1 in range(i0 + 1, nu)
+        if not lines_intersect(g.line(i0, j), g.line(i1, j))
+    ]
+    return keys + [
+        ("col", i, j0, j1)
+        for i in range(nu)
+        for j0 in range(nv)
+        for j1 in range(j0 + 1, nv)
+        if not lines_intersect(g.line(i, j0), g.line(i, j1))
+    ]
+
+
+def _pair_points(lines, key):
+    tag, a, b, c = key
+    cells = [(a, c), (b, c)] if tag == "row" else [(a, b), (a, c)]
+    return np.concatenate([lines[i, j] for i, j in cells])
+
+
+def test_violation_residual_is_normalized_sigma_ratio(rng):
+    g = torus_contact_grid(2.0, 0.5, [0.1, 0.8, 1.9, 2.5], [-0.5, 0.2, 0.9])
+    lines = g.lines.copy()
+    lines[1, 2] = contact_element(rng.uniform(-1, 1, 3), np.array([0.0, 0.6, 0.8]))
+    broken = IsoLineGrid(lines, LIE)
+    report = multi_congruence_violations(broken)
+    assert [k for k, _ in report] == scalar_congruence_keys(broken)
+    assert len(report) == 5
+    for key, residual in report:
+        assert RANK_RTOL < residual < 1.0
+        pts = _pair_points(lines, key)
+        s = np.linalg.svd(pts / np.linalg.norm(pts, axis=1, keepdims=True), compute_uv=False)
+        assert np.isclose(residual, s[-1] / s[0], rtol=1e-9)
+
+
+def test_degenerate_spanning_pairs_raise():
+    g = torus_contact_grid(2.0, 0.5, [0.1, 0.8, 1.9], [-0.5, 0.2, 0.9])
+    lines = g.lines.copy()
+    lines[1, 1, 1] = lines[1, 1, 0]
+    with pytest.raises(IdenticalLines):
+        multi_congruence_violations(IsoLineGrid(lines, LIE))
+    lines = g.lines.copy()
+    lines[2, 1, 1] = 0.0
+    with pytest.raises(ZeroVector):
+        multi_congruence_violations(IsoLineGrid(lines, LIE))
 
 
 # -- factorization ------------------------------------------------------------

@@ -7,6 +7,7 @@ from multinets.conical import (
     classify_gauss,
     conical_violations,
     gauss_map,
+    multi_conical_violations,
     is_conical_quad,
     is_multi_conical,
     orient_covectors,
@@ -17,6 +18,7 @@ from multinets.conical import (
     sample_s2_symmetric_strip,
 )
 from multinets.errors import (
+    DuplicatePoints,
     NotConcurrent,
     NotOnSphere,
     SingularPropagation,
@@ -277,3 +279,111 @@ def test_classify_gauss_inversion_invariant(rng):
         moved = EuclidNet(pts)
         assert np.max(np.abs(np.linalg.norm(pts, axis=-1) - 1.0)) < 1e-9
         assert classify_gauss(moved).kind == expected
+
+
+# -- batched verifiers against the scalar quad test ------------------------------
+
+
+def scalar_conical_violations(pn, elementary):
+    """Reference sweep: is_conical_quad on every rectangle, in key order."""
+    nu, nv = pn.dims
+    cov = pn.covectors
+    bad = []
+    for i0 in range(nu):
+        for i1 in range(i0 + 1, nu):
+            if elementary and i1 != i0 + 1:
+                continue
+            for j0 in range(nv):
+                for j1 in range(j0 + 1, nv):
+                    if elementary and j1 != j0 + 1:
+                        continue
+                    quad = np.stack([cov[i0, j0], cov[i1, j0], cov[i1, j1], cov[i0, j1]])
+                    key = (i0, j0) if elementary else (i0, i1, j0, j1)
+                    try:
+                        if not is_conical_quad(quad):
+                            bad.append((key, "normals not concyclic"))
+                    except NotConcurrent:
+                        bad.append((key, "planes not concurrent"))
+    return bad
+
+
+def _agreement_nets(rng):
+    base = [
+        polarize_spherical(s2_rot()),
+        polarize_spherical(s2_rot(4, 6)),
+        polarize_spherical(
+            sample_s2_stereographic([-1.0, -0.2, 0.5, 1.3], [0.1, 0.8, 1.5])
+        ),
+    ]
+    pn = base[0]
+    nu, nv = pn.dims
+    d_row = 1 + 0.2 * rng.uniform(-1, 1, nu)
+    d_col = 1 + 0.2 * rng.uniform(-1, 1, nv)
+    d_col[0] = d_row[0]
+    base.append(parallel_conical_net(pn, d_row, d_col))
+    nets = list(base)
+    x0 = np.array([0.3, -0.4, 0.2])
+    for b in base:
+        # offsets shaken: concurrency fails on some rectangles
+        cov = b.covectors.copy()
+        cov[..., 3] += 1e-3 * rng.normal(size=cov.shape[:2])
+        nets.append(PlaneNet(cov))
+        # normals shaken, planes kept through x0: concurrent, not concyclic
+        n = b.covectors[..., :3] + 1e-3 * rng.normal(size=b.covectors.shape[:2] + (3,))
+        nets.append(PlaneNet(np.concatenate([n, (n @ x0)[..., None]], axis=-1)))
+        # one normal shaken, so only the rectangles through it change
+        n = b.covectors[..., :3].copy()
+        n[1, 2] += 0.05
+        nets.append(PlaneNet(np.concatenate([n, (n @ x0)[..., None]], axis=-1)))
+    return nets
+
+
+def test_multi_conical_agrees_with_scalar_quad_test(rng):
+    reasons = set()
+    verdicts = set()
+    for pn in _agreement_nets(rng):
+        report = multi_conical_violations(pn)
+        assert report == scalar_conical_violations(pn, elementary=False)
+        assert is_multi_conical(pn) == (not report)
+        assert conical_violations(pn) == scalar_conical_violations(pn, elementary=True)
+        reasons |= {why for _, why in report}
+        verdicts.add(not report)
+    assert reasons == {"planes not concurrent", "normals not concyclic"}
+    assert verdicts == {True, False}
+
+
+def test_zero_normal_raises_only_on_concurrent_rectangles(rng):
+    # planes parallel to the z-axis share the point at infinity (0, 0, 1, 0),
+    # and so does the plane at infinity (zero normal part)
+    cov = np.zeros((2, 2, 4))
+    cov[..., :2] = rng.normal(size=(2, 2, 2))
+    cov[..., 3] = rng.uniform(-1, 1, (2, 2))
+    cov[1, 1] = [0.0, 0.0, 0.0, 1.0]
+    for check in (conical_violations, multi_conical_violations):
+        with pytest.raises(ZeroNormal):
+            check(PlaneNet(cov))
+    with pytest.raises(ZeroNormal):
+        is_conical_quad(cov[[0, 1, 1, 0], [0, 0, 1, 1]])
+    # three generic planes meet in a finite point off the plane at infinity
+    cov[..., 2] = rng.normal(size=(2, 2))
+    cov[1, 1] = [0.0, 0.0, 0.0, 1.0]
+    assert conical_violations(PlaneNet(cov)) == [((0, 0), "planes not concurrent")]
+
+
+def test_repeated_normal_raises_duplicate_points():
+    pn = polarize_spherical(s2_rot())
+    cov = pn.covectors.copy()
+    cov[1, 1] = cov[0, 0]
+    with pytest.raises(DuplicatePoints):
+        is_conical_quad(cov[[0, 1, 1, 0], [0, 0, 1, 1]])
+    for check in (conical_violations, multi_conical_violations):
+        with pytest.raises(DuplicatePoints):
+            check(PlaneNet(cov))
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 4), (5, 1, 4)])
+def test_single_row_plane_net_has_empty_report(rng, shape):
+    pn = PlaneNet(rng.uniform(-1, 1, shape))
+    assert conical_violations(pn) == []
+    assert multi_conical_violations(pn) == []
+    assert is_multi_conical(pn)

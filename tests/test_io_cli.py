@@ -335,3 +335,166 @@ def test_cli_wrong_net_kind_exit_2(capsys, monkeypatch):
         ["verify", "multi-q"], stdin_text=out, capsys=capsys, monkeypatch=monkeypatch
     )
     assert code == 2
+
+
+# -- CLI verifiers: one passing and one failing input each -----------------------
+
+
+def _verify(what, net, capsys, monkeypatch):
+    buf = io.StringIO()
+    write_net(net, buf)
+    code, out, _ = run_cli(
+        ["verify", what], stdin_text=buf.getvalue(), capsys=capsys, monkeypatch=monkeypatch
+    )
+    return code, out.splitlines()
+
+
+def _reports(lines):
+    """Split 'violation at <key>: residual <value>' lines into (key, value)."""
+    out = []
+    for line in lines:
+        assert line.startswith("violation at ")
+        key, value = line[len("violation at "):].split(": residual ")
+        out.append((key, value))
+    return out
+
+
+def _translation_plane_net():
+    from multinets.qnets import dualize_point_net, from_translation
+
+    rng = np.random.default_rng(7)
+    return dualize_point_net(
+        from_translation(rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (4, 4)))
+    )
+
+
+def _s2_plane_net():
+    from multinets.conical import polarize_spherical, sample_s2_rotational
+
+    return polarize_spherical(
+        sample_s2_rotational(np.linspace(0.6, 2.0, 3), np.linspace(0.3, 2.4, 4))
+    )
+
+
+def _broken_s2_plane_net():
+    """Plane (0,0) turned about the common point of quad (0,0), so that quad
+    stays concurrent but loses concyclic normals; plane (3,2) shifted off
+    the common point of quad (2,1)."""
+    from multinets.qnets import qstar_vertices
+
+    pn = _s2_plane_net()
+    cov = pn.covectors.copy()
+    cov[3, 2, 3] += 0.3
+    v = qstar_vertices(pn)[0][0]
+    v = v[:3] / v[3]
+    n = cov[0, 0, :3] + np.array([0.2, -0.1, 0.15])
+    n /= np.linalg.norm(n)
+    cov[0, 0] = np.concatenate([n, [n @ v]])
+    return PlaneNet(cov)
+
+
+@pytest.mark.parametrize("what", ["qstar", "multi-qstar"])
+def test_cli_verify_qstar_passes(what, capsys, monkeypatch):
+    code, lines = _verify(what, _translation_plane_net(), capsys, monkeypatch)
+    assert code == 0
+    assert lines == [f"ok: {what}"]
+
+
+def test_cli_verify_qstar_fails_with_rectangle_keys(capsys, monkeypatch):
+    pn = PlaneNet(np.random.default_rng(9).uniform(-1, 1, (2, 3, 4)))
+    code, lines = _verify("qstar", pn, capsys, monkeypatch)
+    assert code == 1
+    got = _reports(lines)
+    assert [k for k, _ in got] == ["(0, 1, 0, 1)", "(0, 1, 1, 2)"]
+    expected = [0.29986116723810124, 0.1758314908904175]
+    assert np.allclose([float(v) for _, v in got], expected, rtol=1e-9, atol=0)
+
+
+def test_cli_verify_multi_qstar_fails_off_elementary_quads(capsys, monkeypatch):
+    from multinets.qnets import dualize_point_net
+
+    pn = dualize_point_net(random_q_net(np.random.default_rng(8), 3, 3))
+    code, lines = _verify("multi-qstar", pn, capsys, monkeypatch)
+    assert code == 1
+    got = _reports(lines)
+    assert [k for k, _ in got] == [
+        "(0, 1, 0, 2)",
+        "(0, 2, 0, 1)",
+        "(0, 2, 0, 2)",
+        "(0, 2, 1, 2)",
+        "(1, 2, 0, 2)",
+    ]
+    expected = [
+        0.002840146539132319,
+        0.00034417674007638003,
+        0.0026886144418925358,
+        0.001211746836756336,
+        0.0012932622233880037,
+    ]
+    assert np.allclose([float(v) for _, v in got], expected, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("what", ["conical", "multi-conical"])
+def test_cli_verify_conical_passes(what, capsys, monkeypatch):
+    code, lines = _verify(what, _s2_plane_net(), capsys, monkeypatch)
+    assert code == 0
+    assert lines == [f"ok: {what}"]
+
+
+def test_cli_verify_conical_fails_with_reasons(capsys, monkeypatch):
+    code, lines = _verify("conical", _broken_s2_plane_net(), capsys, monkeypatch)
+    assert code == 1
+    assert lines == [
+        "violation at (0, 0): residual normals not concyclic",
+        "violation at (2, 1): residual planes not concurrent",
+    ]
+
+
+def test_cli_verify_multi_conical_fails_with_reasons(capsys, monkeypatch):
+    code, lines = _verify("multi-conical", _broken_s2_plane_net(), capsys, monkeypatch)
+    assert code == 1
+    concyclic = {"(0, 1, 0, 1)"}
+    keys = [
+        "(0, 1, 0, 1)",
+        "(0, 1, 0, 2)",
+        "(0, 2, 0, 1)",
+        "(0, 2, 0, 2)",
+        "(0, 3, 0, 1)",
+        "(0, 3, 0, 2)",
+        "(0, 3, 1, 2)",
+        "(1, 3, 0, 2)",
+        "(1, 3, 1, 2)",
+        "(2, 3, 0, 2)",
+        "(2, 3, 1, 2)",
+    ]
+    assert lines == [
+        f"violation at {k}: residual "
+        + ("normals not concyclic" if k in concyclic else "planes not concurrent")
+        for k in keys
+    ]
+
+
+def test_cli_verify_congruence_passes(capsys, monkeypatch):
+    g = torus_contact_grid(2.0, 0.5, [0.1, 0.8, 1.9], [-0.5, 0.2, 0.9])
+    code, lines = _verify("congruence", g, capsys, monkeypatch)
+    assert code == 0
+    assert lines == ["ok: congruence"]
+
+
+def test_cli_verify_congruence_fails_with_pair_keys(capsys, monkeypatch):
+    from multinets.congruences import IsoLineGrid, contact_element
+    from multinets.projective import LIE, RANK_RTOL
+
+    g = torus_contact_grid(2.0, 0.5, [0.1, 0.8, 1.9], [-0.5, 0.2, 0.9])
+    lines = g.lines.copy()
+    lines[1, 2] = contact_element(np.array([0.3, -0.4, 0.2]), np.array([0.0, 0.6, 0.8]))
+    code, out = _verify("congruence", IsoLineGrid(lines, LIE), capsys, monkeypatch)
+    assert code == 1
+    got = _reports(out)
+    assert [k for k, _ in got] == [
+        "('row', 0, 1, 2)",
+        "('row', 1, 2, 2)",
+        "('col', 1, 0, 2)",
+        "('col', 1, 1, 2)",
+    ]
+    assert all(RANK_RTOL < float(v) <= 1.0 for _, v in got)

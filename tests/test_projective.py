@@ -21,7 +21,10 @@ from multinets.projective import (
     normalize,
     plane_rep,
     polar_reflect,
+    RANK_RTOL,
     proj_equal,
+    rank_violations,
+    rect_stacks,
     span_rank,
     sphere_rep,
     sphere_rep_to_euclidean,
@@ -239,3 +242,66 @@ def test_sphere_rep_decode(rng):
 def test_quadric_form_validation():
     with pytest.raises(ValueError):
         QuadricForm((1, 2, 1))
+
+
+# -- rectangle kernel ----------------------------------------------------------
+
+
+def test_rect_stacks_keys_and_corners(rng):
+    grid = rng.uniform(-1, 1, (4, 3, 5))
+    keys, stacks = rect_stacks(grid, elementary=False)
+    assert keys == [
+        (i0, i1, j0, j1)
+        for i0 in range(4)
+        for i1 in range(i0 + 1, 4)
+        for j0 in range(3)
+        for j1 in range(j0 + 1, 3)
+    ]
+    for (i0, i1, j0, j1), st in zip(keys, stacks):
+        assert np.array_equal(st, grid[[i0, i1, i0, i1], [j0, j0, j1, j1]])
+    keys, stacks = rect_stacks(grid, elementary=True)
+    assert keys == [(i, i + 1, j, j + 1) for i in range(3) for j in range(2)]
+    assert stacks.shape == (6, 4, 5)
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 4), (5, 1, 4), (1, 1, 4)])
+def test_rect_stacks_without_rectangles(shape):
+    for elementary in (True, False):
+        keys, stacks = rect_stacks(np.ones(shape), elementary)
+        assert keys == [] and stacks.shape == (0, 4, shape[2])
+        assert rank_violations(keys, stacks, 3) == []
+
+
+def _stacks_near_threshold(rng):
+    """4 x 5 stacks with sigma_4 / sigma_1 spread around RANK_RTOL."""
+    out = []
+    for eps in np.geomspace(0.2 * RANK_RTOL, 5 * RANK_RTOL, 200):
+        u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        v = np.linalg.qr(rng.normal(size=(5, 5)))[0][:4]
+        out.append(u @ np.diag([1.0, 0.8, 0.6, eps]) @ v)
+    return np.stack(out)
+
+
+def test_rank_violations_agree_with_span_rank_near_threshold(rng):
+    stacks = _stacks_near_threshold(rng)
+    ratios = []
+    for st in stacks:
+        s = np.linalg.svd(st / np.linalg.norm(st, axis=1, keepdims=True), compute_uv=False)
+        ratios.append(s[-1] / s[0])
+    ratios = np.array(ratios) / RANK_RTOL
+    # both sides of the threshold are populated within a few percent of it
+    assert np.any((ratios > 1.0) & (ratios < 1.05))
+    assert np.any((ratios < 1.0) & (ratios > 0.95))
+    keys = list(range(len(stacks)))
+    report = rank_violations(keys, stacks, 3)
+    assert [k for k, _ in report] == [k for k in keys if span_rank(stacks[k]) > 3]
+    for k, residual in report:
+        assert np.isclose(residual, ratios[k] * RANK_RTOL, rtol=1e-6, atol=0)
+        assert residual > RANK_RTOL
+
+
+def test_rank_violations_zero_row():
+    stacks = np.ones((2, 4, 4))
+    stacks[1, 2] = 0.0
+    with pytest.raises(ZeroVector):
+        rank_violations([0, 1], stacks, 3)

@@ -31,7 +31,11 @@ from multinets.qnets import (
     laplace_data,
     laplace_transforms,
     laplace_transforms_degenerate,
+    multi_q_violations,
+    multi_qstar_violations,
     neighbor_perspectivity,
+    q_violations,
+    qstar_violations,
     translation_gauge,
 )
 
@@ -76,6 +80,19 @@ def test_rp2_net_always_q(rng):
     pts = rng.uniform(-1, 1, (4, 4, 3))
     net = PointNet(pts, ambient="RP2")
     assert is_q_net(net) and is_multi_q_net(net)
+    assert q_violations(net) == [] and multi_q_violations(net) == []
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 4), (5, 1, 4)])
+def test_single_row_nets_have_empty_reports(rng, shape):
+    from multinets.circular import EuclidNet, circular_violations, multi_circular_violations
+
+    net = PointNet(rng.uniform(-1, 1, shape))
+    pn = PlaneNet(rng.uniform(-1, 1, shape))
+    euclid = EuclidNet(rng.uniform(-1, 1, shape[:2] + (3,)))
+    assert q_violations(net) == [] and multi_q_violations(net) == []
+    assert qstar_violations(pn) == [] and multi_qstar_violations(pn) == []
+    assert circular_violations(euclid) == [] and multi_circular_violations(euclid) == []
 
 
 def test_translation_net_is_multi_q(rng):
