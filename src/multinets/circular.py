@@ -196,8 +196,7 @@ def strip_sphere(net: EuclidNet, direction: int, index: int) -> np.ndarray:
     a, b = rows
     if span_rank(np.concatenate([a, b])) <= 3:
         raise DegenerateStrip("strip is contained in a single circle")
-    spans = [np.stack([a[k], b[k]]) for k in range(a.shape[0])]
-    s, lam, lam2 = common_point_of_spans(spans)
+    s, lam, lam2 = (x[0] for x in common_point_of_spans(np.stack([a, b], axis=1)[None]))
     if lam > 1e-10:
         raise NotMultiCircular(
             f"strip edges are not concurrent (residual {lam:.2e})"
@@ -405,6 +404,23 @@ def sample_cylinder(base, offsets) -> EuclidNet:
     pts[:, :, 1] = b[:, 1:2]
     pts[:, :, 2] = h[None, :]
     return EuclidNet(pts)
+
+
+def torus_point(big, small, u, v) -> np.ndarray:
+    """Point of the torus of revolution with radii big > small at the
+    angles u (about the z-axis) and v (around the tube)."""
+    w = big + small * np.cos(v)
+    return np.array([w * np.cos(u), w * np.sin(u), small * np.sin(v)])
+
+
+def torus_u_tangent(u, v) -> np.ndarray:
+    """Unit tangent of the u-curvature line (a parallel circle) at (u, v)."""
+    return np.array([-np.sin(u), np.cos(u), 0.0])
+
+
+def torus_v_tangent(u, v) -> np.ndarray:
+    """Unit tangent of the v-curvature line (a meridian circle) at (u, v)."""
+    return np.array([-np.sin(v) * np.cos(u), -np.sin(v) * np.sin(u), np.cos(v)])
 
 
 def sample_canonical(kind: NetClass, profile, params) -> EuclidNet:

@@ -132,21 +132,14 @@ def _gen_congruence(rng, args):
     return congruences.hyperboloid_ruling_grid(a, b)
 
 
-def _torus_point(big, small, u, v):
-    w = big + small * np.cos(v)
-    return np.array([w * np.cos(u), w * np.sin(u), small * np.sin(v)])
-
-
 def _torus_patch_data(big, small, u0, u1, v0, v1):
     """Corner quad plus the two curvature-circle arcs at a torus patch."""
-    x00 = _torus_point(big, small, u0, v0)
-    x10 = _torus_point(big, small, u1, v0)
-    x01 = _torus_point(big, small, u0, v1)
-    x11 = _torus_point(big, small, u1, v1)
-    tan_u = np.array([-np.sin(u0), np.cos(u0), 0.0])
-    tan_v = np.array(
-        [-np.sin(v0) * np.cos(u0), -np.sin(v0) * np.sin(u0), np.cos(v0)]
-    )
+    x00 = circular.torus_point(big, small, u0, v0)
+    x10 = circular.torus_point(big, small, u1, v0)
+    x01 = circular.torus_point(big, small, u0, v1)
+    x11 = circular.torus_point(big, small, u1, v1)
+    tan_u = circular.torus_u_tangent(u0, v0)
+    tan_v = circular.torus_v_tangent(u0, v0)
     p_arc = CircArc(x00, x10, tan_u)
     q_arc = CircArc(x00, x01, tan_v)
     return (x00, x10, x01, x11), p_arc, q_arc
@@ -197,8 +190,6 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.what in ("conical", "multi-conical"):
-        net = conical.orient_covectors(net)
     violations = checker(net)
     if not violations:
         print(f"ok: {args.what}")

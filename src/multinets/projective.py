@@ -62,8 +62,16 @@ def hpoint(coords) -> np.ndarray:
 
 
 def normalize(p) -> np.ndarray:
-    """Canonical representative: unit norm, first nonzero coordinate positive."""
-    v = hpoint(p)
+    """Canonical representative: unit norm, first nonzero coordinate positive.
+
+    A stack of points (..., d) is canonicalized row by row.
+    """
+    v = np.asarray(p, dtype=float)
+    if v.ndim > 1:
+        v = normalized_rows(v)
+        first = np.argmax(np.abs(v) > _ABS_EPS, axis=-1)[..., None]
+        return np.where(np.take_along_axis(v, first, axis=-1) < 0, -v, v)
+    v = hpoint(v)
     v = v / np.linalg.norm(v)
     for c in v:
         if abs(c) > _ABS_EPS:
@@ -73,8 +81,20 @@ def normalize(p) -> np.ndarray:
     return v
 
 
-def proj_distance(u, v) -> float:
-    """Sine of the angle between the lines spanned by u and v."""
+def proj_distance(u, v):
+    """Sine of the angle between the lines spanned by u and v.
+
+    Stacks of points (..., d) broadcast against each other and give an
+    array of sines.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.ndim > 1 or v.ndim > 1:
+        if u.shape[-1] != v.shape[-1]:
+            raise DimensionMismatch(f"{u.shape} vs {v.shape}")
+        uu, vv = normalized_rows(u), normalized_rows(v)
+        c = np.sum(uu * vv, axis=-1, keepdims=True)
+        return np.linalg.norm(vv - c * uu, axis=-1)
     u = hpoint(u)
     v = hpoint(v)
     if u.shape != v.shape:
@@ -100,21 +120,21 @@ def normalized_rows(points) -> np.ndarray:
     return m / norms[..., None]
 
 
-def span_rank(points, rtol: float = RANK_RTOL) -> int:
+def span_rank(points, rtol: float = RANK_RTOL):
     """Numerical rank of the span of the given homogeneous points.
 
     Rows are normalized first, so the verdict is scaling invariant;
-    coplanarity of four points in RP^3 is span_rank <= 3.
+    coplanarity of four points in RP^3 is span_rank <= 3.  A stack of
+    point sets (..., k, d) gives an array of ranks.
     """
-    m = normalized_rows(points)
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > rtol * s[0]))
+    s = np.linalg.svd(normalized_rows(points), compute_uv=False)
+    ranks = np.sum(s > rtol * s[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def span_ranks(stacks, rtol: float = RANK_RTOL) -> np.ndarray:
     """Batched span_rank over an array of shape (N, k, d)."""
-    s = np.linalg.svd(normalized_rows(stacks), compute_uv=False)
-    return np.sum(s > rtol * s[..., :1], axis=-1)
+    return span_rank(stacks, rtol)
 
 
 # -- rectangle kernel ----------------------------------------------------------
@@ -175,20 +195,26 @@ def intersect_spans(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
     return normalized_rows(basis)
 
 
-def common_point_of_spans(spans, rtol: float = RANK_RTOL):
+def common_point_of_spans(spans, rtol: float = RANK_RTOL, min_rank: int = 1):
     """Vector closest to lying in every given span, with residuals.
 
-    Returns (vector, lam_min, lam_second): lam_min ~ 0 certifies a common
-    point, lam_second ~ 0 flags a non-unique (degenerate) intersection.
-    Eigenvalues refer to the sum of complement projectors of the spans.
+    spans has shape (..., n, k, d): n row matrices (k, d) per batch entry.
+    Returns (vector, lam_min, lam_second) per batch entry: lam_min ~ 0
+    certifies a common point, lam_second ~ 0 flags a non-unique (degenerate)
+    intersection.  Eigenvalues refer to the sum of complement projectors of
+    the spans; spans of rank below min_rank are left out, and an entry left
+    with fewer than two spans has lam_min = 0, as every point of its span is
+    common to all.
     """
-    spans = [orthonormal_span(s, rtol) for s in spans]
-    d = spans[0].shape[1]
-    acc = np.zeros((d, d))
-    for q in spans:
-        acc += np.eye(d) - q.T @ q
+    _, s, vh = np.linalg.svd(normalized_rows(spans), full_matrices=False)
+    basis = s > rtol * s[..., :1]
+    counted = np.sum(basis, axis=-1) >= min_rank
+    count = np.sum(counted, axis=-1)
+    weights = basis * counted[..., None]
+    acc = count[..., None, None] * np.eye(vh.shape[-1])
+    acc -= np.einsum("...nk,...nkd,...nke->...de", weights, vh, vh)
     w, v = np.linalg.eigh(acc)
-    return v[:, 0], float(w[0]), float(w[1])
+    return v[..., 0], np.where(count < 2, 0.0, w[..., 0]), w[..., 1]
 
 
 # -- quadric forms -----------------------------------------------------------

@@ -105,32 +105,57 @@ class LaplaceData:
     y2: np.ndarray
 
 
+# corner triples of a quad stack (x00, x10, x01, x11), one per dropped corner
+_CORNER_TRIPLES = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+
+
+def laplace_gauges(quads):
+    """Batched laplace_gauge over corner stacks (Q, 4, d) in the order
+    x00, x10, x01, x11.
+
+    Returns t (Q, 4, d), y (Q, 2, d) and the coefficients (Q, 3) as (a, b, c).
+    The first failing quad in stack order raises the first check that fails
+    for it, in the order of laplace_gauge.
+    """
+    quads = np.asarray(quads, dtype=float)
+    x00, x10, x01, x11 = np.moveaxis(quads, -2, 0)
+    nonplanar = span_rank(quads) > 3
+    collinear = np.any(span_rank(quads[:, _CORNER_TRIPLES]) < 3, axis=-1)
+    # least squares x11 = a x10 + b x01 - c x00 with lstsq's default cutoff
+    m = np.stack([x10, x01, -x00], axis=-1)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(m.shape[-2:]) * s[:, :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    coeffs = np.einsum("qji,qj->qi", vh, inv_s * np.einsum("qdj,qd->qj", u, x11))
+    resid = np.linalg.norm(np.einsum("qdj,qj->qd", m, coeffs) - x11, axis=-1)
+    resid = resid / np.linalg.norm(x11, axis=-1)
+    mags = np.abs(coeffs)
+    vanishing = np.min(mags, axis=-1) <= 1e-12 * np.max(mags, axis=-1)
+    a, b, c = coeffs.T
+    t = np.stack([c[:, None] * x00, a[:, None] * x10, b[:, None] * x01, x11], axis=1)
+    y = t[:, 1:3] - t[:, :1]
+    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= 1e-12
+    checks = np.stack([nonplanar, collinear, resid > 1e-9, vanishing, coincident], axis=-1)
+    bad = np.flatnonzero(np.any(checks, axis=-1))
+    if bad.size:
+        q = bad[0]
+        failures = [
+            NonPlanarQuad("quad spans rank 4"),
+            DegenerateQuad("three corners are collinear or coincident"),
+            NonPlanarQuad(f"Laplace equation inconsistent (residual {resid[q]:.2e})"),
+            DegenerateQuad("vanishing Laplace coefficient"),
+            DegenerateQuad("coincident opposite corners"),
+        ]
+        raise failures[int(np.argmax(checks[q]))]
+    return t, y, coeffs
+
+
 def laplace_gauge(x00, x10, x01, x11):
     """Renormalized representatives (t00, t10, t01, t11) with
     t11 = t10 + t01 - t00, plus the Laplace vectors (y1, y2)."""
-    x00, x10, x01, x11 = (hpoint(p) for p in (x00, x10, x01, x11))
-    quad = np.stack([x00, x10, x01, x11])
-    if span_rank(quad) > 3:
-        raise NonPlanarQuad("quad spans rank 4")
-    for drop in range(4):
-        triple = np.delete(quad, drop, axis=0)
-        if span_rank(triple) < 3:
-            raise DegenerateQuad("three corners are collinear or coincident")
-    m = np.stack([x10, x01, -x00], axis=1)
-    coeffs, *_ = np.linalg.lstsq(m, x11, rcond=None)
-    resid = np.linalg.norm(m @ coeffs - x11) / np.linalg.norm(x11)
-    if resid > 1e-9:
-        raise NonPlanarQuad(f"Laplace equation inconsistent (residual {resid:.2e})")
-    a, b, c = (float(v) for v in coeffs)
-    scale = max(abs(a), abs(b), abs(c))
-    if min(abs(a), abs(b), abs(c)) <= 1e-12 * scale:
-        raise DegenerateQuad("vanishing Laplace coefficient")
-    t00, t10, t01, t11 = c * x00, a * x10, b * x01, x11
-    y1 = t10 - t00
-    y2 = t01 - t00
-    if min(np.linalg.norm(y1), np.linalg.norm(y2)) <= 1e-12:
-        raise DegenerateQuad("coincident opposite corners")
-    return (t00, t10, t01, t11), (y1, y2), (a, b, c)
+    quad = np.stack([hpoint(p) for p in (x00, x10, x01, x11)])
+    t, y, coeffs = laplace_gauges(quad[None])
+    return tuple(t[0]), tuple(y[0]), tuple(coeffs[0].tolist())
 
 
 def laplace_data(x00, x10, x01, x11) -> LaplaceData:
@@ -224,10 +249,10 @@ def translation_gauge(net: PointNet, tol: float = _GAUGE_TOL):
     norms = np.linalg.norm(rec, axis=-1)
     if np.any(norms <= 1e-12):
         raise NotMultiQ("translation reconstruction hit a zero vector")
-    for i in range(nu):
-        for j in range(nv):
-            if proj_distance(rec[i, j], p[i, j]) > tol:
-                raise NotMultiQ(f"vertex ({i},{j}) off the translation reconstruction")
+    off = np.argwhere(proj_distance(rec, p) > tol)
+    if off.size:
+        i, j = off[0]
+        raise NotMultiQ(f"vertex ({i},{j}) off the translation reconstruction")
     return x00, y1, y2
 
 
@@ -301,73 +326,50 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
 def laplace_transforms(net: PointNet):
     """Grids of Laplace points y1_{ij}, y2_{ij} of all elementary quads."""
     nu, nv = net.dims
-    y1 = np.empty((nu - 1, nv - 1, net.ambient_dim))
-    y2 = np.empty_like(y1)
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            ld = laplace_data(*net.quad(i, j))
-            y1[i, j] = ld.y1
-            y2[i, j] = ld.y2
-    return PointNet(y1, ambient=net.ambient), PointNet(y2, ambient=net.ambient)
+    _, quads = rect_stacks(net.points, elementary=True)
+    _, y, _ = laplace_gauges(quads)
+    y = normalize(y).reshape(nu - 1, nv - 1, 2, net.ambient_dim)
+    return tuple(PointNet(y[:, :, k], ambient=net.ambient) for k in (0, 1))
 
 
 def laplace_transforms_degenerate(net: PointNet, tol: float = 1e-8) -> bool:
     """True iff y1 is constant along j and y2 constant along i."""
     t1, t2 = laplace_transforms(net)
-    nu1, nv1 = t1.dims
-    for i in range(nu1):
-        for j in range(1, nv1):
-            if proj_distance(t1.points[i, j], t1.points[i, 0]) > tol:
-                return False
-    for j in range(nv1):
-        for i in range(1, nu1):
-            if proj_distance(t2.points[i, j], t2.points[0, j]) > tol:
-                return False
-    return True
+    return not (
+        np.any(proj_distance(t1.points, t1.points[:, :1]) > tol)
+        or np.any(proj_distance(t2.points, t2.points[:1]) > tol)
+    )
 
 
 # -- perspectivity predicates ---------------------------------------------------
 
 
-def _polygons_perspective(rows_a, rows_b, tol: float) -> bool:
-    """True iff the lines joining corresponding points are concurrent."""
-    spans = []
-    for a, b in zip(rows_a, rows_b):
-        if span_rank([a, b]) < 2:
+def _parameter_polygons_perspective(net: PointNet, pairs, tol: float) -> bool:
+    """True iff for every index pair (i0, i1) from pairs(n), first of rows
+    and then of columns, the lines joining corresponding points of the two
+    polygons are concurrent.  Joins of coincident points are left out, and
+    a pair with fewer than two joins is in perspective."""
+    p = net.points
+    for grid in (p, p.swapaxes(0, 1)):
+        i0, i1 = pairs(grid.shape[0])
+        if len(i0) == 0:
             continue
-        spans.append(np.stack([a, b]))
-    if len(spans) < 2:
-        return True
-    _, lam, _ = common_point_of_spans(spans)
-    return lam <= tol
+        _, lam, _ = common_point_of_spans(np.stack([grid[i0], grid[i1]], axis=2), min_rank=2)
+        if np.any(lam > tol):
+            return False
+    return True
 
 
 def neighbor_perspectivity(net: PointNet, tol: float = 1e-12) -> bool:
     """Every two neighboring parameter polygons in perspective w.r.t. a point."""
-    nu, nv = net.dims
-    p = net.points
-    for i in range(nu - 1):
-        if not _polygons_perspective(p[i], p[i + 1], tol):
-            return False
-    for j in range(nv - 1):
-        if not _polygons_perspective(p[:, j], p[:, j + 1], tol):
-            return False
-    return True
+    return _parameter_polygons_perspective(
+        net, lambda n: (np.arange(n - 1), np.arange(1, n)), tol
+    )
 
 
 def all_pairs_perspectivity(net: PointNet, tol: float = 1e-12) -> bool:
     """Every two parameter polygons of the same direction in perspective."""
-    nu, nv = net.dims
-    p = net.points
-    for i0 in range(nu):
-        for i1 in range(i0 + 1, nu):
-            if not _polygons_perspective(p[i0], p[i1], tol):
-                return False
-    for j0 in range(nv):
-        for j1 in range(j0 + 1, nv):
-            if not _polygons_perspective(p[:, j0], p[:, j1], tol):
-                return False
-    return True
+    return _parameter_polygons_perspective(net, lambda n: np.triu_indices(n, 1), tol)
 
 
 def has_planar_parameter_polygons(net: PointNet) -> bool:

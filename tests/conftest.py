@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multinets.circular import torus_point, torus_u_tangent, torus_v_tangent  # noqa: F401
 from multinets.qnets import PointNet
 from multinets.projective import proj_equal
 
@@ -29,21 +30,6 @@ def nets_proj_equal(n1, n2, tol=1e-8):
         proj_equal(n1.points[i, j], n2.points[i, j], tol)
         for i in range(nu)
         for j in range(nv)
-    )
-
-
-def torus_point(big, small, u, v):
-    w = big + small * np.cos(v)
-    return np.array([w * np.cos(u), w * np.sin(u), small * np.sin(v)])
-
-
-def torus_u_tangent(u, v):
-    return np.array([-np.sin(u), np.cos(u), 0.0])
-
-
-def torus_v_tangent(u, v):
-    return np.array(
-        [-np.sin(v) * np.cos(u), -np.sin(v) * np.sin(u), np.cos(v)]
     )
 
 

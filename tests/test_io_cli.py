@@ -441,6 +441,24 @@ def test_cli_verify_conical_passes(what, capsys, monkeypatch):
     assert lines == [f"ok: {what}"]
 
 
+def test_cli_verify_multi_conical_keeps_normals_as_written(capsys, monkeypatch):
+    """Longitude steps over 90 degrees give neighbouring normals a negative
+    dot product; the CLI must judge the net as written, like the library."""
+    from multinets.conical import (
+        multi_conical_violations,
+        polarize_spherical,
+        sample_s2_rotational,
+    )
+
+    pn = polarize_spherical(
+        sample_s2_rotational(np.linspace(0.5, 2.2, 4), np.linspace(0.3, 4.0, 3))
+    )
+    assert multi_conical_violations(pn) == []
+    code, lines = _verify("multi-conical", pn, capsys, monkeypatch)
+    assert code == 0
+    assert lines == ["ok: multi-conical"]
+
+
 def test_cli_verify_conical_fails_with_reasons(capsys, monkeypatch):
     code, lines = _verify("conical", _broken_s2_plane_net(), capsys, monkeypatch)
     assert code == 1

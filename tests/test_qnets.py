@@ -11,7 +11,14 @@ from multinets.errors import (
     SkewLines,
     ZeroSum,
 )
-from multinets.projective import ProjLine, proj_distance, proj_equal, span_rank
+from multinets.projective import (
+    RANK_RTOL,
+    ProjLine,
+    meet_lines,
+    proj_distance,
+    proj_equal,
+    span_rank,
+)
 from multinets.qnets import (
     PlaneNet,
     PointNet,
@@ -385,3 +392,125 @@ def test_from_cauchy_zero_sum():
     y2 = np.array([[0.0, 1, 0, 0]])
     with pytest.raises(ZeroSum):
         from_cauchy_homogeneous(y1, y2, [-1.0, -1.0, 0, 0])
+
+
+# -- batched kernels against scalar oracles ------------------------------------------
+
+
+def _perspective_by_loop(net, pairs, tol=1e-12):
+    """Pair-by-pair perspectivity with plain numpy svd and eigh."""
+    p = net.points
+    d = p.shape[-1]
+    for grid in (p, p.swapaxes(0, 1)):
+        for i0, i1 in pairs(grid.shape[0]):
+            acc, count = np.zeros((d, d)), 0
+            for a, b in zip(grid[i0], grid[i1]):
+                m = np.stack([a / np.linalg.norm(a), b / np.linalg.norm(b)])
+                _, s, vh = np.linalg.svd(m)
+                if s[1] <= RANK_RTOL * s[0]:
+                    continue
+                acc += np.eye(d) - vh[:2].T @ vh[:2]
+                count += 1
+            if count >= 2 and np.linalg.eigh(acc)[0][0] > tol:
+                return False
+    return True
+
+
+def _neighbor_pairs(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+def _all_pairs(n):
+    return [(i0, i1) for i0 in range(n) for i1 in range(i0 + 1, n)]
+
+
+def _nets_with_repeated_points(rng):
+    """Translation and generic Q-nets where some points of two parameter
+    polygons coincide projectively, so their joins are rank-1 spans."""
+    nets = []
+    for _ in range(4):
+        net = from_translation(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (6, 4)))
+        pts = net.points.copy()
+        pts[3] = -2.0 * pts[1]  # a repeated row: no join of rows 1 and 3 counts
+        nets.append(PointNet(pts))
+        pts = random_q_net(rng, 5, 5).points.copy()
+        pts[2, 1] = 3.0 * pts[1, 1]
+        pts[4, 3] = 0.5 * pts[0, 3]
+        nets.append(PointNet(pts))
+        pts = random_q_net(rng, 4, 2).points.copy()
+        pts[1, 0] = pts[0, 0]  # rows 0 and 1 keep a single join
+        nets.append(PointNet(pts))
+    return nets
+
+
+def test_batched_perspectivity_equals_pair_loop(rng):
+    nets = [
+        from_translation(rng.uniform(-1, 1, (n, 4)), rng.uniform(-1, 1, (m, 4)))
+        for n, m in [(5, 5), (6, 4), (3, 7), (8, 8)]
+    ]
+    nets += [random_q_net(rng, n, m) for n, m in [(5, 5), (6, 4), (3, 7), (8, 8)]]
+    nets += _nets_with_repeated_points(rng)
+    verdicts = []
+    for net in nets:
+        for predicate, pairs in (
+            (neighbor_perspectivity, _neighbor_pairs),
+            (all_pairs_perspectivity, _all_pairs),
+        ):
+            got = predicate(net)
+            assert got == _perspective_by_loop(net, pairs)
+            verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_laplace_transforms_equal_edge_line_meets(rng):
+    nets = [from_translation(rng.uniform(-1, 1, (5, 4)), rng.uniform(-1, 1, (4, 4)))]
+    nets += [random_q_net(rng, 5, 6) for _ in range(3)]
+    for net in nets:
+        t1, t2 = laplace_transforms(net)
+        nu, nv = net.dims
+        for i in range(nu - 1):
+            for j in range(nv - 1):
+                x00, x10, x01, x11 = net.quad(i, j)
+                y1 = meet_lines(ProjLine(x00, x10), ProjLine(x01, x11))
+                y2 = meet_lines(ProjLine(x00, x01), ProjLine(x10, x11))
+                assert proj_distance(t1.points[i, j], y1) < 1e-9
+                assert proj_distance(t2.points[i, j], y2) < 1e-9
+
+
+def _broken_quads_net(nonplanar, degenerate):
+    """Translation net 6x6 with a non-planar quad whose far corner is moved
+    off its plane, and a degenerate quad whose far corner is moved onto the
+    line through its neighbours (x11 = x10 + x01 - x00 with c = 0)."""
+    rng = np.random.default_rng(31)
+    pts = from_translation(rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6, 4))).points
+    i, j = nonplanar
+    pts[i + 1, j + 1] += np.array([0.3, -0.2, 0.1, 0.25])
+    i, j = degenerate
+    pts[i + 1, j + 1] = pts[i + 1, j] + pts[i, j + 1]
+    return PointNet(pts)
+
+
+@pytest.mark.parametrize(
+    "nonplanar, degenerate, first",
+    [((2, 3), (4, 1), NonPlanarQuad), ((2, 3), (1, 0), DegenerateQuad)],
+)
+def test_laplace_transforms_raise_like_quad_by_quad(nonplanar, degenerate, first):
+    net = _broken_quads_net(nonplanar, degenerate)
+    nu, nv = net.dims
+    expected = None
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            try:
+                laplace_data(*net.quad(i, j))
+            except (NonPlanarQuad, DegenerateQuad) as exc:
+                expected = exc
+                break
+        if expected is not None:
+            break
+    assert type(expected) is first
+    with pytest.raises(first) as info:
+        laplace_transforms(net)
+    assert str(info.value) == str(expected)
+    with pytest.raises(first) as info:
+        laplace_transforms_degenerate(net)
+    assert str(info.value) == str(expected)
