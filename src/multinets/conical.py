@@ -52,24 +52,6 @@ def gauss_map(pn: PlaneNet) -> EuclidNet:
     return EuclidNet(n / norms[..., None])
 
 
-def orient_covectors(pn: PlaneNet) -> PlaneNet:
-    """Flip covector signs so neighboring normals correlate positively.
-
-    Plane nets sampled from oriented surfaces satisfy this already; nets
-    read from files may carry mixed orientations.
-    """
-    cov = pn.covectors.copy()
-    nu, nv = pn.dims
-    for i in range(nu):
-        for j in range(nv):
-            if i == 0 and j == 0:
-                continue
-            ref = cov[i - 1, j] if i > 0 else cov[i, j - 1]
-            if np.dot(cov[i, j, :3], ref[:3]) < 0:
-                cov[i, j] *= -1.0
-    return PlaneNet(cov)
-
-
 def is_conical_quad(planes) -> bool:
     """Four concurrent planes tangent to a common cone of revolution,
     i.e. their unit normals are concyclic on S^2."""

@@ -109,6 +109,24 @@ class LaplaceData:
 _CORNER_TRIPLES = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
+def _unit_lstsq(m, rhs):
+    """Batched least squares m c = rhs, m (..., d, k), on unit-normalized columns.
+
+    Solving on unit columns with lstsq's default cutoff keeps the solve
+    independent of the scale of each column.  Returns the coefficients c of
+    the columns as given, the scale-free coefficients of the unit columns,
+    and the residual relative to |rhs|.
+    """
+    norms = np.linalg.norm(m, axis=-2)
+    unit_m = m / norms[..., None, :]
+    u, s, vh = np.linalg.svd(unit_m, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(m.shape[-2:]) * s[..., :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    unit = np.einsum("...ji,...j->...i", vh, inv_s * np.einsum("...dj,...d->...j", u, rhs))
+    resid = np.linalg.norm(np.einsum("...dj,...j->...d", unit_m, unit) - rhs, axis=-1)
+    return unit / norms, unit, resid / np.linalg.norm(rhs, axis=-1)
+
+
 def laplace_gauges(quads):
     """Batched laplace_gauge over corner stacks (Q, 4, d) in the order
     x00, x10, x01, x11.
@@ -121,20 +139,15 @@ def laplace_gauges(quads):
     x00, x10, x01, x11 = np.moveaxis(quads, -2, 0)
     nonplanar = span_rank(quads) > 3
     collinear = np.any(span_rank(quads[:, _CORNER_TRIPLES]) < 3, axis=-1)
-    # least squares x11 = a x10 + b x01 - c x00 with lstsq's default cutoff
-    m = np.stack([x10, x01, -x00], axis=-1)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(m.shape[-2:]) * s[:, :1]
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    coeffs = np.einsum("qji,qj->qi", vh, inv_s * np.einsum("qdj,qd->qj", u, x11))
-    resid = np.linalg.norm(np.einsum("qdj,qj->qd", m, coeffs) - x11, axis=-1)
-    resid = resid / np.linalg.norm(x11, axis=-1)
-    mags = np.abs(coeffs)
+    coeffs, unit, resid = _unit_lstsq(np.stack([x10, x01, -x00], axis=-1), x11)
+    mags = np.abs(unit)
     vanishing = np.min(mags, axis=-1) <= 1e-12 * np.max(mags, axis=-1)
     a, b, c = coeffs.T
     t = np.stack([c[:, None] * x00, a[:, None] * x10, b[:, None] * x01, x11], axis=1)
     y = t[:, 1:3] - t[:, :1]
-    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= 1e-12
+    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= 1e-12 * np.linalg.norm(
+        x11, axis=-1
+    )
     checks = np.stack([nonplanar, collinear, resid > 1e-9, vanishing, coincident], axis=-1)
     bad = np.flatnonzero(np.any(checks, axis=-1))
     if bad.size:
@@ -194,31 +207,38 @@ def is_multi_q_net(net: PointNet) -> bool:
 # -- translation structure ----------------------------------------------------
 
 
-def _propagate_strip_gauge(rows, tol: float = _GAUGE_TOL):
-    """Gauge a 2-row strip: representatives (t0j, t1j) with constant
-    difference vector t1j - t0j.  rows has shape (2, n, d).
+def _perspective_gauge(raw0, raw1, y, tol: float = _GAUGE_TOL):
+    """Representatives r0, r1 of the points raw0, raw1 (..., d) with
+    r1 - r0 = y, for y broadcasting against them.
 
-    Step j solves the Laplace equation of quad j with the first two
-    representatives fixed; its residual measures failure of the quad to
-    pass the propagated Laplace point (a perspectivity defect).
+    Each pair must be in perspective from [y], i.e. [raw1] lies on the line
+    through [raw0] and [y]; the first sample (in row-major order) whose
+    relative residual exceeds tol raises PerspectivityViolation.
     """
-    raw0, raw1 = rows[0], rows[1]
-    n = raw0.shape[0]
-    (t00, t10, t01, t11), _, _ = laplace_gauge(raw0[0], raw1[0], raw0[1], raw1[1])
-    reps0 = [t00, t01]
-    reps1 = [t10, t11]
-    for j in range(1, n - 1):
-        m = np.stack([raw1[j + 1], -raw0[j + 1]], axis=1)
-        rhs = reps1[j] - reps0[j]
-        coeffs, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-        resid = np.linalg.norm(m @ coeffs - rhs) / np.linalg.norm(rhs)
-        if resid > tol:
-            raise PerspectivityViolation(
-                f"strip quad {j} breaks perspectivity (residual {resid:.2e})"
-            )
-        reps0.append(float(coeffs[1]) * raw0[j + 1])
-        reps1.append(float(coeffs[0]) * raw1[j + 1])
-    return np.stack(reps0), np.stack(reps1)
+    m = np.stack([raw1, -raw0], axis=-1)
+    coeffs, _, resid = _unit_lstsq(m, np.broadcast_to(y, m.shape[:-1]))
+    bad = np.argwhere(resid > tol)
+    if bad.size:
+        k = tuple(bad[0])
+        raise PerspectivityViolation(
+            f"sample {', '.join(map(str, k))} not in perspective (residual {resid[k]:.2e})"
+        )
+    return coeffs[..., 1:] * raw0, coeffs[..., :1] * raw1
+
+
+def _strip_cauchy(rows, cols, tol: float = _GAUGE_TOL, ambient: str = "RP3"):
+    """Cauchy data (x00, y1, y2) of the multi-Q-net through a row strip
+    rows (2, nv, d) and a column strip cols (nu, 2, d), and that net.
+
+    Both strips are gauged from the Laplace gauge of the corner quad of rows:
+    row i=1 is row 0 translated by its y1, column j=1 is column 0 translated
+    by its y2.
+    """
+    (t00, _, _, _), (y1, y2), _ = laplace_gauge(rows[0, 0], rows[1, 0], rows[0, 1], rows[1, 1])
+    row0, _ = _perspective_gauge(rows[0], rows[1], y1, tol)
+    col0, _ = _perspective_gauge(cols[:, 0], cols[:, 1], y2, tol)
+    y1, y2 = np.diff(col0, axis=0), np.diff(row0, axis=0)
+    return t00, y1, y2, from_cauchy_homogeneous(y1, y2, t00, ambient=ambient)
 
 
 def translation_gauge(net: PointNet, tol: float = _GAUGE_TOL):
@@ -232,24 +252,13 @@ def translation_gauge(net: PointNet, tol: float = _GAUGE_TOL):
         raise NotMultiQ("net must be at least 2x2")
     p = net.points
     try:
-        row0, row1 = _propagate_strip_gauge(p[0:2], tol)
-        col0, col1 = _propagate_strip_gauge(np.stack([p[:, 0], p[:, 1]]), tol)
+        x00, y1, y2, rec = _strip_cauchy(p[0:2], p[:, 0:2], tol)
+    except (ZeroSum, ZeroVector) as exc:
+        raise NotMultiQ("translation reconstruction hit a zero vector") from exc
     except (PerspectivityViolation, NonPlanarQuad, DegenerateQuad) as exc:
         raise NotMultiQ(str(exc)) from exc
-    # align the two chains at the shared corner quad
-    col_scale = np.dot(col0[0], row0[0]) / np.dot(col0[0], col0[0])
-    col0 = col0 * col_scale
-    x00 = row0[0]
-    y2 = row0[1:] - row0[:-1]
-    y1 = col0[1:] - col0[:-1]
     # verify the reconstruction against the whole net
-    acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
-    acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
-    rec = x00[None, None, :] + acc1[:, None, :] + acc2[None, :, :]
-    norms = np.linalg.norm(rec, axis=-1)
-    if np.any(norms <= 1e-12):
-        raise NotMultiQ("translation reconstruction hit a zero vector")
-    off = np.argwhere(proj_distance(rec, p) > tol)
+    off = np.argwhere(proj_distance(rec.points, p) > tol)
     if off.size:
         i, j = off[0]
         raise NotMultiQ(f"vertex ({i},{j}) off the translation reconstruction")
@@ -300,26 +309,18 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
     """
     if strip1.dims[0] != 2 or strip2.dims[1] != 2:
         raise DimensionMismatch("strip1 must be 2 x nv and strip2 nu x 2")
-    nv = strip1.dims[1]
-    nu = strip2.dims[0]
+    rows, cols = strip1.points, strip2.points
     for (i, j) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        if not proj_equal(strip1.points[i, j], strip2.points[i, j], 1e-8):
+        if not proj_equal(rows[i, j], cols[i, j], 1e-8):
             raise InconsistentCorner(f"strips disagree at corner ({i},{j})")
-    row0, row1 = _propagate_strip_gauge(strip1.points)
-    col0, col1 = _propagate_strip_gauge(
-        np.stack([strip2.points[:, 0], strip2.points[:, 1]])
-    )
-    col_scale = np.dot(col0[0], row0[0]) / np.dot(col0[0], col0[0])
-    col0 = col0 * col_scale
-    y2 = row0[1:] - row0[:-1]
-    y1 = col0[1:] - col0[:-1]
-    net = from_cauchy_homogeneous(y1, y2, row0[0], ambient=strip1.ambient)
-    for j in range(nv):
-        if not proj_equal(net.points[1, j], strip1.points[1, j], 1e-7):
-            raise PerspectivityViolation(f"row strip not reproduced at column {j}")
-    for i in range(nu):
-        if not proj_equal(net.points[i, 1], strip2.points[i, 1], 1e-7):
-            raise PerspectivityViolation(f"column strip not reproduced at row {i}")
+    *_, net = _strip_cauchy(rows, cols, ambient=strip1.ambient)
+    for name, dist, where in (
+        ("row strip", proj_distance(net.points[1], rows[1]), "column"),
+        ("column strip", proj_distance(net.points[:, 1], cols[:, 1]), "row"),
+    ):
+        off = np.flatnonzero(dist > 1e-7)
+        if off.size:
+            raise PerspectivityViolation(f"{name} not reproduced at {where} {off[0]}")
     return net
 
 

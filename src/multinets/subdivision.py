@@ -18,7 +18,6 @@ from .circular import EuclidNet, circular_violations, invert_point, is_concyclic
 from .errors import (
     ArcsNotOrthogonal,
     DegenerateLaplaceSphere,
-    DegenerateQuad,
     DimensionMismatch,
     DuplicatePoints,
     GeometryError,
@@ -40,9 +39,10 @@ from .projective import (
     moebius_lift,
     normalize,
     proj_equal,
+    rect_stacks,
     span_rank,
 )
-from .qnets import PointNet, laplace_data, laplace_gauge
+from .qnets import PointNet, _perspective_gauge, _unit_lstsq, laplace_gauge, laplace_gauges
 from .quadric_nets import generate_by_reflections
 
 C1_ANGLE_TOL = 1e-6  # radians
@@ -61,26 +61,22 @@ def _resolve_counts(n):
 # -- adapted multi-Q patch ------------------------------------------------------
 
 
-def _gauge_polyline(raw0, raw1, y, t_first, t_last, tol=1e-8):
-    """Representatives t0(k) of raw0 with raw1(k) = [t0(k) + y].
+def _q_patches(t, y, p0, p1, q0, q1):
+    """Adapted multi-Q patches (..., n_u+1, n_v+1, d) of a batch of faces.
 
-    The pair (raw0, raw1) must be in perspective from [y]; t_first/t_last
-    pin the endpoint representatives for a consistency check.
+    t (..., 4, d) and y (..., 2, d) are the faces' Laplace gauges; p0, p1
+    (..., n_u+1, d) and q0, q1 (..., n_v+1, d) are their boundary polylines.
     """
-    reps = np.empty_like(raw0)
-    for k in range(raw0.shape[0]):
-        m = np.stack([raw1[k], -raw0[k]], axis=1)
-        coeffs, *_ = np.linalg.lstsq(m, y, rcond=None)
-        resid = np.linalg.norm(m @ coeffs - y) / np.linalg.norm(y)
-        if resid > tol:
-            raise PerspectivityViolation(
-                f"polyline sample {k} not in perspective (residual {resid:.2e})"
-            )
-        reps[k] = float(coeffs[1]) * raw0[k]
-    for rep, target in ((reps[0], t_first), (reps[-1], t_last)):
-        if np.linalg.norm(rep - target) > 1e-6 * np.linalg.norm(target):
+    p_reps, _ = _perspective_gauge(p0, p1, y[..., None, 1, :])
+    q_reps, _ = _perspective_gauge(q0, q1, y[..., None, 0, :])
+    for reps, ends in ((p_reps, t[..., [0, 1], :]), (q_reps, t[..., [0, 2], :])):
+        gap = np.linalg.norm(reps[..., [0, -1], :] - ends, axis=-1)
+        if np.any(gap > 1e-6 * np.linalg.norm(ends, axis=-1)):
             raise PerspectivityViolation("polyline endpoint gauge mismatch")
-    return reps
+    pts = p_reps[..., :, None, :] + q_reps[..., None, :, :] - t[..., None, None, 0, :]
+    if np.any(np.linalg.norm(pts, axis=-1) <= 1e-12):
+        raise ZeroSum("patch representative vanished")
+    return pts
 
 
 def adapted_q_patch(x00, x10, x01, x11, p0, p1, q0, q1) -> PointNet:
@@ -98,7 +94,7 @@ def adapted_q_patch(x00, x10, x01, x11, p0, p1, q0, q1) -> PointNet:
     q1 = np.atleast_2d(np.asarray(q1, dtype=float))
     if p0.shape != p1.shape or q0.shape != q1.shape:
         raise DimensionMismatch("opposite polylines must have equal lengths")
-    (t00, t10, t01, t11), (y1, y2), _ = laplace_gauge(x00, x10, x01, x11)
+    t, y, _ = laplace_gauge(x00, x10, x01, x11)
     for poly, corner_a, corner_b in (
         (p0, x00, x10),
         (p1, x01, x11),
@@ -109,12 +105,7 @@ def adapted_q_patch(x00, x10, x01, x11, p0, p1, q0, q1) -> PointNet:
             poly[-1], corner_b, 1e-8
         ):
             raise InconsistentCorner("polyline endpoints must match the corners")
-    p_reps = _gauge_polyline(p0, p1, y2, t00, t10)
-    q_reps = _gauge_polyline(q0, q1, y1, t00, t01)
-    pts = p_reps[:, None, :] + q_reps[None, :, :] - t00[None, None, :]
-    if np.any(np.linalg.norm(pts, axis=-1) <= 1e-12):
-        raise ZeroSum("patch representative vanished")
-    return PointNet(pts, ambient="RP3")
+    return PointNet(_q_patches(np.stack(t), np.stack(y), p0, p1, q0, q1), ambient="RP3")
 
 
 # -- edge polylines --------------------------------------------------------------
@@ -138,29 +129,21 @@ def _uniform_edge_polyline(t_a, t_b, n):
     return np.stack([(1.0 - t) * t_a + t * t_b for t in ts])
 
 
-def _project_polyline(poly, center, top_a, top_b):
-    """Project a polyline from the Laplace point onto the opposite edge line."""
-    target = ProjLine(top_a, top_b)
-    out = np.empty_like(poly)
-    for k in range(poly.shape[0]):
-        if span_rank([poly[k], center]) < 2:
-            raise DegenerateQuad("polyline sample coincides with the Laplace point")
-        out[k] = meet_lines(ProjLine(poly[k], center), target)
-    return out
+def _transport(poly, src, dst):
+    """Images of polylines (..., K, d) under the linear maps src -> dst.
 
-
-def attach_edge_polylines(net: PointNet, n, seeds=None) -> EdgePolylines:
-    """Attach polylines to all edges so that opposite polylines of every
-    face are in perspective w.r.t. its Laplace points.
-
-    Seed polylines live on the row-0 u-edges and column-0 v-edges and must
-    lie on their edge lines (samples off the line have no projection target
-    on the opposite edge); the default seeds sample each axis edge uniformly
-    in its face's renormalized-gauge representatives.  Propagation projects
-    each known polyline through the face Laplace point onto the opposite
-    edge line.
+    src and dst (..., 2, d) are corresponding representatives on the source
+    and target edge lines; each sample is written in the basis src and
+    mapped to the same combination of dst, canonicalized as by normalize.
+    For a face's Laplace gauge with src (t00, t10) and dst (t01, t11) this
+    is the projection from the Laplace point y2 = t01 - t00 = t11 - t10.
     """
-    n_u, n_v = _resolve_counts(n)
+    coords, _, _ = _unit_lstsq(np.swapaxes(src, -1, -2)[..., None, :, :], poly)
+    return normalize(np.einsum("...kj,...jd->...kd", coords, dst))
+
+
+def _edge_polylines(net: PointNet, n_u, n_v, seeds, t) -> EdgePolylines:
+    """attach_edge_polylines with the face gauges t (nu-1, nv-1, 4, d) given."""
     nu, nv = net.dims
     d = net.ambient_dim
     p = net.points
@@ -169,11 +152,9 @@ def attach_edge_polylines(net: PointNet, n, seeds=None) -> EdgePolylines:
 
     if seeds is None:
         for i in range(nu - 1):
-            (t00, t10, _, _), _, _ = laplace_gauge(*net.quad(i, 0))
-            u_edges[i, 0] = _uniform_edge_polyline(t00, t10, n_u)
+            u_edges[i, 0] = _uniform_edge_polyline(t[i, 0, 0], t[i, 0, 1], n_u)
         for j in range(nv - 1):
-            (t00, _, t01, _), _, _ = laplace_gauge(*net.quad(0, j))
-            v_edges[0, j] = _uniform_edge_polyline(t00, t01, n_v)
+            v_edges[0, j] = _uniform_edge_polyline(t[0, j, 0], t[0, j, 2], n_v)
     else:
         seed_u = np.asarray(seeds["u"], dtype=float)
         seed_v = np.asarray(seeds["v"], dtype=float)
@@ -199,15 +180,36 @@ def attach_edge_polylines(net: PointNet, n, seeds=None) -> EdgePolylines:
             v_edges[0, j] = seed_v[j]
 
     for j in range(nv - 1):
-        for i in range(nu - 1):
-            ld = laplace_data(*net.quad(i, j))
-            u_edges[i, j + 1] = _project_polyline(
-                u_edges[i, j], ld.y2, p[i, j + 1], p[i + 1, j + 1]
-            )
-            v_edges[i + 1, j] = _project_polyline(
-                v_edges[i, j], ld.y1, p[i + 1, j], p[i + 1, j + 1]
-            )
+        u_edges[:, j + 1] = _transport(u_edges[:, j], t[:, j][:, [0, 1]], t[:, j][:, [2, 3]])
+    for i in range(nu - 1):
+        v_edges[i + 1] = _transport(v_edges[i], t[i][:, [0, 2]], t[i][:, [1, 3]])
     return EdgePolylines(u_edges, v_edges)
+
+
+def _face_gauges(net: PointNet):
+    """Laplace gauges t (nu-1, nv-1, 4, d) and y (nu-1, nv-1, 2, d) of all faces."""
+    nu, nv = net.dims
+    t, y, _ = laplace_gauges(rect_stacks(net.points, elementary=True)[1])
+    return (
+        t.reshape(nu - 1, nv - 1, 4, net.ambient_dim),
+        y.reshape(nu - 1, nv - 1, 2, net.ambient_dim),
+    )
+
+
+def attach_edge_polylines(net: PointNet, n, seeds=None) -> EdgePolylines:
+    """Attach polylines to all edges so that opposite polylines of every
+    face are in perspective w.r.t. its Laplace points.
+
+    Seed polylines live on the row-0 u-edges and column-0 v-edges and must
+    lie on their edge lines (samples off the line have no projection target
+    on the opposite edge); the default seeds sample each axis edge uniformly
+    in its face's renormalized-gauge representatives.  Propagation projects
+    each known polyline through the face Laplace point onto the opposite
+    edge line.
+    """
+    n_u, n_v = _resolve_counts(n)
+    t, _ = _face_gauges(net)
+    return _edge_polylines(net, n_u, n_v, seeds, t)
 
 
 def has_collinear_joins(net: PointNet, ep: EdgePolylines, tol: float = 1e-9) -> bool:
@@ -239,25 +241,17 @@ def subdivide_q(net: PointNet, n, rounds: int = 1, seeds=None) -> PointNet:
     n_u, n_v = _resolve_counts(n)
     out = net
     for r in range(rounds):
-        ep = attach_edge_polylines(out, (n_u, n_v), seeds if r == 0 else None)
         nu, nv = out.dims
         p = out.points
+        t, y = _face_gauges(out)
+        ep = _edge_polylines(out, n_u, n_v, seeds if r == 0 else None, t)
+        patches = _q_patches(t, y, ep.u[:, :-1], ep.u[:, 1:], ep.v[:-1], ep.v[1:])
         fine = np.empty(((nu - 1) * n_u + 1, (nv - 1) * n_v + 1, out.ambient_dim))
         for i in range(nu - 1):
             for j in range(nv - 1):
-                patch = adapted_q_patch(
-                    p[i, j],
-                    p[i + 1, j],
-                    p[i, j + 1],
-                    p[i + 1, j + 1],
-                    ep.u[i, j],
-                    ep.u[i, j + 1],
-                    ep.v[i, j],
-                    ep.v[i + 1, j],
-                )
                 fine[
                     i * n_u : (i + 1) * n_u + 1, j * n_v : (j + 1) * n_v + 1
-                ] = patch.points
+                ] = patches[i, j]
         # shared boundary data is written once, after the patches
         for i in range(nu - 1):
             for j in range(nv):

@@ -10,7 +10,6 @@ from multinets.conical import (
     multi_conical_violations,
     is_conical_quad,
     is_multi_conical,
-    orient_covectors,
     parallel_conical_net,
     polarize_spherical,
     sample_s2_rotational,
@@ -219,20 +218,6 @@ def test_classify_gauss_symmetric_strip(rng):
     net = sample_s2_symmetric_strip(up)
     assert is_multi_circular(net)
     assert classify_gauss(net).kind == GaussClass.SYMMETRIC_STRIP
-
-
-# -- orientation --------------------------------------------------------------
-
-
-def test_orient_covectors_fixes_flips(rng):
-    pn = polarize_spherical(s2_rot())
-    cov = pn.covectors.copy()
-    cov[1, 2] *= -1.0
-    cov[3, 1] *= -1.0
-    fixed = orient_covectors(PlaneNet(cov))
-    g = gauss_map(fixed).points
-    base = gauss_map(pn).points
-    assert np.allclose(g, base)
 
 
 def test_classify_gauss_rotation_invariant(rng):

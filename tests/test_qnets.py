@@ -4,6 +4,7 @@ import pytest
 from conftest import nets_proj_equal, random_q_net
 from multinets.errors import (
     DegenerateQuad,
+    GeometryError,
     InconsistentCorner,
     NonPlanarQuad,
     PerspectivityViolation,
@@ -19,8 +20,10 @@ from multinets.projective import (
     proj_equal,
     span_rank,
 )
+from multinets.subdivision import subdivide_q
 from multinets.qnets import (
     PlaneNet,
+    _perspective_gauge,
     PointNet,
     all_pairs_perspectivity,
     build_qqstar_net,
@@ -36,6 +39,7 @@ from multinets.qnets import (
     is_qstar_net,
     is_translation_net,
     laplace_data,
+    laplace_gauges,
     laplace_transforms,
     laplace_transforms_degenerate,
     multi_q_violations,
@@ -185,6 +189,20 @@ def test_cauchy_roundtrip_via_gauge(rng):
     x00, y1, y2 = translation_gauge(net)
     rebuilt = from_cauchy_homogeneous(y1, y2, x00)
     assert nets_proj_equal(net, rebuilt)
+
+
+@pytest.mark.parametrize("nu, nv", [(2, 2), (2, 7), (8, 3), (16, 16)])
+def test_cauchy_roundtrip_via_gauge_sizes(rng, nu, nv):
+    net = from_translation(rng.uniform(-1, 1, (nu, 4)), rng.uniform(-1, 1, (nv, 4)))
+    x00, y1, y2 = translation_gauge(net)
+    assert y1.shape == (nu - 1, 4) and y2.shape == (nv - 1, 4)
+    assert nets_proj_equal(net, from_cauchy_homogeneous(y1, y2, x00))
+
+
+def test_cauchy_roundtrip_via_gauge_integer_grid():
+    pts = np.array([[[i, j, 0, 1] for j in range(5)] for i in range(4)], dtype=float)
+    x00, y1, y2 = translation_gauge(PointNet(pts))
+    assert nets_proj_equal(from_cauchy_homogeneous(y1, y2, x00), PointNet(pts))
 
 
 # -- two-strip Cauchy problem ----------------------------------------------------
@@ -514,3 +532,113 @@ def test_laplace_transforms_raise_like_quad_by_quad(nonplanar, degenerate, first
     with pytest.raises(first) as info:
         laplace_transforms_degenerate(net)
     assert str(info.value) == str(expected)
+
+
+# -- the translation-form gauge -----------------------------------------------------
+
+
+def _perspective_gauge_by_loop(raw0, raw1, y, tol=1e-8):
+    """Per-sample np.linalg.lstsq of raw1 a - raw0 b = y: the representatives
+    b raw0, a raw1, or the index of the first sample past tol."""
+    r0, r1 = [], []
+    for k, (p0, p1) in enumerate(zip(raw0, raw1)):
+        m = np.stack([p1, -p0], axis=1)
+        (a, b), *_ = np.linalg.lstsq(m, y, rcond=None)
+        if np.linalg.norm(m @ [a, b] - y) / np.linalg.norm(y) > tol:
+            return k
+        r0.append(b * p0)
+        r1.append(a * p1)
+    return np.array(r0), np.array(r1)
+
+
+def test_perspective_gauge_equals_lstsq_loop(rng):
+    cases = []
+    for n in (2, 5, 9):
+        y = rng.uniform(-1, 1, 4)
+        r0 = rng.uniform(-1, 1, (n, 4))
+        scales = rng.uniform(0.5, 2.0, (2, n, 1)) * rng.choice([-1, 1], (2, n, 1))
+        raw0, raw1 = scales[0] * r0, scales[1] * (r0 + y)
+        cases.append((raw0, raw1, y))
+        bad = raw1.copy()
+        bad[n // 2] += 1e-3 * rng.normal(size=4)
+        cases.append((raw0, bad, y))
+    outcomes = []
+    for raw0, raw1, y in cases:
+        want = _perspective_gauge_by_loop(raw0, raw1, y)
+        if isinstance(want, int):
+            with pytest.raises(PerspectivityViolation, match=f"sample {want} "):
+                _perspective_gauge(raw0, raw1, y)
+        else:
+            r0, r1 = _perspective_gauge(raw0, raw1, y)
+            assert np.allclose(r0, want[0], rtol=1e-12, atol=1e-12)
+            assert np.allclose(r1, want[1], rtol=1e-12, atol=1e-12)
+            assert np.allclose(r1 - r0, y, rtol=1e-12, atol=1e-12)
+        outcomes.append(isinstance(want, int))
+    assert outcomes == [False, True] * 3
+
+
+@pytest.mark.parametrize("corner", [(0, 0), (2, 3)])
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e9, 1e12])
+def test_rescaled_vertex_keeps_translation_verdicts(corner, scale):
+    rng = np.random.default_rng(3)
+    base = from_translation(rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6, 4)))
+    pts = base.points.copy()
+    pts[corner] *= scale
+    net = PointNet(pts)
+    assert is_multi_q_net(net)
+    assert is_translation_net(net)
+    assert laplace_transforms_degenerate(net)
+    for got, want in zip(laplace_transforms(net), laplace_transforms(base)):
+        assert np.max(proj_distance(got.points, want.points)) < 1e-10
+    rebuilt = from_two_strips(PointNet(pts[0:2]), PointNet(pts[:, 0:2]))
+    assert nets_proj_equal(rebuilt, base, 1e-9)
+    fine = subdivide_q(net, 2)
+    assert np.max(proj_distance(fine.points, subdivide_q(base, 2).points)) < 1e-9
+    assert np.array_equal(fine.points[::2, ::2], pts)
+
+
+def _corner_triple_collinear(quad):
+    """Independent oracle for the triple check: some three corners of the
+    quad span rank < 3 after row normalization."""
+    for drop in range(4):
+        m = np.delete(quad, drop, axis=0)
+        s = np.linalg.svd(m / np.linalg.norm(m, axis=1, keepdims=True), compute_uv=False)
+        if s[2] <= RANK_RTOL * s[0]:
+            return True
+    return False
+
+
+def test_laplace_checks_near_threshold():
+    # quads with c over 1e-16..1e-6 or two nearly coincident corners, each
+    # corner rescaled by 1e-3..1e3: only the triple check ever fires, exactly
+    # where the corner triples are numerically collinear
+    rng = np.random.default_rng(4)
+    fired = {"pass": 0, "collinear": 0}
+    for t in range(400):
+        x00, x10, x01, v = rng.uniform(-1, 1, (4, 4))
+        a, b, c = rng.uniform(0.3, 1.5, 3)
+        eps = 10 ** rng.uniform(-16, -6)
+        kind = t % 4
+        if kind == 0:
+            c = eps * rng.choice([-1, 1])
+        elif kind == 1:
+            x10 = x00 + eps * v
+        elif kind == 2:
+            x01 = x10 + eps * v
+        x11 = a * x10 + b * x01 - c * x00
+        if kind == 3:
+            x11 = x00 + eps * (rng.uniform(-1, 1, 3) @ np.stack([x00, x10, x01]))
+        quad = np.stack([x00, x10, x01, x11]) * 10 ** rng.uniform(-3, 3, (4, 1))
+        try:
+            tq, _, _ = laplace_gauges(quad[None])
+        except GeometryError as exc:
+            assert type(exc) is DegenerateQuad
+            assert str(exc) == "three corners are collinear or coincident"
+            assert _corner_triple_collinear(quad)
+            fired["collinear"] += 1
+            continue
+        assert not _corner_triple_collinear(quad)
+        t00, t10, t01, t11 = tq[0]
+        assert np.linalg.norm(t10 + t01 - t00 - t11) <= 1e-6 * np.linalg.norm(t11)
+        fired["pass"] += 1
+    assert min(fired.values()) >= 50

@@ -16,7 +16,15 @@ from multinets.errors import (
     PerspectivityViolation,
     SeedArcsNotC1,
 )
-from multinets.projective import moebius_lift, normalize, proj_equal, span_rank
+from multinets.projective import (
+    ProjLine,
+    meet_lines,
+    moebius_lift,
+    normalize,
+    proj_distance,
+    proj_equal,
+    span_rank,
+)
 from multinets.qnets import PointNet, from_translation, is_q_net
 from multinets.subdivision import (
     CircArc,
@@ -207,6 +215,45 @@ def test_attach_validates_on_random_q_net(rng):
             for k in range(4):
                 assert span_rank([ep.u[i, j][k], ep.u[i, j + 1][k], ld.y2]) == 2
                 assert span_rank([ep.v[i, j][k], ep.v[i + 1, j][k], ld.y1]) == 2
+
+
+@pytest.mark.parametrize("make", ["random", "grid"])
+def test_propagated_polylines_equal_laplace_point_projections(rng, make):
+    net = random_q_net(rng, 4, 5) if make == "random" else integer_grid(4, 3)
+    ep = attach_edge_polylines(net, 3)
+    p = net.points
+    nu, nv = net.dims
+    from multinets.qnets import laplace_data
+
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            ld = laplace_data(*net.quad(i, j))
+            u_edge = ProjLine(p[i, j + 1], p[i + 1, j + 1])
+            v_edge = ProjLine(p[i + 1, j], p[i + 1, j + 1])
+            for k in range(4):
+                want = meet_lines(ProjLine(ep.u[i, j][k], ld.y2), u_edge)
+                assert proj_distance(ep.u[i, j + 1][k], want) < 1e-10
+                want = meet_lines(ProjLine(ep.v[i, j][k], ld.y1), v_edge)
+                assert proj_distance(ep.v[i + 1, j][k], want) < 1e-10
+
+
+def test_subdivision_gauges_each_face_once(monkeypatch):
+    import multinets.subdivision as subdivision
+
+    from test_acceptance import random_non_multi_q_net
+
+    quads, meets = [], []
+    gauges = subdivision.laplace_gauges
+
+    def counting_gauges(q):
+        quads.append(len(q))
+        return gauges(q)
+
+    monkeypatch.setattr(subdivision, "laplace_gauges", counting_gauges)
+    monkeypatch.setattr(subdivision, "meet_lines", lambda *a: meets.append(a))
+    net = random_non_multi_q_net(np.random.default_rng(2030), 4, 4)
+    subdivide_q(net, 3, rounds=2)
+    assert quads == [9, 81] and meets == []
 
 
 # -- Q-net subdivision ----------------------------------------------------------------
