@@ -34,6 +34,7 @@ from .projective import (
     normalize,
     polar_reflect,
     span_rank,
+    span_ranks,
 )
 from .qnets import PointNet, multi_q_violations, q_violations, translation_gauge
 from .quadric_nets import generate_by_reflections
@@ -72,55 +73,40 @@ class EuclidNet:
     @classmethod
     def from_grid(cls, grid):
         """Build from a nested list of points / INF markers."""
-        nu = len(grid)
-        nv = len(grid[0])
+        nu, nv = len(grid), len(grid[0])
+        cells = [p for row in grid for p in row]
+        mask = np.array([p is INF for p in cells], dtype=bool).reshape(nu, nv)
         pts = np.zeros((nu, nv, 3))
-        mask = np.zeros((nu, nv), dtype=bool)
-        for i in range(nu):
-            for j in range(nv):
-                if grid[i][j] is INF:
-                    mask[i, j] = True
-                else:
-                    pts[i, j] = np.asarray(grid[i][j], dtype=float)
+        finite = [p for p in cells if p is not INF]
+        if finite:
+            pts[~mask] = np.asarray(finite, dtype=float)
         return cls(pts, mask)
 
 
 def lift_net(net: EuclidNet) -> PointNet:
     """Lift onto the Moebius quadric in R^{4,1} (unit-normalized rows)."""
-    nu, nv = net.dims
-    lifted = np.empty((nu, nv, 5))
-    for i in range(nu):
-        for j in range(nv):
-            lifted[i, j] = normalize(moebius_lift(net.point(i, j)))
-    return PointNet(lifted, ambient="R41")
+    return PointNet(normalize(moebius_lift(net.points, net.at_infinity)), ambient="R41")
 
 
 def drop_net(net: PointNet) -> EuclidNet:
     """Inverse of lift_net."""
-    nu, nv = net.dims
-    pts = np.zeros((nu, nv, 3))
-    mask = np.zeros((nu, nv), dtype=bool)
-    for i in range(nu):
-        for j in range(nv):
-            p = moebius_drop(net.points[i, j])
-            if p is INF:
-                mask[i, j] = True
-            else:
-                pts[i, j] = p
-    return EuclidNet(pts, mask)
+    return EuclidNet(*moebius_drop(net.points))
 
 
-def invert_point(s_rep, p):
+def invert_point(s_rep, p, at_infinity=None):
     """Image of p in R^3 u {oo} under inversion in the sphere with Moebius
-    representative s_rep (spheres and planes alike)."""
-    return moebius_drop(polar_reflect(MOEBIUS, s_rep, moebius_lift(p)))
+    representative s_rep (spheres and planes alike).
+
+    Stacks of points (..., 3), with an optional infinity mask as for
+    moebius_lift, and of representatives (..., 5) broadcast against each
+    other and give (points, at_infinity) as moebius_drop does.
+    """
+    return moebius_drop(polar_reflect(MOEBIUS, s_rep, moebius_lift(p, at_infinity)))
 
 
 def invert_net(s_rep, net: EuclidNet) -> EuclidNet:
     """Apply a sphere inversion vertex-wise."""
-    nu, nv = net.dims
-    grid = [[invert_point(s_rep, net.point(i, j)) for j in range(nv)] for i in range(nu)]
-    return EuclidNet.from_grid(grid)
+    return EuclidNet(*invert_point(s_rep, net.points, net.at_infinity))
 
 
 # -- predicates ----------------------------------------------------------------
@@ -159,20 +145,11 @@ def is_circular_net(net: EuclidNet) -> bool:
 def is_discrete_isothermic(net: EuclidNet) -> bool:
     """Every vertex and its four diagonal neighbors lie on a common sphere
     (span rank of the five lifts <= 4)."""
-    nu, nv = net.dims
-    lifted = lift_net(net).points
-    for i in range(1, nu - 1):
-        for j in range(1, nv - 1):
-            five = [
-                lifted[i, j],
-                lifted[i - 1, j - 1],
-                lifted[i + 1, j - 1],
-                lifted[i + 1, j + 1],
-                lifted[i - 1, j + 1],
-            ]
-            if span_rank(five) > 4:
-                return False
-    return True
+    x = lift_net(net).points
+    five = np.stack(
+        [x[1:-1, 1:-1], x[:-2, :-2], x[2:, :-2], x[2:, 2:], x[:-2, 2:]], axis=2
+    ).reshape(-1, 5, 5)
+    return not five.size or not np.any(span_ranks(five) > 4)
 
 
 # -- strip spheres ---------------------------------------------------------------

@@ -5,6 +5,8 @@ a silent fallback; callers that want boolean predicates catch them at the
 predicate boundary.
 """
 
+import numpy as np
+
 
 class GeometryError(Exception):
     """Base class for all geometric failures."""
@@ -160,3 +162,26 @@ class SchemaViolation(GeometryError):
 
 class InfiniteVertex(GeometryError):
     """Mesh export hit a vertex at infinity."""
+
+
+def first_failure(checks):
+    """The first failure of a batch of entries under an ordered list of checks.
+
+    checks holds (fails, make) pairs in the order one entry is checked:
+    fails flags the failing entries (flattened in C order) and make(k)
+    builds the exception of entry k.  Returns (k, exception) for the first
+    failing entry and its first failing check, or None.
+    """
+    first = None
+    for fails, make in checks:
+        hits = np.flatnonzero(fails)
+        if hits.size and (first is None or hits[0] < first[0]):
+            first = (int(hits[0]), make)
+    return None if first is None else (first[0], first[1](first[0]))
+
+
+def raise_first_failure(checks):
+    """Raise the exception that first_failure finds, if any."""
+    failure = first_failure(checks)
+    if failure is not None:
+        raise failure[1]

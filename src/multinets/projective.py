@@ -61,6 +61,13 @@ def hpoint(coords) -> np.ndarray:
     return v
 
 
+def _nonzero_rows(v: np.ndarray) -> np.ndarray:
+    """hpoint for a stack of points (..., d): no row may vanish."""
+    if np.any(np.linalg.norm(v, axis=-1) <= _ABS_EPS):
+        raise ZeroVector("homogeneous coordinates must not vanish")
+    return v
+
+
 def normalize(p) -> np.ndarray:
     """Canonical representative: unit norm, first nonzero coordinate positive.
 
@@ -173,26 +180,33 @@ def rank_violations(keys, stacks, max_rank: int):
     return [(keys[k], float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(ranks > max_rank)]
 
 
-def orthonormal_span(points, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis (rows) of the span of the given points."""
-    m = normalized_rows(points)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = int(np.sum(s > rtol * s[0]))
-    return vh[:r]
+def intersect_spans(a, b, rtol: float = RANK_RTOL):
+    """Intersection of the spans of row matrices a (..., ka, d) and b (..., kb, d).
 
-
-def intersect_spans(a, b, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Basis (rows) of the intersection of two spans given by row matrices."""
-    qa = orthonormal_span(a, rtol)
-    qb = orthonormal_span(b, rtol)
-    m = np.concatenate([qa, -qb], axis=0).T  # columns are basis vectors
-    u, s, vh = np.linalg.svd(m)
-    null_mask = np.concatenate([s, np.zeros(m.shape[1] - len(s))]) <= rtol * (s[0] if len(s) else 1.0)
-    coeffs = vh[null_mask.nonzero()[0]]
-    if coeffs.size == 0:
-        return np.empty((0, qa.shape[1]))
-    basis = coeffs[:, : qa.shape[0]] @ qa
-    return normalized_rows(basis)
+    Returns (vector, dim): dim (...) is the dimension of each intersection,
+    the null count of [qa, -qb] for orthonormal bases qa, qb of the spans;
+    where dim is 1, vector (..., d) is a unit vector spanning it (elsewhere
+    the first basis row of a).  A basis row that a rank-deficient span drops
+    is zeroed; it adds one zero singular value, which the count discounts.
+    """
+    _, sa, qa = np.linalg.svd(normalized_rows(a), full_matrices=False)
+    _, sb, qb = np.linalg.svd(normalized_rows(b), full_matrices=False)
+    keep_a = sa > rtol * sa[..., :1]
+    keep_b = sb > rtol * sb[..., :1]
+    qa = qa * keep_a[..., None]
+    qb = qb * keep_b[..., None]
+    m = np.swapaxes(np.concatenate([qa, -qb], axis=-2), -1, -2)
+    _, s, vh = np.linalg.svd(m)
+    pad = np.zeros(s.shape[:-1] + (m.shape[-1] - s.shape[-1],))
+    null = np.concatenate([s, pad], axis=-1) <= rtol * s[..., :1]
+    dim = np.sum(null, axis=-1) - np.sum(~keep_a, axis=-1) - np.sum(~keep_b, axis=-1)
+    # every null row maps into the intersection (dropped columns map to 0);
+    # for dim 1 the longest image spans it
+    images = (vh[..., : qa.shape[-2]] * null[..., None]) @ qa
+    longest = np.argmax(np.linalg.norm(images, axis=-1), axis=-1)
+    vector = np.take_along_axis(images, longest[..., None, None], axis=-2)[..., 0, :]
+    vector = np.where((dim == 1)[..., None], vector, qa[..., 0, :])
+    return vector / np.linalg.norm(vector, axis=-1, keepdims=True), dim
 
 
 def common_point_of_spans(spans, rtol: float = RANK_RTOL, min_rank: int = 1):
@@ -238,7 +252,16 @@ class QuadricForm:
     def diagonal(self) -> np.ndarray:
         return np.asarray(self.signature, dtype=float)
 
-    def eval(self, x, y) -> float:
+    def eval(self, x, y):
+        """<x, y> as a float; stacks (..., d) broadcast to an array."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim > 1 or y.ndim > 1:
+            if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
+                raise DimensionMismatch(
+                    f"form of dimension {self.dim} applied to {x.shape}/{y.shape}"
+                )
+            return np.sum(self.diagonal * _nonzero_rows(x) * _nonzero_rows(y), axis=-1)
         x = hpoint(x)
         y = hpoint(y)
         if x.shape[0] != self.dim or y.shape[0] != self.dim:
@@ -247,7 +270,10 @@ class QuadricForm:
             )
         return float(np.sum(self.diagonal * x * y))
 
-    def on_quadric(self, x, rtol: float = QUADRIC_RTOL) -> bool:
+    def on_quadric(self, x, rtol: float = QUADRIC_RTOL):
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return np.abs(self.eval(x, x)) <= rtol * np.sum(x * x, axis=-1)
         x = hpoint(x)
         return abs(self.eval(x, x)) <= rtol * float(np.dot(x, x))
 
@@ -273,7 +299,17 @@ def bilinear_eval(q: QuadricForm, x, y) -> float:
 
 def polar_reflect(q: QuadricForm, n, x) -> np.ndarray:
     """Reflection in the point n and its polar hyperplane:
-    x - 2 <x,n>/<n,n> n.  Involutive; preserves <x,x>."""
+    x - 2 <x,n>/<n,n> n.  Involutive; preserves <x,x>.
+
+    Stacks of mirrors and points (..., d) broadcast against each other.
+    """
+    n = np.asarray(n, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if n.ndim > 1 or x.ndim > 1:
+        nn = q.eval(n, n)
+        if np.any(np.abs(nn) <= QUADRIC_RTOL * np.sum(n * n, axis=-1)):
+            raise IsotropicMirror("mirror lies on the quadric")
+        return x - 2.0 * (q.eval(x, n) / nn)[..., None] * n
     n = hpoint(n)
     x = hpoint(x)
     nn = q.eval(n, n)
@@ -308,34 +344,61 @@ class ProjLine:
         return span_rank([self.a, self.b, hpoint(p)]) <= 2
 
 
-def meet_lines(l1: ProjLine, l2: ProjLine) -> np.ndarray:
-    """Intersection point of two coplanar, distinct projective lines."""
-    pts = np.stack([l1.a, l1.b, l2.a, l2.b])
-    r = span_rank(pts)
-    if r >= 4:
-        raise SkewLines("lines span rank 4")
-    if r <= 2:
-        raise IdenticalLines("lines coincide")
-    m = normalized_rows(pts).T  # columns a1 b1 a2 b2
-    m[:, 2:] *= -1.0
-    u, s, vh = np.linalg.svd(m)
-    coeff = vh[-1]
+def meet_lines(l1, l2):
+    """Intersection point of two coplanar, distinct projective lines.
+
+    Stacks of lines given by their spanning points (..., 2, d) give
+    (point, ranks) instead of raising: ranks (..., 3) holds the span ranks
+    of the first line's points, the second line's and all four; where they
+    are (2, 2, 3), point (..., d) is the normalized meet (elsewhere the first
+    spanning point, normalized).
+    """
+    if isinstance(l1, ProjLine):
+        pts = np.stack([l1.a, l1.b, l2.a, l2.b])
+        r = span_rank(pts)
+        if r >= 4:
+            raise SkewLines("lines span rank 4")
+        if r <= 2:
+            raise IdenticalLines("lines coincide")
+        return normalize(_line_meet(pts)[0])
+    pts = np.concatenate(np.broadcast_arrays(l1, l2), axis=-2)
+    ranks = np.stack([span_rank(pts[..., :2, :]), span_rank(pts[..., 2:, :]), span_rank(pts)], axis=-1)
+    point, rows = _line_meet(pts)
+    meets = np.all(ranks == (2, 2, 3), axis=-1)[..., None]
+    return normalize(np.where(meets, point, rows[..., 0, :])), ranks
+
+
+def _line_meet(pts):
+    """Unnormalized meet of the lines pts[..., :2, :] and pts[..., 2:, :],
+    from the null vector of the normalized points, and those points."""
     rows = normalized_rows(pts)
-    return normalize(coeff[0] * rows[0] + coeff[1] * rows[1])
+    m = np.swapaxes(rows, -1, -2) * np.array([1.0, 1.0, -1.0, -1.0])
+    coeff = np.linalg.svd(m)[2][..., -1, :]
+    return coeff[..., :1] * rows[..., 0, :] + coeff[..., 1:2] * rows[..., 1, :], rows
 
 
 # -- Moebius lift of R^3 u {oo} ----------------------------------------------
 
 
-def moebius_lift(p) -> np.ndarray:
+def moebius_lift(p, at_infinity=None) -> np.ndarray:
     """Lift a point of R^3 u {oo} onto the quadric of R^{4,1}.
 
     Finite p maps to (2p, |p|^2 - 1, |p|^2 + 1); oo maps to (0,0,0,1,1),
-    the lift of the north pole of the unit 3-sphere chart.
+    the lift of the north pole of the unit 3-sphere chart.  A stack of
+    points (..., 3) lifts row by row; rows flagged in the boolean mask
+    at_infinity (...) stand for oo, whatever their coordinates.
     """
     if p is INF:
         return np.array([0.0, 0.0, 0.0, 1.0, 1.0])
     p = np.asarray(p, dtype=float)
+    if p.ndim > 1 or at_infinity is not None:
+        if p.shape[-1:] != (3,):
+            raise DimensionMismatch(f"expected points of R^3, got shape {p.shape}")
+        n2 = np.sum(p * p, axis=-1, keepdims=True)
+        lifted = np.concatenate([2 * p, n2 - 1.0, n2 + 1.0], axis=-1)
+        if at_infinity is not None:
+            lifted[np.asarray(at_infinity, dtype=bool)] = (0.0, 0.0, 0.0, 1.0, 1.0)
+        return lifted
     if p.shape != (3,):
         raise DimensionMismatch(f"expected a point of R^3, got shape {p.shape}")
     n2 = float(np.dot(p, p))
@@ -343,7 +406,22 @@ def moebius_lift(p) -> np.ndarray:
 
 
 def moebius_drop(x):
-    """Inverse of moebius_lift; returns a point of R^3 or INF."""
+    """Inverse of moebius_lift; returns a point of R^3 or INF.
+
+    A stack (..., 5) gives (points (..., 3), at_infinity (...)): the mask
+    flags the rows that drop to oo, whose points are zero.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        if x.shape[-1] != 5:
+            raise DimensionMismatch("expected coordinates in R^{4,1}")
+        if not np.all(MOEBIUS.on_quadric(x)):
+            raise NotOnQuadric("point is not on the Moebius quadric")
+        w = x[..., 4] - x[..., 3]
+        at_infinity = np.abs(w) <= _ABS_EPS * np.linalg.norm(x, axis=-1)
+        pts = x[..., :3] / np.where(at_infinity, 1.0, w)[..., None]
+        pts[at_infinity] = 0.0
+        return pts, at_infinity
     x = hpoint(x)
     if x.shape != (5,):
         raise DimensionMismatch("expected coordinates in R^{4,1}")

@@ -274,6 +274,13 @@ def is_translation_net(net: PointNet, tol: float = _GAUGE_TOL) -> bool:
         return False
 
 
+def _vanishing_sum(total, *summands):
+    """Rows of total (..., d) that vanish next to the summands it adds up,
+    which broadcast against it: |total| <= 1e-12 * sum of |summand|."""
+    scale = sum(np.linalg.norm(s, axis=-1) for s in summands)
+    return np.linalg.norm(total, axis=-1) <= 1e-12 * scale
+
+
 def from_translation(p_seq, q_seq, ambient: str = "RP3") -> PointNet:
     """Net [p_i + q_j] generated by two polygons of homogeneous coordinates."""
     p = np.atleast_2d(np.asarray(p_seq, dtype=float))
@@ -281,7 +288,7 @@ def from_translation(p_seq, q_seq, ambient: str = "RP3") -> PointNet:
     if p.shape[1] != q.shape[1]:
         raise DimensionMismatch("generator polygons of different dimension")
     pts = p[:, None, :] + q[None, :, :]
-    if np.any(np.linalg.norm(pts, axis=-1) <= 1e-12):
+    if np.any(_vanishing_sum(pts, p[:, None, :], q[None, :, :])):
         raise ZeroSum("p_i + q_j vanished")
     return PointNet(pts, ambient=ambient)
 
@@ -295,7 +302,7 @@ def from_cauchy_homogeneous(y1, y2, x00, ambient: str = "RP3") -> PointNet:
     acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
     acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
     pts = x00[None, None, :] + acc1[:, None, :] + acc2[None, :, :]
-    if np.any(np.linalg.norm(pts, axis=-1) <= 1e-12):
+    if np.any(_vanishing_sum(pts, x00, acc1[:, None], acc2[None, :])):
         raise ZeroSum("a homogeneous partial sum vanished")
     return PointNet(pts, ambient=ambient)
 

@@ -16,8 +16,11 @@ from .errors import (
     MirrorsNotOrthogonal,
     NotOnQuadric,
     SeedNotOnQuadric,
+    ZeroVector,
+    first_failure,
+    raise_first_failure,
 )
-from .projective import QUADRIC_RTOL, QuadricForm, hpoint, polar_reflect, proj_distance
+from .projective import _ABS_EPS, QUADRIC_RTOL, QuadricForm, polar_reflect, proj_distance
 from .qnets import PointNet, translation_gauge
 
 _AMBIENT_BY_FORM = {
@@ -49,55 +52,79 @@ def verify_polar_laplace(net: PointNet, q: QuadricForm, tol: float = 1e-8) -> bo
     return bool(np.all(np.abs(vals) <= tol))
 
 
-def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00) -> PointNet:
+def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
     """Net generated from a seed on the quadric by two commuting mirror
     families: x_{ij} = (prod sigma1_k o prod sigma2_l)(x00).
 
     All mirrors must be non-isotropic and the families mutually orthogonal;
     the result is a multi-Q-net on the quadric whose Laplace transforms are
-    the mirror points themselves.
+    the mirror points themselves.  Leading batch axes on the families
+    (..., k, d) and the seed (..., d) give the array (..., nu, nv, d) of
+    all orbits; a failing batch raises the error of its first failing entry.
     """
-    n1 = np.atleast_2d(np.asarray(n1_seq, dtype=float))
-    n2 = np.atleast_2d(np.asarray(n2_seq, dtype=float))
-    x00 = hpoint(x00)
-    for fam in (n1, n2):
-        nn = np.einsum("ik,k,ik->i", fam, q.diagonal, fam)
-        if np.any(np.abs(nn) <= QUADRIC_RTOL * np.sum(fam * fam, axis=-1)):
-            raise IsotropicMirror("a mirror lies on the quadric")
-    cross = n1 @ np.diag(q.diagonal) @ n2.T
-    scale = np.linalg.norm(n1, axis=-1)[:, None] * np.linalg.norm(n2, axis=-1)[None, :]
-    if np.any(np.abs(cross) > 1e-9 * scale):
-        raise MirrorsNotOrthogonal("mirror families are not mutually orthogonal")
-    if abs(q.eval(x00, x00)) > QUADRIC_RTOL * float(np.dot(x00, x00)):
-        raise SeedNotOnQuadric("seed point must lie on the quadric")
+    n1 = np.asarray(n1_seq, dtype=float)
+    n2 = np.asarray(n2_seq, dtype=float)
+    x00 = np.asarray(x00, dtype=float)
+    n1 = n1[None] if n1.ndim == 1 else n1
+    n2 = n2[None] if n2.ndim == 1 else n2
+    batch = np.broadcast_shapes(n1.shape[:-2], n2.shape[:-2], x00.shape[:-1])
+    (k1, d), (k2, _) = n1.shape[-2:], n2.shape[-2:]
+    n1 = np.broadcast_to(n1, batch + (k1, d)).reshape(-1, k1, d)
+    n2 = np.broadcast_to(n2, batch + (k2, d)).reshape(-1, k2, d)
+    x00 = np.broadcast_to(x00, batch + (d,)).reshape(-1, d)
+    diag = q.diagonal
 
-    nu, nv = n1.shape[0] + 1, n2.shape[0] + 1
-    pts = np.empty((nu, nv, q.dim))
-    pts[0, 0] = x00
-    for j in range(nv - 1):
-        pts[0, j + 1] = polar_reflect(q, n2[j], pts[0, j])
-    for i in range(nu - 1):
-        for j in range(nv):
-            pts[i + 1, j] = polar_reflect(q, n1[i], pts[i, j])
+    def isotropic(fam):
+        nn = np.einsum("...k,k,...k->...", fam, diag, fam)
+        return np.any(np.abs(nn) <= QUADRIC_RTOL * np.sum(fam * fam, axis=-1), axis=-1)
 
-    for i in range(nu - 1):
-        for j in range(nv):
-            if proj_distance(pts[i + 1, j], pts[i, j]) <= 1e-12:
-                raise DegenerateOrbit(f"mirror 1[{i}] fixes the orbit at ({i},{j})")
-    for i in range(nu):
-        for j in range(nv - 1):
-            if proj_distance(pts[i, j + 1], pts[i, j]) <= 1e-12:
-                raise DegenerateOrbit(f"mirror 2[{j}] fixes the orbit at ({i},{j})")
+    cross = (n1 * diag) @ np.swapaxes(n2, -1, -2)
+    scale = np.linalg.norm(n1, axis=-1)[..., :, None] * np.linalg.norm(n2, axis=-1)[..., None, :]
+    xx = np.sum(diag * x00 * x00, axis=-1)
+    setup = first_failure([
+        (np.linalg.norm(x00, axis=-1) <= _ABS_EPS,
+         lambda e: ZeroVector("homogeneous coordinates must not vanish")),
+        (isotropic(n1) | isotropic(n2), lambda e: IsotropicMirror("a mirror lies on the quadric")),
+        (np.any(np.abs(cross) > 1e-9 * scale, axis=(-2, -1)),
+         lambda e: MirrorsNotOrthogonal("mirror families are not mutually orthogonal")),
+        (np.abs(xx) > QUADRIC_RTOL * np.sum(x00 * x00, axis=-1),
+         lambda e: SeedNotOnQuadric("seed point must lie on the quadric")),
+    ])
+    # entries before the first failing one are generated and audited, as
+    # one call per entry would have done before reaching it
+    good = len(x00) if setup is None else setup[0]
+    n1, n2, x00 = n1[:good], n2[:good], x00[:good]
 
+    pts = np.empty((good, k1 + 1, k2 + 1, d))
+    pts[:, 0, 0] = x00
+    for j in range(k2):
+        pts[:, 0, j + 1] = polar_reflect(q, n2[:, j], pts[:, 0, j])
+    for i in range(k1):
+        pts[:, i + 1] = polar_reflect(q, n1[:, i, None], pts[:, i])
+
+    fixed1 = proj_distance(pts[:, 1:], pts[:, :-1]) <= 1e-12
+    fixed2 = proj_distance(pts[:, :, 1:], pts[:, :, :-1]) <= 1e-12
     # commutation audit on the seed orbit
-    for i in range(n1.shape[0]):
-        for j in range(n2.shape[0]):
-            a = polar_reflect(q, n1[i], polar_reflect(q, n2[j], x00))
-            b = polar_reflect(q, n2[j], polar_reflect(q, n1[i], x00))
-            if np.linalg.norm(a - b) > 1e-10 * np.linalg.norm(a):
-                raise MirrorsNotOrthogonal(
-                    f"reflections 1[{i}] and 2[{j}] do not commute"
-                )
+    seed = x00[:, None, None, :]
+    a = polar_reflect(q, n1[:, :, None], polar_reflect(q, n2[:, None, :], seed))
+    b = polar_reflect(q, n2[:, None, :], polar_reflect(q, n1[:, :, None], seed))
+    skew = np.linalg.norm(a - b, axis=-1) > 1e-10 * np.linalg.norm(a, axis=-1)
 
+    def at_first(mask, kind, message):
+        def make(e):
+            i, j = np.argwhere(mask[e])[0]
+            return kind(message.format(i=i, j=j))
+
+        return np.any(mask, axis=(-2, -1)), make
+
+    raise_first_failure([
+        at_first(fixed1, DegenerateOrbit, "mirror 1[{i}] fixes the orbit at ({i},{j})"),
+        at_first(fixed2, DegenerateOrbit, "mirror 2[{j}] fixes the orbit at ({i},{j})"),
+        at_first(skew, MirrorsNotOrthogonal, "reflections 1[{i}] and 2[{j}] do not commute"),
+    ])
+    if setup is not None:
+        raise setup[1]
+    if batch:
+        return pts.reshape(batch + pts.shape[1:])
     ambient = _AMBIENT_BY_FORM.get(tuple(q.signature), f"Q{q.signature}")
-    return PointNet(pts, ambient=ambient)
+    return PointNet(pts[0], ambient=ambient)

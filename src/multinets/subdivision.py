@@ -20,7 +20,6 @@ from .errors import (
     DegenerateLaplaceSphere,
     DimensionMismatch,
     DuplicatePoints,
-    GeometryError,
     InconsistentCorner,
     NotCircular,
     NotConcyclic,
@@ -28,11 +27,11 @@ from .errors import (
     PointOffLine,
     SeedArcsNotC1,
     ZeroSum,
+    first_failure,
+    raise_first_failure,
 )
 from .projective import (
-    INF,
     MOEBIUS,
-    ProjLine,
     intersect_spans,
     meet_lines,
     moebius_drop,
@@ -42,7 +41,14 @@ from .projective import (
     rect_stacks,
     span_rank,
 )
-from .qnets import PointNet, _perspective_gauge, _unit_lstsq, laplace_gauge, laplace_gauges
+from .qnets import (
+    PointNet,
+    _perspective_gauge,
+    _unit_lstsq,
+    laplace_gauge,
+    laplace_gauges,
+    _vanishing_sum,
+)
 from .quadric_nets import generate_by_reflections
 
 C1_ANGLE_TOL = 1e-6  # radians
@@ -73,8 +79,9 @@ def _q_patches(t, y, p0, p1, q0, q1):
         gap = np.linalg.norm(reps[..., [0, -1], :] - ends, axis=-1)
         if np.any(gap > 1e-6 * np.linalg.norm(ends, axis=-1)):
             raise PerspectivityViolation("polyline endpoint gauge mismatch")
-    pts = p_reps[..., :, None, :] + q_reps[..., None, :, :] - t[..., None, None, 0, :]
-    if np.any(np.linalg.norm(pts, axis=-1) <= 1e-12):
+    p_reps, q_reps, t00 = p_reps[..., :, None, :], q_reps[..., None, :, :], t[..., None, None, 0, :]
+    pts = p_reps + q_reps - t00
+    if np.any(_vanishing_sum(pts, p_reps, q_reps, t00)):
         raise ZeroSum("patch representative vanished")
     return pts
 
@@ -268,6 +275,114 @@ def subdivide_q(net: PointNet, n, rounds: int = 1, seeds=None) -> PointNet:
 
 # -- circular arcs -----------------------------------------------------------------
 
+# Arcs are stacked as arrays (..., 3, 3) of rows (start, end, unit tangent);
+# CircArc is the one-arc form.  Errors of arc constructions are coded per arc.
+_ARC_ERRORS = (
+    None,
+    (DuplicatePoints, "arc tangent must not vanish"),
+    (DuplicatePoints, "arc endpoints coincide"),
+    (DuplicatePoints, "collinear arc points with exterior midpoint"),
+    (DuplicatePoints, "cannot orient arc through the given points"),
+    (DegenerateLaplaceSphere, "arc passes through the inversion center"),
+    (DegenerateLaplaceSphere, "boundary sample maps to infinity"),
+)
+
+
+def _arc_error(code):
+    kind, message = _ARC_ERRORS[code]
+    return kind(message)
+
+
+def _raise_arc_errors(code):
+    """Raise the error of the first arc (C order) with a nonzero code."""
+    bad = np.flatnonzero(code)
+    if bad.size:
+        raise _arc_error(np.ravel(code)[bad[0]])
+
+
+def _dot(x, y):
+    return np.sum(x * y, axis=-1)
+
+
+def _arcs(start, end, tangent):
+    """Arcs (..., 3, 3) with normalized tangents, and the error code of each."""
+    norm = np.linalg.norm(tangent, axis=-1, keepdims=True)
+    code = np.where(norm[..., 0] <= 1e-13, 1, 0)
+    code = np.where((code == 0) & (np.linalg.norm(end - start, axis=-1) <= 1e-13), 2, code)
+    tangent = tangent / np.where(norm <= 1e-13, 1.0, norm)
+    return np.stack(np.broadcast_arrays(start, end, tangent), axis=-2), code
+
+
+def _arc_points(arcs, t):
+    """Points and unit tangents (E, K, 3) of arcs (E, 3, 3) at parameters t (K,),
+    and a flag (E,) for straight arcs whose tangent points away from the chord.
+
+    A tangent parallel to the chord yields a straight segment; otherwise the
+    arc is traced with constant speed from angle 0 to the chord angle in the
+    (e1, tangent) frame of its circle.
+    """
+    start, end, tangent = arcs[:, 0], arcs[:, 1], arcs[:, 2]
+    w = end - start
+    along = _dot(w, tangent)[..., None]
+    w_perp = w - along * tangent
+    h = np.linalg.norm(w_perp, axis=-1, keepdims=True)
+    segment = h <= 1e-12 * np.linalg.norm(w, axis=-1, keepdims=True)
+    away = (segment & (along < 0))[:, 0]
+    h = np.where(segment, 1.0, h)
+    rho = _dot(w, w)[..., None] / (2.0 * h)
+    center = start + rho * (w_perp / h)
+    e1 = (start - center) / rho
+    rel = (end - center) / rho
+    theta = np.arctan2(_dot(rel, tangent), _dot(rel, e1))[..., None]
+    theta = np.where(theta <= 0, theta + 2.0 * np.pi, theta)
+    a = t[:, None] * theta[:, None]
+    e1, tangent, segment = e1[:, None], tangent[:, None], segment[:, None]
+    points = center[:, None] + rho[:, None] * (np.cos(a) * e1 + np.sin(a) * tangent)
+    chord = (1.0 - t)[:, None] * start[:, None] + t[:, None] * end[:, None]
+    tangents = -np.sin(a) * e1 + np.cos(a) * tangent
+    return np.where(segment, chord, points), np.where(segment, tangent, tangents), away
+
+
+def _away_error(k):
+    return DuplicatePoints("segment tangent points away from the chord")
+
+
+def _arcs_through(a, mid, b):
+    """Arcs (E, 3, 3) from a to b through mid (E, 3), and the error code of each."""
+    u = mid - a
+    v = b - a
+    w = np.cross(u, v)
+    uu, uv, vv = _dot(u, u), _dot(u, v), _dot(v, v)
+    scale = np.sqrt(uu) * np.sqrt(vv)
+    wn = np.linalg.norm(w, axis=-1)
+    line = (scale <= 1e-26) | (wn <= 1e-10 * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = uv / vv
+        code = np.where(line & ~((0.0 <= s) & (s <= 1.0)), 3, 0)
+        g = np.stack([np.stack([uu, uv], -1), np.stack([uv, vv], -1)], -2)
+        g[line] = np.eye(2)
+        al, be = np.moveaxis(np.linalg.solve(g, 0.5 * np.stack([uu, vv], -1)[..., None])[..., 0], -1, 0)
+        center = a + al[:, None] * u + be[:, None] * v
+        r = np.linalg.norm(a - center, axis=-1, keepdims=True)
+        e1 = (a - center) / r
+        e2 = np.cross(w / wn[:, None], e1)
+        e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
+
+        def angle(p, e):
+            rel = (p - center) / r
+            th = np.arctan2(_dot(rel, e), _dot(rel, e1))
+            return np.where(th < 0, th + 2.0 * np.pi, th)
+
+        flip = ~(angle(mid, e2) < angle(b, e2))
+        e2 = np.where(flip[:, None], -e2, e2)
+        code = np.where(~line & flip & ~(angle(mid, e2) < angle(b, e2)), 4, code)
+    arcs, arc_code = _arcs(a, b, np.where(line[:, None], v, e2))
+    return arcs, np.where(code == 0, arc_code, code)
+
+
+def _arc_array(arcs):
+    return np.array([[arc.start, arc.end, arc.tangent] for arc in arcs], dtype=float).reshape(-1, 3, 3)
+
 
 @dataclass
 class CircArc:
@@ -283,169 +398,140 @@ class CircArc:
     tangent: np.ndarray
 
     def __post_init__(self):
-        self.start = np.asarray(self.start, dtype=float)
-        self.end = np.asarray(self.end, dtype=float)
-        t = np.asarray(self.tangent, dtype=float)
-        norm = np.linalg.norm(t)
-        if norm <= 1e-13:
-            raise DuplicatePoints("arc tangent must not vanish")
-        self.tangent = t / norm
-        if np.linalg.norm(self.end - self.start) <= 1e-13:
-            raise DuplicatePoints("arc endpoints coincide")
+        arcs, code = _arcs(
+            np.asarray(self.start, dtype=float),
+            np.asarray(self.end, dtype=float),
+            np.asarray(self.tangent, dtype=float),
+        )
+        _raise_arc_errors(code)
+        self.start, self.end, self.tangent = arcs
 
-    def _frame(self):
-        w = self.end - self.start
-        w_par = float(np.dot(w, self.tangent)) * self.tangent
-        w_perp = w - w_par
-        h = np.linalg.norm(w_perp)
-        if h <= 1e-12 * np.linalg.norm(w):
-            if np.dot(w, self.tangent) < 0:
-                raise DuplicatePoints("segment tangent points away from the chord")
-            return ("segment",)
-        n_hat = w_perp / h
-        rho = float(np.dot(w, w)) / (2.0 * h)
-        center = self.start + rho * n_hat
-        e1 = (self.start - center) / rho
-        e2 = self.tangent
-        rel = (self.end - center) / rho
-        theta = float(np.arctan2(np.dot(rel, e2), np.dot(rel, e1)))
-        if theta <= 0:
-            theta += 2.0 * np.pi
-        return ("arc", center, rho, e1, e2, theta)
+    def _at(self, t):
+        points, tangents, away = _arc_points(_arc_array([self]), np.atleast_1d(np.asarray(t, dtype=float)))
+        if away[0]:
+            raise _away_error(0)
+        return points, tangents
 
     def point_at(self, t: float) -> np.ndarray:
-        f = self._frame()
-        if f[0] == "segment":
-            return (1.0 - t) * self.start + t * self.end
-        _, c, r, e1, e2, theta = f
-        a = t * theta
-        return c + r * (np.cos(a) * e1 + np.sin(a) * e2)
+        return self._at(t)[0][0, 0]
 
     def tangent_at(self, t: float) -> np.ndarray:
-        f = self._frame()
-        if f[0] == "segment":
-            return self.tangent
-        _, c, r, e1, e2, theta = f
-        a = t * theta
-        return -np.sin(a) * e1 + np.cos(a) * e2
+        return self._at(t)[1][0, 0]
 
     def sample(self, n: int) -> np.ndarray:
         """n+1 points, uniform in arc length."""
-        return np.stack([self.point_at(k / n) for k in range(n + 1)])
+        return self._at(np.arange(n + 1) / n)[0][0]
 
     def transform(self, mirror) -> "CircArc":
         """Image arc under inversion in a Moebius sphere representative,
         transported through three sample points (circles map to circles)."""
-        a = invert_point(mirror, self.start)
-        m = invert_point(mirror, self.point_at(0.5))
-        b = invert_point(mirror, self.end)
-        if a is INF or m is INF or b is INF:
-            raise DegenerateLaplaceSphere("arc passes through the inversion center")
-        return arc_through_points(a, m, b)
+        mirror = np.asarray(mirror, dtype=float)
+        _, arcs, code = _invert_edges(_arc_array([self]), np.empty((1, 0, 3)), mirror[None])
+        _raise_arc_errors(code)
+        return CircArc(*arcs[0])
+
+
+def _invert_edges(arcs, samples, mirrors):
+    """Images of edge arcs (E, 3, 3) and of their samples (E, K, 3) under
+    inversion in one mirror (E, 5) per edge.
+
+    Each image arc is transported through the images of its start, middle
+    and end (circles map to circles).  Returns the image samples, the image
+    arcs and the error code of each edge: first its arc's, then its samples'.
+    """
+    middle, _, away = _arc_points(arcs, np.array([0.5]))
+    raise_first_failure([(away, _away_error)])
+    anchors = np.concatenate([arcs[:, :1], middle, arcs[:, 1:2]], axis=1)
+    images, at_inf = invert_point(mirrors[:, None], np.concatenate([samples, anchors], axis=1))
+    image_arcs, code = _arcs_through(images[:, -3], images[:, -2], images[:, -1])
+    code = np.where(at_inf[:, -3:].any(axis=-1), 5, code)
+    code = np.where((code == 0) & at_inf[:, :-3].any(axis=-1), 6, code)
+    return images[:, :-3], image_arcs, code
 
 
 def arc_through_points(a, mid, b) -> CircArc:
     """Arc from a to b passing through mid."""
-    a = np.asarray(a, dtype=float)
-    mid = np.asarray(mid, dtype=float)
-    b = np.asarray(b, dtype=float)
-    u = mid - a
-    v = b - a
-    w = np.cross(u, v)
-    scale = np.linalg.norm(u) * np.linalg.norm(v)
-    if scale <= 1e-26 or np.linalg.norm(w) <= 1e-10 * scale:
-        s = float(np.dot(u, v)) / float(np.dot(v, v))
-        if not 0.0 <= s <= 1.0:
-            raise DuplicatePoints("collinear arc points with exterior midpoint")
-        return CircArc(a, b, v)
-    g = np.array([[np.dot(u, u), np.dot(u, v)], [np.dot(u, v), np.dot(v, v)]])
-    rhs = 0.5 * np.array([np.dot(u, u), np.dot(v, v)])
-    al, be = np.linalg.solve(g, rhs)
-    center = a + al * u + be * v
-    r = np.linalg.norm(a - center)
-    e1 = (a - center) / r
-    e2 = np.cross(w / np.linalg.norm(w), e1)
-    e2 = e2 / np.linalg.norm(e2)
-
-    def angle(p):
-        rel = (p - center) / r
-        th = float(np.arctan2(np.dot(rel, e2), np.dot(rel, e1)))
-        return th + 2.0 * np.pi if th < 0 else th
-
-    if not angle(mid) < angle(b):
-        e2 = -e2
-        if not angle(mid) < angle(b):
-            raise DuplicatePoints("cannot orient arc through the given points")
-    return CircArc(a, b, e2)
+    arcs, code = _arcs_through(*(np.asarray(x, dtype=float)[None] for x in (a, mid, b)))
+    _raise_arc_errors(code)
+    return CircArc(*arcs[0])
 
 
 # -- adapted Dupin cyclide patch ------------------------------------------------------
 
 
-def _laplace_sphere_reps(x00, x10, x01, x11):
+def _laplace_spheres(quads):
     """Lifted Laplace points R1 (swaps x00<->x10) and R2 (swaps x00<->x01)
-    of a circular quad; both are exterior points (spheres orthogonal to the
-    circumcircle centered at the Laplace points)."""
-    l00, l10, l01, l11 = (normalize(moebius_lift(x)) for x in (x00, x10, x01, x11))
-    try:
-        r1 = meet_lines(ProjLine(l00, l10), ProjLine(l01, l11))
-        r2 = meet_lines(ProjLine(l00, l01), ProjLine(l10, l11))
-    except GeometryError as exc:
-        raise DegenerateLaplaceSphere(str(exc)) from exc
-    for r in (r1, r2):
-        if MOEBIUS.eval(r, r) <= 1e-9:
-            raise DegenerateLaplaceSphere("Laplace point is not exterior")
-    return r1, r2
+    of circular quads (F, 4, 3) with corners (x00, x10, x01, x11); both are
+    exterior points (spheres orthogonal to the circumcircle centered at the
+    Laplace points).
+
+    Returns R1 and R2 (F, 5) and the checks of each quad, in the order
+    first_failure takes them.
+    """
+    lifts = normalize(moebius_lift(quads))
+    r, ranks = meet_lines(lifts[:, [[0, 1], [0, 2]]], lifts[:, [[2, 3], [1, 3]]])
+
+    def error(message):
+        return lambda f: DegenerateLaplaceSphere(message)
+
+    checks = []
+    for k in (0, 1):
+        checks += [
+            (ranks[:, k, 0] != 2, error("spanning points are projectively equal")),
+            (ranks[:, k, 1] != 2, error("spanning points are projectively equal")),
+            (ranks[:, k, 2] >= 4, error("lines span rank 4")),
+            (ranks[:, k, 2] <= 2, error("lines coincide")),
+        ]
+    exterior = MOEBIUS.eval(r, r)
+    checks += [(exterior[:, k] <= 1e-9, error("Laplace point is not exterior")) for k in (0, 1)]
+    return r[:, 0], r[:, 1], checks
 
 
 def _pencil_mirrors(samples, reflected):
-    """Mirror spheres stepping sample k to k+1 within the pencil carried by
-    the two corresponding sample rows.
+    """Mirror spheres (F, K, 5) stepping sample k to k+1 within the pencil
+    carried by the two corresponding sample rows (F, K+1, 3), and the check
+    of each entry.
 
     The mirror lies in the intersection of span(L_k, L_{k+1}) with
     span(L'_k, L'_{k+1}); any non-isotropic point of a span of two quadric
     points swaps them, so the intersection point swaps both pairs at once.
     """
-    lifts = [normalize(moebius_lift(p)) for p in samples]
-    lifts_r = [normalize(moebius_lift(p)) for p in reflected]
-    mirrors = []
-    for k in range(len(lifts) - 1):
-        basis = intersect_spans(
-            np.stack([lifts[k], lifts[k + 1]]),
-            np.stack([lifts_r[k], lifts_r[k + 1]]),
-        )
-        if basis.shape[0] == 0:
-            raise NotConcyclic("sample quad has no mirror pencil (not concyclic)")
-        if basis.shape[0] > 1:
-            raise DegenerateLaplaceSphere("mirror pencil is not unique")
-        mirrors.append(basis[0])
-    return np.stack(mirrors)
+
+    def steps(points):
+        lifts = normalize(moebius_lift(points))
+        return np.stack([lifts[:, :-1], lifts[:, 1:]], axis=2)
+
+    mirrors, dim = intersect_spans(steps(samples), steps(reflected))
+
+    def make(f):
+        if dim[f][np.flatnonzero(dim[f] != 1)[0]] == 0:
+            return NotConcyclic("sample quad has no mirror pencil (not concyclic)")
+        return DegenerateLaplaceSphere("mirror pencil is not unique")
+
+    return mirrors, (np.any(dim != 1, axis=-1), make)
 
 
-def _cyclide_patch_from_samples(p_samples, q_samples, r1, r2) -> EuclidNet:
-    """Fill a circular quad from boundary samples and its Laplace spheres."""
-    p_ref = [invert_point(r2, p) for p in p_samples]
-    q_ref = [invert_point(r1, q) for q in q_samples]
-    for img in p_ref + q_ref:
-        if img is INF:
-            raise DegenerateLaplaceSphere("boundary sample maps to infinity")
-    m1 = _pencil_mirrors(p_samples, p_ref)
-    m2 = _pencil_mirrors(q_samples, q_ref)
-    seed = normalize(moebius_lift(p_samples[0]))
-    lifted = generate_by_reflections(MOEBIUS, m1, m2, seed)
-    n_u = len(p_samples) - 1
-    n_v = len(q_samples) - 1
-    grid = [[None] * (n_v + 1) for _ in range(n_u + 1)]
-    for i in range(n_u + 1):
-        for j in range(n_v + 1):
-            grid[i][j] = moebius_drop(lifted.points[i, j])
-    for k in range(n_u + 1):
-        grid[k][0] = np.asarray(p_samples[k], dtype=float)
-        grid[k][n_v] = np.asarray(p_ref[k], dtype=float)
-    for l in range(n_v + 1):
-        grid[0][l] = np.asarray(q_samples[l], dtype=float)
-        grid[n_u][l] = np.asarray(q_ref[l], dtype=float)
-    return EuclidNet.from_grid(grid)
+def _cyclide_patches(u0, u1, v0, v1):
+    """Adapted Dupin cyclide patches of a batch of circular quads.
+
+    u0 (F, n_u+1, 3) samples x00 -> x10 and u1 holds its images x01 -> x11
+    in the second Laplace sphere; v0 (F, n_v+1, 3) samples x00 -> x01 and v1
+    holds its images x10 -> x11 in the first.  The interior is generated by
+    the two pencils of mirror spheres through corresponding samples, the
+    boundary is the samples.  Returns the points (G, n_u+1, n_v+1, 3) and
+    infinity masks of the first G quads, and first_failure of the pencil
+    checks (quad G and its error, or None when G = F).
+    """
+    m1, check1 = _pencil_mirrors(u0, u1)
+    m2, check2 = _pencil_mirrors(v0, v1)
+    failure = first_failure([check1, check2])
+    g = len(u0) if failure is None else failure[0]
+    seeds = normalize(moebius_lift(u0[:g, 0]))
+    pts, at_inf = moebius_drop(generate_by_reflections(MOEBIUS, m1[:g], m2[:g], seeds))
+    pts[:, :, 0], pts[:, :, -1], pts[:, 0], pts[:, -1] = u0[:g], u1[:g], v0[:g], v1[:g]
+    at_inf[:, :, [0, -1]] = False
+    at_inf[:, [0, -1]] = False
+    return pts, at_inf, failure
 
 
 def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> EuclidNet:
@@ -470,8 +556,19 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
             raise InconsistentCorner("arc endpoints must interpolate the quad corners")
     if abs(float(np.dot(p0.tangent, q0.tangent))) > 1e-8:
         raise ArcsNotOrthogonal("seed arcs must meet orthogonally at the corner")
-    r1, r2 = _laplace_sphere_reps(*corners)
-    patch = _cyclide_patch_from_samples(p0.sample(n_u), q0.sample(n_v), r1, r2)
+    r1, r2, checks = _laplace_spheres(np.stack(corners)[None])
+    raise_first_failure(checks)
+    p_samples, q_samples = p0.sample(n_u), q0.sample(n_v)
+    p_ref, p_inf = invert_point(r2[0], p_samples)
+    q_ref, q_inf = invert_point(r1[0], q_samples)
+    if p_inf.any() or q_inf.any():
+        raise DegenerateLaplaceSphere("boundary sample maps to infinity")
+    pts, at_inf, failure = _cyclide_patches(
+        p_samples[None], p_ref[None], q_samples[None], q_ref[None]
+    )
+    if failure is not None:
+        raise failure[1]
+    patch = EuclidNet(pts[0], at_inf[0])
     for (i, j), corner in (
         ((0, 0), corners[0]),
         ((n_u, 0), corners[1]),
@@ -489,13 +586,20 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
 # -- circular net subdivision ----------------------------------------------------------
 
 
-def _check_spline_c1(arcs, where: str):
-    for k in range(len(arcs) - 1):
-        t_out = arcs[k].tangent_at(1.0)
-        t_in = arcs[k + 1].tangent
-        ang = float(np.arccos(np.clip(np.dot(t_out, t_in), -1.0, 1.0)))
-        if ang > C1_ANGLE_TOL:
-            raise SeedArcsNotC1(f"{where} join {k} bends by {ang:.2e} rad")
+def _check_spline_c1(splines, names):
+    """Splines (S, K, 3, 3) of K consecutive arcs each must be tangent
+    continuous; raises for the first bent join of the first such spline."""
+    k = splines.shape[1]
+    if k < 2:
+        return
+    _, t_out, away = _arc_points(splines[:, :-1].reshape(-1, 3, 3), np.array([1.0]))
+    t_in = splines[:, 1:, 2].reshape(-1, 3)
+    ang = np.arccos(np.clip(np.sum(t_out[:, 0] * t_in, axis=-1), -1.0, 1.0))
+
+    def bent(j):
+        return SeedArcsNotC1(f"{names[j // (k - 1)]} join {j % (k - 1)} bends by {ang[j]:.2e} rad")
+
+    raise_first_failure([(away, _away_error), (ang > C1_ANGLE_TOL, bent)])
 
 
 def subdivide_circular(
@@ -510,106 +614,107 @@ def subdivide_circular(
     """
     n_u, n_v = _resolve_counts(n)
     out = net
-    arcs_u = list(row0_arcs)
-    arcs_v = list(col0_arcs)
+    arcs_u, arcs_v = _arc_array(row0_arcs), _arc_array(col0_arcs)
     for _ in range(rounds):
         out, arcs_u, arcs_v = _subdivide_circular_round(out, n_u, n_v, arcs_u, arcs_v)
     return out
 
 
-def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0_arcs, col0_arcs):
+def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
+    """One round from seed arcs row0 (nu-1, 3, 3) and col0 (nv-1, 3, 3);
+    returns the fine net and the seed arcs of the next round."""
     if not net.is_finite():
         raise NotCircular("subdivision requires a finite circular net")
     if circular_violations(net):
         raise NotCircular("input is not a circular net")
     nu, nv = net.dims
     p = net.points
-    if len(row0_arcs) != nu - 1 or len(col0_arcs) != nv - 1:
+    if len(row0) != nu - 1 or len(col0) != nv - 1:
         raise DimensionMismatch("need one seed arc per axis edge")
     scale = max(1.0, float(np.max(np.abs(p))))
-    for i, arc in enumerate(row0_arcs):
-        if (
-            np.linalg.norm(arc.start - p[i, 0]) > 1e-8 * scale
-            or np.linalg.norm(arc.end - p[i + 1, 0]) > 1e-8 * scale
-        ):
-            raise InconsistentCorner(f"row seed arc {i} does not interpolate its edge")
-    for j, arc in enumerate(col0_arcs):
-        if (
-            np.linalg.norm(arc.start - p[0, j]) > 1e-8 * scale
-            or np.linalg.norm(arc.end - p[0, j + 1]) > 1e-8 * scale
-        ):
-            raise InconsistentCorner(f"column seed arc {j} does not interpolate its edge")
-    _check_spline_c1(row0_arcs, "row-0 spline")
-    _check_spline_c1(col0_arcs, "column-0 spline")
-    if abs(float(np.dot(row0_arcs[0].tangent, col0_arcs[0].tangent))) > 1e-8:
+    for name, arcs, ends in (("row", row0, p[:, 0]), ("column", col0, p[0])):
+        gaps = np.maximum(
+            np.linalg.norm(arcs[:, 0] - ends[:-1], axis=-1),
+            np.linalg.norm(arcs[:, 1] - ends[1:], axis=-1),
+        )
+        off = np.flatnonzero(gaps > 1e-8 * scale)
+        if off.size:
+            raise InconsistentCorner(f"{name} seed arc {off[0]} does not interpolate its edge")
+    _check_spline_c1(row0[None], ["row-0 spline"])
+    _check_spline_c1(col0[None], ["column-0 spline"])
+    if abs(float(np.dot(row0[0, 2], col0[0, 2]))) > 1e-8:
         raise ArcsNotOrthogonal("axis splines must meet orthogonally at the origin")
 
-    u_arcs = [[None] * nv for _ in range(nu - 1)]
-    v_arcs = [[None] * (nv - 1) for _ in range(nu)]
-    u_smp = [[None] * nv for _ in range(nu - 1)]
-    v_smp = [[None] * (nv - 1) for _ in range(nu)]
-    for i in range(nu - 1):
-        u_arcs[i][0] = row0_arcs[i]
-        u_smp[i][0] = row0_arcs[i].sample(n_u)
-    for j in range(nv - 1):
-        v_arcs[0][j] = col0_arcs[j]
-        v_smp[0][j] = col0_arcs[j].sample(n_v)
+    u_arcs = np.empty((nu - 1, nv, 3, 3))
+    v_arcs = np.empty((nu, nv - 1, 3, 3))
+    u_smp = np.empty((nu - 1, nv, n_u + 1, 3))
+    v_smp = np.empty((nu, nv - 1, n_v + 1, 3))
+    u_arcs[:, 0], v_arcs[0] = row0, col0
+    for smp, arcs, n in ((u_smp[:, 0], row0, n_u), (v_smp[0], col0, n_v)):
+        smp[...], _, away = _arc_points(arcs, np.arange(n + 1) / n)
+        raise_first_failure([(away, _away_error)])
 
-    laplace = {}
+    # Laplace spheres of all faces, then inversion along the rows (u-arcs,
+    # one step per j) and the columns (v-arcs, one step per i); code[...]
+    # holds the error code of the transport onto an edge, -1 where its face
+    # or its input failed and it was not transported
+    r1, r2, checks = _laplace_spheres(rect_stacks(p, elementary=True)[1])
+    r1, r2 = r1.reshape(nu - 1, nv - 1, 5), r2.reshape(nu - 1, nv - 1, 5)
+    failed = np.any([fails for fails, _ in checks], axis=0).reshape(nu - 1, nv - 1)
+    u_code = np.full((nu - 1, nv), -1)
+    v_code = np.full((nu, nv - 1), -1)
+    u_code[:, 0] = v_code[0] = 0
     for j in range(nv - 1):
-        for i in range(nu - 1):
-            r1, r2 = _laplace_sphere_reps(
-                p[i, j], p[i + 1, j], p[i, j + 1], p[i + 1, j + 1]
-            )
-            laplace[i, j] = (r1, r2)
-            u_arcs[i][j + 1] = u_arcs[i][j].transform(r2)
-            u_smp[i][j + 1] = np.stack([invert_point(r2, q) for q in u_smp[i][j]])
-            v_arcs[i + 1][j] = v_arcs[i][j].transform(r1)
-            v_smp[i + 1][j] = np.stack([invert_point(r1, q) for q in v_smp[i][j]])
+        live = np.flatnonzero((u_code[:, j] == 0) & ~failed[:, j])
+        u_smp[live, j + 1], u_arcs[live, j + 1], u_code[live, j + 1] = _invert_edges(
+            u_arcs[live, j], u_smp[live, j], r2[live, j]
+        )
+    for i in range(nu - 1):
+        live = np.flatnonzero((v_code[i] == 0) & ~failed[i])
+        v_smp[i + 1, live], v_arcs[i + 1, live], v_code[i + 1, live] = _invert_edges(
+            v_arcs[i, live], v_smp[i, live], r1[i, live]
+        )
+
+    # the first error in face order j-major, as face-by-face propagation meets it
+    def transported(code):
+        code = code.T.ravel()
+        return code > 0, lambda k: _arc_error(code[k])
+
+    raise_first_failure(
+        [(fails.reshape(nu - 1, nv - 1).T.ravel(), make) for fails, make in checks]
+        + [transported(u_code[:, 1:]), transported(v_code[1:])]
+    )
 
     # propagation must keep the splines tangent-continuous
-    for j in range(nv):
-        _check_spline_c1([u_arcs[i][j] for i in range(nu - 1)], f"row {j} spline")
-    for i in range(nu):
-        _check_spline_c1([v_arcs[i][j] for j in range(nv - 1)], f"column {i} spline")
+    _check_spline_c1(u_arcs.swapaxes(0, 1), [f"row {j} spline" for j in range(nv)])
+    _check_spline_c1(v_arcs, [f"column {i} spline" for i in range(nu)])
 
+    faces = (nu - 1) * (nv - 1)
+    patches, at_inf, failure = _cyclide_patches(
+        u_smp[:, :-1].reshape(faces, n_u + 1, 3),
+        u_smp[:, 1:].reshape(faces, n_u + 1, 3),
+        v_smp[:-1].reshape(faces, n_v + 1, 3),
+        v_smp[1:].reshape(faces, n_v + 1, 3),
+    )
+    if at_inf.any():
+        raise DegenerateLaplaceSphere("patch produced a vertex at infinity")
+    if failure is not None:
+        raise failure[1]
+    patches = patches.reshape(nu - 1, nv - 1, n_u + 1, n_v + 1, 3)
     fine = np.empty(((nu - 1) * n_u + 1, (nv - 1) * n_v + 1, 3))
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            r1, r2 = laplace[i, j]
-            patch = _cyclide_patch_from_samples(u_smp[i][j], v_smp[i][j], r1, r2)
-            if not patch.is_finite():
-                raise DegenerateLaplaceSphere("patch produced a vertex at infinity")
-            fine[
-                i * n_u : (i + 1) * n_u + 1, j * n_v : (j + 1) * n_v + 1
-            ] = patch.points
-    for i in range(nu - 1):
-        for j in range(nv):
-            fine[i * n_u : (i + 1) * n_u + 1, j * n_v] = u_smp[i][j]
-    for i in range(nu):
-        for j in range(nv - 1):
-            fine[i * n_u, j * n_v : (j + 1) * n_v + 1] = v_smp[i][j]
-    for i in range(nu):
-        for j in range(nv):
-            fine[i * n_u, j * n_v] = p[i, j]
+    fine[:-1, :-1] = (
+        patches[:, :, :-1, :-1].transpose(0, 2, 1, 3, 4).reshape((nu - 1) * n_u, (nv - 1) * n_v, 3)
+    )
+    # shared boundary data is written after the patches, the vertices last
+    fine[:-1, ::n_v] = u_smp[:, :, :-1].transpose(0, 2, 1, 3).reshape((nu - 1) * n_u, nv, 3)
+    fine[::n_u, :-1] = v_smp[:, :, :-1].reshape(nu, (nv - 1) * n_v, 3)
+    fine[::n_u, ::n_v] = p
 
     # seed data for a further round: sub-arcs between consecutive samples
-    new_u = [
-        CircArc(
-            u_smp[i][0][k],
-            u_smp[i][0][k + 1],
-            u_arcs[i][0].tangent_at(k / n_u),
-        )
-        for i in range(nu - 1)
-        for k in range(n_u)
-    ]
-    new_v = [
-        CircArc(
-            v_smp[0][j][l],
-            v_smp[0][j][l + 1],
-            v_arcs[0][j].tangent_at(l / n_v),
-        )
-        for j in range(nv - 1)
-        for l in range(n_v)
-    ]
-    return EuclidNet(fine), new_u, new_v
+    seeds = []
+    for arcs, smp, n in ((row0, u_smp[:, 0], n_u), (col0, v_smp[0], n_v)):
+        tangents = _arc_points(arcs, np.arange(n) / n)[1]
+        sub, code = _arcs(smp[:, :-1], smp[:, 1:], tangents)
+        _raise_arc_errors(code)
+        seeds.append(sub.reshape(-1, 3, 3))
+    return EuclidNet(fine), *seeds

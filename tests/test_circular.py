@@ -122,6 +122,38 @@ def test_multi_circular_is_isothermic(rng):
     assert is_discrete_isothermic(rot_net(rng))
 
 
+def isothermic_vertex_loop(net):
+    """Per-vertex oracle: the five lifts around each interior vertex."""
+    from multinets.projective import span_rank
+
+    x = lift_net(net).points
+    nu, nv = net.dims
+    return all(
+        span_rank([x[i, j], x[i - 1, j - 1], x[i + 1, j - 1], x[i + 1, j + 1], x[i - 1, j + 1]]) <= 4
+        for i in range(1, nu - 1)
+        for j in range(1, nv - 1)
+    )
+
+
+@pytest.mark.parametrize("shake", [0.0, 1e-12, 1e-9, 1e-6, 1e-2])
+def test_isothermic_equals_vertex_loop(rng, shake):
+    nets = [
+        rot_net(rng),
+        rot_net(rng, 3, 7),
+        sample_cone(rng.normal(size=(4, 3)), np.cumsum(rng.uniform(0.3, 1.0, 5))),
+        sample_cylinder(rng.normal(size=(5, 2)), np.cumsum(rng.uniform(0.3, 1.0, 4))),
+        invert_net(sphere_rep([3.0, 1.0, 0.5], 1.5), rot_net(rng)),
+        rot_net(rng, 2, 5),
+    ]
+    verdicts = []
+    for net in nets:
+        shaken = EuclidNet(net.points + shake * rng.normal(size=net.points.shape))
+        verdicts.append(is_discrete_isothermic(shaken))
+        assert verdicts[-1] == isothermic_vertex_loop(shaken)
+    if shake >= 1e-6:
+        assert not all(verdicts)
+
+
 # -- strip spheres ----------------------------------------------------------------
 
 

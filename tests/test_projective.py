@@ -15,6 +15,7 @@ from multinets.projective import (
     QuadricForm,
     bilinear_eval,
     euclidean_form,
+    intersect_spans,
     meet_lines,
     moebius_drop,
     moebius_lift,
@@ -22,6 +23,7 @@ from multinets.projective import (
     plane_rep,
     polar_reflect,
     RANK_RTOL,
+    proj_distance,
     proj_equal,
     rank_violations,
     rect_stacks,
@@ -305,3 +307,47 @@ def test_rank_violations_zero_row():
     stacks[1, 2] = 0.0
     with pytest.raises(ZeroVector):
         rank_violations([0, 1], stacks, 3)
+
+
+def _intersect_pair(a, b, rtol=RANK_RTOL):
+    """Reference: basis of span(a) ^ span(b) from orthonormal bases of the
+    spans and the null space of [qa, -qb], one pair at a time."""
+
+    def basis(m):
+        m = m / np.linalg.norm(m, axis=1, keepdims=True)
+        _, s, vh = np.linalg.svd(m, full_matrices=False)
+        return vh[: int(np.sum(s > rtol * s[0]))]
+
+    qa, qb = basis(a), basis(b)
+    m = np.concatenate([qa, -qb]).T
+    _, s, vh = np.linalg.svd(m)
+    s = np.concatenate([s, np.zeros(m.shape[1] - len(s))])
+    return vh[s <= rtol * s[0]][:, : len(qa)] @ qa
+
+
+def test_intersect_spans_equals_pair_loop(rng):
+    a = rng.normal(size=(240, 2, 5))
+    b = rng.normal(size=(240, 2, 5))
+    kind = np.arange(240) % 6
+    eps = 10 ** rng.uniform(-11, -7, 240)
+    for k in range(240):
+        meet = a[k, 0] + rng.normal() * a[k, 1]
+        if kind[k] == 1:  # lines that meet
+            b[k, 0] = rng.normal() * meet
+        elif kind[k] == 2:  # lines that nearly meet, around the threshold
+            b[k, 0] = meet + eps[k] * rng.normal(size=5)
+        elif kind[k] == 3:  # one line
+            b[k] = rng.normal(size=(2, 2)) @ a[k]
+        elif kind[k] == 4:  # a span of rank 1 through a point of b
+            a[k] = [b[k, 0] + 0.3 * b[k, 1], -2.0 * (b[k, 0] + 0.3 * b[k, 1])]
+        elif kind[k] == 5:  # a span of rank 1 off b
+            a[k, 1] = 3.0 * a[k, 0]
+    vector, dim = intersect_spans(a, b)
+    for k in range(240):
+        want = _intersect_pair(a[k], b[k])
+        assert dim[k] == len(want)
+        if len(want) == 1:
+            assert proj_distance(vector[k], want[0]) < 1e-12
+    assert set(dim.tolist()) == {0, 1, 2}
+    near = dim[kind == 2]
+    assert 0 < np.sum(near == 1) < len(near)

@@ -597,6 +597,33 @@ def test_rescaled_vertex_keeps_translation_verdicts(corner, scale):
     assert np.array_equal(fine.points[::2, ::2], pts)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+def test_uniformly_scaled_net_keeps_translation_verdicts(scale):
+    rng = np.random.default_rng(3)
+    base = from_translation(rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6, 4)))
+    net = PointNet(scale * base.points)
+    assert is_multi_q_net(net)
+    assert is_translation_net(net)
+    assert laplace_transforms_degenerate(net)
+    fine = subdivide_q(net, 2)
+    assert np.max(proj_distance(fine.points, subdivide_q(base, 2).points)) < 1e-9
+    assert np.array_equal(fine.points[::2, ::2], net.points)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12])
+def test_vanishing_partial_sum_raises_at_every_scale(scale):
+    # x00 + y1_0 + y2_0 = 0 exactly at scale 1
+    y1 = np.array([[1.0, 2.0, -0.5, 0.25], [0.5, -1.0, 1.0, 2.0]])
+    y2 = np.array([[-3.0, 0.5, 1.5, 1.0], [1.0, 1.0, -2.0, 0.5]])
+    x00 = -(y1[0] + y2[0])
+    with pytest.raises(ZeroSum):
+        from_cauchy_homogeneous(scale * y1, scale * y2, scale * x00)
+    with pytest.raises(ZeroSum):
+        from_translation(scale * np.stack([x00 + y1[0], x00]), scale * y2)
+    # with x00 moved off the cancellation nothing vanishes
+    assert from_cauchy_homogeneous(scale * y1, scale * y2, scale * (x00 + [0.5, 0, 0, 0])).dims == (3, 3)
+
+
 def _corner_triple_collinear(quad):
     """Independent oracle for the triple check: some three corners of the
     quad span rank < 3 after row normalization."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multinets.errors import (
+    DegenerateOrbit,
     IsotropicMirror,
     MirrorsNotOrthogonal,
     NotOnQuadric,
@@ -148,3 +149,89 @@ def test_single_concyclic_quad_satisfies_polar_condition():
     quad = EuclidNet(np.stack([[circ[0], circ[3]], [circ[1], circ[2]]]))
     lifted = lift_net(quad)
     assert verify_polar_laplace(lifted, MOEBIUS)
+
+
+def failing_families():
+    """A seed on the quadric and split-block families (3 and 2 mirrors) that
+    are valid, fix the orbit in each direction, or fail to commute."""
+    rng = np.random.default_rng(8)
+    x00 = quadric_seed(rng)
+    n1 = np.zeros((3, 5))
+    n1[:, :2] = rng.uniform(-1, 1, (3, 2))
+    n2 = np.zeros((2, 5))
+    n2[:, 2:] = [[0.3, 0.2, 0.9], [-0.4, 0.5, 1.2]]
+    # n1[1] is orthogonal to the row-1 points, n2[1] to the column-1 points
+    p10 = polar_reflect(MOEBIUS, n1[0], x00)
+    fix1 = n1.copy()
+    fix1[1, :2] = [-p10[1], p10[0]]
+    p01 = polar_reflect(MOEBIUS, n2[0], x00)
+    fix2 = n2.copy()
+    fix2[1, 2:] = [p01[3], -p01[2], 0.0]
+    # orthogonal within the 1e-9 tolerance, yet not commuting within 1e-10
+    skew = n2.copy()
+    skew[1, 1] = 4e-10
+    return x00, {
+        "valid": (n1, n2, None),
+        "fix1": (fix1, n2, (DegenerateOrbit, "mirror 1[1] fixes the orbit at (1,0)")),
+        "fix2": (n1, fix2, (DegenerateOrbit, "mirror 2[1] fixes the orbit at (0,1)")),
+        "skew": (n1, skew, (MirrorsNotOrthogonal, "reflections 1[0] and 2[1] do not commute")),
+    }
+
+
+@pytest.mark.parametrize("kind", ["fix1", "fix2", "skew"])
+def test_generation_errors_name_the_first_index(kind):
+    x00, fams = failing_families()
+    n1, n2, (exc, message) = fams[kind]
+    with pytest.raises(exc) as info:
+        generate_by_reflections(MOEBIUS, n1, n2, x00)
+    assert str(info.value) == message
+
+
+def test_batched_generation_equals_entry_by_entry(rng):
+    pairs = [split_block_mirrors(rng, 3, 4) for _ in range(5)]
+    seeds = np.stack([quadric_seed(rng) for _ in pairs])
+    n1 = np.stack([a for a, _ in pairs])
+    n2 = np.stack([b for _, b in pairs])
+    batched = generate_by_reflections(MOEBIUS, n1, n2, seeds)
+    assert batched.shape == (5, 4, 5, 5)
+    for e in range(5):
+        single = generate_by_reflections(MOEBIUS, n1[e], n2[e], seeds[e])
+        assert np.array_equal(batched[e], single.points)
+    # leading axes broadcast: one family pair for a (2, 5) grid of seeds
+    grid = generate_by_reflections(MOEBIUS, n1[0], n2[0], seeds.reshape(5, 5)[None].repeat(2, 0))
+    assert grid.shape == (2, 5, 4, 5, 5)
+    assert np.array_equal(grid[1, 3], generate_by_reflections(MOEBIUS, n1[0], n2[0], seeds[3]).points)
+
+
+@pytest.mark.parametrize(
+    "order, expect",
+    [
+        (["valid", "fix1", "skew"], "fix1"),
+        (["valid", "skew", "fix1"], "skew"),
+        (["valid", "fix2", "fix1"], "fix2"),
+        (["valid", "valid", "skew"], "skew"),
+    ],
+)
+def test_batched_generation_raises_like_entry_by_entry(order, expect):
+    x00, fams = failing_families()
+    n1 = np.stack([fams[k][0] for k in order])
+    n2 = np.stack([fams[k][1] for k in order])
+    exc, message = fams[expect][2]
+    with pytest.raises(exc) as info:
+        generate_by_reflections(MOEBIUS, n1, n2, x00)
+    assert str(info.value) == message
+
+
+def test_batched_generation_setup_errors_keep_entry_order():
+    x00, fams = failing_families()
+    n1, n2, _ = fams["valid"]
+    isotropic = n1.copy()
+    isotropic[0] = [0.0, 0, 0, 1, 1]
+    fix1 = fams["fix1"][0]
+    # an entry failing a setup check stops the batch only where it stands
+    with pytest.raises(DegenerateOrbit):
+        generate_by_reflections(MOEBIUS, np.stack([n1, fix1, isotropic]), n2, x00)
+    with pytest.raises(IsotropicMirror):
+        generate_by_reflections(MOEBIUS, np.stack([n1, isotropic, fix1]), n2, x00)
+    with pytest.raises(SeedNotOnQuadric):
+        generate_by_reflections(MOEBIUS, n1, n2, np.stack([x00, [1.0, 0, 0, 0, 2], x00]))

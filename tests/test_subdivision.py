@@ -467,6 +467,57 @@ def test_circular_subdivision_two_rounds():
     assert resid < 1e-7
 
 
+@pytest.mark.parametrize("n", [2, (3, 1), (2, 4)])
+def test_circular_round_patches_equal_per_face_patches(n):
+    # on a torus the edge arcs are the curvature-line circles, and inversion
+    # in the face Laplace spheres keeps their samples uniform in angle
+    us = [0.2, 0.7, 1.3, 1.8]
+    vs = [-0.5, 0.1, 0.6]
+    net = torus_net(us, vs)
+    n_u, n_v = (n, n) if isinstance(n, int) else n
+    fine = subdivide_circular(net, n, *torus_seed_arcs(us, vs))
+    p = net.points
+    scale = np.max(np.abs(p))
+    for i in range(len(us) - 1):
+        for j in range(len(vs) - 1):
+            u_arc = CircArc(p[i, j], p[i + 1, j], torus_u_tangent(us[i], vs[j]))
+            v_arc = CircArc(p[i, j], p[i, j + 1], torus_v_tangent(us[i], vs[j]))
+            patch = adapted_cyclide_patch(p[i, j], p[i + 1, j], p[i, j + 1], p[i + 1, j + 1], u_arc, v_arc, n)
+            block = fine.points[i * n_u : (i + 1) * n_u + 1, j * n_v : (j + 1) * n_v + 1]
+            assert np.max(np.abs(block - patch.points)) <= 1e-12 * scale
+
+
+def test_circular_round_kernel_calls_do_not_grow_with_faces(monkeypatch):
+    import multinets.circular as circular
+    import multinets.projective as projective
+    import multinets.quadric_nets as quadric_nets
+    import multinets.subdivision as subdivision
+
+    calls = {}
+    for name in ("polar_reflect", "intersect_spans", "meet_lines"):
+        original = getattr(projective, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+
+        for module in (projective, circular, quadric_nets, subdivision):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    per_size = {}
+    for size in (3, 6):
+        calls.clear()
+        us, vs = np.linspace(0.2, 2.0, size), np.linspace(-0.6, 1.2, size)
+        subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs))
+        per_size[size] = dict(calls)
+    # 4 faces against 25: one line meet and one span intersection per
+    # direction for all faces; reflections once per row or column step of
+    # the propagation (nu - 1 + nv - 1) plus the n_u + n_v orbit steps and
+    # 4 commutation reflections of the one generate_by_reflections call
+    for size, got in per_size.items():
+        assert got == {"meet_lines": 1, "intersect_spans": 2, "polar_reflect": 2 * (size - 1) + 4 + 4}
+
+
 def test_circular_subdivision_rejects_nonorthogonal_seeds():
     us = [0.2, 0.9, 1.7]
     vs = [-0.5, 0.3, 1.0]
