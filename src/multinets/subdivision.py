@@ -45,9 +45,9 @@ from .qnets import (
     PointNet,
     _perspective_gauge,
     _unit_lstsq,
+    _vanishing_sum,
     laplace_gauge,
     laplace_gauges,
-    _vanishing_sum,
 )
 from .quadric_nets import generate_by_reflections
 
@@ -487,28 +487,29 @@ def _laplace_spheres(quads):
     return r[:, 0], r[:, 1], checks
 
 
-def _pencil_mirrors(samples, reflected):
-    """Mirror spheres (F, K, 5) stepping sample k to k+1 within the pencil
-    carried by the two corresponding sample rows (F, K+1, 3), and the check
-    of each entry.
+def _pencil_mirrors(u0, u1, v0, v1):
+    """Mirror spheres stepping sample k to k+1 within the pencils carried by
+    corresponding sample rows (F, n+1, 3): (F, n_u, 5) from u0 and u1,
+    (F, n_v, 5) from v0 and v1, and the check of each quad.
 
     The mirror lies in the intersection of span(L_k, L_{k+1}) with
     span(L'_k, L'_{k+1}); any non-isotropic point of a span of two quadric
     points swaps them, so the intersection point swaps both pairs at once.
     """
 
-    def steps(points):
-        lifts = normalize(moebius_lift(points))
-        return np.stack([lifts[:, :-1], lifts[:, 1:]], axis=2)
+    def steps(*rows):
+        lifts = [normalize(moebius_lift(r)) for r in rows]
+        return np.concatenate([np.stack([x[:, :-1], x[:, 1:]], axis=2) for x in lifts], axis=1)
 
-    mirrors, dim = intersect_spans(steps(samples), steps(reflected))
+    mirrors, dim = intersect_spans(steps(u0, v0), steps(u1, v1))
 
     def make(f):
         if dim[f][np.flatnonzero(dim[f] != 1)[0]] == 0:
             return NotConcyclic("sample quad has no mirror pencil (not concyclic)")
         return DegenerateLaplaceSphere("mirror pencil is not unique")
 
-    return mirrors, (np.any(dim != 1, axis=-1), make)
+    n_u = u0.shape[1] - 1
+    return mirrors[:, :n_u], mirrors[:, n_u:], (np.any(dim != 1, axis=-1), make)
 
 
 def _cyclide_patches(u0, u1, v0, v1):
@@ -522,9 +523,8 @@ def _cyclide_patches(u0, u1, v0, v1):
     infinity masks of the first G quads, and first_failure of the pencil
     checks (quad G and its error, or None when G = F).
     """
-    m1, check1 = _pencil_mirrors(u0, u1)
-    m2, check2 = _pencil_mirrors(v0, v1)
-    failure = first_failure([check1, check2])
+    m1, m2, check = _pencil_mirrors(u0, u1, v0, v1)
+    failure = first_failure([check])
     g = len(u0) if failure is None else failure[0]
     seeds = normalize(moebius_lift(u0[:g, 0]))
     pts, at_inf = moebius_drop(generate_by_reflections(MOEBIUS, m1[:g], m2[:g], seeds))

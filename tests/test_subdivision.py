@@ -11,6 +11,8 @@ from conftest import (
 from multinets.circular import EuclidNet, is_circular_net, is_multi_circular
 from multinets.errors import (
     ArcsNotOrthogonal,
+    DegenerateLaplaceSphere,
+    GeometryError,
     InconsistentCorner,
     NotConcyclic,
     PerspectivityViolation,
@@ -510,12 +512,64 @@ def test_circular_round_kernel_calls_do_not_grow_with_faces(monkeypatch):
         us, vs = np.linspace(0.2, 2.0, size), np.linspace(-0.6, 1.2, size)
         subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs))
         per_size[size] = dict(calls)
-    # 4 faces against 25: one line meet and one span intersection per
-    # direction for all faces; reflections once per row or column step of
-    # the propagation (nu - 1 + nv - 1) plus the n_u + n_v orbit steps and
-    # 4 commutation reflections of the one generate_by_reflections call
+    # 4 faces against 25: one line meet and one span intersection for all
+    # faces; reflections once per row or column step of the propagation
+    # (nu - 1 + nv - 1) plus the n_u + n_v orbit steps and 4 commutation
+    # reflections of the one generate_by_reflections call
     for size, got in per_size.items():
-        assert got == {"meet_lines": 1, "intersect_spans": 2, "polar_reflect": 2 * (size - 1) + 4 + 4}
+        assert got == {"meet_lines": 1, "intersect_spans": 1, "polar_reflect": 2 * (size - 1) + 4 + 4}
+
+
+def crossing_quad():
+    """A 2x2 net on the unit circle whose quad crosses itself, so that its
+    first Laplace point lies inside the Moebius quadric."""
+    pts = np.array([[[np.cos(a), np.sin(a), 0.0] for a in row] for row in ((0.0, 1.0), (2.0, 3.0))])
+    u_arc = arc_through_points(pts[0, 0], [np.cos(0.7), np.sin(0.7), 0.0], pts[1, 0])
+    v_arc = CircArc(pts[0, 0], pts[0, 1], [-u_arc.tangent[1], u_arc.tangent[0], 0.0])
+    return pts, u_arc, v_arc
+
+
+def centre_quad(n):
+    """A 2x2 circular net whose u-arc passes through the centre of the
+    second Laplace sphere at its sample 1/n."""
+    phi = 0.5
+    x00, c, x10 = (np.array([np.cos(a), np.sin(a), 0.0]) for a in (0.0, phi, n * phi))
+    d0, d1 = np.linalg.norm(x00 - c), np.linalg.norm(x10 - c)
+    x01 = c + 2 * d1**2 / d0**2 * (x00 - c)
+    x11 = c + d0 * np.linalg.norm(x01 - c) / d1**2 * (x10 - c)
+    u_arc = arc_through_points(x00, [np.cos(n * phi / 2), np.sin(n * phi / 2), 0.0], x10)
+    v_arc = CircArc(x00, x01, np.cross(u_arc.tangent, [0.0, 0.0, 1.0]))
+    return np.array([[x00, x01], [x10, x11]]), u_arc, v_arc
+
+
+@pytest.mark.parametrize(
+    "case, n, whole, patch",
+    [
+        ("crossing", 2, ("DegenerateLaplaceSphere", "Laplace point is not exterior"), None),
+        ("centre", 2, ("DegenerateLaplaceSphere", "arc passes through the inversion center"),
+         ("DegenerateLaplaceSphere", "boundary sample maps to infinity")),
+        ("centre", 3, ("DuplicatePoints", "collinear arc points with exterior midpoint"),
+         ("DegenerateLaplaceSphere", "boundary sample maps to infinity")),
+    ],
+)
+def test_circular_subdivision_broken_inputs_raise_typed_errors(case, n, whole, patch):
+    pts, u_arc, v_arc = crossing_quad() if case == "crossing" else centre_quad(n)
+    with pytest.raises(GeometryError) as info:
+        subdivide_circular(EuclidNet(pts), n, [u_arc], [v_arc])
+    assert (type(info.value).__name__, str(info.value)) == whole
+    with pytest.raises(GeometryError) as info:
+        adapted_cyclide_patch(pts[0, 0], pts[1, 0], pts[0, 1], pts[1, 1], u_arc, v_arc, n)
+    assert (type(info.value).__name__, str(info.value)) == (patch or whole)
+
+
+def test_circular_subdivision_rejects_a_collapsed_edge():
+    # a 3x3 torus net with p[2, 2] moved onto p[1, 2]: face (1, 1) is still
+    # concyclic but its second edge line is a point
+    us, vs = [0.2, 0.9, 1.7], [-0.5, 0.3, 1.0]
+    pts = torus_net(us, vs).points
+    pts[2, 2] = pts[1, 2]
+    with pytest.raises(DegenerateLaplaceSphere, match="^spanning points are projectively equal$"):
+        subdivide_circular(EuclidNet(pts), 2, *torus_seed_arcs(us, vs))
 
 
 def test_circular_subdivision_rejects_nonorthogonal_seeds():
