@@ -25,6 +25,7 @@ from .errors import (
     NotOnQuadric,
 )
 from .projective import (
+    _ABS_EPS,
     INF,
     MOEBIUS,
     QuadricForm,
@@ -198,12 +199,12 @@ class SphereFamilyPair:
         self.s2 = np.atleast_2d(np.asarray(self.s2, dtype=float))
         if self.s1.shape[1] != 5 or self.s2.shape[1] != 5:
             raise DimensionMismatch("sphere representatives live in R^{4,1}")
-        diag = MOEBIUS.diagonal
         for fam in (self.s1, self.s2):
-            ss = np.einsum("ik,k,ik->i", fam, diag, fam)
-            if np.any(ss <= 0):
+            # a zero vector is no sphere either, and the form would reject it
+            zero = np.linalg.norm(fam, axis=-1) <= _ABS_EPS
+            if np.any(zero) or np.any(MOEBIUS.eval(fam, fam) <= 0):
                 raise NotOnQuadric("family member is not a real sphere")
-        cross = self.s1 @ np.diag(diag) @ self.s2.T
+        cross = MOEBIUS.eval(self.s1[:, None], self.s2[None])
         scale = (
             np.linalg.norm(self.s1, axis=-1)[:, None]
             * np.linalg.norm(self.s2, axis=-1)[None, :]

@@ -18,16 +18,21 @@ from .circular import Classification, _span_signature
 from .errors import (
     CoincidentPoints,
     DimensionMismatch,
+    IdenticalLines,
     NotMultiCongruence,
     NotOnQuadric,
     PlanarFamily,
+    ZeroVector,
+    raise_first_failure,
 )
 from .projective import (
+    _ABS_EPS,
     LIE,
     PLUECKER,
     QUADRIC_RTOL,
     ProjLine,
     QuadricForm,
+    _raise_unless_meet,
     meet_lines,
     normalize,
     rank_violations,
@@ -54,17 +59,14 @@ class IsoLineGrid:
             raise DimensionMismatch("IsoLineGrid expects shape (nu, nv, 2, d)")
         if self.lines.shape[3] != self.form.dim:
             raise DimensionMismatch("line coordinates do not match the form")
-        diag = self.form.diagonal
-        pts = self.lines.reshape(-1, self.form.dim)
-        norms = np.sum(pts * pts, axis=-1)
-        iso = np.abs(np.einsum("ik,k,ik->i", pts, diag, pts))
-        if np.any(iso > QUADRIC_RTOL * norms):
+        # zero spanning points are left to multi_congruence_violations
+        live = np.linalg.norm(self.lines, axis=-1) > _ABS_EPS
+        if not np.all(self.form.on_quadric(self.lines[live])):
             raise NotOnQuadric("spanning point off the quadric")
-        a = self.lines[..., 0, :]
-        b = self.lines[..., 1, :]
-        ab = np.abs(np.einsum("ijk,k,ijk->ij", a, diag, b))
+        pair = np.all(live, axis=-1)
+        a, b = self.lines[pair, 0], self.lines[pair, 1]
         scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-        if np.any(ab > QUADRIC_RTOL * scale):
+        if np.any(np.abs(self.form.eval(a, b)) > QUADRIC_RTOL * scale):
             raise NotOnQuadric("spanning pair is not isotropically orthogonal")
 
     @property
@@ -96,14 +98,20 @@ def multi_congruence_violations(g: IsoLineGrid):
 
     A pair is the 4-point stack of both spanning pairs; it fails when the
     stack spans rank 4.  A degenerate spanning pair raises ZeroVector or
-    IdenticalLines, like ProjLine.
+    IdenticalLines, like ProjLine; the first such line in column-major order
+    raises.
     """
     nu, nv = g.dims
-    for j in range(nv):
-        for i in range(nu):
-            g.line(i, j)
-    d = g.form.dim
     by_col = g.lines.swapaxes(0, 1)  # (nv, nu, 2, d): lines of column j
+    zero = np.linalg.norm(by_col, axis=-1) <= _ABS_EPS
+    # a line with a zero point fails on that first; a stand-in row of ones
+    # lets span_rank run over every line
+    raise_first_failure([
+        (np.any(zero, axis=-1), lambda k: ZeroVector("homogeneous coordinates must not vanish")),
+        (span_rank(np.where(zero[..., None], 1.0, by_col)) != 2,
+         lambda k: IdenticalLines("spanning points are projectively equal")),
+    ])
+    d = g.form.dim
     i0, i1 = np.triu_indices(nu, 1)
     j0, j1 = np.triu_indices(nv, 1)
     keys = [("row", a, b, j) for j in range(nv) for a, b in zip(i0.tolist(), i1.tolist())]
@@ -136,31 +144,28 @@ def factor_congruence(g: IsoLineGrid):
         raise NotMultiCongruence("line grid is not a multi-congruence")
     # two intersecting lines always span a plane; the isotropic-plane
     # degeneracy is only detectable with three or more lines in a family
-    if nv >= 3:
-        for i in range(nu):
-            row_pts = g.lines[i].reshape(-1, g.form.dim)
-            if span_rank(row_pts) <= 3:
-                raise PlanarFamily(f"lines of row {i} lie in a plane")
-    if nu >= 3:
-        for j in range(nv):
-            col_pts = g.lines[:, j].reshape(-1, g.form.dim)
-            if span_rank(col_pts) <= 3:
-                raise PlanarFamily(f"lines of column {j} lie in a plane")
-    s1 = np.stack([meet_lines(g.line(i, 0), g.line(i, 1)) for i in range(nu)])
-    s2 = np.stack([meet_lines(g.line(0, j), g.line(1, j)) for j in range(nv)])
-    diag = g.form.diagonal
-    for i in range(nu):
-        for j in range(nv):
-            cell = np.stack([s1[i], s2[j], g.lines[i, j, 0], g.lines[i, j, 1]])
-            if span_rank(cell) != 2:
-                raise NotMultiCongruence(
-                    f"cell ({i},{j}) is not spanned by the factor points"
-                )
-            val = float(np.sum(diag * s1[i] * s2[j]))
-            if abs(val) > 1e-9:
-                raise NotMultiCongruence(
-                    f"factor points at ({i},{j}) are not orthogonal"
-                )
+    d = g.form.dim
+    for name, family, others in (("row", g.lines, nv), ("column", g.lines.swapaxes(0, 1), nu)):
+        if others >= 3:
+            planar = np.flatnonzero(span_rank(family.reshape(len(family), -1, d)) <= 3)
+            if planar.size:
+                raise PlanarFamily(f"lines of {name} {planar[0]} lie in a plane")
+    s1, ranks1 = meet_lines(g.lines[:, 0], g.lines[:, 1])
+    _raise_unless_meet(ranks1)
+    s2, ranks2 = meet_lines(g.lines[0], g.lines[1])
+    _raise_unless_meet(ranks2)
+    pairs = np.stack(np.broadcast_arrays(s1[:, None], s2[None]), axis=2)
+
+    def at_cell(message):
+        return lambda k: NotMultiCongruence(message.format(*divmod(k, nv)))
+
+    # cells in row-major order, the span checked before the orthogonality
+    raise_first_failure([
+        (span_rank(np.concatenate([pairs, g.lines], axis=2)) != 2,
+         at_cell("cell ({},{}) is not spanned by the factor points")),
+        (np.abs(g.form.eval(s1[:, None], s2[None])) > 1e-9,
+         at_cell("factor points at ({},{}) are not orthogonal")),
+    ])
     return s1, s2
 
 

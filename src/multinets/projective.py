@@ -1,10 +1,15 @@
 """Homogeneous-coordinate kernel.
 
-Points of RP^n are represented by plain 1-d numpy arrays of length n+1
-(never the zero vector); two arrays represent the same point iff one is a
-nonzero multiple of the other.  All incidence predicates reduce to numerical
-rank decisions on row matrices of such vectors, with a relative singular
-value threshold, so verdicts are invariant under rescaling any input.
+Points of RP^n are numpy arrays whose last axis holds n+1 homogeneous
+coordinates (never the zero vector); two rows represent the same point iff
+one is a nonzero multiple of the other.  Every kernel takes stacks of points
+(..., d) and works row by row along the leading axes; a single point, of
+shape (d,), is a stack of one and takes the same code path.  The point at
+infinity of R^3 appears as the INF sentinel only at the public boundary
+(moebius_lift(INF) and moebius_drop of one point); stacks carry a boolean
+at_infinity mask instead.  All incidence predicates reduce to numerical rank
+decisions on row matrices of such vectors, with a relative singular value
+threshold, so verdicts are invariant under rescaling any input.
 
 The module also provides diagonal quadric forms, polar reflections, and the
 lift of R^3 u {oo} onto the quadric of signature (4,1), with spheres and
@@ -24,6 +29,7 @@ from .errors import (
     NotOnQuadric,
     SkewLines,
     ZeroVector,
+    raise_first_failure,
 )
 
 # Singular value sigma_k counts as zero iff sigma_k < RANK_RTOL * sigma_1.
@@ -51,21 +57,27 @@ class Infinity:
 INF = Infinity()
 
 
+def _nonzero_rows(points):
+    """A stack of points (..., d) as floats, with its row norms (..., 1).
+
+    A single point is a stack of one.  A 0-d input raises DimensionMismatch
+    and a vanishing row ZeroVector.
+    """
+    v = np.asarray(points, dtype=float)
+    if v.ndim == 0:
+        raise DimensionMismatch(f"expected coordinate vectors, got shape {v.shape}")
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    if np.any(norms <= _ABS_EPS):
+        raise ZeroVector("homogeneous coordinates must not vanish")
+    return v, norms
+
+
 def hpoint(coords) -> np.ndarray:
-    """Validate and return homogeneous coordinates as a float array."""
+    """Validate and return the homogeneous coordinates of one point as a float array."""
     v = np.asarray(coords, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"expected a coordinate vector, got shape {v.shape}")
-    if np.linalg.norm(v) <= _ABS_EPS:
-        raise ZeroVector("homogeneous coordinates must not vanish")
-    return v
-
-
-def _nonzero_rows(v: np.ndarray) -> np.ndarray:
-    """hpoint for a stack of points (..., d): no row may vanish."""
-    if np.any(np.linalg.norm(v, axis=-1) <= _ABS_EPS):
-        raise ZeroVector("homogeneous coordinates must not vanish")
-    return v
+    return _nonzero_rows(v)[0]
 
 
 def normalize(p) -> np.ndarray:
@@ -73,19 +85,10 @@ def normalize(p) -> np.ndarray:
 
     A stack of points (..., d) is canonicalized row by row.
     """
-    v = np.asarray(p, dtype=float)
-    if v.ndim > 1:
-        v = normalized_rows(v)
-        first = np.argmax(np.abs(v) > _ABS_EPS, axis=-1)[..., None]
-        return np.where(np.take_along_axis(v, first, axis=-1) < 0, -v, v)
-    v = hpoint(v)
-    v = v / np.linalg.norm(v)
-    for c in v:
-        if abs(c) > _ABS_EPS:
-            if c < 0:
-                v = -v
-            break
-    return v
+    v, norms = _nonzero_rows(p)
+    v = v / norms
+    first = np.argmax(np.abs(v) > _ABS_EPS, axis=-1)[..., None]
+    return np.where(np.take_along_axis(v, first, axis=-1) < 0, -v, v)
 
 
 def proj_distance(u, v):
@@ -94,23 +97,12 @@ def proj_distance(u, v):
     Stacks of points (..., d) broadcast against each other and give an
     array of sines.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim > 1 or v.ndim > 1:
-        if u.shape[-1] != v.shape[-1]:
-            raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-        uu, vv = normalized_rows(u), normalized_rows(v)
-        c = np.sum(uu * vv, axis=-1, keepdims=True)
-        return np.linalg.norm(vv - c * uu, axis=-1)
-    u = hpoint(u)
-    v = hpoint(v)
-    if u.shape != v.shape:
+    (u, nu), (v, nv) = _nonzero_rows(u), _nonzero_rows(v)
+    if u.shape[-1] != v.shape[-1]:
         raise DimensionMismatch(f"{u.shape} vs {v.shape}")
-    uu = u / np.linalg.norm(u)
-    vv = v / np.linalg.norm(v)
-    c = float(np.dot(uu, vv))
-    resid = vv - c * uu
-    return float(np.linalg.norm(resid))
+    uu, vv = u / nu, v / nv
+    c = np.sum(uu * vv, axis=-1, keepdims=True)
+    return np.linalg.norm(vv - c * uu, axis=-1)
 
 
 def proj_equal(u, v, tol: float = 1e-9) -> bool:
@@ -120,11 +112,8 @@ def proj_equal(u, v, tol: float = 1e-9) -> bool:
 
 def normalized_rows(points) -> np.ndarray:
     """Stack points as rows, each scaled to unit Euclidean norm."""
-    m = np.atleast_2d(np.asarray(points, dtype=float))
-    norms = np.linalg.norm(m, axis=-1)
-    if np.any(norms <= _ABS_EPS):
-        raise ZeroVector("zero vector among span points")
-    return m / norms[..., None]
+    m, norms = _nonzero_rows(np.atleast_2d(points))
+    return m / norms
 
 
 def span_rank(points, rtol: float = RANK_RTOL):
@@ -253,29 +242,16 @@ class QuadricForm:
         return np.asarray(self.signature, dtype=float)
 
     def eval(self, x, y):
-        """<x, y> as a float; stacks (..., d) broadcast to an array."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim > 1 or y.ndim > 1:
-            if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
-                raise DimensionMismatch(
-                    f"form of dimension {self.dim} applied to {x.shape}/{y.shape}"
-                )
-            return np.sum(self.diagonal * _nonzero_rows(x) * _nonzero_rows(y), axis=-1)
-        x = hpoint(x)
-        y = hpoint(y)
-        if x.shape[0] != self.dim or y.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"form of dimension {self.dim} applied to {x.shape[0]}/{y.shape[0]}"
-            )
-        return float(np.sum(self.diagonal * x * y))
+        """<x, y> row by row; stacks (..., d) broadcast against each other."""
+        (x, _), (y, _) = _nonzero_rows(x), _nonzero_rows(y)
+        if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
+            raise DimensionMismatch(f"form of dimension {self.dim} applied to {x.shape}/{y.shape}")
+        return np.sum(self.diagonal * x * y, axis=-1)
 
     def on_quadric(self, x, rtol: float = QUADRIC_RTOL):
+        """|<x, x>| <= rtol |x|^2 row by row."""
         x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return np.abs(self.eval(x, x)) <= rtol * np.sum(x * x, axis=-1)
-        x = hpoint(x)
-        return abs(self.eval(x, x)) <= rtol * float(np.dot(x, x))
+        return np.abs(self.eval(x, x)) <= rtol * np.sum(x * x, axis=-1)
 
     def gram(self, rows) -> np.ndarray:
         m = np.asarray(rows, dtype=float)
@@ -286,10 +262,6 @@ MOEBIUS = QuadricForm((1, 1, 1, 1, -1))      # R^{4,1}, models R^3 u {oo}
 MOEBIUS_S2 = QuadricForm((1, 1, 1, -1))      # R^{3,1}, models S^2
 LIE = QuadricForm((1, 1, 1, 1, -1, -1))      # R^{4,2}, oriented spheres
 PLUECKER = QuadricForm((1, 1, 1, -1, -1, -1))  # R^{3,3}, lines of RP^3
-
-
-def euclidean_form(n: int) -> QuadricForm:
-    return QuadricForm((1,) * n)
 
 
 def bilinear_eval(q: QuadricForm, x, y) -> float:
@@ -303,19 +275,11 @@ def polar_reflect(q: QuadricForm, n, x) -> np.ndarray:
 
     Stacks of mirrors and points (..., d) broadcast against each other.
     """
-    n = np.asarray(n, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if n.ndim > 1 or x.ndim > 1:
-        nn = q.eval(n, n)
-        if np.any(np.abs(nn) <= QUADRIC_RTOL * np.sum(n * n, axis=-1)):
-            raise IsotropicMirror("mirror lies on the quadric")
-        return x - 2.0 * (q.eval(x, n) / nn)[..., None] * n
-    n = hpoint(n)
-    x = hpoint(x)
-    nn = q.eval(n, n)
-    if abs(nn) <= QUADRIC_RTOL * float(np.dot(n, n)):
+    n, x = np.asarray(n, dtype=float), np.asarray(x, dtype=float)
+    nx, nn = q.eval(n, x), q.eval(n, n)
+    if np.any(np.abs(nn) <= QUADRIC_RTOL * np.sum(n * n, axis=-1)):
         raise IsotropicMirror("mirror lies on the quadric")
-    return x - 2.0 * (q.eval(x, n) / nn) * n
+    return x - 2.0 * (nx / nn)[..., None] * n
 
 
 # -- projective lines --------------------------------------------------------
@@ -340,7 +304,7 @@ class ProjLine:
     def span(self) -> np.ndarray:
         return np.stack([self.a, self.b])
 
-    def contains(self, p, tol: float = 1e-9) -> bool:
+    def contains(self, p) -> bool:
         return span_rank([self.a, self.b, hpoint(p)]) <= 2
 
 
@@ -351,21 +315,32 @@ def meet_lines(l1, l2):
     (point, ranks) instead of raising: ranks (..., 3) holds the span ranks
     of the first line's points, the second line's and all four; where they
     are (2, 2, 3), point (..., d) is the normalized meet (elsewhere the first
-    spanning point, normalized).
+    spanning point, normalized).  Two ProjLines give their meet, and raise
+    SkewLines or IdenticalLines where their points span rank 4 or 2.
     """
-    if isinstance(l1, ProjLine):
-        pts = np.stack([l1.a, l1.b, l2.a, l2.b])
-        r = span_rank(pts)
-        if r >= 4:
-            raise SkewLines("lines span rank 4")
-        if r <= 2:
-            raise IdenticalLines("lines coincide")
-        return normalize(_line_meet(pts)[0])
-    pts = np.concatenate(np.broadcast_arrays(l1, l2), axis=-2)
+    single = isinstance(l1, ProjLine)
+    a, b = (np.asarray(line, dtype=float) for line in ((l1.span, l2.span) if single else (l1, l2)))
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatch(f"lines of different dimension: {a.shape} vs {b.shape}")
+    pts = np.concatenate(np.broadcast_arrays(a, b), axis=-2)
     ranks = np.stack([span_rank(pts[..., :2, :]), span_rank(pts[..., 2:, :]), span_rank(pts)], axis=-1)
     point, rows = _line_meet(pts)
     meets = np.all(ranks == (2, 2, 3), axis=-1)[..., None]
-    return normalize(np.where(meets, point, rows[..., 0, :])), ranks
+    point = normalize(np.where(meets, point, rows[..., 0, :]))
+    if not single:
+        return point, ranks
+    _raise_unless_meet(ranks)
+    return point
+
+
+def _raise_unless_meet(ranks):
+    """Raise for the first pair of lines, in C order, of meet_lines ranks
+    (..., 3) whose four spanning points do not span rank 3: SkewLines at
+    rank 4, IdenticalLines at rank 2 or below."""
+    raise_first_failure([
+        (ranks[..., 2] >= 4, lambda k: SkewLines("lines span rank 4")),
+        (ranks[..., 2] <= 2, lambda k: IdenticalLines("lines coincide")),
+    ])
 
 
 def _line_meet(pts):
@@ -391,46 +366,34 @@ def moebius_lift(p, at_infinity=None) -> np.ndarray:
     if p is INF:
         return np.array([0.0, 0.0, 0.0, 1.0, 1.0])
     p = np.asarray(p, dtype=float)
-    if p.ndim > 1 or at_infinity is not None:
-        if p.shape[-1:] != (3,):
-            raise DimensionMismatch(f"expected points of R^3, got shape {p.shape}")
-        n2 = np.sum(p * p, axis=-1, keepdims=True)
-        lifted = np.concatenate([2 * p, n2 - 1.0, n2 + 1.0], axis=-1)
-        if at_infinity is not None:
-            lifted[np.asarray(at_infinity, dtype=bool)] = (0.0, 0.0, 0.0, 1.0, 1.0)
-        return lifted
-    if p.shape != (3,):
-        raise DimensionMismatch(f"expected a point of R^3, got shape {p.shape}")
-    n2 = float(np.dot(p, p))
-    return np.array([2 * p[0], 2 * p[1], 2 * p[2], n2 - 1.0, n2 + 1.0])
+    if p.shape[-1:] != (3,):
+        raise DimensionMismatch(f"expected points of R^3, got shape {p.shape}")
+    n2 = np.sum(p * p, axis=-1, keepdims=True)
+    lifted = np.concatenate([2 * p, n2 - 1.0, n2 + 1.0], axis=-1)
+    if at_infinity is not None:
+        lifted[np.asarray(at_infinity, dtype=bool)] = (0.0, 0.0, 0.0, 1.0, 1.0)
+    return lifted
 
 
 def moebius_drop(x):
-    """Inverse of moebius_lift; returns a point of R^3 or INF.
+    """Inverse of moebius_lift.
 
     A stack (..., 5) gives (points (..., 3), at_infinity (...)): the mask
-    flags the rows that drop to oo, whose points are zero.
+    flags the rows that drop to oo, whose points are zero.  A single point
+    (5,) gives a point of R^3 or INF.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
-        if x.shape[-1] != 5:
-            raise DimensionMismatch("expected coordinates in R^{4,1}")
-        if not np.all(MOEBIUS.on_quadric(x)):
-            raise NotOnQuadric("point is not on the Moebius quadric")
-        w = x[..., 4] - x[..., 3]
-        at_infinity = np.abs(w) <= _ABS_EPS * np.linalg.norm(x, axis=-1)
-        pts = x[..., :3] / np.where(at_infinity, 1.0, w)[..., None]
-        pts[at_infinity] = 0.0
-        return pts, at_infinity
-    x = hpoint(x)
-    if x.shape != (5,):
+    x, norms = _nonzero_rows(x)
+    if x.shape[-1] != 5:
         raise DimensionMismatch("expected coordinates in R^{4,1}")
-    if not MOEBIUS.on_quadric(x):
+    if not np.all(MOEBIUS.on_quadric(x)):
         raise NotOnQuadric("point is not on the Moebius quadric")
-    w = x[4] - x[3]
-    if abs(w) <= _ABS_EPS * np.linalg.norm(x):
-        return INF
-    return x[:3] / w
+    w = x[..., 4] - x[..., 3]
+    at_infinity = np.abs(w) <= _ABS_EPS * norms[..., 0]
+    pts = x[..., :3] / np.where(at_infinity, 1.0, w)[..., None]
+    pts[at_infinity] = 0.0
+    if x.ndim == 1:
+        return INF if at_infinity else pts
+    return pts, at_infinity
 
 
 def sphere_rep(center, radius: float) -> np.ndarray:

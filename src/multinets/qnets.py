@@ -382,15 +382,8 @@ def all_pairs_perspectivity(net: PointNet, tol: float = 1e-12) -> bool:
 
 def has_planar_parameter_polygons(net: PointNet) -> bool:
     """Every row and column point set spans rank <= 3 (planar polygons)."""
-    nu, nv = net.dims
     p = net.points
-    for i in range(nu):
-        if span_rank(p[i]) > 3:
-            return False
-    for j in range(nv):
-        if span_rank(p[:, j]) > 3:
-            return False
-    return True
+    return not (np.any(span_rank(p) > 3) or np.any(span_rank(p.swapaxes(0, 1)) > 3))
 
 
 # -- Q*-nets -------------------------------------------------------------------
@@ -419,21 +412,16 @@ def is_multi_qstar(pn: PlaneNet) -> bool:
 def qstar_vertices(pn: PlaneNet):
     """Common points of the elementary plane quadruples, as a grid of
     homogeneous points (None where the quad has a whole common line)."""
-    h = pn.homogeneous()
     nu, nv = pn.dims
-    verts = [[None] * (nv - 1) for _ in range(nu - 1)]
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            quad = normalized_rows(
-                np.stack([h[i, j], h[i + 1, j], h[i + 1, j + 1], h[i, j + 1]])
-            )
-            u, s, vh = np.linalg.svd(quad)
-            r = int(np.sum(s > RANK_RTOL * s[0]))
-            if r > 3:
-                raise NonPlanarQuad(f"planes of quad ({i},{j}) are not concurrent")
-            if r == 3:
-                verts[i][j] = vh[-1]
-    return verts
+    _, quads = rect_stacks(pn.homogeneous(), elementary=True)
+    _, s, vh = np.linalg.svd(normalized_rows(quads))
+    ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=-1)
+    bad = np.flatnonzero(ranks > 3)
+    if bad.size:
+        i, j = divmod(int(bad[0]), nv - 1)
+        raise NonPlanarQuad(f"planes of quad ({i},{j}) are not concurrent")
+    verts = [v if r == 3 else None for v, r in zip(vh[:, -1], ranks)]
+    return [verts[i * (nv - 1) : (i + 1) * (nv - 1)] for i in range(nu - 1)]
 
 
 def check_planar_parameter_lines(pn: PlaneNet) -> bool:

@@ -20,7 +20,7 @@ from .errors import (
     first_failure,
     raise_first_failure,
 )
-from .projective import _ABS_EPS, QUADRIC_RTOL, QuadricForm, polar_reflect, proj_distance
+from .projective import _ABS_EPS, QuadricForm, polar_reflect, proj_distance
 from .qnets import PointNet, translation_gauge
 
 _AMBIENT_BY_FORM = {
@@ -31,25 +31,18 @@ _AMBIENT_BY_FORM = {
 }
 
 
-def _net_on_quadric(net: PointNet, q: QuadricForm, rtol: float = QUADRIC_RTOL) -> bool:
-    p = net.points
-    vals = np.einsum("ijk,k,ijk->ij", p, q.diagonal, p)
-    return bool(np.all(np.abs(vals) <= rtol * np.sum(p * p, axis=-1)))
-
-
 def verify_polar_laplace(net: PointNet, q: QuadricForm, tol: float = 1e-8) -> bool:
     """Check that the Laplace transform difference vectors are q-orthogonal.
 
     Requires a multi-Q-net with all vertices on the quadric; the y1_i and
     y2_j vectors come from the net's translation gauge.
     """
-    if not _net_on_quadric(net, q):
+    if not np.all(q.on_quadric(net.points)):
         raise NotOnQuadric("net vertices must lie on the quadric")
     _, y1, y2 = translation_gauge(net)
     n1 = y1 / np.linalg.norm(y1, axis=-1, keepdims=True)
     n2 = y2 / np.linalg.norm(y2, axis=-1, keepdims=True)
-    vals = n1 @ np.diag(q.diagonal) @ n2.T
-    return bool(np.all(np.abs(vals) <= tol))
+    return bool(np.all(np.abs(q.eval(n1[:, None], n2[None])) <= tol))
 
 
 def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
@@ -72,23 +65,18 @@ def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
     n1 = np.broadcast_to(n1, batch + (k1, d)).reshape(-1, k1, d)
     n2 = np.broadcast_to(n2, batch + (k2, d)).reshape(-1, k2, d)
     x00 = np.broadcast_to(x00, batch + (d,)).reshape(-1, d)
-    diag = q.diagonal
-
-    def isotropic(fam):
-        nn = np.einsum("...k,k,...k->...", fam, diag, fam)
-        return np.any(np.abs(nn) <= QUADRIC_RTOL * np.sum(fam * fam, axis=-1), axis=-1)
-
-    cross = (n1 * diag) @ np.swapaxes(n2, -1, -2)
-    scale = np.linalg.norm(n1, axis=-1)[..., :, None] * np.linalg.norm(n2, axis=-1)[..., None, :]
-    xx = np.sum(diag * x00 * x00, axis=-1)
+    # an entry with a zero seed or mirror fails on that first; stand-in rows
+    # of ones let the form run over every entry
+    zero0, zero1, zero2 = (np.linalg.norm(v, axis=-1) <= _ABS_EPS for v in (x00, n1, n2))
+    f0, f1, f2 = (np.where(z[..., None], 1.0, v) for z, v in ((zero0, x00), (zero1, n1), (zero2, n2)))
+    scale = np.linalg.norm(f1, axis=-1)[..., :, None] * np.linalg.norm(f2, axis=-1)[..., None, :]
     setup = first_failure([
-        (np.linalg.norm(x00, axis=-1) <= _ABS_EPS,
-         lambda e: ZeroVector("homogeneous coordinates must not vanish")),
-        (isotropic(n1) | isotropic(n2), lambda e: IsotropicMirror("a mirror lies on the quadric")),
-        (np.any(np.abs(cross) > 1e-9 * scale, axis=(-2, -1)),
+        (zero0, lambda e: ZeroVector("homogeneous coordinates must not vanish")),
+        (np.any(zero1 | q.on_quadric(f1), axis=-1) | np.any(zero2 | q.on_quadric(f2), axis=-1),
+         lambda e: IsotropicMirror("a mirror lies on the quadric")),
+        (np.any(np.abs(q.eval(f1[:, :, None], f2[:, None, :])) > 1e-9 * scale, axis=(-2, -1)),
          lambda e: MirrorsNotOrthogonal("mirror families are not mutually orthogonal")),
-        (np.abs(xx) > QUADRIC_RTOL * np.sum(x00 * x00, axis=-1),
-         lambda e: SeedNotOnQuadric("seed point must lie on the quadric")),
+        (~q.on_quadric(f0), lambda e: SeedNotOnQuadric("seed point must lie on the quadric")),
     ])
     # entries before the first failing one are generated and audited, as
     # one call per entry would have done before reaching it

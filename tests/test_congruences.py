@@ -136,6 +136,23 @@ def test_degenerate_spanning_pairs_raise():
         multi_congruence_violations(IsoLineGrid(lines, LIE))
 
 
+@pytest.mark.parametrize(
+    "zero, identical, error",
+    [((0, 1), (1, 0), IdenticalLines), ((1, 0), (0, 1), ZeroVector)],
+)
+def test_first_degenerate_line_in_column_major_order_raises(zero, identical, error):
+    # row-major order would meet the other broken line first
+    g = torus_contact_grid(2.0, 0.5, [0.1, 0.8, 1.9], [-0.5, 0.2, 0.9])
+    lines = g.lines.copy()
+    lines[zero][0] = 0.0
+    lines[identical][1] = 3.0 * lines[identical][0]
+    broken = IsoLineGrid(lines, LIE)
+    with pytest.raises(error):
+        multi_congruence_violations(broken)
+    with pytest.raises(error):
+        factor_congruence(broken)
+
+
 # -- factorization ------------------------------------------------------------
 
 
@@ -175,6 +192,33 @@ def test_factor_roundtrip_preserves_verdict(rng):
     t1, t2 = factor_congruence(rebuilt)
     for i in range(3):
         assert proj_equal(t1[i], s1[i], 1e-8)
+
+
+def _nudged(p, keep, target, eps=1e-7):
+    """p moved within the directions orthogonal to p and to the rows of
+    keep, so that it stays isotropic and orthogonal to keep, while
+    <p, target> becomes eps."""
+    null = np.linalg.svd(np.vstack([p, keep]) * LIE.diagonal)[2][len(keep) + 1 :]
+    w = null[np.argmax(np.abs(LIE.eval(null, target)))]
+    return p + eps * w / LIE.eval(w, target)
+
+
+def test_first_failing_cell_in_row_major_order_raises():
+    """Factor points s1_3 and s2_3 moved off orthogonality with s2_2 and
+    s1_2 spoil cells (2,3), (3,2) and (3,3), and only those; column-major
+    order would name cell (3,2)."""
+    us, vs = [0.2, 1.1, 2.0, 3.2], [-0.8, -0.1, 0.6, 1.2]
+    s1, s2 = (s.copy() for s in factor_congruence(torus_contact_grid(2.0, 0.5, us, vs)))
+    s1[3] = _nudged(s1[3], s2[:2], s2[2])
+    s2[3] = _nudged(s2[3], s1[:2], s1[2])
+    lines = np.stack(np.broadcast_arrays(s1[:, None], s2[None]), axis=2)
+    for i, j in [(2, 3), (3, 2), (3, 3)]:
+        # a spanning pair close together stays within the isotropy tolerances
+        lines[i, j, 1] = s1[i] + 1e-4 * s2[j]
+    g = IsoLineGrid(lines, LIE)
+    assert is_multi_congruence(g)
+    with pytest.raises(NotMultiCongruence, match=r"^factor points at \(2,3\) are not orthogonal$"):
+        factor_congruence(g)
 
 
 def test_planar_family_lines_through_point(rng):

@@ -14,7 +14,6 @@ from multinets.projective import (
     ProjLine,
     QuadricForm,
     bilinear_eval,
-    euclidean_form,
     intersect_spans,
     meet_lines,
     moebius_drop,
@@ -129,16 +128,16 @@ def test_bilinear_orthogonal_basis():
 
 
 def test_bilinear_euclidean():
-    assert bilinear_eval(euclidean_form(3), [1, 2, 3], [1, 1, 1]) == 6.0
+    assert bilinear_eval(QuadricForm((1, 1, 1)), [1, 2, 3], [1, 1, 1]) == 6.0
 
 
 def test_polar_reflect_coordinate():
-    out = polar_reflect(euclidean_form(3), [1, 0, 0], [1, 2, 3])
+    out = polar_reflect(QuadricForm((1, 1, 1)), [1, 0, 0], [1, 2, 3])
     assert np.allclose(out, [-1, 2, 3])
 
 
 def test_polar_reflect_fixed_hyperplane():
-    q = euclidean_form(4)
+    q = QuadricForm((1, 1, 1, 1))
     n = np.array([1.0, 1, 0, 0])
     x = np.array([1.0, -1, 3, 7])  # <x, n> = 0
     assert np.allclose(polar_reflect(q, n, x), x)

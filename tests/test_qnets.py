@@ -46,6 +46,7 @@ from multinets.qnets import (
     multi_qstar_violations,
     neighbor_perspectivity,
     q_violations,
+    qstar_vertices,
     qstar_violations,
     translation_gauge,
 )
@@ -328,7 +329,8 @@ def test_planes_through_common_point_multi_qstar(rng):
     assert is_multi_qstar(PlaneNet(cov))
 
 
-def test_pencil_planes_planar_parameter_lines():
+def _pencil_plane_net():
+    """4 x 4 planes of one pencil: every quad has a whole common line."""
     a = np.array([1.0, 0, 0, 0.3])
     b = np.array([0, 1.0, 0, -0.2])
     cov = np.empty((4, 4, 4))
@@ -336,7 +338,11 @@ def test_pencil_planes_planar_parameter_lines():
         for j in range(4):
             t = 0.3 * i + 0.7 * j + 0.1
             cov[i, j] = np.cos(t) * a + np.sin(t) * b
-    pn = PlaneNet(cov)
+    return PlaneNet(cov)
+
+
+def test_pencil_planes_planar_parameter_lines():
+    pn = _pencil_plane_net()
     assert is_multi_qstar(pn)
     assert check_planar_parameter_lines(pn)
 
@@ -349,6 +355,49 @@ def test_multi_qstar_iff_planar_parameter_lines(rng):
     for _ in range(10):
         dual = dualize_point_net(random_q_net(rng, 6, 6))
         assert is_multi_qstar(dual) == check_planar_parameter_lines(dual)
+
+
+def _qstar_vertex_loop(pn):
+    """Reference: one SVD per elementary plane quad, row by row."""
+    h = pn.homogeneous()
+    nu, nv = pn.dims
+    verts = [[None] * (nv - 1) for _ in range(nu - 1)]
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            quad = np.stack([h[i, j], h[i + 1, j], h[i + 1, j + 1], h[i, j + 1]])
+            _, s, vh = np.linalg.svd(quad / np.linalg.norm(quad, axis=1, keepdims=True))
+            r = int(np.sum(s > RANK_RTOL * s[0]))
+            if r > 3:
+                raise NonPlanarQuad(f"planes of quad ({i},{j}) are not concurrent")
+            if r == 3:
+                verts[i][j] = vh[-1]
+    return verts
+
+
+def test_qstar_vertices_equal_per_quad_svd(rng):
+    nets = [
+        dualize_point_net(random_q_net(rng, 5, 6)),
+        dualize_point_net(from_translation(rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (3, 4)))),
+        _pencil_plane_net(),
+    ]
+    for pn in nets:
+        got, want = qstar_vertices(pn), _qstar_vertex_loop(pn)
+        assert [[v is None for v in row] for row in got] == [[v is None for v in row] for row in want]
+        for g, w in zip(sum(got, []), sum(want, [])):
+            assert g is None or proj_equal(g, w, 1e-12)
+    assert all(v is None for v in sum(qstar_vertices(nets[2]), []))
+
+
+def test_qstar_vertices_name_the_first_nonconcurrent_quad_in_row_major_order(rng):
+    # planes (1,4) and (3,1) spoil quads (0..1, 3..4) and (2..3, 0..1);
+    # column-major order would name quad (2,0)
+    cov = dualize_point_net(random_q_net(rng, 5, 6)).covectors.copy()
+    cov[1, 4] += 0.3
+    cov[3, 1] += 0.3
+    pn = PlaneNet(cov)
+    for vertices in (qstar_vertices, _qstar_vertex_loop):
+        with pytest.raises(NonPlanarQuad, match=r"^planes of quad \(0,3\) are not concurrent$"):
+            vertices(pn)
 
 
 # -- (Q + Q*)-nets ------------------------------------------------------------------
@@ -380,8 +429,8 @@ def test_qqstar_random_skew_lines():
     t1, t2 = laplace_transforms(net)
     for i in range(t1.dims[0]):
         for j in range(t1.dims[1]):
-            assert line1.contains(t1.points[i, j], 1e-7)
-            assert line2.contains(t2.points[i, j], 1e-7)
+            assert line1.contains(t1.points[i, j])
+            assert line2.contains(t2.points[i, j])
     # parameter-line planes form pencils: every row plane contains line2,
     # every column plane contains line1
     nu, nv = net.dims
