@@ -23,6 +23,7 @@ from .errors import (
     MirrorsNotOrthogonal,
     NotMultiCircular,
     NotOnQuadric,
+    raise_unless_finite,
 )
 from .projective import (
     _ABS_EPS,
@@ -37,7 +38,13 @@ from .projective import (
     span_rank,
     span_ranks,
 )
-from .qnets import PointNet, multi_q_violations, q_violations, translation_gauge
+from .qnets import (
+    PointNet,
+    _rects_planar,
+    multi_q_violations,
+    q_violations,
+    translation_gauge,
+)
 from .quadric_nets import generate_by_reflections
 
 EIG_ZERO_RTOL = 1e-7  # zero-eigenvalue threshold for span classification
@@ -60,6 +67,7 @@ class EuclidNet:
             self.at_infinity = np.asarray(self.at_infinity, dtype=bool)
             if self.at_infinity.shape != self.points.shape[:2]:
                 raise DimensionMismatch("infinity mask shape mismatch")
+        raise_unless_finite(self.points, "vertex", skip=self.at_infinity)
 
     @property
     def dims(self):
@@ -130,8 +138,9 @@ def multi_circular_violations(net: EuclidNet):
 
 
 def is_multi_circular(net: EuclidNet) -> bool:
-    """Exhaustive rectangle concyclicity."""
-    return not multi_circular_violations(net)
+    """True iff every coordinate rectangle is concyclic; the verdict of
+    multi_circular_violations, reached as qnets._rects_planar describes."""
+    return _rects_planar(lift_net(net).points)
 
 
 def circular_violations(net: EuclidNet):

@@ -22,6 +22,10 @@ class DimensionMismatch(GeometryError):
     """Operands live in different ambient spaces."""
 
 
+class NonFiniteCoordinate(GeometryError):
+    """A coordinate is NaN or infinite."""
+
+
 class SkewLines(GeometryError):
     """Lines span rank 4; no intersection point."""
 
@@ -162,6 +166,19 @@ class SchemaViolation(GeometryError):
 
 class InfiniteVertex(GeometryError):
     """Mesh export hit a vertex at infinity."""
+
+
+def raise_unless_finite(coords, what: str, skip=None):
+    """Raise NonFiniteCoordinate for the first entry, in C order, of a grid
+    of coordinate vectors (..., d) that holds a NaN or an infinity; entries
+    flagged in the boolean mask skip (...) are not checked."""
+    bad = ~np.all(np.isfinite(coords), axis=-1)
+    if skip is not None:
+        bad &= ~skip
+    hits = np.argwhere(bad)
+    if hits.size:
+        where = ", ".join(map(str, hits[0].tolist()))
+        raise NonFiniteCoordinate(f"{what} ({where}) has a non-finite coordinate")
 
 
 def first_failure(checks):

@@ -136,15 +136,15 @@ def span_ranks(stacks, rtol: float = RANK_RTOL) -> np.ndarray:
 # -- rectangle kernel ----------------------------------------------------------
 
 
-def rect_stacks(grid, elementary: bool):
-    """Corner stacks of the coordinate rectangles of a grid (nu, nv, ...).
+def rect_indices(nu: int, nv: int, elementary: bool):
+    """Grid indices of the corners of the coordinate rectangles of an
+    (nu, nv) grid.
 
-    Returns the keys (i0, i1, j0, j1) in lexicographic order and an array
-    (N, 4, ...) of the corners (i0,j0), (i1,j0), (i0,j1), (i1,j1).  With
-    elementary=True only the quads with i1 = i0 + 1, j1 = j0 + 1 are taken.
+    Returns row and column index arrays (N, 4), one row per rectangle with
+    its key (i0, i1, j0, j1) in lexicographic order, for the corners
+    (i0,j0), (i1,j0), (i0,j1), (i1,j1).  With elementary=True only the quads
+    with i1 = i0 + 1, j1 = j0 + 1 are taken.
     """
-    g = np.asarray(grid)
-    nu, nv = g.shape[:2]
     if elementary:
         i0, j0 = np.arange(nu - 1), np.arange(nv - 1)
         i1, j1 = i0 + 1, j0 + 1
@@ -153,9 +153,19 @@ def rect_stacks(grid, elementary: bool):
         j0, j1 = np.triu_indices(nv, 1)
     a0, a1 = np.repeat(i0, len(j0)), np.repeat(i1, len(j0))
     b0, b1 = np.tile(j0, len(i0)), np.tile(j1, len(i0))
-    stacks = np.stack([g[a0, b0], g[a1, b0], g[a0, b1], g[a1, b1]], axis=1)
-    keys = list(zip(a0.tolist(), a1.tolist(), b0.tolist(), b1.tolist()))
-    return keys, stacks
+    return np.stack([a0, a1, a0, a1], axis=1), np.stack([b0, b0, b1, b1], axis=1)
+
+
+def rect_stacks(grid, elementary: bool):
+    """Corner stacks of the coordinate rectangles of a grid (nu, nv, ...).
+
+    Returns the keys (i0, i1, j0, j1) in the order of rect_indices and an
+    array (N, 4, ...) of the corners (i0,j0), (i1,j0), (i0,j1), (i1,j1).
+    """
+    g = np.asarray(grid)
+    rows, cols = rect_indices(*g.shape[:2], elementary)
+    keys = list(zip(*(idx.tolist() for idx in (rows[:, 0], rows[:, 1], cols[:, 0], cols[:, 2]))))
+    return keys, g[rows, cols]
 
 
 def rank_violations(keys, stacks, max_rank: int):
@@ -243,15 +253,30 @@ class QuadricForm:
 
     def eval(self, x, y):
         """<x, y> row by row; stacks (..., d) broadcast against each other."""
-        (x, _), (y, _) = _nonzero_rows(x), _nonzero_rows(y)
-        if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
-            raise DimensionMismatch(f"form of dimension {self.dim} applied to {x.shape}/{y.shape}")
-        return np.sum(self.diagonal * x * y, axis=-1)
+        x, y = self._rows(x, y)
+        return self._apply(x, y)
 
     def on_quadric(self, x, rtol: float = QUADRIC_RTOL):
         """|<x, x>| <= rtol |x|^2 row by row."""
-        x = np.asarray(x, dtype=float)
-        return np.abs(self.eval(x, x)) <= rtol * np.sum(x * x, axis=-1)
+        x, _ = self._rows(x)
+        return self._on_quadric(x, rtol)
+
+    def _rows(self, x, y=None):
+        """x and y (x again if None) as float stacks of nonzero rows of this
+        dimension; each input is validated once."""
+        x = _nonzero_rows(x)[0]
+        y = x if y is None else _nonzero_rows(y)[0]
+        if x.shape[-1] != self.dim or y.shape[-1] != self.dim:
+            raise DimensionMismatch(f"form of dimension {self.dim} applied to {x.shape}/{y.shape}")
+        return x, y
+
+    def _apply(self, x, y):
+        """eval on stacks that _rows has validated."""
+        return np.sum(self.diagonal * x * y, axis=-1)
+
+    def _on_quadric(self, x, rtol: float = QUADRIC_RTOL):
+        """on_quadric on a stack that _rows has validated."""
+        return np.abs(self._apply(x, x)) <= rtol * np.sum(x * x, axis=-1)
 
     def gram(self, rows) -> np.ndarray:
         m = np.asarray(rows, dtype=float)
@@ -275,11 +300,10 @@ def polar_reflect(q: QuadricForm, n, x) -> np.ndarray:
 
     Stacks of mirrors and points (..., d) broadcast against each other.
     """
-    n, x = np.asarray(n, dtype=float), np.asarray(x, dtype=float)
-    nx, nn = q.eval(n, x), q.eval(n, n)
-    if np.any(np.abs(nn) <= QUADRIC_RTOL * np.sum(n * n, axis=-1)):
+    n, x = q._rows(n, x)
+    if np.any(q._on_quadric(n)):
         raise IsotropicMirror("mirror lies on the quadric")
-    return x - 2.0 * (nx / nn)[..., None] * n
+    return x - 2.0 * (q._apply(n, x) / q._apply(n, n))[..., None] * n
 
 
 # -- projective lines --------------------------------------------------------
@@ -385,7 +409,7 @@ def moebius_drop(x):
     x, norms = _nonzero_rows(x)
     if x.shape[-1] != 5:
         raise DimensionMismatch("expected coordinates in R^{4,1}")
-    if not np.all(MOEBIUS.on_quadric(x)):
+    if not np.all(MOEBIUS._on_quadric(x)):
         raise NotOnQuadric("point is not on the Moebius quadric")
     w = x[..., 4] - x[..., 3]
     at_infinity = np.abs(w) <= _ABS_EPS * norms[..., 0]

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     DegenerateQuad,
     DimensionMismatch,
+    GeometryError,
     InconsistentCorner,
     NonPlanarQuad,
     NotMultiQ,
@@ -24,6 +25,7 @@ from .errors import (
     SkewLines,
     ZeroSum,
     ZeroVector,
+    raise_unless_finite,
 )
 from .projective import (
     RANK_RTOL,
@@ -35,6 +37,7 @@ from .projective import (
     proj_distance,
     proj_equal,
     rank_violations,
+    rect_indices,
     rect_stacks,
     span_rank,
 )
@@ -55,6 +58,7 @@ class PointNet:
             raise DimensionMismatch("PointNet expects an array of shape (nu, nv, n+1)")
         if np.any(np.linalg.norm(self.points, axis=-1) <= 1e-13):
             raise ZeroVector("net contains a zero coordinate vector")
+        raise_unless_finite(self.points, "vertex")
 
     @property
     def dims(self):
@@ -82,6 +86,7 @@ class PlaneNet:
             raise DimensionMismatch("PlaneNet expects an array of shape (nu, nv, 4)")
         if np.any(np.linalg.norm(self.covectors, axis=-1) <= 1e-13):
             raise ZeroVector("plane net contains a zero covector")
+        raise_unless_finite(self.covectors, "covector")
 
     @property
     def dims(self):
@@ -200,8 +205,114 @@ def multi_q_violations(net: PointNet):
 
 
 def is_multi_q_net(net: PointNet) -> bool:
-    """True iff every coordinate rectangle is planar."""
-    return not multi_q_violations(net)
+    """True iff every coordinate rectangle is planar; the verdict of
+    multi_q_violations, reached as _rects_planar describes."""
+    return _rects_planar(net.points)
+
+
+# Rectangles decided by the SVD rule before the translation certificate is
+# tried; nets with no more rectangles (the 4x5 nets of circular
+# classification have 60) are decided by the SVD rule alone.
+_FIRST_CHUNK = 64
+
+
+def _rects_planar(grid) -> bool:
+    """True iff every coordinate rectangle of a grid (nu, nv, d) of
+    homogeneous points spans rank <= 3: the verdict of
+    rank_violations(*rect_stacks(grid, elementary=False), 3) == [].
+
+    The first _FIRST_CHUNK rectangles in key order go to the SVD rule of
+    rank_violations: a violation there gives False, and a grid with no
+    more rectangles gives True.  Then _translation_certified may pass every
+    rectangle at once.  Failing that, the remaining rectangles go to the
+    SVD rule in chunks of doubling size, up to the first violation.  Each
+    chunk gets the same per-stack SVD as the exhaustive check, so the
+    chunks reach its verdict by construction, and the certificate does by
+    its proof.
+    """
+    rows, cols = rect_indices(*grid.shape[:2], elementary=False)
+
+    def violated(lo, hi):
+        return bool(np.any(span_rank(grid[rows[lo:hi], cols[lo:hi]]) > 3))
+
+    if violated(0, _FIRST_CHUNK):
+        return False
+    if len(rows) <= _FIRST_CHUNK or _translation_certified(grid):
+        return True
+    lo = _FIRST_CHUNK
+    while lo < len(rows):
+        if violated(lo, 2 * lo):
+            return False
+        lo *= 2
+    return True
+
+
+def _translation_certified(grid) -> bool:
+    """True only if every coordinate rectangle of a grid (nu, nv, d) of
+    homogeneous points passes the SVD rule of rank_violations; False means
+    "not certified", not "fails".  O(nu nv d) work after translation_gauge.
+
+    The bound.  A multi-Q-net is a projective translation surface, so
+    translation_gauge gives x00, y1, y2 with [x_ij] = [R_ij] for
+    R_ij = x00 + Y1_i + Y2_j, where Y1_i, Y2_j are the partial sums of y1,
+    y2.  Let L_ij = lam_ij x_ij with lam_ij = <R_ij, x_ij> / |x_ij|^2 (the
+    multiple of x_ij closest to R_ij), eps = max |L - R| and m = min |L|.
+    Take a rectangle with corners x_1..x_4 at (i0,j0), (i1,j0), (i0,j1),
+    (i1,j1), and its stack A with the unit rows a_k = x_k / |x_k|.  Then
+    sigma_1(A) >= |a_1| = 1, and for d >= 4 sigma_4(A) = min |c^T A| / |c|
+    over c != 0 in R^4.  With the signs s = (+, -, -, +) take
+    c_k = s_k lam_k |x_k|: c^T A = sum_k s_k L_k is the rectangle sum of L,
+    and |c| = (sum_k |L_k|^2)^(1/2) >= 2 m.  The rectangle sum of
+    x00 + Y1_i + Y2_j vanishes identically, so the rectangle sum of L is at
+    most sum_k |L_k - R_k| <= 4 eps, plus the rounding delta below.  Hence
+    every rectangle has
+
+        sigma_4 / sigma_1 <= (4 eps + delta) / (2 m).
+
+    For d <= 3 no stack reaches rank 4 and there is nothing to prove.
+
+    The rounding delta.  With u = 2^-53 and the computed floats Y1_i, Y2_j,
+    R_ij = fl(fl(x00 + Y1_i) + Y2_j), lam_ij and L_ij = fl(lam_ij x_ij), take
+    c from the computed lam.  Then c^T A is the rectangle sum of the exact
+    products lam_ij x_ij, and with S = max_ij (|x00| + |Y1_i| + |Y2_j| + |L_ij|):
+    (i) each exact product is within u |lam_ij x_ij| <= 2u S of L_ij, 8u S for
+    the four corners; (ii) the computed eps underestimates the exact
+    max |L - R| by at most (d + 4) u S, as the difference and the norm round,
+    4 (d + 4) u S for the four corners; (iii) each R_ij is within
+    2u / (1 - 2u) (|x00| + |Y1_i| + |Y2_j|) of the exact x00 + Y1_i + Y2_j,
+    whose rectangle sum is zero, at most 9u S for the four corners.  These
+    add up to (4d + 33) u S <= 16 d u S, and delta = 16 d eps_mach S with
+    eps_mach = 2u is twice that.
+
+    The rule.  The SVD rule flags a stack iff its computed
+    sigma_4 > RANK_RTOL * sigma_1.  The certificate asks for the bound to be
+    at most RANK_RTOL / 2, i.e. 4 eps + delta <= RANK_RTOL m.  The other half
+    of RANK_RTOL absorbs the rounding of the row normalization and of the
+    backward-stable SVD, which move each singular value by a small multiple
+    of u sigma_1, and the relative rounding of m, about d u: orders of
+    magnitude below RANK_RTOL / 2 = 5e-10.  So a certified grid has no rank
+    violation.  A gauge that translation_gauge cannot build (any
+    GeometryError) and a non-finite bound leave the grid uncertified.
+    """
+    try:
+        x00, y1, y2 = translation_gauge(PointNet(grid))
+    except GeometryError:
+        return False
+    acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
+    acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
+    r = (x00 + acc1[:, None]) + acc2[None, :]
+    lam = np.sum(r * grid, axis=-1) / np.sum(grid * grid, axis=-1)
+    fitted = lam[..., None] * grid
+    eps = np.max(np.linalg.norm(fitted - r, axis=-1))
+    l_norms = np.linalg.norm(fitted, axis=-1)
+    sizes = (
+        np.linalg.norm(x00)
+        + np.linalg.norm(acc1, axis=-1)[:, None]
+        + np.linalg.norm(acc2, axis=-1)[None, :]
+        + l_norms
+    )
+    delta = 16 * grid.shape[-1] * np.finfo(float).eps * np.max(sizes)
+    return bool(4 * eps + delta <= RANK_RTOL * np.min(l_norms))
 
 
 # -- translation structure ----------------------------------------------------
@@ -405,8 +516,9 @@ def multi_qstar_violations(pn: PlaneNet):
 
 
 def is_multi_qstar(pn: PlaneNet) -> bool:
-    """True iff every coordinate rectangle of planes is concurrent."""
-    return not multi_qstar_violations(pn)
+    """True iff every coordinate rectangle of planes is concurrent; the
+    verdict of multi_qstar_violations, reached as _rects_planar describes."""
+    return _rects_planar(pn.homogeneous())
 
 
 def qstar_vertices(pn: PlaneNet):

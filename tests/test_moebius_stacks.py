@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from multinets import projective
 from multinets.circular import EuclidNet, invert_net, invert_point
 from multinets.errors import DimensionMismatch, IsotropicMirror, NotOnQuadric, ZeroVector
 from multinets.projective import (
@@ -321,3 +322,19 @@ def test_one_point_is_a_stack_of_one(kernel):
             single(*args)
         with pytest.raises(error):
             stack_of_one(*args)
+
+
+def test_kernels_validate_each_input_once(monkeypatch):
+    calls = []
+    check = projective._nonzero_rows
+
+    def counting(points):
+        calls.append(np.shape(points))
+        return check(points)
+
+    monkeypatch.setattr(projective, "_nonzero_rows", counting)
+    polar_reflect(MOEBIUS, np.stack([MIRROR] * 3), X)
+    assert calls == [(3, 5), (5,)]
+    calls.clear()
+    moebius_drop(np.stack([X, -2.5 * X]))
+    assert calls == [(2, 5)]

@@ -1,0 +1,294 @@
+"""How the multi-rectangle predicates reach their verdicts: the first chunk
+by SVD, the translation certificate, the chunked early exit; and the typed
+error for non-finite coordinates."""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from multinets.circular import (
+    EuclidNet,
+    is_multi_circular,
+    lift_net,
+    multi_circular_violations,
+    sample_rotational,
+)
+from multinets.cli import main
+from multinets.errors import NonFiniteCoordinate, ZeroVector
+from multinets.projective import RANK_RTOL, normalized_rows, rect_indices
+from multinets.qnets import (
+    _FIRST_CHUNK,
+    PlaneNet,
+    PointNet,
+    _rects_planar,
+    _translation_certified,
+    is_multi_q_net,
+    is_multi_qstar,
+    multi_q_violations,
+    multi_qstar_violations,
+)
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
+
+
+def translation_points(seed, nu, nv):
+    rng = np.random.default_rng(seed)
+    while True:
+        p, q = rng.uniform(-1, 1, (nu, 4)), rng.uniform(-1, 1, (nv, 4))
+        pts = p[:, None] + q[None]
+        if np.min(np.linalg.norm(pts, axis=-1)) > 1e-2:
+            return pts
+
+
+def rect_ratio(corners):
+    """sigma_4 / sigma_1 of the row-normalized corner stack (4, d)."""
+    s = np.linalg.svd(normalized_rows(corners), compute_uv=False)
+    return s[3] / s[0]
+
+
+def verdicts_agree(grid):
+    """The certificate never passes a grid with a violating rectangle, and
+    the chunked predicate equals the exhaustive check."""
+    exhaustive = not multi_q_violations(PointNet(grid))
+    assert exhaustive or not _translation_certified(grid)
+    assert _rects_planar(grid) == exhaustive
+
+
+# -- the certificate never passes a violating net -------------------------------
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(6, 9),
+    st.integers(6, 9),
+    st.floats(-12.0, -6.0),
+    st.booleans(),
+)
+def test_certificate_sound_on_perturbed_translation_nets(seed, nu, nv, log_size, one_vertex):
+    pts = translation_points(seed, nu, nv)
+    noise = np.random.default_rng(seed + 1).normal(size=pts.shape)
+    if one_vertex:
+        keep = np.ones(pts.shape[:2], dtype=bool)
+        keep[nu // 2 + 1, nv // 2 + 1] = False
+        noise[keep] = 0.0
+    noise *= 10.0**log_size * np.linalg.norm(pts, axis=-1, keepdims=True)
+    verdicts_agree(pts + noise)
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(6, 9),
+    st.integers(6, 9),
+    st.floats(-12.0, 12.0),
+    st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+)
+def test_certificate_sound_on_rescaled_vertices(seed, nu, nv, log_spread, noise_size):
+    rng = np.random.default_rng(seed + 2)
+    pts = translation_points(seed, nu, nv)
+    noise = rng.normal(size=pts.shape) * np.linalg.norm(pts, axis=-1, keepdims=True)
+    pts = pts + noise_size * noise
+    scales = 10.0 ** rng.uniform(-abs(log_spread), abs(log_spread), pts.shape[:2])
+    verdicts_agree(pts * scales[..., None])
+
+
+def near_threshold(seed, nu, nv, ratio):
+    """Translation net with one vertex pushed off the span of the other three
+    corners of one rectangle, so that that rectangle has about the given
+    sigma_4 / sigma_1; the other rectangles through the vertex move too."""
+    pts = translation_points(seed, nu, nv)
+    i0, j0 = nu // 2 - 1, nv // 2 - 1
+    i1, j1 = nu - 1, nv - 1
+    others = pts[[i0, i1, i0], [j0, j0, j1]]
+    away = np.linalg.svd(others)[2][-1] * np.linalg.norm(pts[i1, j1])
+    probe = pts.copy()
+    probe[i1, j1] += 1e-6 * away
+    slope = rect_ratio(probe[[i0, i1, i0, i1], [j0, j0, j1, j1]]) / 1e-6
+    pts[i1, j1] += ratio / slope * away
+    return pts, (i0, i1, j0, j1)
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(6, 9),
+    st.integers(6, 9),
+    st.floats(0.2e-9, 5e-9),
+)
+def test_certificate_sound_near_the_rank_threshold(seed, nu, nv, ratio):
+    pts, _ = near_threshold(seed, nu, nv, ratio)
+    verdicts_agree(pts)
+
+
+@pytest.mark.parametrize("factor", [0.2, 0.5, 0.9, 1.1, 2.0, 5.0])
+def test_near_threshold_nets_reach_both_verdicts(factor):
+    # the sweep above is not vacuous: the built rectangle sits at the ratio
+    # asked for, and violates exactly when that ratio exceeds RANK_RTOL
+    pts, (i0, i1, j0, j1) = near_threshold(7, 8, 8, factor * RANK_RTOL)
+    got = rect_ratio(pts[[i0, i1, i0, i1], [j0, j0, j1, j1]])
+    assert got == pytest.approx(factor * RANK_RTOL, rel=0.05)
+    keys = [key for key, _ in multi_q_violations(PointNet(pts))]
+    assert ((i0, i1, j0, j1) in keys) == (factor > 1)
+    verdicts_agree(pts)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_certificate_passes_translation_nets(seed):
+    pts = translation_points(seed, 16, 16)
+    assert _translation_certified(pts)
+    scales = 10.0 ** np.random.default_rng(seed).uniform(-12, 12, (16, 16, 1))
+    assert _translation_certified(pts * scales)
+
+
+# -- the chunks give the exhaustive verdict -------------------------------------
+
+
+def one_violating_rect(nu, nv, index, violate=True):
+    """Grid (nu, nv, 4) whose only rectangle of rank 4 is the one at the
+    given position in key order (none if not violate).
+
+    All vertices lie in the hyperplane e4 = 0, on the line spanned by e1
+    and e2 (pairwise distinct), except the rectangle's corner (i0, j0) at e3
+    and its corner (i1, j1) off the hyperplane.  Any other rectangle through
+    (i1, j1) has its three other corners on the line.
+    """
+    rows, cols = rect_indices(nu, nv, elementary=False)
+    i0, i1, j0, j1 = rows[index, 0], rows[index, 1], cols[index, 0], cols[index, 2]
+    t = 0.1 * np.arange(1, nu * nv + 1).reshape(nu, nv)
+    grid = np.zeros((nu, nv, 4))
+    grid[..., 0], grid[..., 1] = 1.0, t
+    grid[i0, j0] = (0.0, 0.0, 1.0, 0.0)
+    grid[i1, j1] = (0.3, 0.2, 0.1, 1.0 if violate else 0.0)
+    return grid, (int(i0), int(i1), int(j0), int(j1))
+
+
+def covectors(grid):
+    """Plane net whose homogeneous covectors are the given grid."""
+    cov = grid.copy()
+    cov[..., 3] *= -1.0
+    return PlaneNet(cov)
+
+
+@pytest.mark.parametrize("nu, nv", [(6, 6), (5, 9)])
+@pytest.mark.parametrize("where", ["last-of-first-chunk", "first-after-first-chunk", "last"])
+@pytest.mark.parametrize("violate", [True, False])
+def test_chunked_predicates_equal_exhaustive(nu, nv, where, violate):
+    total = nu * (nu - 1) * nv * (nv - 1) // 4
+    index = {"last-of-first-chunk": _FIRST_CHUNK - 1, "first-after-first-chunk": _FIRST_CHUNK,
+             "last": total - 1}[where]
+    grid, key = one_violating_rect(nu, nv, index, violate)
+    net, planes = PointNet(grid), covectors(grid)
+    assert [k for k, _ in multi_q_violations(net)] == ([key] if violate else [])
+    assert [k for k, _ in multi_qstar_violations(planes)] == ([key] if violate else [])
+    assert is_multi_q_net(net) == is_multi_qstar(planes) == (not violate)
+
+
+def rotational_net(seed, n):
+    rng = np.random.default_rng(seed)
+    prof = np.stack([rng.uniform(0.5, 1.5, n), np.cumsum(rng.uniform(0.2, 0.5, n))], axis=1)
+    return sample_rotational(prof, np.sort(rng.uniform(0.0, 6.0, n)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("push", [0.0, 1e-7, 1e-3])
+def test_multi_circular_equals_exhaustive(seed, push):
+    net = rotational_net(seed, 9)
+    pts = net.points.copy()
+    pts[8, 8] += push
+    net = EuclidNet(pts)
+    assert is_multi_circular(net) == (not multi_circular_violations(net))
+    assert is_multi_circular(net) == (push == 0.0)
+
+
+# -- the certificate replaces the exhaustive SVD --------------------------------
+
+
+def count_svd_matrices(monkeypatch):
+    counts = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        counts.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return counts
+
+
+@pytest.mark.parametrize("family", ["q", "qstar", "circular"])
+def test_translation_nets_hand_only_the_first_chunk_to_svd(family, monkeypatch):
+    if family == "circular":
+        net, check, d = rotational_net(0, 16), is_multi_circular, 5
+    else:
+        pts = translation_points(3, 16, 16)
+        net, check, d = (PointNet(pts), is_multi_q_net, 4) if family == "q" else (
+            covectors(pts), is_multi_qstar, 4)
+    shapes = count_svd_matrices(monkeypatch)
+    assert check(net)
+    # rectangle stacks (4, d); the gauge adds one corner quad of that shape
+    # and O(n) small solves, against C(16, 2)^2 = 14 400 rectangles
+    stacks = sum(int(np.prod(s[:-2])) for s in shapes if s[-2:] == (4, d))
+    assert stacks <= _FIRST_CHUNK + 1
+    assert sum(int(np.prod(s[:-2])) for s in shapes) < 2 * _FIRST_CHUNK
+
+
+# -- non-finite coordinates -----------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_net_rejects_non_finite_coordinates(bad):
+    pts = translation_points(0, 3, 4)
+    pts[1, 2, 3] = bad
+    with pytest.raises(NonFiniteCoordinate, match=r"vertex \(1, 2\)"):
+        PointNet(pts)
+
+
+def test_zero_vector_is_reported_before_non_finite_coordinates():
+    pts = translation_points(0, 3, 4)
+    pts[0, 1] = np.nan
+    pts[2, 2] = 0.0
+    with pytest.raises(ZeroVector):
+        PointNet(pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_plane_net_rejects_non_finite_coordinates(bad):
+    cov = translation_points(0, 3, 4)
+    cov[2, 0, 0] = bad
+    with pytest.raises(NonFiniteCoordinate, match=r"covector \(2, 0\)"):
+        PlaneNet(cov)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_euclid_net_rejects_non_finite_finite_vertices(bad):
+    pts = rotational_net(0, 4).points.copy()
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[0, 0] = True
+    pts[0, 0] = bad  # flagged at infinity: its coordinates are not read
+    assert lift_net(EuclidNet(pts, mask)).points.shape == (4, 4, 5)
+    pts[3, 1, 2] = bad
+    with pytest.raises(NonFiniteCoordinate, match=r"vertex \(3, 1\)"):
+        EuclidNet(pts, mask)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("what", ["multi-q", "q", "multi-qstar"])
+def test_cli_non_finite_input_exits_2_with_typed_error(what, bad, tmp_path, capsys):
+    pts = translation_points(0, 3, 3)
+    doc = {"kind": "plane_net" if "qstar" in what else "point_net", "ambient": "RP3",
+           "dims": [3, 3], "data": [p.tolist() for p in pts.reshape(-1, 4)]}
+    doc["data"][4][1] = float(bad)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", what, "-i", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: NonFiniteCoordinate:")
+
