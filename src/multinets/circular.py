@@ -36,7 +36,6 @@ from .projective import (
     normalize,
     polar_reflect,
     span_rank,
-    span_ranks,
 )
 from .qnets import (
     PointNet,
@@ -159,7 +158,7 @@ def is_discrete_isothermic(net: EuclidNet) -> bool:
     five = np.stack(
         [x[1:-1, 1:-1], x[:-2, :-2], x[2:, :-2], x[2:, 2:], x[:-2, 2:]], axis=2
     ).reshape(-1, 5, 5)
-    return not five.size or not np.any(span_ranks(five) > 4)
+    return not five.size or not np.any(span_rank(five) > 4)
 
 
 # -- strip spheres ---------------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import (
     SingularPropagation,
     ZeroNormal,
 )
-from .projective import MOEBIUS_S2, rank_violations, rect_stacks, span_rank, span_ranks
+from .projective import MOEBIUS_S2, rank_violations, rect_stacks, span_rank
 from .qnets import PlaneNet, PointNet, translation_gauge
 
 
@@ -92,7 +92,7 @@ def _conical_violations(pn: PlaneNet, elementary: bool):
     _, lifts = rect_stacks(lift_net(EuclidNet(unit)).points, elementary)
     _, zero_corners = rect_stacks(zero, elementary)
     pairs = lifts[:, _CORNER_PAIRS].reshape(-1, 2, lifts.shape[-1])
-    repeated = (span_ranks(pairs) < 2).reshape(len(keys), len(_CORNER_PAIRS)).any(axis=1)
+    repeated = (span_rank(pairs) < 2).reshape(len(keys), len(_CORNER_PAIRS)).any(axis=1)
     vanishing = zero_corners.any(axis=1)
     degenerate = np.flatnonzero(concurrent & (vanishing | repeated))
     if degenerate.size and vanishing[degenerate[0]]:

@@ -19,63 +19,64 @@ from .errors import InfiniteVertex, SchemaViolation
 from .projective import LIE, PLUECKER
 from .qnets import PlaneNet, PointNet
 
-_POINT_AMBIENTS = {"RP3": 4, "R41": 5, "R31": 4, "R42": 6, "R33": 6}
-_LINE_AMBIENTS = {"R42": (LIE, 6), "R33": (PLUECKER, 6)}
+# (kind, ambient) -> (entry shape, builder of the net from its coordinate grid
+# (nu, nv, *entry) and infinity mask); only E3 nets mark vertices with null
+_LAYOUTS = {
+    ("point_net", "E3"): ((3,), EuclidNet),
+    **{
+        ("point_net", ambient): ((d,), lambda c, m, a=ambient: PointNet(c, ambient=a))
+        for ambient, d in (("RP3", 4), ("R41", 5), ("R31", 4), ("R42", 6), ("R33", 6))
+    },
+    ("plane_net", "RP3"): ((4,), lambda c, m: PlaneNet(c)),
+    ("line_grid", "R42"): ((2, 6), lambda c, m: IsoLineGrid(c, LIE)),
+    ("line_grid", "R33"): ((2, 6), lambda c, m: IsoLineGrid(c, PLUECKER)),
+}
 
 
-def _as_float_list(arr):
-    return [float(v) for v in np.asarray(arr).ravel()]
+def _grid(net):
+    """(kind, ambient, coords, at_infinity) of a net, coords (nu, nv, *entry);
+    at_infinity is the mask of an EuclidNet and None otherwise.  None for an
+    object that is not a net."""
+    if isinstance(net, EuclidNet):
+        return "point_net", "E3", net.points, net.at_infinity
+    if isinstance(net, PointNet):
+        return "point_net", net.ambient, net.points, None
+    if isinstance(net, PlaneNet):
+        return "plane_net", "RP3", net.covectors, None
+    if isinstance(net, IsoLineGrid):
+        ambient = "R42" if net.form.signature == LIE.signature else "R33"
+        return "line_grid", ambient, net.lines, None
+    return None
 
 
 def net_to_document(net, meta=None) -> dict:
     """JSON-ready document for a PointNet, PlaneNet, EuclidNet or IsoLineGrid."""
-    doc = {"meta": dict(meta)} if meta else {}
-    if isinstance(net, PointNet):
-        nu, nv = net.dims
-        doc.update(
-            kind="point_net",
-            ambient=net.ambient,
-            dims=[nu, nv],
-            data=[_as_float_list(net.points[i, j]) for i in range(nu) for j in range(nv)],
-        )
-    elif isinstance(net, PlaneNet):
-        nu, nv = net.dims
-        doc.update(
-            kind="plane_net",
-            ambient="RP3",
-            dims=[nu, nv],
-            data=[
-                _as_float_list(net.covectors[i, j]) for i in range(nu) for j in range(nv)
-            ],
-        )
-    elif isinstance(net, EuclidNet):
-        nu, nv = net.dims
-        data = []
-        for i in range(nu):
-            for j in range(nv):
-                data.append(
-                    None if net.at_infinity[i, j] else _as_float_list(net.points[i, j])
-                )
-        doc.update(kind="point_net", ambient="E3", dims=[nu, nv], data=data)
-    elif isinstance(net, IsoLineGrid):
-        nu, nv = net.dims
-        ambient = "R42" if net.form.signature == LIE.signature else "R33"
-        doc.update(
-            kind="line_grid",
-            ambient=ambient,
-            dims=[nu, nv],
-            data=[
-                [
-                    _as_float_list(net.lines[i, j, 0]),
-                    _as_float_list(net.lines[i, j, 1]),
-                ]
-                for i in range(nu)
-                for j in range(nv)
-            ],
-        )
-    else:
+    grid = _grid(net)
+    if grid is None:
         raise SchemaViolation(f"cannot serialize object of type {type(net).__name__}")
+    kind, ambient, coords, at_infinity = grid
+    nu, nv = coords.shape[:2]
+    data = coords.reshape(nu * nv, *coords.shape[2:]).tolist()
+    if at_infinity is not None:
+        for k in np.flatnonzero(at_infinity):
+            data[k] = None
+    doc = {"meta": dict(meta)} if meta else {}
+    doc.update(kind=kind, ambient=ambient, dims=[nu, nv], data=data)
     return doc
+
+
+def _coordinates(entry, shape, k):
+    """The coordinates of data[k], an entry of the given shape, as a flat list."""
+    if len(shape) == 2:
+        if not isinstance(entry, list) or len(entry) != shape[0]:
+            raise SchemaViolation(f"data[{k}]: expected a spanning pair")
+        return [v for part in entry for v in _coordinates(part, shape[1:], k)]
+    if not isinstance(entry, list) or len(entry) != shape[0]:
+        raise SchemaViolation(f"data[{k}]: expected {shape[0]} coordinates")
+    try:
+        return [float(v) for v in entry]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaViolation(f"data[{k}]: non-numeric coordinate") from exc
 
 
 def document_to_net(doc: dict):
@@ -92,7 +93,7 @@ def document_to_net(doc: dict):
     if (
         not isinstance(dims, list)
         or len(dims) != 2
-        or not all(isinstance(n, int) and n > 0 for n in dims)
+        or not all(type(n) is int and n > 0 for n in dims)
     ):
         raise SchemaViolation("field 'dims' must be two positive integers")
     nu, nv = dims
@@ -101,64 +102,34 @@ def document_to_net(doc: dict):
             f"field 'data' must hold dims[0]*dims[1] = {nu * nv} entries, got "
             f"{len(data) if isinstance(data, list) else type(data).__name__}"
         )
+    if not (isinstance(kind, str) and isinstance(ambient, str) and (kind, ambient) in _LAYOUTS):
+        if any(kind == known for known, _ in _LAYOUTS):
+            raise SchemaViolation(f"unknown {kind.split('_')[0]} ambient '{ambient}'")
+        raise SchemaViolation(f"unknown kind '{kind}'")
+    shape, build = _LAYOUTS[kind, ambient]
+    size = int(np.prod(shape))
+    mask = np.zeros(nu * nv, dtype=bool)
+    values = []
+    for k, entry in enumerate(data):
+        if entry is None and ambient == "E3":
+            mask[k] = True
+            values += [0.0] * size
+        else:
+            values += _coordinates(entry, shape, k)
+    return build(np.array(values).reshape(nu, nv, *shape), mask.reshape(nu, nv))
 
-    def entry_array(entry, length, index):
-        if not isinstance(entry, list) or len(entry) != length:
-            raise SchemaViolation(f"data[{index}]: expected {length} coordinates")
-        try:
-            return np.asarray([float(v) for v in entry])
-        except (TypeError, ValueError) as exc:
-            raise SchemaViolation(f"data[{index}]: non-numeric coordinate") from exc
 
-    if kind == "point_net" and ambient == "E3":
-        pts = np.zeros((nu, nv, 3))
-        mask = np.zeros((nu, nv), dtype=bool)
-        for k, entry in enumerate(data):
-            i, j = divmod(k, nv)
-            if entry is None:
-                mask[i, j] = True
-            else:
-                pts[i, j] = entry_array(entry, 3, k)
-        return EuclidNet(pts, mask)
-    if kind == "point_net":
-        if ambient not in _POINT_AMBIENTS:
-            raise SchemaViolation(f"unknown point ambient '{ambient}'")
-        d = _POINT_AMBIENTS[ambient]
-        pts = np.zeros((nu, nv, d))
-        for k, entry in enumerate(data):
-            i, j = divmod(k, nv)
-            pts[i, j] = entry_array(entry, d, k)
-        return PointNet(pts, ambient=ambient)
-    if kind == "plane_net":
-        cov = np.zeros((nu, nv, 4))
-        for k, entry in enumerate(data):
-            i, j = divmod(k, nv)
-            cov[i, j] = entry_array(entry, 4, k)
-        return PlaneNet(cov)
-    if kind == "line_grid":
-        if ambient not in _LINE_AMBIENTS:
-            raise SchemaViolation(f"unknown line ambient '{ambient}'")
-        form, d = _LINE_AMBIENTS[ambient]
-        lines = np.zeros((nu, nv, 2, d))
-        for k, entry in enumerate(data):
-            i, j = divmod(k, nv)
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise SchemaViolation(f"data[{k}]: expected a spanning pair")
-            lines[i, j, 0] = entry_array(entry[0], d, k)
-            lines[i, j, 1] = entry_array(entry[1], d, k)
-        return IsoLineGrid(lines, form)
-    raise SchemaViolation(f"unknown kind '{kind}'")
+def _write_text(text, target):
+    if hasattr(target, "write"):
+        target.write(text)
+    else:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def write_net(net, target, meta=None):
     """Write a net to a path or text stream; lossless float round trip."""
-    doc = net_to_document(net, meta)
-    text = json.dumps(doc, indent=1, sort_keys=True)
-    if hasattr(target, "write"):
-        target.write(text + "\n")
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _write_text(json.dumps(net_to_document(net, meta), indent=1, sort_keys=True) + "\n", target)
 
 
 def read_net(source):
@@ -177,47 +148,25 @@ def read_net(source):
     return document_to_net(doc)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def export_obj(net, target):
     """ASCII OBJ export: one v line per vertex (affine coordinates), one quad
     f line per elementary face, vertices in row-major order."""
-    if isinstance(net, EuclidNet):
-        nu, nv = net.dims
-        verts = []
-        for i in range(nu):
-            for j in range(nv):
-                if net.at_infinity[i, j]:
-                    raise InfiniteVertex(f"vertex ({i},{j}) is at infinity")
-                verts.append(net.points[i, j])
-    elif isinstance(net, PointNet):
-        if net.ambient != "RP3":
-            raise InfiniteVertex("OBJ export needs an RP3 or E3 net")
-        nu, nv = net.dims
-        verts = []
-        for i in range(nu):
-            for j in range(nv):
-                p = net.points[i, j]
-                if abs(p[3]) <= 1e-12 * np.linalg.norm(p):
-                    raise InfiniteVertex(f"vertex ({i},{j}) is at infinity")
-                verts.append(p[:3] / p[3])
-    else:
+    grid = _grid(net)
+    if grid is None or grid[0] != "point_net":
         raise InfiniteVertex(f"cannot export object of type {type(net).__name__}")
-    lines = []
-    for v in verts:
-        lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = i * nv + j + 2
-            c = (i + 1) * nv + j + 2
-            d = (i + 1) * nv + j + 1
-            lines.append(f"f {a} {b} {c} {d}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _, ambient, coords, at_infinity = grid
+    if at_infinity is None:
+        if ambient != "RP3":
+            raise InfiniteVertex("OBJ export needs an RP3 or E3 net")
+        at_infinity = np.abs(coords[..., 3]) <= 1e-12 * np.linalg.norm(coords, axis=-1)
+    infinite = np.argwhere(at_infinity)
+    if infinite.size:
+        i, j = infinite[0]
+        raise InfiniteVertex(f"vertex ({i},{j}) is at infinity")
+    verts = coords[..., :3] / coords[..., 3:] if ambient == "RP3" else coords
+    nu, nv = coords.shape[:2]
+    corner = np.arange(nu * nv).reshape(nu, nv)[:-1, :-1].reshape(-1, 1) + 1
+    faces = corner + [0, 1, nv + 1, nv]
+    lines = ["v %.17g %.17g %.17g"] * (nu * nv) + ["f %d %d %d %d"] * len(faces)
+    text = ("\n".join(lines) + "\n") % tuple(verts.ravel().tolist() + faces.ravel().tolist())
+    _write_text(text, target)

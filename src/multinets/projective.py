@@ -129,7 +129,11 @@ def span_rank(points, rtol: float = RANK_RTOL):
 
 
 def span_ranks(stacks, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Batched span_rank over an array of shape (N, k, d)."""
+    """Batched span_rank over an array of shape (N, k, d).
+
+    Nothing in the package calls it; it stays while the benchmark's tracer
+    (perfbench/tracing.py LAYERS) and its tests look the name up.
+    """
     return span_rank(stacks, rtol)
 
 
@@ -303,6 +307,12 @@ def polar_reflect(q: QuadricForm, n, x) -> np.ndarray:
     n, x = q._rows(n, x)
     if np.any(q._on_quadric(n)):
         raise IsotropicMirror("mirror lies on the quadric")
+    return _reflect(q, n, x)
+
+
+def _reflect(q: QuadricForm, n, x):
+    """polar_reflect on float stacks whose mirrors are known to be nonzero
+    and off the quadric, and whose points nonzero, without checking them."""
     return x - 2.0 * (q._apply(n, x) / q._apply(n, n))[..., None] * n
 
 

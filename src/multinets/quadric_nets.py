@@ -20,7 +20,7 @@ from .errors import (
     first_failure,
     raise_first_failure,
 )
-from .projective import _ABS_EPS, QuadricForm, polar_reflect, proj_distance
+from .projective import _ABS_EPS, QuadricForm, _nonzero_rows, _reflect, proj_distance
 from .qnets import PointNet, translation_gauge
 
 _AMBIENT_BY_FORM = {
@@ -83,19 +83,25 @@ def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
     good = len(x00) if setup is None else setup[0]
     n1, n2, x00 = n1[:good], n2[:good], x00[:good]
 
+    # the setup has validated the mirrors and the seed, so the reflections go
+    # unchecked; proj_distance validates the orbit points they produce
     pts = np.empty((good, k1 + 1, k2 + 1, d))
     pts[:, 0, 0] = x00
     for j in range(k2):
-        pts[:, 0, j + 1] = polar_reflect(q, n2[:, j], pts[:, 0, j])
+        pts[:, 0, j + 1] = _reflect(q, n2[:, j], pts[:, 0, j])
     for i in range(k1):
-        pts[:, i + 1] = polar_reflect(q, n1[:, i, None], pts[:, i])
+        pts[:, i + 1] = _reflect(q, n1[:, i, None], pts[:, i])
 
     fixed1 = proj_distance(pts[:, 1:], pts[:, :-1]) <= 1e-12
     fixed2 = proj_distance(pts[:, :, 1:], pts[:, :, :-1]) <= 1e-12
-    # commutation audit on the seed orbit
+    # commutation audit on the seed orbit; the seed's images are reflected
+    # again, so they must not vanish either
     seed = x00[:, None, None, :]
-    a = polar_reflect(q, n1[:, :, None], polar_reflect(q, n2[:, None, :], seed))
-    b = polar_reflect(q, n2[:, None, :], polar_reflect(q, n1[:, :, None], seed))
+    by2, by1 = _reflect(q, n2[:, None, :], seed), _reflect(q, n1[:, :, None], seed)
+    _nonzero_rows(by2)
+    _nonzero_rows(by1)
+    a = _reflect(q, n1[:, :, None], by2)
+    b = _reflect(q, n2[:, None, :], by1)
     skew = np.linalg.norm(a - b, axis=-1) > 1e-10 * np.linalg.norm(a, axis=-1)
 
     def at_first(mask, kind, message):

@@ -21,22 +21,26 @@ from .errors import (
     DimensionMismatch,
     DuplicatePoints,
     InconsistentCorner,
+    NonFiniteCoordinate,
     NotCircular,
     NotConcyclic,
     PerspectivityViolation,
     PointOffLine,
     SeedArcsNotC1,
     ZeroSum,
+    ZeroVector,
     first_failure,
     raise_first_failure,
 )
 from .projective import (
+    _ABS_EPS,
     MOEBIUS,
     intersect_spans,
     meet_lines,
     moebius_drop,
     moebius_lift,
     normalize,
+    proj_distance,
     proj_equal,
     rect_stacks,
     span_rank,
@@ -131,11 +135,6 @@ class EdgePolylines:
         return self.u.shape[2] - 1, self.v.shape[2] - 1
 
 
-def _uniform_edge_polyline(t_a, t_b, n):
-    ts = np.linspace(0.0, 1.0, n + 1)
-    return np.stack([(1.0 - t) * t_a + t * t_b for t in ts])
-
-
 def _transport(poly, src, dst):
     """Images of polylines (..., K, d) under the linear maps src -> dst.
 
@@ -149,6 +148,40 @@ def _transport(poly, src, dst):
     return normalize(np.einsum("...kj,...jd->...kd", coords, dst))
 
 
+def _check_seeds(name, seed, verts):
+    """Raise the error of the first bad polyline of one axis seed (E, n+1, d)
+    whose edges join the consecutive axis vertices verts (E+1, d).
+
+    The order is that of a seed-by-seed check: seed 0 before seed 1 and,
+    within a seed, its start and end (which must be the edge's vertices)
+    before its inner samples (which must lie on the edge line); a vanishing
+    or non-finite sample fails before its own check.
+    """
+    e, n, d = seed.shape[0], seed.shape[1] - 1, seed.shape[2]
+    order = [0, n, *range(1, n)]
+    pts = seed[:, order]
+    ends = np.stack([verts[:-1], verts[1:]], axis=1)
+    zero = np.linalg.norm(pts, axis=-1) <= _ABS_EPS
+    nonfinite = ~np.all(np.isfinite(pts), axis=-1)
+    pts = np.where((zero | nonfinite)[..., None], 1.0, pts)
+    corner = np.arange(n + 1) < 2
+    off = np.empty((e, n + 1), dtype=bool)
+    off[:, :2] = (proj_distance(pts[:, :2], ends) > 1e-8) | nonfinite[:, :2]
+    lines = np.broadcast_to(ends[:, None], (e, n - 1, 2, d))
+    off[:, 2:] = span_rank(np.concatenate([pts[:, 2:, None], lines], axis=2)) > 2
+
+    def error(kind, message):
+        return lambda f: kind(message.format(i=f // (n + 1), k=order[f % (n + 1)]))
+
+    raise_first_failure([
+        (zero, error(ZeroVector, "homogeneous coordinates must not vanish")),
+        (off & corner, error(InconsistentCorner, name + " seed {i} does not interpolate its edge")),
+        (nonfinite & ~corner,
+         error(NonFiniteCoordinate, name + " seed {i} sample {k} has a non-finite coordinate")),
+        (off & ~corner, error(PointOffLine, name + " seed {i} sample {k} is off its edge line")),
+    ])
+
+
 def _edge_polylines(net: PointNet, n_u, n_v, seeds, t) -> EdgePolylines:
     """attach_edge_polylines with the face gauges t (nu-1, nv-1, 4, d) given."""
     nu, nv = net.dims
@@ -158,33 +191,18 @@ def _edge_polylines(net: PointNet, n_u, n_v, seeds, t) -> EdgePolylines:
     v_edges = np.empty((nu, nv - 1, n_v + 1, d))
 
     if seeds is None:
-        for i in range(nu - 1):
-            u_edges[i, 0] = _uniform_edge_polyline(t[i, 0, 0], t[i, 0, 1], n_u)
-        for j in range(nv - 1):
-            v_edges[0, j] = _uniform_edge_polyline(t[0, j, 0], t[0, j, 2], n_v)
+        # uniform samples of each axis edge in its face's gauge representatives
+        for edges, ends, n in ((u_edges[:, 0], t[:, 0], n_u), (v_edges[0], t[0][:, [0, 2]], n_v)):
+            w = np.linspace(0.0, 1.0, n + 1)[:, None]
+            edges[...] = (1.0 - w) * ends[:, None, 0] + w * ends[:, None, 1]
     else:
         seed_u = np.asarray(seeds["u"], dtype=float)
         seed_v = np.asarray(seeds["v"], dtype=float)
         if seed_u.shape != (nu - 1, n_u + 1, d) or seed_v.shape != (nv - 1, n_v + 1, d):
             raise DimensionMismatch("seed polyline arrays have wrong shape")
-        for i in range(nu - 1):
-            if not proj_equal(seed_u[i, 0], p[i, 0], 1e-8) or not proj_equal(
-                seed_u[i, -1], p[i + 1, 0], 1e-8
-            ):
-                raise InconsistentCorner(f"u seed {i} does not interpolate its edge")
-            for k in range(1, n_u):
-                if span_rank([seed_u[i, k], p[i, 0], p[i + 1, 0]]) > 2:
-                    raise PointOffLine(f"u seed {i} sample {k} is off its edge line")
-            u_edges[i, 0] = seed_u[i]
-        for j in range(nv - 1):
-            if not proj_equal(seed_v[j, 0], p[0, j], 1e-8) or not proj_equal(
-                seed_v[j, -1], p[0, j + 1], 1e-8
-            ):
-                raise InconsistentCorner(f"v seed {j} does not interpolate its edge")
-            for l in range(1, n_v):
-                if span_rank([seed_v[j, l], p[0, j], p[0, j + 1]]) > 2:
-                    raise PointOffLine(f"v seed {j} sample {l} is off its edge line")
-            v_edges[0, j] = seed_v[j]
+        _check_seeds("u", seed_u, p[:, 0])
+        _check_seeds("v", seed_v, p[0])
+        u_edges[:, 0], v_edges[0] = seed_u, seed_v
 
     for j in range(nv - 1):
         u_edges[:, j + 1] = _transport(u_edges[:, j], t[:, j][:, [0, 1]], t[:, j][:, [2, 3]])
@@ -223,18 +241,32 @@ def has_collinear_joins(net: PointNet, ep: EdgePolylines, tol: float = 1e-9) -> 
     """Validation flag for seed freedom: at every interior vertex along a
     parameter line, the adjacent polyline samples and the vertex are
     collinear (the condition that makes the patches conic control meshes)."""
-    nu, nv = net.dims
-    for j in range(nv):
-        for i in range(1, nu - 1):
-            triple = [ep.u[i - 1, j, -2], net.points[i, j], ep.u[i, j, 1]]
-            if span_rank(triple, rtol=tol) > 2:
-                return False
-    for i in range(nu):
-        for j in range(1, nv - 1):
-            triple = [ep.v[i, j - 1, -2], net.points[i, j], ep.v[i, j, 1]]
-            if span_rank(triple, rtol=tol) > 2:
-                return False
-    return True
+    p, d = net.points, net.ambient_dim
+    u_joins = np.stack([ep.u[:-1, :, -2], p[1:-1], ep.u[1:, :, 1]], axis=-2)
+    v_joins = np.stack([ep.v[:, :-1, -2], p[:, 1:-1], ep.v[:, 1:, 1]], axis=-2)
+    joins = np.concatenate([u_joins.reshape(-1, 3, d), v_joins.reshape(-1, 3, d)])
+    return not np.any(span_rank(joins, rtol=tol) > 2)
+
+
+def _assemble(patches, u_samples, v_samples, vertices):
+    """Fine grid ((nu-1) n_u + 1, (nv-1) n_v + 1, d) of the face patches
+    (nu-1, nv-1, n_u+1, n_v+1, d) of a net with vertices (nu, nv, d).
+
+    The edge samples u (nu-1, nv, n_u+1, d) and v (nu, nv-1, n_v+1, d) are
+    written over the patch boundaries and the vertices last, so adjacent
+    patches share their boundary data and the vertices reappear
+    bit-identically at stride (n_u, n_v).
+    """
+    nu, nv, d = vertices.shape
+    n_u, n_v = u_samples.shape[2] - 1, v_samples.shape[2] - 1
+    fine = np.empty(((nu - 1) * n_u + 1, (nv - 1) * n_v + 1, d))
+    fine[:-1, :-1] = (
+        patches[:, :, :-1, :-1].transpose(0, 2, 1, 3, 4).reshape((nu - 1) * n_u, (nv - 1) * n_v, d)
+    )
+    fine[:-1, ::n_v] = u_samples[:, :, :-1].transpose(0, 2, 1, 3).reshape((nu - 1) * n_u, nv, d)
+    fine[::n_u, :-1] = v_samples[:, :, :-1].reshape(nu, (nv - 1) * n_v, d)
+    fine[::n_u, ::n_v] = vertices
+    return fine
 
 
 def subdivide_q(net: PointNet, n, rounds: int = 1, seeds=None) -> PointNet:
@@ -248,28 +280,10 @@ def subdivide_q(net: PointNet, n, rounds: int = 1, seeds=None) -> PointNet:
     n_u, n_v = _resolve_counts(n)
     out = net
     for r in range(rounds):
-        nu, nv = out.dims
-        p = out.points
         t, y = _face_gauges(out)
         ep = _edge_polylines(out, n_u, n_v, seeds if r == 0 else None, t)
         patches = _q_patches(t, y, ep.u[:, :-1], ep.u[:, 1:], ep.v[:-1], ep.v[1:])
-        fine = np.empty(((nu - 1) * n_u + 1, (nv - 1) * n_v + 1, out.ambient_dim))
-        for i in range(nu - 1):
-            for j in range(nv - 1):
-                fine[
-                    i * n_u : (i + 1) * n_u + 1, j * n_v : (j + 1) * n_v + 1
-                ] = patches[i, j]
-        # shared boundary data is written once, after the patches
-        for i in range(nu - 1):
-            for j in range(nv):
-                fine[i * n_u : (i + 1) * n_u + 1, j * n_v] = ep.u[i, j]
-        for i in range(nu):
-            for j in range(nv - 1):
-                fine[i * n_u, j * n_v : (j + 1) * n_v + 1] = ep.v[i, j]
-        for i in range(nu):
-            for j in range(nv):
-                fine[i * n_u, j * n_v] = p[i, j]
-        out = PointNet(fine, ambient=net.ambient)
+        out = PointNet(_assemble(patches, ep.u, ep.v, out.points), ambient=net.ambient)
     return out
 
 
@@ -700,15 +714,7 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
         raise DegenerateLaplaceSphere("patch produced a vertex at infinity")
     if failure is not None:
         raise failure[1]
-    patches = patches.reshape(nu - 1, nv - 1, n_u + 1, n_v + 1, 3)
-    fine = np.empty(((nu - 1) * n_u + 1, (nv - 1) * n_v + 1, 3))
-    fine[:-1, :-1] = (
-        patches[:, :, :-1, :-1].transpose(0, 2, 1, 3, 4).reshape((nu - 1) * n_u, (nv - 1) * n_v, 3)
-    )
-    # shared boundary data is written after the patches, the vertices last
-    fine[:-1, ::n_v] = u_smp[:, :, :-1].transpose(0, 2, 1, 3).reshape((nu - 1) * n_u, nv, 3)
-    fine[::n_u, :-1] = v_smp[:, :, :-1].reshape(nu, (nv - 1) * n_v, 3)
-    fine[::n_u, ::n_v] = p
+    fine = _assemble(patches.reshape(nu - 1, nv - 1, n_u + 1, n_v + 1, 3), u_smp, v_smp, p)
 
     # seed data for a further round: sub-arcs between consecutive samples
     seeds = []

@@ -81,6 +81,105 @@ def test_bad_entry_length_rejected():
         read_net(json.dumps(doc))
 
 
+# -- malformed input ---------------------------------------------------------------
+
+# one small valid document per (kind, ambient); each malformation below breaks
+# exactly one thing about it
+VALID_DOCS = {
+    "rp3": ("point_net", "RP3", [[1, 0, 0, 1], [0, 1, 0, 1]]),
+    "r41": ("point_net", "R41", [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1]]),
+    "e3": ("point_net", "E3", [[0, 0, 0], None]),
+    "plane": ("plane_net", "RP3", [[0, 0, 1, 0], [0, 0, 1, 1]]),
+    "lie": ("line_grid", "R42", [[[1, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 1]]] * 2),
+    "pluecker": ("line_grid", "R33", [[[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0]]] * 2),
+}
+
+
+def valid_doc(kind):
+    name, ambient, data = VALID_DOCS[kind]
+    return {"kind": name, "ambient": ambient, "dims": [1, 2], "data": json.loads(json.dumps(data))}
+
+
+def first_coords(doc):
+    entry = doc["data"][0]
+    return entry[0] if doc["kind"] == "line_grid" else entry
+
+
+def _set(key, value):
+    def breaks(doc):
+        doc[key] = value
+
+    return breaks
+
+
+MALFORMATIONS = {
+    "short-entry": lambda doc: first_coords(doc).pop(),
+    "non-numeric": lambda doc: first_coords(doc).__setitem__(0, "x"),
+    "nested-coordinate": lambda doc: first_coords(doc).__setitem__(0, [1.0]),
+    "huge-integer": lambda doc: first_coords(doc).__setitem__(0, 10**400),
+    "null-entry": lambda doc: doc["data"].__setitem__(0, None),
+    "not-a-pair": lambda doc: doc["data"].__setitem__(0, doc["data"][0][:1]),
+    "unknown-ambient": _set("ambient", "R99"),
+    "unknown-kind": _set("kind", "curve_net"),
+    "dims-zero": _set("dims", [0, 2]),
+    "dims-one-entry": _set("dims", [2]),
+    "dims-float": _set("dims", [1.0, 2]),
+    "dims-bool": _set("dims", [True, 2]),
+    "dims-string": _set("dims", "1x2"),
+    "data-not-list": _set("data", {"0": [1, 0, 0, 1]}),
+    "missing-data": lambda doc: doc.pop("data"),
+}
+# null marks a vertex at infinity in E3 nets; spanning pairs exist in line grids only
+MALFORMED_CASES = [
+    (kind, bad)
+    for kind in VALID_DOCS
+    for bad in MALFORMATIONS
+    if not (bad == "null-entry" and kind == "e3")
+    and not (bad == "not-a-pair" and VALID_DOCS[kind][0] != "line_grid")
+] + [(kind, bad) for kind in VALID_DOCS for bad in ("top-level-array", "truncated")]
+
+
+def malformed_text(kind, bad):
+    doc = valid_doc(kind)
+    if bad == "top-level-array":
+        return json.dumps([doc])
+    if bad == "truncated":
+        return json.dumps(doc)[:-7]
+    MALFORMATIONS[bad](doc)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("kind", sorted(VALID_DOCS))
+def test_valid_docs_read(kind):
+    read_net(io.StringIO(json.dumps(valid_doc(kind))))
+
+
+@pytest.mark.parametrize("kind, bad", MALFORMED_CASES)
+def test_malformed_input_rejected(kind, bad):
+    with pytest.raises(SchemaViolation):
+        read_net(io.StringIO(malformed_text(kind, bad)))
+
+
+def test_plane_net_ambient_must_be_rp3():
+    doc = valid_doc("plane")
+    doc["ambient"] = "R41"
+    with pytest.raises(SchemaViolation, match="unknown plane ambient 'R41'"):
+        read_net(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind, bad", MALFORMED_CASES)
+@pytest.mark.parametrize("command", [["verify", "q"], ["export"]])
+def test_cli_malformed_input_exit_2(command, kind, bad, tmp_path, capsys):
+    path = tmp_path / "net.json"
+    path.write_text(malformed_text(kind, bad))
+    code = main(command + ["-i", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: SchemaViolation: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_write_is_deterministic(rng):
     net = PointNet(rng.uniform(-1, 1, (3, 3, 4)))
     a, b = io.StringIO(), io.StringIO()

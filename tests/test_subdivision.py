@@ -14,9 +14,12 @@ from multinets.errors import (
     DegenerateLaplaceSphere,
     GeometryError,
     InconsistentCorner,
+    NonFiniteCoordinate,
     NotConcyclic,
     PerspectivityViolation,
+    PointOffLine,
     SeedArcsNotC1,
+    ZeroVector,
 )
 from multinets.projective import (
     ProjLine,
@@ -237,6 +240,95 @@ def test_propagated_polylines_equal_laplace_point_projections(rng, make):
                 assert proj_distance(ep.u[i, j + 1][k], want) < 1e-10
                 want = meet_lines(ProjLine(ep.v[i, j][k], ld.y1), v_edge)
                 assert proj_distance(ep.v[i + 1, j][k], want) < 1e-10
+
+
+def line_seeds(net, n_u, n_v):
+    """Seed polylines sampling the row-0 u-edges and column-0 v-edges
+    uniformly along their edge lines."""
+    p = net.points
+    w_u = np.linspace(0.0, 1.0, n_u + 1)[:, None]
+    w_v = np.linspace(0.0, 1.0, n_v + 1)[:, None]
+    return {
+        "u": (1 - w_u) * p[:-1, 0, None] + w_u * p[1:, 0, None],
+        "v": (1 - w_v) * p[0, :-1, None] + w_v * p[0, 1:, None],
+    }
+
+
+def check_seeds_per_seed(net, seeds):
+    """The seed-by-seed check of the loop that the batched check replaced,
+    kept as the reference for its errors and their order."""
+    p = net.points
+    for name, seed, verts in (("u", seeds["u"], p[:, 0]), ("v", seeds["v"], p[0])):
+        for i in range(len(seed)):
+            if not proj_equal(seed[i, 0], verts[i], 1e-8) or not proj_equal(seed[i, -1], verts[i + 1], 1e-8):
+                raise InconsistentCorner(f"{name} seed {i} does not interpolate its edge")
+            for k in range(1, seed.shape[1] - 1):
+                if span_rank([seed[i, k], verts[i], verts[i + 1]]) > 2:
+                    raise PointOffLine(f"{name} seed {i} sample {k} is off its edge line")
+
+
+@pytest.mark.parametrize(
+    "axis, where, error, message",
+    [
+        ("u", (1, 0), InconsistentCorner, "u seed 1 does not interpolate its edge"),
+        ("u", (1, -1), InconsistentCorner, "u seed 1 does not interpolate its edge"),
+        ("u", (1, 2), PointOffLine, "u seed 1 sample 2 is off its edge line"),
+        ("v", (2, -1), InconsistentCorner, "v seed 2 does not interpolate its edge"),
+        ("v", (0, 1), PointOffLine, "v seed 0 sample 1 is off its edge line"),
+    ],
+)
+def test_bad_seed_polyline_raises(axis, where, error, message):
+    net = integer_grid(3, 4)
+    seeds = line_seeds(net, 3, 2)
+    seeds[axis][where] += [0.0, 0.0, 0.5, 0.0]
+    with pytest.raises(error) as info:
+        attach_edge_polylines(net, (3, 2), seeds)
+    assert str(info.value) == message
+    with pytest.raises(error) as info:
+        subdivide_q(net, (3, 2), seeds=seeds)
+    assert str(info.value) == message
+
+
+def test_seed_errors_follow_the_per_seed_order():
+    """Seeds broken at one to three random samples, off their line or zero,
+    raise the error the seed-by-seed check meets first."""
+    rng = np.random.default_rng(2031)
+    net = integer_grid(4, 5)
+    for _ in range(200):
+        seeds = line_seeds(net, 3, 2)
+        for _ in range(rng.integers(1, 4)):
+            seed = seeds[rng.choice(["u", "v"])]
+            i, k = rng.integers(len(seed)), rng.integers(seed.shape[1])
+            seed[i, k] = 0.0 if rng.random() < 0.3 else seed[i, k] + rng.normal(0, 0.1, 4)
+        raised = []
+        for check in (check_seeds_per_seed, lambda net, seeds: attach_edge_polylines(net, (3, 2), seeds)):
+            try:
+                check(net, seeds)
+                raised.append(None)
+            except (InconsistentCorner, PointOffLine, ZeroVector) as exc:
+                raised.append((type(exc), str(exc)))
+        assert raised[0] == raised[1]
+
+
+def test_non_finite_seed_sample_raises_a_typed_error():
+    net = integer_grid(3, 3)
+    seeds = line_seeds(net, 3, 3)
+    seeds["u"][1, 2] = np.nan
+    with pytest.raises(NonFiniteCoordinate, match="u seed 1 sample 2 has a non-finite coordinate"):
+        attach_edge_polylines(net, 3, seeds)
+    # an earlier seed's error comes first; a non-finite end misses its vertex
+    seeds["u"][0, -1] = np.inf
+    with pytest.raises(InconsistentCorner, match="u seed 0 does not interpolate its edge"):
+        attach_edge_polylines(net, 3, seeds)
+
+
+def test_collinear_joins_flag_a_bent_join():
+    net = integer_grid(3, 4)
+    assert has_collinear_joins(net, attach_edge_polylines(net, 3, line_seeds(net, 3, 3)))
+    for axis, where in (("u", (0, 2, -2)), ("v", (1, 1, 1))):
+        bent = attach_edge_polylines(net, 3)
+        getattr(bent, axis)[where] += [0.0, 0.0, 0.3, 0.0]
+        assert not has_collinear_joins(net, bent)
 
 
 def test_subdivision_gauges_each_face_once(monkeypatch):
@@ -496,7 +588,7 @@ def test_circular_round_kernel_calls_do_not_grow_with_faces(monkeypatch):
     import multinets.subdivision as subdivision
 
     calls = {}
-    for name in ("polar_reflect", "intersect_spans", "meet_lines"):
+    for name in ("polar_reflect", "_reflect", "intersect_spans", "meet_lines"):
         original = getattr(projective, name)
 
         def counting(*args, _name=name, _original=original):
@@ -513,11 +605,13 @@ def test_circular_round_kernel_calls_do_not_grow_with_faces(monkeypatch):
         subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs))
         per_size[size] = dict(calls)
     # 4 faces against 25: one line meet and one span intersection for all
-    # faces; reflections once per row or column step of the propagation
-    # (nu - 1 + nv - 1) plus the n_u + n_v orbit steps and 4 commutation
-    # reflections of the one generate_by_reflections call
+    # faces; checked reflections once per row or column step of the
+    # propagation (nu - 1 + nv - 1), each one unchecked reflection, plus the
+    # n_u + n_v orbit steps and 4 commutation reflections of the one
+    # generate_by_reflections call, which has validated its input already
     for size, got in per_size.items():
-        assert got == {"meet_lines": 1, "intersect_spans": 1, "polar_reflect": 2 * (size - 1) + 4 + 4}
+        steps = 2 * (size - 1)
+        assert got == {"meet_lines": 1, "intersect_spans": 1, "polar_reflect": steps, "_reflect": steps + 4 + 4}
 
 
 def crossing_quad():
