@@ -35,6 +35,7 @@ from .projective import (
     moebius_lift,
     normalize,
     polar_reflect,
+    rect_stacks,
     span_rank,
 )
 from .qnets import (
@@ -423,57 +424,47 @@ def sample_canonical(kind: NetClass, profile, params) -> EuclidNet:
 # -- embeddedness --------------------------------------------------------------------
 
 
-def _circle_order_embedded(points) -> bool:
-    """Vertices of a concyclic quad occur in non-crossing cyclic order.
+def _circle_order_embedded(quads, at_infinity) -> np.ndarray:
+    """Which concyclic quads (R, 4, 3), corners in cyclic order, have their
+    vertices in non-crossing order on their circles.
 
-    For finite quads this uses angular order on the circumcircle; a quad
-    containing oo lies on a line, where the order is read off the line with
-    oo acting as the wrap point.
+    A finite quad is embedded when its corners, ranked by angle on the
+    circumcircle, step through the ranks by +1 or by -1 mod 4.  A quad with
+    one corner oo (mask (R, 4)) lies on a line, where the order is read off
+    the line with oo acting as the wrap point.  Quads with two corners at oo
+    give False.
     """
-    infinite = [k for k, p in enumerate(points) if p is INF]
-    if len(infinite) > 1:
-        raise DuplicatePoints("two vertices at infinity")
-    if len(infinite) == 1:
-        k = infinite[0]
-        finite = [np.asarray(points[(k + s) % 4], dtype=float) for s in (1, 2, 3)]
-        d = finite[2] - finite[0]
-        d = d / np.linalg.norm(d)
-        t = [float(np.dot(p - finite[0], d)) for p in finite]
-        # going a -> b -> c then wrapping through oo must be monotone
-        return (t[0] < t[1] < t[2]) or (t[0] > t[1] > t[2])
-    pts = [np.asarray(p, dtype=float) for p in points]
-    c = np.mean(pts, axis=0)
-    # in-plane orthonormal basis from the quad's plane
-    m = np.stack([p - c for p in pts])
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    e1, e2 = vh[0], vh[1]
-    ang = [np.arctan2(float(np.dot(p - c, e2)), float(np.dot(p - c, e1))) for p in pts]
-    order = np.argsort(ang)
-    pos = np.empty(4, dtype=int)
-    pos[order] = np.arange(4)
-    seq = list(pos)
-    for shift in range(4):
-        rolled = [(seq[(k + shift) % 4]) for k in range(4)]
-        if rolled == [0, 1, 2, 3] or rolled == [3, 2, 1, 0]:
-            return True
-    return False
+    embedded = np.zeros(len(quads), dtype=bool)
+    finite = ~at_infinity.any(axis=1)
+    m = quads[finite] - quads[finite].mean(axis=1, keepdims=True)
+    # in-plane orthonormal basis from each quad's plane
+    basis = np.linalg.svd(m, full_matrices=False)[2][:, :2]
+    xy = m @ np.swapaxes(basis, 1, 2)
+    rank = np.argsort(np.argsort(np.arctan2(xy[..., 1], xy[..., 0]), axis=1), axis=1)
+    step = (np.roll(rank, -1, axis=1) - rank) % 4
+    embedded[finite] = np.all(step == 1, axis=1) | np.all(step == 3, axis=1)
+    one = at_infinity.sum(axis=1) == 1
+    line, k = quads[one], np.argmax(at_infinity[one], axis=1)
+    a, b, c = (line[np.arange(len(line)), (k + s) % 4] for s in (1, 2, 3))
+    # a -> b -> c, then wrapping through oo, is monotone iff b lies between a and c
+    t = np.sum((b - a) * (c - a), axis=-1)
+    embedded[one] = (0 < t) & (t < np.sum((c - a) ** 2, axis=-1))
+    return embedded
 
 
 def check_embedded(net: EuclidNet) -> bool:
-    """All coordinate rectangles embedded (non-crossing on their circles)."""
+    """All coordinate rectangles embedded (non-crossing on their circles).
+
+    A rectangle with two corners at oo raises DuplicatePoints unless a
+    non-embedded rectangle comes before it in key order.
+    """
     if not is_multi_circular(net):
         raise NotMultiCircular("embeddedness is defined for multi-circular nets")
-    nu, nv = net.dims
-    for i0 in range(nu):
-        for i1 in range(i0 + 1, nu):
-            for j0 in range(nv):
-                for j1 in range(j0 + 1, nv):
-                    quad = [
-                        net.point(i0, j0),
-                        net.point(i1, j0),
-                        net.point(i1, j1),
-                        net.point(i0, j1),
-                    ]
-                    if not _circle_order_embedded(quad):
-                        return False
-    return True
+    grid = np.concatenate([net.points, net.at_infinity[..., None]], axis=-1)
+    corners = rect_stacks(grid, elementary=False)[1][:, [0, 1, 3, 2]]
+    at_infinity = corners[..., 3] > 0
+    doubly = at_infinity.sum(axis=1) > 1
+    bad = np.flatnonzero(doubly | ~_circle_order_embedded(corners[..., :3], at_infinity))
+    if bad.size and doubly[bad[0]]:
+        raise DuplicatePoints("two vertices at infinity")
+    return not bad.size

@@ -30,7 +30,7 @@ from .errors import (
     SingularPropagation,
     ZeroNormal,
 )
-from .projective import MOEBIUS_S2, rank_violations, rect_stacks, span_rank
+from .projective import MOEBIUS_S2, rect_stacks, span_rank
 from .qnets import PlaneNet, PointNet, translation_gauge
 
 
@@ -82,27 +82,26 @@ def _conical_violations(pn: PlaneNet, elementary: bool):
     <= 3 of their Moebius lifts.  Like is_conical_quad, the first concurrent
     rectangle with a vanishing or a repeated normal raises.
     """
-    keys, planes = rect_stacks(pn.homogeneous(), elementary)
-    reasons = {k: "planes not concurrent" for k, _ in rank_violations(keys, planes, 3)}
-    concurrent = np.array([k not in reasons for k in keys], dtype=bool)
     normals = pn.covectors[..., :3]
-    norms = np.linalg.norm(normals, axis=-1)
+    norms = np.linalg.norm(normals, axis=-1, keepdims=True)
     zero = norms <= 1e-13
-    unit = normals / np.where(zero, 1.0, norms)[..., None]
-    _, lifts = rect_stacks(lift_net(EuclidNet(unit)).points, elementary)
-    _, zero_corners = rect_stacks(zero, elementary)
+    lifted = lift_net(EuclidNet(normals / np.where(zero, 1.0, norms))).points
+    grid = np.concatenate([pn.homogeneous(), lifted, zero], axis=-1)
+    keys, corners = rect_stacks(grid, elementary)
+    planes, lifts, vanishing = corners[..., :4], corners[..., 4:9], corners[..., 9].any(axis=1)
     pairs = lifts[:, _CORNER_PAIRS].reshape(-1, 2, lifts.shape[-1])
     repeated = (span_rank(pairs) < 2).reshape(len(keys), len(_CORNER_PAIRS)).any(axis=1)
-    vanishing = zero_corners.any(axis=1)
-    degenerate = np.flatnonzero(concurrent & (vanishing | repeated))
+    skew = span_rank(planes) > 3
+    degenerate = np.flatnonzero(~skew & (vanishing | repeated))
     if degenerate.size and vanishing[degenerate[0]]:
         raise ZeroNormal("plane covector with vanishing normal part")
     if degenerate.size:
         raise DuplicatePoints("concyclicity needs pairwise distinct points")
-    idx = np.flatnonzero(concurrent)
-    for k, _ in rank_violations([keys[i] for i in idx], lifts[idx], 3):
-        reasons[k] = "normals not concyclic"
-    return [(k, reasons[k]) for k in keys if k in reasons]
+    failing = np.flatnonzero(skew | (span_rank(lifts) > 3))
+    return [
+        (keys[k], "planes not concurrent" if skew[k] else "normals not concyclic")
+        for k in failing
+    ]
 
 
 def conical_violations(pn: PlaneNet):
@@ -136,6 +135,10 @@ def polarize_spherical(net: EuclidNet) -> PlaneNet:
     return PlaneNet(cov)
 
 
+# rows of a 4-corner stack left after deleting each row in turn
+_MINOR_ROWS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+
+
 def parallel_conical_net(spherical: PlaneNet, d_row, d_col) -> PlaneNet:
     """Parallel net of a spherical multi-conical net with prescribed boundary
     offsets: d_row gives column 0 (one offset per row), d_col row 0.
@@ -154,24 +157,19 @@ def parallel_conical_net(spherical: PlaneNet, d_row, d_col) -> PlaneNet:
         raise NotMultiCircular("base net must be a spherical multi-conical net")
     n = spherical.covectors[..., :3]
     n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    # the concurrency determinant of a quad's planes (n, -d), expanded along
+    # its offset column, is d00 m0 - d10 m1 + d01 m2 - d11 m3 with the 3x3
+    # minors m of the unit normals n00, n10, n01, n11
+    keys, corners = rect_stacks(n, elementary=True)
+    minors = np.linalg.det(corners[:, _MINOR_ROWS]).tolist()
     d = np.empty((nu, nv))
     d[:, 0] = d_row
     d[0, :] = d_col
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            rows = np.empty((4, 4))
-            rows[0, :3], rows[0, 3] = n[i, j], -d[i, j]
-            rows[1, :3], rows[1, 3] = n[i + 1, j], -d[i + 1, j]
-            rows[2, :3], rows[2, 3] = n[i, j + 1], -d[i, j + 1]
-            rows[3, :3] = n[i + 1, j + 1]
-            rows[3, 3] = 0.0
-            f0 = np.linalg.det(rows)
-            rows[3, 3] = -1.0
-            f1 = np.linalg.det(rows)
-            coeff = f1 - f0
-            if abs(coeff) <= 1e-13 * max(1.0, abs(f0)):
-                raise SingularPropagation(f"degenerate quad at ({i},{j})")
-            d[i + 1, j + 1] = -f0 / coeff
+    for (i, _, j, _), (m0, m1, m2, m3) in zip(keys, minors):
+        num = d[i, j] * m0 - d[i + 1, j] * m1 + d[i, j + 1] * m2
+        if abs(m3) <= 1e-13 * max(1.0, abs(num)):
+            raise SingularPropagation(f"degenerate quad at ({i},{j})")
+        d[i + 1, j + 1] = num / m3
     cov = np.concatenate([n, d[..., None]], axis=-1)
     return PlaneNet(cov)
 

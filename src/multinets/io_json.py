@@ -133,10 +133,11 @@ def write_net(net, target, meta=None):
 
 
 def read_net(source):
-    """Read a net from a path, text stream, or JSON string."""
+    """Read a net from a path, a text stream, or JSON text (a str whose
+    first non-space character is { or [)."""
     if hasattr(source, "read"):
         text = source.read()
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
     else:
         with open(source, "r", encoding="utf-8") as fh:

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import torus_point
 from multinets.circular import (
+    _circle_order_embedded,
     sample_canonical,
     EuclidNet,
     NetClass,
@@ -33,6 +36,7 @@ from multinets.projective import (
     MOEBIUS,
     bilinear_eval,
     plane_rep,
+    rect_stacks,
     sphere_rep,
     sphere_rep_to_euclidean,
 )
@@ -318,19 +322,129 @@ def test_embedded_elementary_implies_rectangles(rng):
     # monotone samplers: every elementary quad embedded, and indeed every
     # rectangle is embedded as well
     net = rot_net(rng)
-    nu, nv = net.dims
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            quad = [
-                net.point(i, j),
-                net.point(i + 1, j),
-                net.point(i + 1, j + 1),
-                net.point(i, j + 1),
-            ]
-            from multinets.circular import _circle_order_embedded
-
-            assert _circle_order_embedded(quad)
+    quads = rect_stacks(net.points, elementary=True)[1][:, [0, 1, 3, 2]]
+    assert _circle_order_embedded(quads, np.zeros(quads.shape[:2], dtype=bool)).all()
     assert check_embedded(net)
+
+
+def scalar_circle_order_embedded(points) -> bool:
+    """Reference: one quad given as four points or INF in cyclic order,
+    angles on the circumcircle from one SVD, oo as the wrap point of a line."""
+    infinite = [k for k, p in enumerate(points) if p is INF]
+    if len(infinite) > 1:
+        raise DuplicatePoints("two vertices at infinity")
+    if len(infinite) == 1:
+        k = infinite[0]
+        finite = [np.asarray(points[(k + s) % 4], dtype=float) for s in (1, 2, 3)]
+        d = finite[2] - finite[0]
+        d = d / np.linalg.norm(d)
+        t = [float(np.dot(p - finite[0], d)) for p in finite]
+        return (t[0] < t[1] < t[2]) or (t[0] > t[1] > t[2])
+    pts = [np.asarray(p, dtype=float) for p in points]
+    c = np.mean(pts, axis=0)
+    vh = np.linalg.svd(np.stack([p - c for p in pts]), full_matrices=False)[2]
+    ang = [np.arctan2(float(np.dot(p - c, vh[1])), float(np.dot(p - c, vh[0]))) for p in pts]
+    pos = np.empty(4, dtype=int)
+    pos[np.argsort(ang)] = np.arange(4)
+    seq = list(pos)
+    rotations = [[seq[(k + shift) % 4] for k in range(4)] for shift in range(4)]
+    return [0, 1, 2, 3] in rotations or [3, 2, 1, 0] in rotations
+
+
+def scalar_check_embedded(net):
+    """Reference: the scalar quad test on every rectangle in key order."""
+    nu, nv = net.dims
+    for (i0, i1), (j0, j1) in itertools.product(
+        itertools.combinations(range(nu), 2), itertools.combinations(range(nv), 2)
+    ):
+        quad = [net.point(i0, j0), net.point(i1, j0), net.point(i1, j1), net.point(i0, j1)]
+        if not scalar_circle_order_embedded(quad):
+            return False
+    return True
+
+
+def test_stacked_order_test_equals_scalar_on_random_quads():
+    rng = np.random.default_rng(31)
+    quads, masks = [], []
+    for t in range(1200):
+        center, radius = rng.normal(size=3), rng.uniform(0.5, 2.0)
+        e1, e2 = np.linalg.qr(rng.normal(size=(3, 2)))[0].T
+        ang = rng.uniform(0.0, 2 * np.pi, 4)
+        mask = np.zeros(4, dtype=bool)
+        if t % 3:
+            pts = center + radius * (np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2)
+        else:  # a line through oo, one corner at oo
+            pts = center + np.outer(rng.uniform(-2.0, 2.0, 4), e1)
+            mask[rng.integers(4)] = True
+            pts[mask] = 0.0
+        quads.append(pts)
+        masks.append(mask)
+    quads.append(np.zeros((4, 3)))
+    masks.append(np.array([False, True, False, True]))
+    got = _circle_order_embedded(np.stack(quads), np.stack(masks))
+    want = []
+    for pts, mask in zip(quads[:-1], masks[:-1]):
+        want.append(scalar_circle_order_embedded([INF if m else p for p, m in zip(pts, mask)]))
+    assert got[:-1].tolist() == want
+    assert 200 < sum(want) < 1000
+    assert sum(w for w, m in zip(want, masks) if m.any()) > 50
+    with pytest.raises(DuplicatePoints):
+        scalar_circle_order_embedded([np.zeros(3), INF, np.ones(3), INF])
+    assert not got[-1]
+
+
+def circle_net(angles):
+    """Net on the unit circle of the xy-plane: every rectangle concyclic."""
+    a = np.asarray(angles, dtype=float)
+    return EuclidNet(np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=-1))
+
+
+def test_net_not_embedded_only_on_a_non_elementary_rectangle():
+    net = circle_net([[0.0, 5.0], [1.0, 4.0], [0.5, 5.5]])
+    assert is_multi_circular(net)
+    quads = rect_stacks(net.points, elementary=True)[1][:, [0, 1, 3, 2]]
+    assert _circle_order_embedded(quads, np.zeros(quads.shape[:2], dtype=bool)).all()
+    assert not check_embedded(net)
+    keys, corners = rect_stacks(net.points, elementary=False)
+    crossing = [k for k, q in zip(keys, corners) if not scalar_circle_order_embedded(q[[0, 1, 3, 2]])]
+    assert crossing == [(0, 2, 0, 1)]
+
+
+def line_net(rows):
+    """Net on the x-axis, None marking a vertex at oo."""
+    return EuclidNet.from_grid([[INF if x is None else [x, 0.0, 0.0] for x in row] for row in rows])
+
+
+def test_two_corners_at_infinity_raise_unless_a_crossing_comes_first():
+    # (1, 2, 0, 1) crosses; (0, 1, 0, 1) has two corners at oo and comes first
+    net = line_net([[None, 2.0], [None, 1.0], [0.0, 3.0]])
+    assert is_multi_circular(net)
+    with pytest.raises(DuplicatePoints):
+        check_embedded(net)
+    # rows reversed: the crossing (0, 1, 0, 1) comes before (1, 2, 0, 1)
+    assert not check_embedded(line_net([[0.0, 3.0], [None, 1.0], [None, 2.0]]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_embeddedness_invariant_under_inversion(seed):
+    # Moebius maps keep the cyclic order on each circle up to reversal.
+    # Centres stay in [-1, 1]^3, where invert_point sends a sphere's own
+    # centre to oo (farther out it may not; see CHANGES.md).
+    rng = np.random.default_rng(seed)
+    nets = [rot_net(rng, 4, 4), circle_net(rng.uniform(0.0, 2 * np.pi, (3, 4)))]
+    verdicts = set()
+    for net in nets:
+        want = check_embedded(net)
+        assert want == scalar_check_embedded(net)
+        verdicts.add(want)
+        i, j = rng.integers(net.dims[0]), rng.integers(net.dims[1])
+        centre = rng.uniform(-1.0, 1.0, 3)
+        moved = EuclidNet(net.points - net.points[i, j] + centre)
+        at_vertex = invert_net(sphere_rep(centre, rng.uniform(0.5, 2.0)), moved)
+        assert np.argwhere(at_vertex.at_infinity).tolist() == [[i, j]]
+        generic = invert_net(sphere_rep(rng.uniform(-1.0, 1.0, 3), rng.uniform(0.5, 2.0)), moved)
+        assert check_embedded(at_vertex) == check_embedded(generic) == want
+    assert verdicts == {True, False}
 
 
 def test_strip_spheres_all_pairs_orthogonal(rng):

@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinets.circular import is_multi_circular
 from multinets.conical import (
@@ -17,7 +21,9 @@ from multinets.conical import (
     sample_s2_symmetric_strip,
 )
 from multinets.errors import (
+    DimensionMismatch,
     DuplicatePoints,
+    InconsistentCorner,
     NotConcurrent,
     NotOnSphere,
     SingularPropagation,
@@ -372,3 +378,94 @@ def test_single_row_plane_net_has_empty_report(rng, shape):
     assert conical_violations(pn) == []
     assert multi_conical_violations(pn) == []
     assert is_multi_conical(pn)
+
+
+# -- parallel conical nets against the per-quad determinant recurrence -------------
+
+
+def parallel_reference(spherical, d_row, d_col):
+    """Reference: offsets from two 4x4 concurrency determinants per quad."""
+    nu, nv = spherical.dims
+    n = spherical.covectors[..., :3]
+    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    d = np.empty((nu, nv))
+    d[:, 0] = d_row
+    d[0, :] = d_col
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            rows = np.empty((4, 4))
+            rows[0, :3], rows[0, 3] = n[i, j], -d[i, j]
+            rows[1, :3], rows[1, 3] = n[i + 1, j], -d[i + 1, j]
+            rows[2, :3], rows[2, 3] = n[i, j + 1], -d[i, j + 1]
+            rows[3, :3] = n[i + 1, j + 1]
+            rows[3, 3] = 0.0
+            f0 = np.linalg.det(rows)
+            rows[3, 3] = -1.0
+            coeff = np.linalg.det(rows) - f0
+            if abs(coeff) <= 1e-13 * max(1.0, abs(f0)):
+                raise SingularPropagation(f"degenerate quad at ({i},{j})")
+            d[i + 1, j + 1] = -f0 / coeff
+    return np.concatenate([n, d[..., None]], axis=-1)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_parallel_net_equals_determinant_recurrence(seed):
+    rng = np.random.default_rng(seed)
+    n_lon, n_lat = rng.integers(3, 8, 2)
+    base = polarize_spherical(sample_s2_rotational(
+        np.sort(rng.uniform(0.3, 2.8, n_lat)), np.sort(rng.uniform(0.0, 6.0, n_lon))
+    ))
+    d_row = 1 + 0.5 * rng.uniform(-1, 1, n_lon)
+    d_col = 1 + 0.5 * rng.uniform(-1, 1, n_lat)
+    d_col[0] = d_row[0]
+    got = parallel_conical_net(base, d_row, d_col).covectors
+    want = parallel_reference(base, d_row, d_col)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_parallel_net_rejects_bad_offsets():
+    pn = polarize_spherical(s2_rot())
+    nu, nv = pn.dims
+    with pytest.raises(DimensionMismatch):
+        parallel_conical_net(pn, np.ones(nu + 1), np.ones(nv))
+    with pytest.raises(InconsistentCorner):
+        parallel_conical_net(pn, np.ones(nu), np.full(nv, 2.0))
+
+
+@pytest.mark.parametrize("tilt", [0.0, 1e-14])
+def test_parallel_net_on_one_meridian_is_singular(tilt):
+    # all normals in the plane y = 0: every quad's planes share the y-axis
+    # direction, so the offset does not enter the concurrency condition; a
+    # tilt of 1e-14 leaves a minor of about 1.4e-14, under the 1e-13 cutoff
+    up = np.array([[np.sin(a), 0.0, np.cos(a)] for a in (0.3, 0.8, 1.2, 0.5)])
+    up[0, 1] = tilt
+    up /= np.linalg.norm(up, axis=1, keepdims=True)
+    pn = polarize_spherical(sample_s2_symmetric_strip(up))
+    assert is_multi_conical(pn)
+    for build in (parallel_conical_net, parallel_reference):
+        with pytest.raises(SingularPropagation, match=r"^degenerate quad at \(0,0\)$"):
+            build(pn, np.ones(4), np.ones(2))
+
+
+# -- multi-conical listings under rigid motions and rescaling -----------------------
+
+
+@functools.cache
+def agreement_covectors():
+    return [pn.covectors for pn in _agreement_nets(np.random.default_rng(12345))]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.integers(0, 15), st.integers(0, 2**32 - 1), st.floats(0.0, 6.0))
+def test_multi_conical_listing_invariant(index, seed, log_spread):
+    cov = agreement_covectors()[index]
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    # x -> q x + t moves the plane <n, x> = d to <q n, y> = d + <q n, t>
+    n = cov[..., :3] @ q.T
+    moved = np.concatenate([n, (cov[..., 3] + n @ rng.uniform(-1, 1, 3))[..., None]], axis=-1)
+    scales = 10.0 ** rng.uniform(-log_spread, log_spread, cov.shape[:2] + (1,))
+    want = multi_conical_violations(PlaneNet(cov))
+    assert multi_conical_violations(PlaneNet(moved)) == want
+    assert multi_conical_violations(PlaneNet(cov * scales)) == want

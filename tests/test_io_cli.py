@@ -156,8 +156,10 @@ def test_valid_docs_read(kind):
 
 @pytest.mark.parametrize("kind, bad", MALFORMED_CASES)
 def test_malformed_input_rejected(kind, bad):
-    with pytest.raises(SchemaViolation):
-        read_net(io.StringIO(malformed_text(kind, bad)))
+    text = malformed_text(kind, bad)
+    for source in (io.StringIO(text), text):
+        with pytest.raises(SchemaViolation):
+            read_net(source)
 
 
 def test_plane_net_ambient_must_be_rp3():

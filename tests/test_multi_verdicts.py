@@ -1,15 +1,17 @@
 """How the multi-rectangle predicates reach their verdicts: the first chunk
-by SVD, the translation certificate, the chunked early exit; and the typed
-error for non-finite coordinates."""
+by SVD, the translation certificate, the chunked early exit; their
+agreement under Q/Q* duality and projective maps; and the typed error for
+non-finite coordinates."""
 
 import json
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_q_net
 from multinets.circular import (
     EuclidNet,
     is_multi_circular,
@@ -26,6 +28,7 @@ from multinets.qnets import (
     PointNet,
     _rects_planar,
     _translation_certified,
+    dualize_point_net,
     is_multi_q_net,
     is_multi_qstar,
     multi_q_violations,
@@ -186,6 +189,47 @@ def test_chunked_predicates_equal_exhaustive(nu, nv, where, violate):
     assert [k for k, _ in multi_q_violations(net)] == ([key] if violate else [])
     assert [k for k, _ in multi_qstar_violations(planes)] == ([key] if violate else [])
     assert is_multi_q_net(net) == is_multi_qstar(planes) == (not violate)
+
+
+# -- duality and projective maps ------------------------------------------------
+
+
+def rect_ratios(grid):
+    """sigma_4 / sigma_1 of every coordinate rectangle of a grid (nu, nv, 4)."""
+    rows, cols = rect_indices(*grid.shape[:2], elementary=False)
+    s = np.linalg.svd(normalized_rows(grid[rows, cols]), compute_uv=False)
+    return s[:, 3] / s[:, 0]
+
+
+@SETTINGS
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["translation", "generic", "perturbed"]),
+    st.integers(3, 7),
+    st.integers(3, 7),
+)
+def test_duality_and_projective_maps_keep_verdicts(seed, family, nu, nv):
+    rng = np.random.default_rng(seed)
+    if family == "generic":
+        pts = random_q_net(rng, nu, nv).points
+    else:
+        pts = translation_points(seed, nu, nv)
+    if family == "perturbed":
+        pts[rng.integers(nu), rng.integers(nv)] += rng.uniform(1e-6, 1e-3) * rng.normal(size=4)
+    # a map of condition number c moves each ratio by at most a factor c^2 <= 9
+    ratios = rect_ratios(pts)
+    assume(np.all((ratios < RANK_RTOL / 100) | (ratios > 100 * RANK_RTOL)))
+    keys = [k for k, _ in multi_q_violations(PointNet(pts))]
+    dual = dualize_point_net(PointNet(pts))
+    assert [k for k, _ in multi_qstar_violations(dual)] == keys
+    assert is_multi_q_net(PointNet(pts)) == is_multi_qstar(dual) == (not keys)
+    u, v = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+    m = u * rng.uniform(1.0, 3.0, 4) @ v
+    # points map by m, plane covectors contragrediently by the inverse
+    image, planes = PointNet(pts @ m.T), covectors(dual.homogeneous() @ np.linalg.inv(m))
+    assert [k for k, _ in multi_q_violations(image)] == keys
+    assert [k for k, _ in multi_qstar_violations(planes)] == keys
+    assert is_multi_q_net(image) == is_multi_qstar(planes) == (not keys)
 
 
 def rotational_net(seed, n):
