@@ -11,7 +11,7 @@ and cylinders by the signature of the Laplace-transform span.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .projective import (
     _ABS_EPS,
     INF,
     MOEBIUS,
-    QuadricForm,
+    RANK_RTOL,
+    Classification,
+    classify_spans,
     common_point_of_spans,
     moebius_drop,
     moebius_lift,
@@ -46,8 +48,6 @@ from .qnets import (
     translation_gauge,
 )
 from .quadric_nets import generate_by_reflections
-
-EIG_ZERO_RTOL = 1e-7  # zero-eigenvalue threshold for span classification
 
 
 @dataclass
@@ -241,61 +241,23 @@ class NetClass(enum.Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass
-class Classification:
-    """Class verdict plus the restricted-form eigenvalues of both spans."""
-
-    kind: object
-    span_dims: tuple
-    eigenvalues: tuple = field(default_factory=tuple)
-
-    @property
-    def label(self) -> str:
-        return getattr(self.kind, "value", self.kind)
-
-    def __str__(self):
-        e1 = ", ".join(f"{v:+.3e}" for v in self.eigenvalues[0])
-        e2 = ", ".join(f"{v:+.3e}" for v in self.eigenvalues[1])
-        return f"{self.label} spans {self.span_dims} eig1 [{e1}] eig2 [{e2}]"
+# codes (n_pos, n_neg, n_zero) of a 2-dimensional Laplace span, in order of
+# precedence: a zero eigenvalue or a mixed signature outranks (+ +)
+_NET_CLASSES = {
+    (1, 0, 1): NetClass.CYLINDER,
+    (1, 1, 0): NetClass.CONE,
+    (2, 0, 0): NetClass.ROTATIONAL,
+}
 
 
-def _span_signature(vectors, form: QuadricForm, rtol: float = 1e-9):
-    """Eigenvalues of the form restricted to span(vectors), via an
-    orthonormal basis; returns (dim, eigenvalues, n_pos, n_neg, n_zero)."""
-    m = np.atleast_2d(np.asarray(vectors, dtype=float))
-    m = m / np.linalg.norm(m, axis=-1, keepdims=True)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = int(np.sum(s > rtol * s[0]))
-    basis = vh[:r]
-    gram = form.gram(basis)
-    eig = np.linalg.eigvalsh(gram)
-    top = np.max(np.abs(eig)) if eig.size else 0.0
-    n_zero = int(np.sum(np.abs(eig) <= EIG_ZERO_RTOL * top))
-    n_pos = int(np.sum(eig > EIG_ZERO_RTOL * top))
-    n_neg = int(np.sum(eig < -EIG_ZERO_RTOL * top))
-    return r, eig, n_pos, n_neg, n_zero
-
-
-def _classify_spans(sig1, sig2, two_dim_classes):
-    """Shared decision rule: the 2-dimensional span decides the class."""
-    d1, e1, p1, n1, z1 = sig1
-    d2, e2, p2, n2, z2 = sig2
-    if min(d1, d2) <= 1:
-        return None  # caller maps this to its degenerate/strip class
-    verdicts = []
-    for d, p, n, z in ((d1, p1, n1, z1), (d2, p2, n2, z2)):
-        if d != 2:
-            continue
-        verdicts.append(two_dim_classes.get((p, n, z)))
-    verdicts = [v for v in verdicts if v is not None]
-    if not verdicts:
-        return "ambiguous"
-    # a zero eigenvalue or a mixed signature is decisive over (+ +)
-    for priority in ("zero", "mixed", "plus"):
-        for v in verdicts:
-            if v[0] == priority:
-                return v[1]
-    return verdicts[0][1]
+def _net_class(code1, code2):
+    """Class of a pair of Laplace-span codes: both spans need two or more
+    dimensions, and then the first entry of _NET_CLASSES among them decides."""
+    if min(sum(code1), sum(code2)) > 1:
+        for code, kind in _NET_CLASSES.items():
+            if code in (code1, code2):
+                return kind
+    return NetClass.DEGENERATE
 
 
 def _recenter_unit_scale(net: EuclidNet) -> EuclidNet:
@@ -319,24 +281,11 @@ def classify_multi_circular(net: EuclidNet) -> Classification:
     through a circle -> rotational, (+ -) concentric -> cone, (+ 0)
     parallel planes -> cylinder.
     """
-    net = _recenter_unit_scale(net)
-    if not is_multi_circular(net):
+    lifted = lift_net(_recenter_unit_scale(net))
+    if not _rects_planar(lifted.points):
         raise NotMultiCircular("classification requires a multi-circular net")
-    lifted = lift_net(net)
     _, y1, y2 = translation_gauge(lifted)
-    sig1 = _span_signature(y1, MOEBIUS)
-    sig2 = _span_signature(y2, MOEBIUS)
-    eigs = (sig1[1], sig2[1])
-    dims = (sig1[0], sig2[0])
-    table = {
-        (2, 0, 0): ("plus", NetClass.ROTATIONAL),
-        (1, 1, 0): ("mixed", NetClass.CONE),
-        (1, 0, 1): ("zero", NetClass.CYLINDER),
-    }
-    verdict = _classify_spans(sig1, sig2, table)
-    if verdict is None or verdict == "ambiguous":
-        return Classification(NetClass.DEGENERATE, dims, eigs)
-    return Classification(verdict, dims, eigs)
+    return classify_spans(MOEBIUS, (y1, y2), _net_class)
 
 
 # -- canonical samplers -------------------------------------------------------------
@@ -429,18 +378,22 @@ def _circle_order_embedded(quads, at_infinity) -> np.ndarray:
     vertices in non-crossing order on their circles.
 
     A finite quad is embedded when its corners, ranked by angle on the
-    circumcircle, step through the ranks by +1 or by -1 mod 4.  A quad with
-    one corner oo (mask (R, 4)) lies on a line, where the order is read off
-    the line with oo acting as the wrap point.  Quads with two corners at oo
-    give False.
+    circumcircle, step through the ranks by +1 or by -1 mod 4; four finite
+    collinear corners (second singular value at most RANK_RTOL times the
+    first) have no circumcentre and are ranked by their line coordinate.  A
+    quad with one corner oo (mask (R, 4)) lies on a line, where the order is
+    read off the line with oo acting as the wrap point.  Quads with two
+    corners at oo give False.
     """
     embedded = np.zeros(len(quads), dtype=bool)
     finite = ~at_infinity.any(axis=1)
     m = quads[finite] - quads[finite].mean(axis=1, keepdims=True)
     # in-plane orthonormal basis from each quad's plane
-    basis = np.linalg.svd(m, full_matrices=False)[2][:, :2]
-    xy = m @ np.swapaxes(basis, 1, 2)
-    rank = np.argsort(np.argsort(np.arctan2(xy[..., 1], xy[..., 0]), axis=1), axis=1)
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    xy = m @ np.swapaxes(vh[:, :2], 1, 2)
+    on_line = (s[:, 1] <= RANK_RTOL * s[:, 0])[:, None]
+    key = np.where(on_line, xy[..., 0], np.arctan2(xy[..., 1], xy[..., 0]))
+    rank = np.argsort(np.argsort(key, axis=1), axis=1)
     step = (np.roll(rank, -1, axis=1) - rank) % 4
     embedded[finite] = np.all(step == 1, axis=1) | np.all(step == 3, axis=1)
     one = at_infinity.sum(axis=1) == 1

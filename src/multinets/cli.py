@@ -16,22 +16,9 @@ from . import circular, conical, congruences, qnets, quadric_nets, subdivision
 from .circular import EuclidNet
 from .errors import GeometryError
 from .io_json import export_obj, read_net, write_net
-from .projective import ProjLine, normalize
+from .projective import MOEBIUS, ProjLine, span_rank
 from .qnets import PlaneNet, PointNet
 from .subdivision import CircArc
-
-
-def _read_input(args):
-    if args.input:
-        return read_net(args.input)
-    return read_net(sys.stdin)
-
-
-def _write_output(net, args, meta=None):
-    if args.output:
-        write_net(net, args.output, meta)
-    else:
-        write_net(net, sys.stdout, meta)
 
 
 # -- generators -------------------------------------------------------------------
@@ -47,8 +34,6 @@ def _gen_translation(rng, args):
 
 
 def _gen_reflect(rng, args):
-    from .projective import MOEBIUS
-
     for _ in range(64):
         n1 = np.zeros((args.nu - 1, 5))
         n1[:, 0:2] = rng.uniform(-1.0, 1.0, size=(args.nu - 1, 2))
@@ -99,8 +84,6 @@ def _gen_qqstar(rng, args):
             line2 = ProjLine(pts[2], pts[3])
         except GeometryError:
             continue
-        from .projective import span_rank
-
         if span_rank(pts) < 4:
             continue
         t1 = rng.uniform(-1.0, 1.0, size=(args.nu - 1, 2))
@@ -160,7 +143,7 @@ _GEN = {
 def _cmd_gen(args) -> int:
     rng = np.random.default_rng(args.seed)
     net = _GEN[args.what](rng, args)
-    _write_output(net, args, meta={"generator": args.what, "seed": args.seed})
+    write_net(net, args.output or sys.stdout, {"generator": args.what, "seed": args.seed})
     return 0
 
 
@@ -181,7 +164,7 @@ _VERIFIERS = {
 
 
 def _cmd_verify(args) -> int:
-    net = _read_input(args)
+    net = read_net(args.input or sys.stdin)
     expected, checker = _VERIFIERS[args.what]
     if not isinstance(net, expected):
         print(
@@ -203,7 +186,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    net = _read_input(args)
+    net = read_net(args.input or sys.stdin)
     if args.what == "circular":
         result = circular.classify_multi_circular(net)
     elif args.what == "gauss":
@@ -229,7 +212,7 @@ def _load_arcs(doc_list):
 
 
 def _cmd_subdivide(args) -> int:
-    net = _read_input(args)
+    net = read_net(args.input or sys.stdin)
     n = (args.nu, args.nv) if args.nu and args.nv else args.n
     if args.scheme == "q":
         if not isinstance(net, PointNet):
@@ -256,7 +239,7 @@ def _cmd_subdivide(args) -> int:
         out = subdivision.subdivide_circular(
             net, n, _load_arcs(raw["row0"]), _load_arcs(raw["col0"]), rounds=args.rounds
         )
-    _write_output(out, args)
+    write_net(out, args.output or sys.stdout)
     return 0
 
 
@@ -264,11 +247,7 @@ def _cmd_subdivide(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    net = _read_input(args)
-    if args.output:
-        export_obj(net, args.output)
-    else:
-        export_obj(net, sys.stdout)
+    export_obj(read_net(args.input or sys.stdin), args.output or sys.stdout)
     return 0
 
 

@@ -11,10 +11,10 @@ cyclide (Lie) or of a doubly ruled quadric (Pluecker).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .circular import Classification, _span_signature
 from .errors import (
     CoincidentPoints,
     DimensionMismatch,
@@ -30,9 +30,11 @@ from .projective import (
     LIE,
     PLUECKER,
     QUADRIC_RTOL,
+    Classification,
     ProjLine,
     QuadricForm,
     _raise_unless_meet,
+    classify_spans,
     meet_lines,
     normalize,
     rank_violations,
@@ -169,6 +171,19 @@ def factor_congruence(g: IsoLineGrid):
     return s1, s2
 
 
+# form signature -> the set of the two factor-span codes (n_pos, n_neg, n_zero)
+_CONGRUENCE_CLASSES = {
+    LIE.signature: {frozenset({(2, 1, 0)}): CongruenceClass.DUPIN_CYCLIDE},
+    PLUECKER.signature: {frozenset({(2, 1, 0), (1, 2, 0)}): CongruenceClass.HYPERBOLOID},
+}
+
+
+def _congruence_class(signature, code1, code2):
+    """Class of a pair of factor-span codes in the form of the given signature."""
+    table = _CONGRUENCE_CLASSES.get(signature, {})
+    return table.get(frozenset({code1, code2}), CongruenceClass.DEGENERATE)
+
+
 def classify_congruence(g: IsoLineGrid) -> Classification:
     """Classify by the restricted-form signatures of the two factor spans.
 
@@ -176,25 +191,12 @@ def classify_congruence(g: IsoLineGrid) -> Classification:
     elements have signature (+ + -).  In the Pluecker quadric (3,3) the two
     spans are polar complements, so a (+ + -) span is paired with a
     (+ - -) one; both orders count as a hyperboloid.  At least three
-    members per family are required; everything else is reported degenerate
-    with the computed eigenvalues attached.
+    members per family are required, as fewer span at most two dimensions;
+    everything else is reported degenerate with the computed eigenvalues
+    attached.
     """
     s1, s2 = factor_congruence(g)
-    sig1 = _span_signature(s1, g.form)
-    sig2 = _span_signature(s2, g.form)
-    dims = (sig1[0], sig2[0])
-    eigs = (sig1[1], sig2[1])
-    enough = s1.shape[0] >= 3 and s2.shape[0] >= 3
-    pair = {(sig1[2], sig1[3], sig1[4]), (sig2[2], sig2[3], sig2[4])}
-    if enough and g.form.signature == LIE.signature and pair == {(2, 1, 0)}:
-        return Classification(CongruenceClass.DUPIN_CYCLIDE, dims, eigs)
-    if (
-        enough
-        and g.form.signature == PLUECKER.signature
-        and pair == {(2, 1, 0), (1, 2, 0)}
-    ):
-        return Classification(CongruenceClass.HYPERBOLOID, dims, eigs)
-    return Classification(CongruenceClass.DEGENERATE, dims, eigs)
+    return classify_spans(g.form, (s1, s2), partial(_congruence_class, g.form.signature))
 
 
 # -- Pluecker line geometry ---------------------------------------------------------

@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circular import (
-    Classification,
-    EuclidNet,
-    _span_signature,
-    is_concyclic,
-    is_multi_circular,
-    lift_net,
-)
+from .circular import EuclidNet, is_concyclic, is_multi_circular, lift_net
 from .errors import (
     DegenerateProfile,
     DimensionMismatch,
@@ -30,7 +23,7 @@ from .errors import (
     SingularPropagation,
     ZeroNormal,
 )
-from .projective import MOEBIUS_S2, rect_stacks, span_rank
+from .projective import MOEBIUS_S2, Classification, classify_spans, rect_stacks, span_rank
 from .qnets import PlaneNet, PointNet, translation_gauge
 
 
@@ -188,6 +181,21 @@ def s2_lift_net(net: EuclidNet) -> PointNet:
     return PointNet(lifted / np.linalg.norm(lifted, axis=-1, keepdims=True), ambient="R31")
 
 
+# the set of the two polar-span codes (n_pos, n_neg, n_zero), in either order
+_GAUSS_CLASSES = {
+    frozenset({(2, 0, 0), (1, 1, 0)}): GaussClass.REVOLUTION,
+    frozenset({(1, 0, 1)}): GaussClass.STEREOGRAPHIC_GRID,
+}
+
+
+def _gauss_class(code1, code2):
+    """Class of a pair of polar-span codes: a span of dimension one or less
+    marks a strip, else the set of both codes is looked up."""
+    if min(sum(code1), sum(code2)) <= 1:
+        return GaussClass.SYMMETRIC_STRIP
+    return _GAUSS_CLASSES.get(frozenset({code1, code2}), GaussClass.DEGENERATE)
+
+
 def classify_gauss(net: EuclidNet) -> Classification:
     """Normal-form class of a multi-circular net in S^2.
 
@@ -197,25 +205,8 @@ def classify_gauss(net: EuclidNet) -> Classification:
     """
     if not is_multi_circular(net):
         raise NotMultiCircular("classification requires a multi-circular net")
-    lifted = s2_lift_net(net)
-    _, y1, y2 = translation_gauge(lifted)
-    sig1 = _span_signature(y1, MOEBIUS_S2)
-    sig2 = _span_signature(y2, MOEBIUS_S2)
-    dims = (sig1[0], sig2[0])
-    eigs = (sig1[1], sig2[1])
-    if min(dims) <= 1:
-        return Classification(GaussClass.SYMMETRIC_STRIP, dims, eigs)
-
-    def code(sig):
-        _, _, p, n, z = sig
-        return (p, n, z)
-
-    codes = {code(sig1), code(sig2)}
-    if codes == {(2, 0, 0), (1, 1, 0)}:
-        return Classification(GaussClass.REVOLUTION, dims, eigs)
-    if codes == {(1, 0, 1)}:
-        return Classification(GaussClass.STEREOGRAPHIC_GRID, dims, eigs)
-    return Classification(GaussClass.DEGENERATE, dims, eigs)
+    _, y1, y2 = translation_gauge(s2_lift_net(net))
+    return classify_spans(MOEBIUS_S2, (y1, y2), _gauss_class)
 
 
 # -- S^2 samplers -------------------------------------------------------------------

@@ -73,10 +73,13 @@ def _coordinates(entry, shape, k):
         return [v for part in entry for v in _coordinates(part, shape[1:], k)]
     if not isinstance(entry, list) or len(entry) != shape[0]:
         raise SchemaViolation(f"data[{k}]: expected {shape[0]} coordinates")
-    try:
-        return [float(v) for v in entry]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaViolation(f"data[{k}]: non-numeric coordinate") from exc
+    # JSON numbers only: float() would also take true/false and "1.5"
+    if set(map(type, entry)) <= {int, float}:
+        try:
+            return [float(v) for v in entry]
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise SchemaViolation(f"data[{k}]: non-numeric coordinate")
 
 
 def document_to_net(doc: dict):

@@ -18,7 +18,7 @@ planes represented by exterior points of that quadric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .errors import (
 RANK_RTOL = 1e-9
 # |<x,x>| < QUADRIC_RTOL * |x|^2 counts as "on the quadric".
 QUADRIC_RTOL = 1e-9
+# An eigenvalue of a restricted form counts as zero iff its absolute value is
+# at most EIG_ZERO_RTOL times the largest absolute eigenvalue.
+EIG_ZERO_RTOL = 1e-7
 
 _ABS_EPS = 1e-13
 
@@ -282,10 +285,6 @@ class QuadricForm:
         """on_quadric on a stack that _rows has validated."""
         return np.abs(self._apply(x, x)) <= rtol * np.sum(x * x, axis=-1)
 
-    def gram(self, rows) -> np.ndarray:
-        m = np.asarray(rows, dtype=float)
-        return m @ np.diag(self.diagonal) @ m.T
-
 
 MOEBIUS = QuadricForm((1, 1, 1, 1, -1))      # R^{4,1}, models R^3 u {oo}
 MOEBIUS_S2 = QuadricForm((1, 1, 1, -1))      # R^{3,1}, models S^2
@@ -296,6 +295,48 @@ PLUECKER = QuadricForm((1, 1, 1, -1, -1, -1))  # R^{3,3}, lines of RP^3
 def bilinear_eval(q: QuadricForm, x, y) -> float:
     """Evaluate the diagonal form: sum_k signature_k * x_k * y_k."""
     return q.eval(x, y)
+
+
+@dataclass
+class Classification:
+    """Class verdict plus the restricted-form eigenvalues of both spans."""
+
+    kind: object
+    span_dims: tuple
+    eigenvalues: tuple = field(default_factory=tuple)
+
+    @property
+    def label(self) -> str:
+        return getattr(self.kind, "value", self.kind)
+
+    def __str__(self):
+        e1 = ", ".join(f"{v:+.3e}" for v in self.eigenvalues[0])
+        e2 = ", ".join(f"{v:+.3e}" for v in self.eigenvalues[1])
+        return f"{self.label} spans {self.span_dims} eig1 [{e1}] eig2 [{e2}]"
+
+
+def classify_spans(form: QuadricForm, families, decide) -> Classification:
+    """Classify two point families by the signature of the form restricted
+    to the span of each.
+
+    A family (k, d) is row-normalized; its span has the dimension r given by
+    RANK_RTOL and, from the SVD, an orthonormal basis on which the form has r
+    eigenvalues, counted as zero by EIG_ZERO_RTOL.  decide maps the two codes
+    (n_pos, n_neg, n_zero), each summing to its span's dimension, to the kind.
+    """
+    dims, eigs, codes = [], [], []
+    for vectors in families:
+        m = np.atleast_2d(np.asarray(vectors, dtype=float))
+        m = m / np.linalg.norm(m, axis=-1, keepdims=True)
+        _, s, vh = np.linalg.svd(m, full_matrices=False)
+        basis = vh[: int(np.sum(s > RANK_RTOL * s[0]))]
+        eig = np.linalg.eigvalsh(basis @ np.diag(form.diagonal) @ basis.T)
+        zero = EIG_ZERO_RTOL * np.max(np.abs(eig))
+        dims.append(len(basis))
+        eigs.append(eig)
+        signs = (eig > zero, eig < -zero, np.abs(eig) <= zero)
+        codes.append(tuple(int(np.sum(mask)) for mask in signs))
+    return Classification(decide(*codes), tuple(dims), tuple(eigs))
 
 
 def polar_reflect(q: QuadricForm, n, x) -> np.ndarray:

@@ -342,8 +342,10 @@ def scalar_circle_order_embedded(points) -> bool:
         return (t[0] < t[1] < t[2]) or (t[0] > t[1] > t[2])
     pts = [np.asarray(p, dtype=float) for p in points]
     c = np.mean(pts, axis=0)
-    vh = np.linalg.svd(np.stack([p - c for p in pts]), full_matrices=False)[2]
+    _, s, vh = np.linalg.svd(np.stack([p - c for p in pts]), full_matrices=False)
     ang = [np.arctan2(float(np.dot(p - c, vh[1])), float(np.dot(p - c, vh[0]))) for p in pts]
+    if s[1] <= 1e-9 * s[0]:  # four finite points on a line: rank by the line coordinate
+        ang = [float(np.dot(p - c, vh[0])) for p in pts]
     pos = np.empty(4, dtype=int)
     pos[np.argsort(ang)] = np.arange(4)
     seq = list(pos)
@@ -423,6 +425,18 @@ def test_two_corners_at_infinity_raise_unless_a_crossing_comes_first():
         check_embedded(net)
     # rows reversed: the crossing (0, 1, 0, 1) comes before (1, 2, 0, 1)
     assert not check_embedded(line_net([[0.0, 3.0], [None, 1.0], [None, 2.0]]))
+
+
+def test_four_finite_collinear_corners_ranked_along_the_line():
+    # a circle through oo with no corner there: cyclic order along the line
+    # is embedded, swapping two corners crosses
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        p, d = rng.normal(size=3), rng.normal(size=3)
+        pts = p + np.sort(rng.uniform(-2.0, 2.0, 4))[:, None] * d
+        embedded, crossing = EuclidNet(pts[[[0, 3], [1, 2]]]), EuclidNet(pts[[[0, 3], [2, 1]]])
+        assert check_embedded(embedded) and scalar_check_embedded(embedded)
+        assert not check_embedded(crossing) and not scalar_check_embedded(crossing)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -115,6 +115,8 @@ def _set(key, value):
 MALFORMATIONS = {
     "short-entry": lambda doc: first_coords(doc).pop(),
     "non-numeric": lambda doc: first_coords(doc).__setitem__(0, "x"),
+    "bool-coordinate": lambda doc: first_coords(doc).__setitem__(0, True),
+    "numeric-string": lambda doc: first_coords(doc).__setitem__(0, "1.5"),
     "nested-coordinate": lambda doc: first_coords(doc).__setitem__(0, [1.0]),
     "huge-integer": lambda doc: first_coords(doc).__setitem__(0, 10**400),
     "null-entry": lambda doc: doc["data"].__setitem__(0, None),

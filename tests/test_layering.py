@@ -1,0 +1,45 @@
+"""Import layering of the package modules, read from their source with ast."""
+
+import ast
+from pathlib import Path
+
+import multinets
+
+PACKAGE = Path(multinets.__file__).parent
+
+
+def package_imports(path):
+    """Names of the multinets modules that the module at path imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:  # from .x import ...
+                found.add(node.module.split(".")[0])
+            elif node.level == 1 or node.module == "multinets":  # from . import x, y
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("multinets."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1] for alias in node.names if alias.name.startswith("multinets.")
+            )
+    return found
+
+
+IMPORTS = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
+
+
+def test_every_module_parsed():
+    assert {"projective", "congruences", "circular", "cli", "__init__"} <= set(IMPORTS)
+
+
+def test_congruences_imports_only_errors_and_projective():
+    assert IMPORTS["congruences"] <= {"errors", "projective"}
+
+
+def test_projective_imports_only_errors():
+    assert IMPORTS["projective"] <= {"errors"}
+
+
+def test_no_module_imports_cli():
+    assert [name for name, imports in IMPORTS.items() if "cli" in imports] == []
