@@ -183,12 +183,10 @@ def strip_sphere(net: EuclidNet, direction: int, index: int) -> np.ndarray:
     a, b = rows
     if span_rank(np.concatenate([a, b])) <= 3:
         raise DegenerateStrip("strip is contained in a single circle")
-    s, lam, lam2 = (x[0] for x in common_point_of_spans(np.stack([a, b], axis=1)[None]))
-    if lam > 1e-10:
-        raise NotMultiCircular(
-            f"strip edges are not concurrent (residual {lam:.2e})"
-        )
-    if lam2 <= 1e-10:
+    s, resid, resid2 = (x[0] for x in common_point_of_spans(np.stack([a, b], axis=1)[None]))
+    if resid > RANK_RTOL:
+        raise NotMultiCircular(f"strip edges are not concurrent (residual {resid:.2e})")
+    if resid2 <= RANK_RTOL:
         raise DegenerateStrip("strip sphere is not unique")
     return normalize(s)
 

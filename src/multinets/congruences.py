@@ -30,6 +30,7 @@ from .projective import (
     LIE,
     PLUECKER,
     QUADRIC_RTOL,
+    RANK_RTOL,
     Classification,
     ProjLine,
     QuadricForm,
@@ -37,6 +38,7 @@ from .projective import (
     classify_spans,
     meet_lines,
     normalize,
+    normalized_rows,
     rank_violations,
     span_rank,
 )
@@ -61,15 +63,15 @@ class IsoLineGrid:
             raise DimensionMismatch("IsoLineGrid expects shape (nu, nv, 2, d)")
         if self.lines.shape[3] != self.form.dim:
             raise DimensionMismatch("line coordinates do not match the form")
-        # zero spanning points are left to multi_congruence_violations
+        # the form must vanish on an orthonormal basis of each line, whichever
+        # of its points are given; degenerate pairs go to multi_congruence_violations
         live = np.linalg.norm(self.lines, axis=-1) > _ABS_EPS
-        if not np.all(self.form.on_quadric(self.lines[live])):
-            raise NotOnQuadric("spanning point off the quadric")
-        pair = np.all(live, axis=-1)
-        a, b = self.lines[pair, 0], self.lines[pair, 1]
-        scale = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
-        if np.any(np.abs(self.form.eval(a, b)) > QUADRIC_RTOL * scale):
-            raise NotOnQuadric("spanning pair is not isotropically orthogonal")
+        pairs = np.where(live[..., None], self.lines, self.lines[..., ::-1, :])
+        _, s, basis = np.linalg.svd(normalized_rows(pairs[np.any(live, axis=-1)]), full_matrices=False)
+        basis = basis * (s > RANK_RTOL * s[:, :1])[..., None]
+        restricted = np.einsum("nkd,d,nld->nkl", basis, self.form.diagonal, basis)
+        if np.any(np.linalg.norm(restricted, axis=(-2, -1)) > QUADRIC_RTOL):
+            raise NotOnQuadric("spanning points off the quadric or their line not isotropic")
 
     @property
     def dims(self):

@@ -119,7 +119,7 @@ def normalized_rows(points) -> np.ndarray:
     return m / norms
 
 
-def span_rank(points, rtol: float = RANK_RTOL):
+def span_rank(points):
     """Numerical rank of the span of the given homogeneous points.
 
     Rows are normalized first, so the verdict is scaling invariant;
@@ -127,17 +127,17 @@ def span_rank(points, rtol: float = RANK_RTOL):
     point sets (..., k, d) gives an array of ranks.
     """
     s = np.linalg.svd(normalized_rows(points), compute_uv=False)
-    ranks = np.sum(s > rtol * s[..., :1], axis=-1)
+    ranks = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def span_ranks(stacks, rtol: float = RANK_RTOL) -> np.ndarray:
+def span_ranks(stacks) -> np.ndarray:
     """Batched span_rank over an array of shape (N, k, d).
 
     Nothing in the package calls it; it stays while the benchmark's tracer
     (perfbench/tracing.py LAYERS) and its tests look the name up.
     """
-    return span_rank(stacks, rtol)
+    return span_rank(stacks)
 
 
 # -- rectangle kernel ----------------------------------------------------------
@@ -186,7 +186,7 @@ def rank_violations(keys, stacks, max_rank: int):
     return [(keys[k], float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(ranks > max_rank)]
 
 
-def intersect_spans(a, b, rtol: float = RANK_RTOL):
+def intersect_spans(a, b):
     """Intersection of the spans of row matrices a (..., ka, d) and b (..., kb, d).
 
     Returns (vector, dim): dim (...) is the dimension of each intersection,
@@ -197,14 +197,14 @@ def intersect_spans(a, b, rtol: float = RANK_RTOL):
     """
     _, sa, qa = np.linalg.svd(normalized_rows(a), full_matrices=False)
     _, sb, qb = np.linalg.svd(normalized_rows(b), full_matrices=False)
-    keep_a = sa > rtol * sa[..., :1]
-    keep_b = sb > rtol * sb[..., :1]
+    keep_a = sa > RANK_RTOL * sa[..., :1]
+    keep_b = sb > RANK_RTOL * sb[..., :1]
     qa = qa * keep_a[..., None]
     qb = qb * keep_b[..., None]
     m = np.swapaxes(np.concatenate([qa, -qb], axis=-2), -1, -2)
     _, s, vh = np.linalg.svd(m)
     pad = np.zeros(s.shape[:-1] + (m.shape[-1] - s.shape[-1],))
-    null = np.concatenate([s, pad], axis=-1) <= rtol * s[..., :1]
+    null = np.concatenate([s, pad], axis=-1) <= RANK_RTOL * s[..., :1]
     dim = np.sum(null, axis=-1) - np.sum(~keep_a, axis=-1) - np.sum(~keep_b, axis=-1)
     # every null row maps into the intersection (dropped columns map to 0);
     # for dim 1 the longest image spans it
@@ -215,26 +215,30 @@ def intersect_spans(a, b, rtol: float = RANK_RTOL):
     return vector / np.linalg.norm(vector, axis=-1, keepdims=True), dim
 
 
-def common_point_of_spans(spans, rtol: float = RANK_RTOL, min_rank: int = 1):
-    """Vector closest to lying in every given span, with residuals.
+def common_point_of_spans(spans, min_rank: int = 1):
+    """Vector closest to lying on every given line, with linear residuals.
 
-    spans has shape (..., n, k, d): n row matrices (k, d) per batch entry.
-    Returns (vector, lam_min, lam_second) per batch entry: lam_min ~ 0
-    certifies a common point, lam_second ~ 0 flags a non-unique (degenerate)
-    intersection.  Eigenvalues refer to the sum of complement projectors of
-    the spans; spans of rank below min_rank are left out, and an entry left
-    with fewer than two spans has lam_min = 0, as every point of its span is
-    common to all.
+    spans (..., n, 2, d) holds n lines per batch entry, each spanned by two
+    points (rank 1 where span_rank finds them equal); spans of rank below
+    min_rank are left out.  Returns (vector, resid, resid_second): the unit
+    vector with the least root sum of squared sines to the counted spans,
+    that root sum, which certifies a common point when <= RANK_RTOL, and the
+    one of the best orthogonal direction, which flags a non-unique point.
+    Each sine comes from the off-span component of the direction, accurate
+    to rounding, not from the eigenvalues of the sum of span projectors.
     """
-    _, s, vh = np.linalg.svd(normalized_rows(spans), full_matrices=False)
-    basis = s > rtol * s[..., :1]
-    counted = np.sum(basis, axis=-1) >= min_rank
-    count = np.sum(counted, axis=-1)
-    weights = basis * counted[..., None]
-    acc = count[..., None, None] * np.eye(vh.shape[-1])
-    acc -= np.einsum("...nk,...nkd,...nke->...de", weights, vh, vh)
-    w, v = np.linalg.eigh(acc)
-    return v[..., 0], np.where(count < 2, 0.0, w[..., 0]), w[..., 1]
+    a, b = np.moveaxis(normalized_rows(spans), -2, 0)
+    c = np.sum(a * b, axis=-1, keepdims=True)
+    w = b - c * a
+    sine = np.linalg.norm(w, axis=-1, keepdims=True)
+    line = sine > RANK_RTOL * (1.0 + np.abs(c))  # sigma_2 / sigma_1 = sine / (1 + |c|)
+    counted = (1 + line >= min_rank)[..., None]
+    basis = np.stack([a, np.where(line, w, 0.0) / np.where(line, sine, 1.0)], axis=-2) * counted
+    flat = np.concatenate([basis[..., 0, :], basis[..., 1, :]], axis=-2)
+    best = np.linalg.eigh(np.swapaxes(flat, -1, -2) @ flat)[1][..., None, :, :-3:-1]
+    off = (best - np.swapaxes(basis, -1, -2) @ (basis @ best)) * counted
+    resid = np.sqrt(np.sum(off * off, axis=(-3, -2)))
+    return best[..., 0, :, 0], resid[..., 0], resid[..., 1]
 
 
 # -- quadric forms -----------------------------------------------------------
@@ -263,10 +267,10 @@ class QuadricForm:
         x, y = self._rows(x, y)
         return self._apply(x, y)
 
-    def on_quadric(self, x, rtol: float = QUADRIC_RTOL):
-        """|<x, x>| <= rtol |x|^2 row by row."""
+    def on_quadric(self, x):
+        """|<x, x>| <= QUADRIC_RTOL |x|^2 row by row."""
         x, _ = self._rows(x)
-        return self._on_quadric(x, rtol)
+        return self._on_quadric(x)
 
     def _rows(self, x, y=None):
         """x and y (x again if None) as float stacks of nonzero rows of this
@@ -281,9 +285,9 @@ class QuadricForm:
         """eval on stacks that _rows has validated."""
         return np.sum(self.diagonal * x * y, axis=-1)
 
-    def _on_quadric(self, x, rtol: float = QUADRIC_RTOL):
+    def _on_quadric(self, x):
         """on_quadric on a stack that _rows has validated."""
-        return np.abs(self._apply(x, x)) <= rtol * np.sum(x * x, axis=-1)
+        return np.abs(self._apply(x, x)) <= QUADRIC_RTOL * np.sum(x * x, axis=-1)
 
 
 MOEBIUS = QuadricForm((1, 1, 1, 1, -1))      # R^{4,1}, models R^3 u {oo}

@@ -144,7 +144,7 @@ def laplace_gauges(quads):
     x00, x10, x01, x11 = np.moveaxis(quads, -2, 0)
     nonplanar = span_rank(quads) > 3
     collinear = np.any(span_rank(quads[:, _CORNER_TRIPLES]) < 3, axis=-1)
-    coeffs, unit, resid = _unit_lstsq(np.stack([x10, x01, -x00], axis=-1), x11)
+    coeffs, unit, _ = _unit_lstsq(np.stack([x10, x01, -x00], axis=-1), x11)
     mags = np.abs(unit)
     vanishing = np.min(mags, axis=-1) <= 1e-12 * np.max(mags, axis=-1)
     a, b, c = coeffs.T
@@ -153,14 +153,13 @@ def laplace_gauges(quads):
     coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= 1e-12 * np.linalg.norm(
         x11, axis=-1
     )
-    checks = np.stack([nonplanar, collinear, resid > 1e-9, vanishing, coincident], axis=-1)
+    checks = np.stack([nonplanar, collinear, vanishing, coincident], axis=-1)
     bad = np.flatnonzero(np.any(checks, axis=-1))
     if bad.size:
         q = bad[0]
         failures = [
             NonPlanarQuad("quad spans rank 4"),
             DegenerateQuad("three corners are collinear or coincident"),
-            NonPlanarQuad(f"Laplace equation inconsistent (residual {resid[q]:.2e})"),
             DegenerateQuad("vanishing Laplace coefficient"),
             DegenerateQuad("coincident opposite corners"),
         ]
@@ -318,17 +317,17 @@ def _translation_certified(grid) -> bool:
 # -- translation structure ----------------------------------------------------
 
 
-def _perspective_gauge(raw0, raw1, y, tol: float = _GAUGE_TOL):
+def _perspective_gauge(raw0, raw1, y):
     """Representatives r0, r1 of the points raw0, raw1 (..., d) with
     r1 - r0 = y, for y broadcasting against them.
 
     Each pair must be in perspective from [y], i.e. [raw1] lies on the line
     through [raw0] and [y]; the first sample (in row-major order) whose
-    relative residual exceeds tol raises PerspectivityViolation.
+    relative residual exceeds _GAUGE_TOL raises PerspectivityViolation.
     """
     m = np.stack([raw1, -raw0], axis=-1)
     coeffs, _, resid = _unit_lstsq(m, np.broadcast_to(y, m.shape[:-1]))
-    bad = np.argwhere(resid > tol)
+    bad = np.argwhere(resid > _GAUGE_TOL)
     if bad.size:
         k = tuple(bad[0])
         raise PerspectivityViolation(
@@ -337,7 +336,7 @@ def _perspective_gauge(raw0, raw1, y, tol: float = _GAUGE_TOL):
     return coeffs[..., 1:] * raw0, coeffs[..., :1] * raw1
 
 
-def _strip_cauchy(rows, cols, tol: float = _GAUGE_TOL, ambient: str = "RP3"):
+def _strip_cauchy(rows, cols, ambient: str = "RP3"):
     """Cauchy data (x00, y1, y2) of the multi-Q-net through a row strip
     rows (2, nv, d) and a column strip cols (nu, 2, d), and that net.
 
@@ -346,13 +345,13 @@ def _strip_cauchy(rows, cols, tol: float = _GAUGE_TOL, ambient: str = "RP3"):
     by its y2.
     """
     (t00, _, _, _), (y1, y2), _ = laplace_gauge(rows[0, 0], rows[1, 0], rows[0, 1], rows[1, 1])
-    row0, _ = _perspective_gauge(rows[0], rows[1], y1, tol)
-    col0, _ = _perspective_gauge(cols[:, 0], cols[:, 1], y2, tol)
+    row0, _ = _perspective_gauge(rows[0], rows[1], y1)
+    col0, _ = _perspective_gauge(cols[:, 0], cols[:, 1], y2)
     y1, y2 = np.diff(col0, axis=0), np.diff(row0, axis=0)
     return t00, y1, y2, from_cauchy_homogeneous(y1, y2, t00, ambient=ambient)
 
 
-def translation_gauge(net: PointNet, tol: float = _GAUGE_TOL):
+def translation_gauge(net: PointNet):
     """Homogeneous representatives realizing x_{ij} = x00 + sum y1 + sum y2.
 
     Returns (x00, y1, y2) with y1 of shape (nu-1, d) and y2 of (nv-1, d);
@@ -363,23 +362,23 @@ def translation_gauge(net: PointNet, tol: float = _GAUGE_TOL):
         raise NotMultiQ("net must be at least 2x2")
     p = net.points
     try:
-        x00, y1, y2, rec = _strip_cauchy(p[0:2], p[:, 0:2], tol)
+        x00, y1, y2, rec = _strip_cauchy(p[0:2], p[:, 0:2])
     except (ZeroSum, ZeroVector) as exc:
         raise NotMultiQ("translation reconstruction hit a zero vector") from exc
     except (PerspectivityViolation, NonPlanarQuad, DegenerateQuad) as exc:
         raise NotMultiQ(str(exc)) from exc
     # verify the reconstruction against the whole net
-    off = np.argwhere(proj_distance(rec.points, p) > tol)
+    off = np.argwhere(proj_distance(rec.points, p) > _GAUGE_TOL)
     if off.size:
         i, j = off[0]
         raise NotMultiQ(f"vertex ({i},{j}) off the translation reconstruction")
     return x00, y1, y2
 
 
-def is_translation_net(net: PointNet, tol: float = _GAUGE_TOL) -> bool:
+def is_translation_net(net: PointNet) -> bool:
     """True iff a consistent translation gauge exists (Cauchy form holds)."""
     try:
-        translation_gauge(net, tol)
+        translation_gauge(net)
         return True
     except NotMultiQ:
         return False
@@ -451,44 +450,40 @@ def laplace_transforms(net: PointNet):
     return tuple(PointNet(y[:, :, k], ambient=net.ambient) for k in (0, 1))
 
 
-def laplace_transforms_degenerate(net: PointNet, tol: float = 1e-8) -> bool:
-    """True iff y1 is constant along j and y2 constant along i."""
+def laplace_transforms_degenerate(net: PointNet) -> bool:
+    """True iff y1 is constant along j and y2 along i, to _GAUGE_TOL."""
     t1, t2 = laplace_transforms(net)
     return not (
-        np.any(proj_distance(t1.points, t1.points[:, :1]) > tol)
-        or np.any(proj_distance(t2.points, t2.points[:1]) > tol)
+        np.any(proj_distance(t1.points, t1.points[:, :1]) > _GAUGE_TOL)
+        or np.any(proj_distance(t2.points, t2.points[:1]) > _GAUGE_TOL)
     )
 
 
 # -- perspectivity predicates ---------------------------------------------------
 
 
-def _parameter_polygons_perspective(net: PointNet, pairs, tol: float) -> bool:
+def _parameter_polygons_perspective(net: PointNet, pairs) -> bool:
     """True iff for every index pair (i0, i1) from pairs(n), first of rows
     and then of columns, the lines joining corresponding points of the two
-    polygons are concurrent.  Joins of coincident points are left out, and
-    a pair with fewer than two joins is in perspective."""
+    polygons are concurrent by common_point_of_spans.  Joins of coincident
+    points are left out, and a pair with fewer than two joins is in perspective."""
     p = net.points
     for grid in (p, p.swapaxes(0, 1)):
         i0, i1 = pairs(grid.shape[0])
-        if len(i0) == 0:
-            continue
-        _, lam, _ = common_point_of_spans(np.stack([grid[i0], grid[i1]], axis=2), min_rank=2)
-        if np.any(lam > tol):
+        _, resid, _ = common_point_of_spans(np.stack([grid[i0], grid[i1]], axis=2), min_rank=2)
+        if np.any(resid > RANK_RTOL):
             return False
     return True
 
 
-def neighbor_perspectivity(net: PointNet, tol: float = 1e-12) -> bool:
+def neighbor_perspectivity(net: PointNet) -> bool:
     """Every two neighboring parameter polygons in perspective w.r.t. a point."""
-    return _parameter_polygons_perspective(
-        net, lambda n: (np.arange(n - 1), np.arange(1, n)), tol
-    )
+    return _parameter_polygons_perspective(net, lambda n: (np.arange(n - 1), np.arange(1, n)))
 
 
-def all_pairs_perspectivity(net: PointNet, tol: float = 1e-12) -> bool:
+def all_pairs_perspectivity(net: PointNet) -> bool:
     """Every two parameter polygons of the same direction in perspective."""
-    return _parameter_polygons_perspective(net, lambda n: np.triu_indices(n, 1), tol)
+    return _parameter_polygons_perspective(net, lambda n: np.triu_indices(n, 1))
 
 
 def has_planar_parameter_polygons(net: PointNet) -> bool:

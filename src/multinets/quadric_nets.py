@@ -21,7 +21,7 @@ from .errors import (
     raise_first_failure,
 )
 from .projective import _ABS_EPS, QuadricForm, _nonzero_rows, _reflect, proj_distance
-from .qnets import PointNet, translation_gauge
+from .qnets import _GAUGE_TOL, PointNet, translation_gauge
 
 _AMBIENT_BY_FORM = {
     (1, 1, 1, 1, -1): "R41",
@@ -31,18 +31,18 @@ _AMBIENT_BY_FORM = {
 }
 
 
-def verify_polar_laplace(net: PointNet, q: QuadricForm, tol: float = 1e-8) -> bool:
-    """Check that the Laplace transform difference vectors are q-orthogonal.
+def verify_polar_laplace(net: PointNet, q: QuadricForm) -> bool:
+    """Check that the Laplace transform difference vectors y1_i, y2_j of the
+    net's translation gauge are q-orthogonal, to that gauge's _GAUGE_TOL.
 
-    Requires a multi-Q-net with all vertices on the quadric; the y1_i and
-    y2_j vectors come from the net's translation gauge.
+    Requires a multi-Q-net with all vertices on the quadric.
     """
     if not np.all(q.on_quadric(net.points)):
         raise NotOnQuadric("net vertices must lie on the quadric")
     _, y1, y2 = translation_gauge(net)
     n1 = y1 / np.linalg.norm(y1, axis=-1, keepdims=True)
     n2 = y2 / np.linalg.norm(y2, axis=-1, keepdims=True)
-    return bool(np.all(np.abs(q.eval(n1[:, None], n2[None])) <= tol))
+    return bool(np.all(np.abs(q.eval(n1[:, None], n2[None])) <= _GAUGE_TOL))
 
 
 def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):

@@ -237,7 +237,7 @@ def attach_edge_polylines(net: PointNet, n, seeds=None) -> EdgePolylines:
     return _edge_polylines(net, n_u, n_v, seeds, t)
 
 
-def has_collinear_joins(net: PointNet, ep: EdgePolylines, tol: float = 1e-9) -> bool:
+def has_collinear_joins(net: PointNet, ep: EdgePolylines) -> bool:
     """Validation flag for seed freedom: at every interior vertex along a
     parameter line, the adjacent polyline samples and the vertex are
     collinear (the condition that makes the patches conic control meshes)."""
@@ -245,7 +245,7 @@ def has_collinear_joins(net: PointNet, ep: EdgePolylines, tol: float = 1e-9) -> 
     u_joins = np.stack([ep.u[:-1, :, -2], p[1:-1], ep.u[1:, :, 1]], axis=-2)
     v_joins = np.stack([ep.v[:, :-1, -2], p[:, 1:-1], ep.v[:, 1:, 1]], axis=-2)
     joins = np.concatenate([u_joins.reshape(-1, 3, d), v_joins.reshape(-1, 3, d)])
-    return not np.any(span_rank(joins, rtol=tol) > 2)
+    return not np.any(span_rank(joins) > 2)
 
 
 def _assemble(patches, u_samples, v_samples, vertices):

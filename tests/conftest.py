@@ -22,6 +22,20 @@ def random_q_net(rng, nu, nv, dim=4):
     return PointNet(pts)
 
 
+def noisy_translation_nets(eps, count=40, n=7):
+    """count n x n translation nets [p_i + q_j] (default_rng(5)) with relative
+    vertex noise: each vertex x moves by eps |x| g, g standard normal
+    (default_rng(7))."""
+    rng, noise = np.random.default_rng(5), np.random.default_rng(7)
+    nets = []
+    while len(nets) < count:
+        pts = rng.uniform(-1, 1, (n, 1, 4)) + rng.uniform(-1, 1, (1, n, 4))
+        if np.min(np.linalg.norm(pts, axis=-1)) > 1e-3:
+            g = noise.standard_normal(pts.shape)
+            nets.append(PointNet(pts + eps * np.linalg.norm(pts, axis=-1, keepdims=True) * g))
+    return nets
+
+
 def nets_proj_equal(n1, n2, tol=1e-8):
     nu, nv = n1.dims
     if (nu, nv) != n2.dims:

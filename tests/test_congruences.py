@@ -206,19 +206,41 @@ def _nudged(p, keep, target, eps=1e-7):
 def test_first_failing_cell_in_row_major_order_raises():
     """Factor points s1_3 and s2_3 moved off orthogonality with s2_2 and
     s1_2 spoil cells (2,3), (3,2) and (3,3), and only those; column-major
-    order would name cell (3,2)."""
+    order would name cell (3,2).
+
+    Such cells span lines that are not isotropic, which IsoLineGrid rejects
+    however their points are given, so the grid takes them after its
+    validation to reach the check of factor_congruence itself."""
     us, vs = [0.2, 1.1, 2.0, 3.2], [-0.8, -0.1, 0.6, 1.2]
-    s1, s2 = (s.copy() for s in factor_congruence(torus_contact_grid(2.0, 0.5, us, vs)))
+    g = torus_contact_grid(2.0, 0.5, us, vs)
+    s1, s2 = (s.copy() for s in factor_congruence(g))
     s1[3] = _nudged(s1[3], s2[:2], s2[2])
     s2[3] = _nudged(s2[3], s1[:2], s1[2])
     lines = np.stack(np.broadcast_arrays(s1[:, None], s2[None]), axis=2)
     for i, j in [(2, 3), (3, 2), (3, 3)]:
-        # a spanning pair close together stays within the isotropy tolerances
         lines[i, j, 1] = s1[i] + 1e-4 * s2[j]
-    g = IsoLineGrid(lines, LIE)
+    with pytest.raises(NotOnQuadric, match="not isotropic"):
+        IsoLineGrid(lines, LIE)
+    g.lines = lines
     assert is_multi_congruence(g)
     with pytest.raises(NotMultiCongruence, match=r"^factor points at \(2,3\) are not orthogonal$"):
         factor_congruence(g)
+
+
+@pytest.mark.parametrize("inner, isotropic", [(1e-6, False), (1e-12, True)])
+def test_line_isotropy_does_not_depend_on_its_spanning_pair(inner, isotropic):
+    """A torus contact line spanned by unit a, b with <a, b> = inner, given
+    as (a, b) and as (a, a + 1e-4 b): both spellings get the same verdict."""
+    a, b = torus_contact_grid(2.0, 0.5, [0.3], [0.4]).lines[0, 0]
+    b = _nudged(b, np.empty((0, 6)), a, eps=inner)
+    assert np.isclose(LIE.eval(a, b), inner, rtol=1e-3, atol=0)
+    for pair in ([a, b], [a, a + 1e-4 * b]):
+        lines = np.array(pair)[None, None]
+        if isotropic:
+            IsoLineGrid(lines, LIE)
+        else:
+            with pytest.raises(NotOnQuadric, match="not isotropic"):
+                IsoLineGrid(lines, LIE)
 
 
 def test_planar_family_lines_through_point(rng):

@@ -43,3 +43,18 @@ def test_projective_imports_only_errors():
 
 def test_no_module_imports_cli():
     assert [name for name, imports in IMPORTS.items() if "cli" in imports] == []
+
+
+def test_no_tolerance_parameters_besides_proj_equal():
+    """Decisions compare against the named constants of projective (and the
+    gauge tolerance of qnets); proj_equal keeps its tol because its callers
+    pass different values."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if names & {"tol", "rtol"} and getattr(node, "name", None) != "proj_equal":
+                    found.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert found == []

@@ -1,7 +1,8 @@
 """How the multi-rectangle predicates reach their verdicts: the first chunk
 by SVD, the translation certificate, the chunked early exit; their
-agreement under Q/Q* duality and projective maps; and the typed error for
-non-finite coordinates."""
+agreement under Q/Q* duality and projective maps; the agreement of the
+equivalent multi-Q characterizations away from their thresholds; and the
+typed error for non-finite coordinates."""
 
 import json
 import warnings
@@ -11,28 +12,33 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_q_net
+from conftest import noisy_translation_nets, random_q_net
 from multinets.circular import (
     EuclidNet,
     is_multi_circular,
     lift_net,
     multi_circular_violations,
     sample_rotational,
+    strip_sphere,
 )
 from multinets.cli import main
-from multinets.errors import NonFiniteCoordinate, ZeroVector
-from multinets.projective import RANK_RTOL, normalized_rows, rect_indices
+from multinets.errors import GeometryError, NonFiniteCoordinate, NotMultiCircular, ZeroVector
+from multinets.projective import RANK_RTOL, common_point_of_spans, normalized_rows, rect_indices
 from multinets.qnets import (
     _FIRST_CHUNK,
     PlaneNet,
     PointNet,
     _rects_planar,
     _translation_certified,
+    all_pairs_perspectivity,
     dualize_point_net,
     is_multi_q_net,
     is_multi_qstar,
+    is_translation_net,
+    laplace_transforms_degenerate,
     multi_q_violations,
     multi_qstar_violations,
+    neighbor_perspectivity,
 )
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -247,6 +253,51 @@ def test_multi_circular_equals_exhaustive(seed, push):
     net = EuclidNet(pts)
     assert is_multi_circular(net) == (not multi_circular_violations(net))
     assert is_multi_circular(net) == (push == 0.0)
+
+
+# -- the equivalent characterizations agree away from their thresholds ----------
+
+CHARACTERIZATIONS = {
+    "multi-Q": is_multi_q_net,
+    "multi-Q* of the dual": lambda net: is_multi_qstar(dualize_point_net(net)),
+    "all-pairs perspectivity": all_pairs_perspectivity,
+    "neighbour perspectivity": neighbor_perspectivity,
+    "degenerate Laplace transforms": laplace_transforms_degenerate,
+    "translation form": is_translation_net,
+}
+
+
+def verdict(predicate, net):
+    """The predicate's answer, with a typed geometry error counting as False."""
+    try:
+        return bool(predicate(net))
+    except GeometryError:
+        return False
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e8])
+@pytest.mark.parametrize("eps", [1e-12, 1e-11, 1e-8, 1e-7, 1e-5])
+def test_equivalent_characterizations_agree_off_threshold(eps, scale):
+    """The paper's equivalent conditions for a multi-Q-net all hold on
+    translation nets with relative vertex noise up to 1e-11 and all fail
+    from 1e-8 on, at any scale of the coordinates."""
+    nets = [PointNet(scale * net.points) for net in noisy_translation_nets(eps)]
+    for name, predicate in CHARACTERIZATIONS.items():
+        held = [verdict(predicate, net) for net in nets]
+        assert held == [eps <= 1e-11] * len(nets), name
+
+
+def test_strip_sphere_rejects_strip_off_concurrency_by_1e_7():
+    """A strip whose lifted edges miss a common point by a sine of about
+    1e-7, far past RANK_RTOL, has no strip sphere."""
+    pts = rotational_net(0, 4).points.copy()
+    pts[1, 2, 2] += 1e-7
+    net = EuclidNet(pts)
+    lifted = lift_net(net).points
+    _, resid, _ = common_point_of_spans(np.stack([lifted[0], lifted[1]], axis=1))
+    assert 3e-8 < resid < 3e-7
+    with pytest.raises(NotMultiCircular):
+        strip_sphere(net, 1, 0)
 
 
 # -- the certificate replaces the exhaustive SVD --------------------------------

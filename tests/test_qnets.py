@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import nets_proj_equal, random_q_net
+from conftest import nets_proj_equal, noisy_translation_nets, random_q_net
 from multinets.errors import (
     DegenerateQuad,
     GeometryError,
@@ -464,21 +464,24 @@ def test_from_cauchy_zero_sum():
 # -- batched kernels against scalar oracles ------------------------------------------
 
 
-def _perspective_by_loop(net, pairs, tol=1e-12):
-    """Pair-by-pair perspectivity with plain numpy svd and eigh."""
+def _perspective_by_loop(net, pairs):
+    """Pair-by-pair perspectivity with plain numpy svd and eigh: the root sum
+    of squared sines from the best common point to the joins, formed from
+    the off-join components, at most RANK_RTOL for every pair."""
     p = net.points
     d = p.shape[-1]
     for grid in (p, p.swapaxes(0, 1)):
         for i0, i1 in pairs(grid.shape[0]):
-            acc, count = np.zeros((d, d)), 0
+            bases = []
             for a, b in zip(grid[i0], grid[i1]):
                 m = np.stack([a / np.linalg.norm(a), b / np.linalg.norm(b)])
                 _, s, vh = np.linalg.svd(m)
-                if s[1] <= RANK_RTOL * s[0]:
-                    continue
-                acc += np.eye(d) - vh[:2].T @ vh[:2]
-                count += 1
-            if count >= 2 and np.linalg.eigh(acc)[0][0] > tol:
+                if s[1] > RANK_RTOL * s[0]:
+                    bases.append(vh[:2])
+            if len(bases) < 2:
+                continue
+            v = np.linalg.eigh(sum(np.eye(d) - q.T @ q for q in bases))[1][:, 0]
+            if np.sqrt(sum(np.sum((v - q.T @ (q @ v)) ** 2) for q in bases)) > RANK_RTOL:
                 return False
     return True
 
@@ -517,6 +520,8 @@ def test_batched_perspectivity_equals_pair_loop(rng):
     ]
     nets += [random_q_net(rng, n, m) for n, m in [(5, 5), (6, 4), (3, 7), (8, 8)]]
     nets += _nets_with_repeated_points(rng)
+    # within a sine of about 1e-7 of perspective: past RANK_RTOL
+    nets += noisy_translation_nets(3e-8, count=4)
     verdicts = []
     for net in nets:
         for predicate, pairs in (
