@@ -258,17 +258,18 @@ def _net_class(code1, code2):
     return NetClass.DEGENERATE
 
 
-def _recenter_unit_scale(net: EuclidNet) -> EuclidNet:
-    """Similarity normalization (centroid to origin, RMS radius 1) to keep
-    the Moebius lift well conditioned; Moebius-invariant verdicts are
-    unaffected.  Nets with vertices at infinity are left untouched."""
-    if not net.is_finite():
-        return net
-    centered = net.points - np.mean(net.points, axis=(0, 1))
+def _unit_chart(points):
+    """Finite points (nu, nv, 3) in their unit chart, and the chart's centre
+    and scale: x -> (x - centre) / scale moves the centroid to 0 and the RMS
+    radius to 1, where the Moebius lift is well conditioned.  Points that
+    all coincide keep the identity chart (0, 1).
+    """
+    centre = np.mean(points, axis=(0, 1))
+    centered = points - centre
     scale = np.sqrt(np.mean(np.sum(centered * centered, axis=-1)))
-    if scale <= 1e-13:
-        return net
-    return EuclidNet(centered / scale)
+    if scale <= _ABS_EPS:
+        return points, 0.0, 1.0
+    return centered / scale, centre, scale
 
 
 def classify_multi_circular(net: EuclidNet) -> Classification:
@@ -279,7 +280,7 @@ def classify_multi_circular(net: EuclidNet) -> Classification:
     through a circle -> rotational, (+ -) concentric -> cone, (+ 0)
     parallel planes -> cylinder.
     """
-    lifted = lift_net(_recenter_unit_scale(net))
+    lifted = lift_net(EuclidNet(_unit_chart(net.points)[0]) if net.is_finite() else net)
     if not _rects_planar(lifted.points):
         raise NotMultiCircular("classification requires a multi-circular net")
     _, y1, y2 = translation_gauge(lifted)

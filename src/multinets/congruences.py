@@ -217,7 +217,7 @@ def pluecker_embed(p, q) -> np.ndarray:
     if p.shape != (3,) or q.shape != (3,):
         raise DimensionMismatch("expected two points of R^3")
     u = q - p
-    if np.linalg.norm(u) <= 1e-13:
+    if np.linalg.norm(u) <= _ABS_EPS:
         raise CoincidentPoints("line needs two distinct points")
     v = np.cross(p, q)
     return np.concatenate([u + v, u - v])

@@ -23,7 +23,7 @@ from .errors import (
     SingularPropagation,
     ZeroNormal,
 )
-from .projective import MOEBIUS_S2, Classification, classify_spans, rect_stacks, span_rank
+from .projective import _ABS_EPS, MOEBIUS_S2, Classification, classify_spans, rect_stacks, span_rank
 from .qnets import PlaneNet, PointNet, translation_gauge
 
 
@@ -40,7 +40,7 @@ def gauss_map(pn: PlaneNet) -> EuclidNet:
     """Grid of unit normals of the planes, orientation preserved."""
     n = pn.covectors[..., :3]
     norms = np.linalg.norm(n, axis=-1)
-    if np.any(norms <= 1e-13):
+    if np.any(norms <= _ABS_EPS):
         raise ZeroNormal("plane covector with vanishing normal part")
     return EuclidNet(n / norms[..., None])
 
@@ -57,7 +57,7 @@ def is_conical_quad(planes) -> bool:
         raise NotConcurrent("the four planes have no common point")
     n = cov[:, :3]
     norms = np.linalg.norm(n, axis=-1)
-    if np.any(norms <= 1e-13):
+    if np.any(norms <= _ABS_EPS):
         raise ZeroNormal("plane covector with vanishing normal part")
     n = n / norms[:, None]
     return is_concyclic(n[0], n[1], n[2], n[3])
@@ -77,7 +77,7 @@ def _conical_violations(pn: PlaneNet, elementary: bool):
     """
     normals = pn.covectors[..., :3]
     norms = np.linalg.norm(normals, axis=-1, keepdims=True)
-    zero = norms <= 1e-13
+    zero = norms <= _ABS_EPS
     lifted = lift_net(EuclidNet(normals / np.where(zero, 1.0, norms))).points
     grid = np.concatenate([pn.homogeneous(), lifted, zero], axis=-1)
     keys, corners = rect_stacks(grid, elementary)
@@ -160,7 +160,7 @@ def parallel_conical_net(spherical: PlaneNet, d_row, d_col) -> PlaneNet:
     d[0, :] = d_col
     for (i, _, j, _), (m0, m1, m2, m3) in zip(keys, minors):
         num = d[i, j] * m0 - d[i + 1, j] * m1 + d[i, j + 1] * m2
-        if abs(m3) <= 1e-13 * max(1.0, abs(num)):
+        if abs(m3) <= _ABS_EPS * max(1.0, abs(num)):
             raise SingularPropagation(f"degenerate quad at ({i},{j})")
         d[i + 1, j + 1] = num / m3
     cov = np.concatenate([n, d[..., None]], axis=-1)

@@ -28,6 +28,7 @@ from .errors import (
     raise_unless_finite,
 )
 from .projective import (
+    _ABS_EPS,
     RANK_RTOL,
     ProjLine,
     common_point_of_spans,
@@ -56,7 +57,7 @@ class PointNet:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 3:
             raise DimensionMismatch("PointNet expects an array of shape (nu, nv, n+1)")
-        if np.any(np.linalg.norm(self.points, axis=-1) <= 1e-13):
+        if np.any(np.linalg.norm(self.points, axis=-1) <= _ABS_EPS):
             raise ZeroVector("net contains a zero coordinate vector")
         raise_unless_finite(self.points, "vertex")
 
@@ -84,7 +85,7 @@ class PlaneNet:
         self.covectors = np.asarray(self.covectors, dtype=float)
         if self.covectors.ndim != 3 or self.covectors.shape[2] != 4:
             raise DimensionMismatch("PlaneNet expects an array of shape (nu, nv, 4)")
-        if np.any(np.linalg.norm(self.covectors, axis=-1) <= 1e-13):
+        if np.any(np.linalg.norm(self.covectors, axis=-1) <= _ABS_EPS):
             raise ZeroVector("plane net contains a zero covector")
         raise_unless_finite(self.covectors, "covector")
 
@@ -224,10 +225,9 @@ def _rects_planar(grid) -> bool:
     rank_violations: a violation there gives False, and a grid with no
     more rectangles gives True.  Then _translation_certified may pass every
     rectangle at once.  Failing that, the remaining rectangles go to the
-    SVD rule in chunks of doubling size, up to the first violation.  Each
-    chunk gets the same per-stack SVD as the exhaustive check, so the
-    chunks reach its verdict by construction, and the certificate does by
-    its proof.
+    SVD rule in one call.  Both calls give each stack the same SVD as the
+    exhaustive check, so they reach its verdict by construction, and the
+    certificate does by its proof.
     """
     rows, cols = rect_indices(*grid.shape[:2], elementary=False)
 
@@ -236,23 +236,17 @@ def _rects_planar(grid) -> bool:
 
     if violated(0, _FIRST_CHUNK):
         return False
-    if len(rows) <= _FIRST_CHUNK or _translation_certified(grid):
-        return True
-    lo = _FIRST_CHUNK
-    while lo < len(rows):
-        if violated(lo, 2 * lo):
-            return False
-        lo *= 2
-    return True
+    certified = len(rows) <= _FIRST_CHUNK or _translation_certified(grid)
+    return certified or not violated(_FIRST_CHUNK, len(rows))
 
 
 def _translation_certified(grid) -> bool:
     """True only if every coordinate rectangle of a grid (nu, nv, d) of
     homogeneous points passes the SVD rule of rank_violations; False means
-    "not certified", not "fails".  O(nu nv d) work after translation_gauge.
+    "not certified", not "fails".  O(nu nv d) work after the strip gauge.
 
-    The bound.  A multi-Q-net is a projective translation surface, so
-    translation_gauge gives x00, y1, y2 with [x_ij] = [R_ij] for
+    The bound.  A multi-Q-net is a projective translation surface, so its
+    strip gauge (_strip_cauchy) gives x00, y1, y2 with [x_ij] = [R_ij] for
     R_ij = x00 + Y1_i + Y2_j, where Y1_i, Y2_j are the partial sums of y1,
     y2.  Let L_ij = lam_ij x_ij with lam_ij = <R_ij, x_ij> / |x_ij|^2 (the
     multiple of x_ij closest to R_ij), eps = max |L - R| and m = min |L|.
@@ -290,16 +284,19 @@ def _translation_certified(grid) -> bool:
     backward-stable SVD, which move each singular value by a small multiple
     of u sigma_1, and the relative rounding of m, about d u: orders of
     magnitude below RANK_RTOL / 2 = 5e-10.  So a certified grid has no rank
-    violation.  A gauge that translation_gauge cannot build (any
-    GeometryError) and a non-finite bound leave the grid uncertified.
+    violation, and no vertex is off its gauge by a sine |L - R| / |R| above
+    eps / m <= RANK_RTOL / 4, far below the _GAUGE_TOL of translation_gauge's
+    vertex check, which is therefore not repeated.  A strip gauge that
+    _strip_cauchy cannot build (any GeometryError) and a non-finite bound
+    leave the grid uncertified.
     """
     try:
-        x00, y1, y2 = translation_gauge(PointNet(grid))
+        x00, y1, y2, rec = _strip_cauchy(grid[0:2], grid[:, 0:2])
     except GeometryError:
         return False
     acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
     acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
-    r = (x00 + acc1[:, None]) + acc2[None, :]
+    r = rec.points
     lam = np.sum(r * grid, axis=-1) / np.sum(grid * grid, axis=-1)
     fitted = lam[..., None] * grid
     eps = np.max(np.linalg.norm(fitted - r, axis=-1))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import EuclidNet, circular_violations, invert_point, is_concyclic
+from .circular import EuclidNet, _unit_chart, circular_violations, invert_point, is_concyclic
 from .errors import (
     ArcsNotOrthogonal,
     DegenerateLaplaceSphere,
@@ -296,7 +296,6 @@ _ARC_ERRORS = (
     (DuplicatePoints, "arc tangent must not vanish"),
     (DuplicatePoints, "arc endpoints coincide"),
     (DuplicatePoints, "collinear arc points with exterior midpoint"),
-    (DuplicatePoints, "cannot orient arc through the given points"),
     (DegenerateLaplaceSphere, "arc passes through the inversion center"),
     (DegenerateLaplaceSphere, "boundary sample maps to infinity"),
 )
@@ -321,9 +320,9 @@ def _dot(x, y):
 def _arcs(start, end, tangent):
     """Arcs (..., 3, 3) with normalized tangents, and the error code of each."""
     norm = np.linalg.norm(tangent, axis=-1, keepdims=True)
-    code = np.where(norm[..., 0] <= 1e-13, 1, 0)
-    code = np.where((code == 0) & (np.linalg.norm(end - start, axis=-1) <= 1e-13), 2, code)
-    tangent = tangent / np.where(norm <= 1e-13, 1.0, norm)
+    code = np.where(norm[..., 0] <= _ABS_EPS, 1, 0)
+    code = np.where((code == 0) & (np.linalg.norm(end - start, axis=-1) <= _ABS_EPS), 2, code)
+    tangent = tangent / np.where(norm <= _ABS_EPS, 1.0, norm)
     return np.stack(np.broadcast_arrays(start, end, tangent), axis=-2), code
 
 
@@ -332,8 +331,11 @@ def _arc_points(arcs, t):
     and a flag (E,) for straight arcs whose tangent points away from the chord.
 
     A tangent parallel to the chord yields a straight segment; otherwise the
-    arc is traced with constant speed from angle 0 to the chord angle in the
-    (e1, tangent) frame of its circle.
+    arc turns its tangent T towards the chord's normal part N by twice the
+    tangent-chord angle, theta, on a circle of radius rho, and the point at t
+    is start + rho (sin(t theta) T + 2 sin^2(t theta / 2) N).  Neither the
+    centre nor the angle of the end is formed, so nearly straight arcs keep
+    their end.
     """
     start, end, tangent = arcs[:, 0], arcs[:, 1], arcs[:, 2]
     w = end - start
@@ -343,17 +345,12 @@ def _arc_points(arcs, t):
     segment = h <= 1e-12 * np.linalg.norm(w, axis=-1, keepdims=True)
     away = (segment & (along < 0))[:, 0]
     h = np.where(segment, 1.0, h)
-    rho = _dot(w, w)[..., None] / (2.0 * h)
-    center = start + rho * (w_perp / h)
-    e1 = (start - center) / rho
-    rel = (end - center) / rho
-    theta = np.arctan2(_dot(rel, tangent), _dot(rel, e1))[..., None]
-    theta = np.where(theta <= 0, theta + 2.0 * np.pi, theta)
-    a = t[:, None] * theta[:, None]
-    e1, tangent, segment = e1[:, None], tangent[:, None], segment[:, None]
-    points = center[:, None] + rho[:, None] * (np.cos(a) * e1 + np.sin(a) * tangent)
+    normal, rho = (w_perp / h)[:, None], (_dot(w, w)[..., None] / (2.0 * h))[:, None]
+    a = t[:, None] * (2.0 * np.arctan2(h, along))[:, None]
+    sin, tangent, segment = np.sin(a), tangent[:, None], segment[:, None]
+    points = start[:, None] + rho * (sin * tangent + 2.0 * np.sin(0.5 * a) ** 2 * normal)
     chord = (1.0 - t)[:, None] * start[:, None] + t[:, None] * end[:, None]
-    tangents = -np.sin(a) * e1 + np.cos(a) * tangent
+    tangents = np.cos(a) * tangent + sin * normal
     return np.where(segment, chord, points), np.where(segment, tangent, tangents), away
 
 
@@ -361,36 +358,40 @@ def _away_error(k):
     return DuplicatePoints("segment tangent points away from the chord")
 
 
+def _arc_at(arcs, t):
+    """Points and unit tangents (E, K, 3) of arcs (E, 3, 3) at t (K,); raises
+    for the first straight arc whose tangent points away from its chord."""
+    points, tangents, away = _arc_points(arcs, t)
+    raise_first_failure([(away, _away_error)])
+    return points, tangents
+
+
+def _chart_arcs(arcs, centre, scale):
+    """Arcs (E, 3, 3) of CircArcs, ends in the chart x -> (x - centre) / scale."""
+    arcs = _arc_array(arcs)
+    arcs[:, :2] = (arcs[:, :2] - centre) / scale
+    return arcs
+
+
 def _arcs_through(a, mid, b):
-    """Arcs (E, 3, 3) from a to b through mid (E, 3), and the error code of each."""
+    """Arcs (E, 3, 3) from a to b through mid (E, 3), and the error code of each.
+
+    Inversion about a maps the circle onto the line through
+    mid' = (mid - a) / |mid - a|^2 and b' = (b - a) / |b - a|^2, and points
+    near a far out along the start tangent; coming in from there the line
+    meets mid' before b', so the tangent is mid' - b'.  Collinear points give
+    a straight segment when mid lies between a and b.
+    """
     u = mid - a
     v = b - a
-    w = np.cross(u, v)
     uu, uv, vv = _dot(u, u), _dot(u, v), _dot(v, v)
     scale = np.sqrt(uu) * np.sqrt(vv)
-    wn = np.linalg.norm(w, axis=-1)
-    line = (scale <= 1e-26) | (wn <= 1e-10 * scale)
+    line = (scale <= 1e-26) | (np.linalg.norm(np.cross(u, v), axis=-1) <= 1e-10 * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = uv / vv
         code = np.where(line & ~((0.0 <= s) & (s <= 1.0)), 3, 0)
-        g = np.stack([np.stack([uu, uv], -1), np.stack([uv, vv], -1)], -2)
-        g[line] = np.eye(2)
-        al, be = np.moveaxis(np.linalg.solve(g, 0.5 * np.stack([uu, vv], -1)[..., None])[..., 0], -1, 0)
-        center = a + al[:, None] * u + be[:, None] * v
-        r = np.linalg.norm(a - center, axis=-1, keepdims=True)
-        e1 = (a - center) / r
-        e2 = np.cross(w / wn[:, None], e1)
-        e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
-
-        def angle(p, e):
-            rel = (p - center) / r
-            th = np.arctan2(_dot(rel, e), _dot(rel, e1))
-            return np.where(th < 0, th + 2.0 * np.pi, th)
-
-        flip = ~(angle(mid, e2) < angle(b, e2))
-        e2 = np.where(flip[:, None], -e2, e2)
-        code = np.where(~line & flip & ~(angle(mid, e2) < angle(b, e2)), 4, code)
-    arcs, arc_code = _arcs(a, b, np.where(line[:, None], v, e2))
+        tangent = u / uu[:, None] - v / vv[:, None]
+    arcs, arc_code = _arcs(a, b, np.where(line[:, None], v, tangent))
     return arcs, np.where(code == 0, arc_code, code)
 
 
@@ -403,8 +404,8 @@ class CircArc:
     """Circular arc from start to end with a unit tangent at the start.
 
     A tangent parallel to the chord yields a straight segment (the arc of a
-    circle through oo); otherwise the arc is traced with constant speed from
-    angle 0 to the chord angle in the (e1, e2) frame of its circle.
+    circle through oo); otherwise the arc is traced with constant speed as
+    _arc_points describes.
     """
 
     start: np.ndarray
@@ -421,10 +422,7 @@ class CircArc:
         self.start, self.end, self.tangent = arcs
 
     def _at(self, t):
-        points, tangents, away = _arc_points(_arc_array([self]), np.atleast_1d(np.asarray(t, dtype=float)))
-        if away[0]:
-            raise _away_error(0)
-        return points, tangents
+        return _arc_at(_arc_array([self]), np.atleast_1d(np.asarray(t, dtype=float)))
 
     def point_at(self, t: float) -> np.ndarray:
         return self._at(t)[0][0, 0]
@@ -453,13 +451,12 @@ def _invert_edges(arcs, samples, mirrors):
     and end (circles map to circles).  Returns the image samples, the image
     arcs and the error code of each edge: first its arc's, then its samples'.
     """
-    middle, _, away = _arc_points(arcs, np.array([0.5]))
-    raise_first_failure([(away, _away_error)])
+    middle, _ = _arc_at(arcs, np.array([0.5]))
     anchors = np.concatenate([arcs[:, :1], middle, arcs[:, 1:2]], axis=1)
     images, at_inf = invert_point(mirrors[:, None], np.concatenate([samples, anchors], axis=1))
     image_arcs, code = _arcs_through(images[:, -3], images[:, -2], images[:, -1])
-    code = np.where(at_inf[:, -3:].any(axis=-1), 5, code)
-    code = np.where((code == 0) & at_inf[:, :-3].any(axis=-1), 6, code)
+    code = np.where(at_inf[:, -3:].any(axis=-1), 4, code)
+    code = np.where((code == 0) & at_inf[:, :-3].any(axis=-1), 5, code)
     return images[:, :-3], image_arcs, code
 
 
@@ -555,24 +552,24 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
     meet orthogonally at x00.  The opposite boundary arcs arise by inversion
     in the quad's Laplace spheres, and the interior is generated by the two
     pencils of mirror spheres through corresponding arc samples; every row
-    and column of the result is concyclic.
+    and column of the result is concyclic.  The patch is built in the unit
+    chart of the corners and mapped back, with the corners as given.
     """
     n_u, n_v = _resolve_counts(n)
-    corners = [np.asarray(x, dtype=float) for x in (x00, x10, x01, x11)]
+    given = np.stack([np.asarray(x, dtype=float) for x in (x00, x10, x01, x11)])
+    (corners,), centre, size = _unit_chart(given[None])
     if not is_concyclic(corners[0], corners[1], corners[3], corners[2]):
         raise NotConcyclic("quad corners are not concyclic")
+    arcs = _chart_arcs([p0, q0], centre, size)
     scale = max(np.linalg.norm(c - corners[0]) for c in corners[1:])
-    for arc, a, b in ((p0, corners[0], corners[1]), (q0, corners[0], corners[2])):
-        if (
-            np.linalg.norm(arc.start - a) > 1e-8 * scale
-            or np.linalg.norm(arc.end - b) > 1e-8 * scale
-        ):
-            raise InconsistentCorner("arc endpoints must interpolate the quad corners")
+    if np.any(np.linalg.norm(arcs[:, :2] - corners[[[0, 1], [0, 2]]], axis=-1) > 1e-8 * scale):
+        raise InconsistentCorner("arc endpoints must interpolate the quad corners")
     if abs(float(np.dot(p0.tangent, q0.tangent))) > 1e-8:
         raise ArcsNotOrthogonal("seed arcs must meet orthogonally at the corner")
-    r1, r2, checks = _laplace_spheres(np.stack(corners)[None])
+    r1, r2, checks = _laplace_spheres(corners[None])
     raise_first_failure(checks)
-    p_samples, q_samples = p0.sample(n_u), q0.sample(n_v)
+    (p_samples,), _ = _arc_at(arcs[:1], np.arange(n_u + 1) / n_u)
+    (q_samples,), _ = _arc_at(arcs[1:], np.arange(n_v + 1) / n_v)
     p_ref, p_inf = invert_point(r2[0], p_samples)
     q_ref, q_inf = invert_point(r1[0], q_samples)
     if p_inf.any() or q_inf.any():
@@ -582,19 +579,13 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
     )
     if failure is not None:
         raise failure[1]
-    patch = EuclidNet(pts[0], at_inf[0])
-    for (i, j), corner in (
-        ((0, 0), corners[0]),
-        ((n_u, 0), corners[1]),
-        ((0, n_v), corners[2]),
-        ((n_u, n_v), corners[3]),
-    ):
-        if patch.at_infinity[i, j] or np.linalg.norm(
-            patch.points[i, j] - corner
-        ) > 1e-7 * max(1.0, scale):
+    pts, at_inf = pts[0], at_inf[0]
+    for k, ij in enumerate(((0, 0), (n_u, 0), (0, n_v), (n_u, n_v))):
+        if at_inf[ij] or np.linalg.norm(pts[ij] - corners[k]) > 1e-7 * max(1.0, scale):
             raise NotConcyclic("patch corner drifted off the quad corner")
-        patch.points[i, j] = corner
-    return patch
+    pts = pts * size + centre
+    pts[0, 0], pts[n_u, 0], pts[0, n_v], pts[n_u, n_v] = given
+    return EuclidNet(pts, at_inf)
 
 
 # -- circular net subdivision ----------------------------------------------------------
@@ -624,21 +615,26 @@ def subdivide_circular(
     Seed arcs cover the row-0 and column-0 edges, form tangent-continuous
     splines, and meet orthogonally at the origin vertex.  Arcs and their
     samples propagate to all edges by inversion in the face Laplace spheres,
-    which preserves the tangent continuity at all interior vertices.
+    which preserves the tangent continuity at all interior vertices.  Every
+    round runs in the unit chart of the input net, so the result commutes
+    with similarities; the input vertices reappear bit-identically.
     """
     n_u, n_v = _resolve_counts(n)
-    out = net
-    arcs_u, arcs_v = _arc_array(row0_arcs), _arc_array(col0_arcs)
+    if not net.is_finite():
+        raise NotCircular("subdivision requires a finite circular net")
+    points, centre, scale = _unit_chart(net.points)
+    out = EuclidNet(points)
+    arcs_u, arcs_v = (_chart_arcs(arcs, centre, scale) for arcs in (row0_arcs, col0_arcs))
     for _ in range(rounds):
         out, arcs_u, arcs_v = _subdivide_circular_round(out, n_u, n_v, arcs_u, arcs_v)
-    return out
+    fine = out.points * scale + centre
+    fine[:: n_u**rounds, :: n_v**rounds] = net.points
+    return EuclidNet(fine)
 
 
 def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     """One round from seed arcs row0 (nu-1, 3, 3) and col0 (nv-1, 3, 3);
     returns the fine net and the seed arcs of the next round."""
-    if not net.is_finite():
-        raise NotCircular("subdivision requires a finite circular net")
     if circular_violations(net):
         raise NotCircular("input is not a circular net")
     nu, nv = net.dims
@@ -664,9 +660,8 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     u_smp = np.empty((nu - 1, nv, n_u + 1, 3))
     v_smp = np.empty((nu, nv - 1, n_v + 1, 3))
     u_arcs[:, 0], v_arcs[0] = row0, col0
-    for smp, arcs, n in ((u_smp[:, 0], row0, n_u), (v_smp[0], col0, n_v)):
-        smp[...], _, away = _arc_points(arcs, np.arange(n + 1) / n)
-        raise_first_failure([(away, _away_error)])
+    u_smp[:, 0], u_tangents = _arc_at(row0, np.arange(n_u + 1) / n_u)
+    v_smp[0], v_tangents = _arc_at(col0, np.arange(n_v + 1) / n_v)
 
     # Laplace spheres of all faces, then inversion along the rows (u-arcs,
     # one step per j) and the columns (v-arcs, one step per i); code[...]
@@ -718,9 +713,8 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
 
     # seed data for a further round: sub-arcs between consecutive samples
     seeds = []
-    for arcs, smp, n in ((row0, u_smp[:, 0], n_u), (col0, v_smp[0], n_v)):
-        tangents = _arc_points(arcs, np.arange(n) / n)[1]
-        sub, code = _arcs(smp[:, :-1], smp[:, 1:], tangents)
+    for smp, tangents in ((u_smp[:, 0], u_tangents), (v_smp[0], v_tangents)):
+        sub, code = _arcs(smp[:, :-1], smp[:, 1:], tangents[:, :-1])
         _raise_arc_errors(code)
         seeds.append(sub.reshape(-1, 3, 3))
     return EuclidNet(fine), *seeds

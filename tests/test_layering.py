@@ -58,3 +58,16 @@ def test_no_tolerance_parameters_besides_proj_equal():
                 if names & {"tol", "rtol"} and getattr(node, "name", None) != "proj_equal":
                     found.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
     assert found == []
+
+
+def test_only_projective_spells_the_zero_threshold():
+    """The absolute zero threshold is projective._ABS_EPS; other modules
+    import it instead of repeating its value."""
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        if path.stem != "projective"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value == 1e-13
+    ]
+    assert found == []

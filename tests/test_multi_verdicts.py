@@ -1,5 +1,5 @@
 """How the multi-rectangle predicates reach their verdicts: the first chunk
-by SVD, the translation certificate, the chunked early exit; their
+by SVD, the translation certificate, one SVD call for the rest; their
 agreement under Q/Q* duality and projective maps; the agreement of the
 equivalent multi-Q characterizations away from their thresholds; and the
 typed error for non-finite coordinates."""

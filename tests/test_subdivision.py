@@ -438,6 +438,108 @@ def test_arc_transform_matches_pointwise_inversion(rng):
     assert np.allclose(img.end, invert_point(s, arc.end))
 
 
+@pytest.mark.parametrize("off", [1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+def test_nearly_straight_arc_keeps_its_end_and_its_circle(off):
+    # chord of length 1.3 at angle `off` to the tangent e_x: the circle has
+    # unit normal N = (0, w_y, w_z) / h and radius |w|^2 / (2 h), so the
+    # power of a sample p over the diameter, h |p - s|^2 / |w|^2 - (p - s).N,
+    # and its offset from the plane measure the distance to the circle
+    start = np.array([0.3, -0.2, 0.1])
+    arc = CircArc(start, start + 1.3 * np.array([np.cos(off), np.sin(off), 0.0]), [1.0, 0, 0])
+    w = arc.end - arc.start
+    h, size = np.linalg.norm(w[1:]), np.linalg.norm(w)
+    normal = np.array([0.0, w[1], w[2]]) / h
+    rel = arc.sample(8) - arc.start
+    assert np.linalg.norm(rel[-1] - w) <= 1e-12 * size
+    radial = h * np.sum(rel * rel, axis=-1) / size**2 - rel @ normal
+    plane = rel @ np.cross([1.0, 0, 0], normal)
+    assert np.max(np.hypot(radial, plane)) <= 1e-12 * size
+    steps = np.linalg.norm(np.diff(rel, axis=0), axis=-1)
+    assert np.allclose(steps, size / 8, rtol=1e-9)
+
+
+def reference_arcs_through(a, mid, b):
+    """The arc fit through the circumcentre and an (e1, e2) frame, kept as
+    a reference for subdivision._arcs_through."""
+    from multinets.subdivision import _arcs
+
+    def dot(x, y):
+        return np.sum(x * y, axis=-1)
+
+    u = mid - a
+    v = b - a
+    w = np.cross(u, v)
+    uu, uv, vv = dot(u, u), dot(u, v), dot(v, v)
+    scale = np.sqrt(uu) * np.sqrt(vv)
+    wn = np.linalg.norm(w, axis=-1)
+    line = (scale <= 1e-26) | (wn <= 1e-10 * scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = uv / vv
+        code = np.where(line & ~((0.0 <= s) & (s <= 1.0)), 3, 0)
+        g = np.stack([np.stack([uu, uv], -1), np.stack([uv, vv], -1)], -2)
+        g[line] = np.eye(2)
+        al, be = np.moveaxis(np.linalg.solve(g, 0.5 * np.stack([uu, vv], -1)[..., None])[..., 0], -1, 0)
+        center = a + al[:, None] * u + be[:, None] * v
+        r = np.linalg.norm(a - center, axis=-1, keepdims=True)
+        e1 = (a - center) / r
+        e2 = np.cross(w / wn[:, None], e1)
+        e2 = e2 / np.linalg.norm(e2, axis=-1, keepdims=True)
+
+        def angle(p, e):
+            rel = (p - center) / r
+            th = np.arctan2(dot(rel, e), dot(rel, e1))
+            return np.where(th < 0, th + 2.0 * np.pi, th)
+
+        flip = ~(angle(mid, e2) < angle(b, e2))
+        e2 = np.where(flip[:, None], -e2, e2)
+        code = np.where(~line & flip & ~(angle(mid, e2) < angle(b, e2)), 4, code)
+    arcs, arc_code = _arcs(a, b, np.where(line[:, None], v, e2))
+    return arcs, np.where(code == 0, arc_code, code)
+
+
+def test_arcs_through_equals_the_circumcentre_fit_on_random_circles():
+    from multinets.subdivision import _arcs_through
+
+    rng = np.random.default_rng(8)
+    e = 2000
+    centre, radius = rng.normal(size=(e, 3)), rng.uniform(0.1, 3.0, (e, 1))
+    e1 = rng.normal(size=(e, 3))
+    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    e2 = np.cross(e1, rng.normal(size=(e, 3)))
+    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    # angles of a, mid, b in order, at least 0.05 rad apart (also from a again)
+    gaps = rng.dirichlet(np.ones(3), e) * (2 * np.pi - 0.15) + 0.05
+    angles = np.concatenate([np.zeros((e, 1)), np.cumsum(gaps[:, :2], axis=-1)], axis=-1)
+    a, mid, b = (centre + radius * (np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2) for t in angles.T)
+    want, want_code = reference_arcs_through(a, mid, b)
+    got, code = _arcs_through(a, mid, b)
+    assert np.array_equal(code, want_code) and not code.any()
+    assert np.array_equal(got[:, :2], want[:, :2])
+    assert np.max(np.abs(got[:, 2] - want[:, 2])) <= 1e-8
+    assert np.max(np.abs(got[:, 2] - e2)) <= 1e-10
+
+
+def test_arcs_through_equals_the_circumcentre_fit_on_degenerate_triples():
+    from multinets.subdivision import _arcs_through
+
+    p, q = np.array([0.3, -0.2, 0.5]), np.array([1.1, 0.4, -0.7])
+    triples = {
+        "a = b": (p, q, p),
+        "a = mid": (p, p, q),
+        "mid = b": (p, q, q),
+        "a = mid = b": (p, p, p),
+        "collinear, midpoint inside": (p, 0.7 * p + 0.3 * q, q),
+        "collinear, midpoint outside": (p, 1.4 * q - 0.4 * p, q),
+        "collinear, midpoint before a": (p, 1.4 * p - 0.4 * q, q),
+    }
+    a, mid, b = (np.array(x) for x in zip(*triples.values()))
+    want, want_code = reference_arcs_through(a, mid, b)
+    got, code = _arcs_through(a, mid, b)
+    assert dict(zip(triples, code.tolist())) == dict(zip(triples, want_code.tolist()))
+    assert code.tolist() == [3, 0, 0, 3, 0, 3, 3]
+    assert np.array_equal(got, want)
+
+
 # -- adapted cyclide patches ------------------------------------------------------
 
 
@@ -612,6 +714,40 @@ def test_circular_round_kernel_calls_do_not_grow_with_faces(monkeypatch):
     for size, got in per_size.items():
         steps = 2 * (size - 1)
         assert got == {"meet_lines": 1, "intersect_spans": 1, "polar_reflect": steps, "_reflect": steps + 4 + 4}
+
+
+SIMILARITIES = [(10.0**k, shift) for k in range(-6, 7) for shift in (0.0, 10.0)]
+
+
+def similar_torus_net(scale, shift):
+    """The 3x3 torus net (radii 2 and 0.5) and its curvature-line seed arcs
+    scaled by `scale` and moved by shift * scale along (1, 1, 1)."""
+    us, vs = [0.2, 0.9, 1.7], [-0.5, 0.3, 1.0]
+    move = shift * scale * np.ones(3)
+    p = scale * torus_net(us, vs).points + move
+    row = [CircArc(p[i, 0], p[i + 1, 0], torus_u_tangent(us[i], vs[0])) for i in range(2)]
+    col = [CircArc(p[0, j], p[0, j + 1], torus_v_tangent(us[0], vs[j])) for j in range(2)]
+    return p, row, col, move
+
+
+def subdivide_similar(p, row, col):
+    return subdivide_circular(EuclidNet(p), 2, row, col).points
+
+
+def patch_similar(p, row, col):
+    return adapted_cyclide_patch(p[0, 0], p[1, 0], p[0, 1], p[1, 1], row[0], col[0], 3).points
+
+
+@pytest.mark.parametrize("scale, shift", SIMILARITIES)
+@pytest.mark.parametrize("build, stride", [(subdivide_similar, 2), (patch_similar, 3)])
+def test_circular_subdivision_commutes_with_similarities(build, stride, scale, shift):
+    ref = build(*similar_torus_net(1.0, 0.0)[:3])
+    p, row, col, move = similar_torus_net(scale, shift)
+    fine = build(p, row, col)
+    # the input vertices (the patch's corners) reappear as given
+    vertices = fine[::stride, ::stride]
+    assert np.array_equal(vertices, p[: vertices.shape[0], : vertices.shape[1]])
+    assert np.max(np.abs((fine - move) / scale - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def crossing_quad():
