@@ -18,6 +18,7 @@ planes represented by exterior points of that quadric.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,6 +144,21 @@ def span_ranks(stacks) -> np.ndarray:
 # -- rectangle kernel ----------------------------------------------------------
 
 
+def _read_only(*arrays):
+    """The given arrays, each marked read-only, as a tuple."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def index_pairs(n: int):
+    """Index pairs i0 < i1 of range(n) in lexicographic order, as the two
+    read-only arrays of np.triu_indices(n, 1); memoized per n."""
+    return _read_only(*np.triu_indices(n, 1))
+
+
+@functools.lru_cache(maxsize=16)
 def rect_indices(nu: int, nv: int, elementary: bool):
     """Grid indices of the corners of the coordinate rectangles of an
     (nu, nv) grid.
@@ -150,17 +166,18 @@ def rect_indices(nu: int, nv: int, elementary: bool):
     Returns row and column index arrays (N, 4), one row per rectangle with
     its key (i0, i1, j0, j1) in lexicographic order, for the corners
     (i0,j0), (i1,j0), (i0,j1), (i1,j1).  With elementary=True only the quads
-    with i1 = i0 + 1, j1 = j0 + 1 are taken.
+    with i1 = i0 + 1, j1 = j0 + 1 are taken.  The arrays are read-only and
+    memoized per (nu, nv, elementary).
     """
     if elementary:
         i0, j0 = np.arange(nu - 1), np.arange(nv - 1)
         i1, j1 = i0 + 1, j0 + 1
     else:
-        i0, i1 = np.triu_indices(nu, 1)
-        j0, j1 = np.triu_indices(nv, 1)
+        i0, i1 = index_pairs(nu)
+        j0, j1 = index_pairs(nv)
     a0, a1 = np.repeat(i0, len(j0)), np.repeat(i1, len(j0))
     b0, b1 = np.tile(j0, len(i0)), np.tile(j1, len(i0))
-    return np.stack([a0, a1, a0, a1], axis=1), np.stack([b0, b0, b1, b1], axis=1)
+    return _read_only(np.stack([a0, a1, a0, a1], axis=1), np.stack([b0, b0, b1, b1], axis=1))
 
 
 def rect_stacks(grid, elementary: bool):

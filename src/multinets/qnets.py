@@ -9,6 +9,7 @@ nets of planes with concurrent quadruples (Q*-nets).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,10 @@ from .projective import (
     _ABS_EPS,
     RANK_RTOL,
     ProjLine,
+    _read_only,
     common_point_of_spans,
     hpoint,
+    index_pairs,
     normalize,
     normalized_rows,
     proj_distance,
@@ -114,6 +117,46 @@ class LaplaceData:
 # corner triples of a quad stack (x00, x10, x01, x11), one per dropped corner
 _CORNER_TRIPLES = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
+# Three unit rows a, b, c have sigma_3 >= |a^b^c| / (sigma_1 sigma_2), and
+# sigma_1 sigma_2 <= (sigma_1^2 + sigma_2^2) / 2 <= 3 / 2, so a volume
+# |a^b^c| >= _RANK3_VOLUME gives sigma_3 >= 6.6e-9, while sigma_1 <= sqrt(3)
+# puts the rank rule's RANK_RTOL sigma_1 at most 1.8e-9: such a triple spans
+# rank 3 under span_rank, with a margin far above the rounding of the minors
+# and of the SVD (a small multiple of 1e-16).
+_RANK3_VOLUME = 1e-8
+
+
+def _triple_volumes(triples):
+    """|a^b^c| of the row triples (..., 3, d), from the 2x2 minors of a, b.
+
+    The 3x3 minors m_ijk = p_ij c_k + p_jk c_i + p_ki c_j of the
+    antisymmetric p = a b^T - b a^T, over all ordered (i, j, k), hold each
+    minor of distinct columns six times.
+    """
+    a, b, c = np.moveaxis(triples, -2, 0)
+    p = a[..., :, None] * b[..., None, :]
+    p = p - np.swapaxes(p, -1, -2)
+    m = (
+        p[..., :, :, None] * c[..., None, None, :]
+        + p[..., None, :, :] * c[..., :, None, None]
+        + np.swapaxes(p, -1, -2)[..., :, None, :] * c[..., None, :, None]
+    )
+    return np.sqrt(np.sum(m * m, axis=(-3, -2, -1)) / 6.0)
+
+
+def _collinear_triples(quads):
+    """True for each quad (Q, 4, d) with a corner triple of span rank < 3.
+
+    A triple of unit rows with volume >= _RANK3_VOLUME spans rank 3 by the
+    bound above; only the thinner ones go to span_rank.
+    """
+    triples = quads[:, _CORNER_TRIPLES]
+    thin = _triple_volumes(normalized_rows(triples)) < _RANK3_VOLUME
+    low = np.zeros(thin.shape, dtype=bool)
+    if np.any(thin):
+        low[thin] = span_rank(triples[thin]) < 3
+    return np.any(low, axis=-1)
+
 
 def _unit_lstsq(m, rhs):
     """Batched least squares m c = rhs, m (..., d, k), on unit-normalized columns.
@@ -144,7 +187,7 @@ def laplace_gauges(quads):
     quads = np.asarray(quads, dtype=float)
     x00, x10, x01, x11 = np.moveaxis(quads, -2, 0)
     nonplanar = span_rank(quads) > 3
-    collinear = np.any(span_rank(quads[:, _CORNER_TRIPLES]) < 3, axis=-1)
+    collinear = _collinear_triples(quads)
     coeffs, unit, _ = _unit_lstsq(np.stack([x10, x01, -x00], axis=-1), x11)
     mags = np.abs(unit)
     vanishing = np.min(mags, axis=-1) <= 1e-12 * np.max(mags, axis=-1)
@@ -229,7 +272,7 @@ def _rects_planar(grid) -> bool:
     exhaustive check, so they reach its verdict by construction, and the
     certificate does by its proof.
     """
-    rows, cols = rect_indices(*grid.shape[:2], elementary=False)
+    rows, cols = rect_indices(*grid.shape[:2], False)
 
     def violated(lo, hi):
         return bool(np.any(span_rank(grid[rows[lo:hi], cols[lo:hi]]) > 3))
@@ -288,27 +331,11 @@ def _translation_certified(grid) -> bool:
     eps / m <= RANK_RTOL / 4, far below the _GAUGE_TOL of translation_gauge's
     vertex check, which is therefore not repeated.  A strip gauge that
     _strip_cauchy cannot build (any GeometryError) and a non-finite bound
-    leave the grid uncertified.
+    leave the grid uncertified.  The gauge, eps, m and delta come from the
+    memoized record of _strip_gauge.
     """
-    try:
-        x00, y1, y2, rec = _strip_cauchy(grid[0:2], grid[:, 0:2])
-    except GeometryError:
-        return False
-    acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
-    acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
-    r = rec.points
-    lam = np.sum(r * grid, axis=-1) / np.sum(grid * grid, axis=-1)
-    fitted = lam[..., None] * grid
-    eps = np.max(np.linalg.norm(fitted - r, axis=-1))
-    l_norms = np.linalg.norm(fitted, axis=-1)
-    sizes = (
-        np.linalg.norm(x00)
-        + np.linalg.norm(acc1, axis=-1)[:, None]
-        + np.linalg.norm(acc2, axis=-1)[None, :]
-        + l_norms
-    )
-    delta = 16 * grid.shape[-1] * np.finfo(float).eps * np.max(sizes)
-    return bool(4 * eps + delta <= RANK_RTOL * np.min(l_norms))
+    gauge = _strip_gauge(grid)
+    return gauge.error is None and bool(4 * gauge.eps + gauge.delta <= RANK_RTOL * gauge.min_norm)
 
 
 # -- translation structure ----------------------------------------------------
@@ -348,6 +375,67 @@ def _strip_cauchy(rows, cols, ambient: str = "RP3"):
     return t00, y1, y2, from_cauchy_homogeneous(y1, y2, t00, ambient=ambient)
 
 
+@dataclass(frozen=True)
+class _StripGauge:
+    """The strip gauge of one grid (nu, nv, d) and the terms of its bounds.
+
+    Where _strip_cauchy raised a GeometryError, error holds its type and
+    message and nothing else is set.  Otherwise x00, y1, y2 and points are
+    _strip_cauchy's Cauchy data and reconstruction, acc1 (nu, d) and acc2
+    (nv, d) the partial sums Y1_i, Y2_j with Y1_0 = Y2_0 = 0, and eps,
+    min_norm and delta the eps, m and delta of _translation_certified.  The
+    arrays are read-only.
+    """
+
+    error: tuple | None = None
+    x00: np.ndarray | None = None
+    y1: np.ndarray | None = None
+    y2: np.ndarray | None = None
+    points: np.ndarray | None = None
+    acc1: np.ndarray | None = None
+    acc2: np.ndarray | None = None
+    eps: float = np.nan
+    min_norm: float = np.nan
+    delta: float = np.nan
+
+
+def _strip_gauge(grid) -> _StripGauge:
+    """The _StripGauge of a grid (nu, nv, d) with nu, nv >= 2, memoized on
+    its shape and bytes: the multi-Q predicates of one net (and of its dual,
+    whose homogeneous covectors are the same floats) build it once."""
+    grid = np.asarray(grid, dtype=float)
+    return _gauge_of(grid.shape, grid.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _gauge_of(shape, data) -> _StripGauge:
+    """_strip_gauge of the float64 grid with these shape and C-order bytes."""
+    grid = np.frombuffer(data).reshape(shape)
+    try:
+        x00, y1, y2, rec = _strip_cauchy(grid[0:2], grid[:, 0:2])
+    except GeometryError as exc:
+        return _StripGauge(error=(type(exc), str(exc)))
+    acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
+    acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
+    r = rec.points
+    lam = np.sum(r * grid, axis=-1) / np.sum(grid * grid, axis=-1)
+    fitted = lam[..., None] * grid
+    l_norms = np.linalg.norm(fitted, axis=-1)
+    sizes = (
+        np.linalg.norm(x00)
+        + np.linalg.norm(acc1, axis=-1)[:, None]
+        + np.linalg.norm(acc2, axis=-1)[None, :]
+        + l_norms
+    )
+    return _StripGauge(
+        None,
+        *_read_only(x00, y1, y2, r, acc1, acc2),
+        eps=float(np.max(np.linalg.norm(fitted - r, axis=-1))),
+        min_norm=float(np.min(l_norms)),
+        delta=float(16 * shape[-1] * np.finfo(float).eps * np.max(sizes)),
+    )
+
+
 def translation_gauge(net: PointNet):
     """Homogeneous representatives realizing x_{ij} = x00 + sum y1 + sum y2.
 
@@ -358,18 +446,20 @@ def translation_gauge(net: PointNet):
     if nu < 2 or nv < 2:
         raise NotMultiQ("net must be at least 2x2")
     p = net.points
-    try:
-        x00, y1, y2, rec = _strip_cauchy(p[0:2], p[:, 0:2])
-    except (ZeroSum, ZeroVector) as exc:
-        raise NotMultiQ("translation reconstruction hit a zero vector") from exc
-    except (PerspectivityViolation, NonPlanarQuad, DegenerateQuad) as exc:
-        raise NotMultiQ(str(exc)) from exc
+    gauge = _strip_gauge(p)
+    if gauge.error is not None:
+        kind, message = gauge.error
+        if issubclass(kind, (ZeroSum, ZeroVector)):
+            raise NotMultiQ("translation reconstruction hit a zero vector") from kind(message)
+        if issubclass(kind, (PerspectivityViolation, NonPlanarQuad, DegenerateQuad)):
+            raise NotMultiQ(message) from kind(message)
+        raise kind(message)
     # verify the reconstruction against the whole net
-    off = np.argwhere(proj_distance(rec.points, p) > _GAUGE_TOL)
+    off = np.argwhere(proj_distance(gauge.points, p) > _GAUGE_TOL)
     if off.size:
         i, j = off[0]
         raise NotMultiQ(f"vertex ({i},{j}) off the translation reconstruction")
-    return x00, y1, y2
+    return gauge.x00.copy(), gauge.y1.copy(), gauge.y2.copy()
 
 
 def is_translation_net(net: PointNet) -> bool:
@@ -460,17 +550,84 @@ def laplace_transforms_degenerate(net: PointNet) -> bool:
 
 
 def _parameter_polygons_perspective(net: PointNet, pairs) -> bool:
-    """True iff for every index pair (i0, i1) from pairs(n), first of rows
-    and then of columns, the lines joining corresponding points of the two
-    polygons are concurrent by common_point_of_spans.  Joins of coincident
-    points are left out, and a pair with fewer than two joins is in perspective."""
+    """True iff for every index pair (i0, i1) from pairs(n), of rows and of
+    columns, the lines joining corresponding points of the two polygons are
+    concurrent by common_point_of_spans.  Joins of coincident points are
+    left out, and a pair with fewer than two joins is in perspective.
+
+    The first nu - 1 row pairs go to common_point_of_spans: a residual above
+    RANK_RTOL there gives False.  Then _perspectivity_certified may pass
+    every pair at once.  Failing that, the remaining row pairs and then the
+    column pairs go to common_point_of_spans, one call per direction.
+    """
     p = net.points
-    for grid in (p, p.swapaxes(0, 1)):
-        i0, i1 = pairs(grid.shape[0])
-        _, resid, _ = common_point_of_spans(np.stack([grid[i0], grid[i1]], axis=2), min_rank=2)
-        if np.any(resid > RANK_RTOL):
-            return False
-    return True
+    (r0, r1), (c0, c1) = pairs(p.shape[0]), pairs(p.shape[1])
+    first = p.shape[0] - 1
+    if not _joins_concurrent(p, r0[:first], r1[:first]):
+        return False
+    if _perspectivity_certified(p, (r0, r1), (c0, c1)):
+        return True
+    return _joins_concurrent(p, r0[first:], r1[first:]) and _joins_concurrent(
+        p.swapaxes(0, 1), c0, c1
+    )
+
+
+def _joins_concurrent(grid, i0, i1) -> bool:
+    """True iff for every k the joins of grid[i0[k], j] and grid[i1[k], j]
+    over j have a common point: a root sum of squared sines at most RANK_RTOL
+    by common_point_of_spans, joins of rank 1 left out."""
+    if not len(i0):
+        return True
+    _, resid, _ = common_point_of_spans(np.stack([grid[i0], grid[i1]], axis=2), min_rank=2)
+    return not np.any(resid > RANK_RTOL)
+
+
+def _perspectivity_certified(grid, row_pairs, col_pairs) -> bool:
+    """True only if every row pair in row_pairs and every column pair in
+    col_pairs of a grid (nu, nv, d) of homogeneous points is in perspective:
+    some direction has a root sum of squared sines to the joins of the pair
+    of at most RANK_RTOL.  False means "not certified", not "fails".
+    O((P + nu nv) d) work for P pairs after the strip gauge.
+
+    The bound.  Take the gauge of _translation_certified: R_ij = x00 + Y1_i
+    + Y2_j, L_ij = lam_ij x_ij and eps = max |L - R|.  For rows i < i' let
+    c = Y1_i' - Y1_i.  The vector L_i'j - L_ij lies on the join of x_ij and
+    x_i'j, whatever lam, and equals R_i'j - R_ij + e = c + e with
+    |e| <= 2 eps.  So the sine from c to that join is at most |e| / |c|
+    <= 2 eps / |c|, and the root sum over the at most nv joins is at most
+    2 eps sqrt(nv) / |c|.  Leaving out the joins of coincident points only
+    lowers the sum.  This bounds the least root sum over all directions,
+    which is the predicate's residual.  Columns work the same way with
+    c = Y2_j' - Y2_j and nu joins.
+
+    The rounding.  With u = 2^-53, S and delta = 16 d eps_mach S as in
+    _translation_certified, and c the exact difference of the computed
+    partial sums: each exact product lam_ij x_ij is within u S of L_ij; each
+    computed R_ij is within 2u / (1 - 2u) S of the exact x00 + Y1_i + Y2_j,
+    whose differences along a column are exactly c; and the exact |L - R|
+    exceeds the computed eps by at most (d + 4) u S.  So every exact
+    |lam_ij x_ij - (x00 + Y1_i + Y2_j)| is at most eps + (d + 8) u S
+    <= eps + delta, and |e| <= 2 (eps + delta).
+
+    The rule.  The certificate asks for
+    2 (eps + delta) sqrt(max(nu, nv)) <= (RANK_RTOL / 2) min |c|, with the
+    minimum over the given pairs of both directions.  The other half of
+    RANK_RTOL absorbs the relative rounding of the computed |c|, about d u.
+    Two equal rows or columns give c = 0 and no certificate.  A strip gauge
+    that _strip_cauchy cannot build and a non-finite bound leave the grid
+    uncertified.
+    """
+    nu, nv = grid.shape[:2]
+    if nu < 2 or nv < 2:
+        return False
+    gauge = _strip_gauge(grid)
+    if gauge.error is not None:
+        return False
+    sep = min(
+        np.min(np.linalg.norm(acc[i1] - acc[i0], axis=-1))
+        for acc, (i0, i1) in ((gauge.acc1, row_pairs), (gauge.acc2, col_pairs))
+    )
+    return bool(4 * (gauge.eps + gauge.delta) * np.sqrt(max(nu, nv)) <= RANK_RTOL * sep)
 
 
 def neighbor_perspectivity(net: PointNet) -> bool:
@@ -480,7 +637,7 @@ def neighbor_perspectivity(net: PointNet) -> bool:
 
 def all_pairs_perspectivity(net: PointNet) -> bool:
     """Every two parameter polygons of the same direction in perspective."""
-    return _parameter_polygons_perspective(net, lambda n: np.triu_indices(n, 1))
+    return _parameter_polygons_perspective(net, index_pairs)
 
 
 def has_planar_parameter_polygons(net: PointNet) -> bool:

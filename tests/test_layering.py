@@ -71,3 +71,53 @@ def test_only_projective_spells_the_zero_threshold():
         if isinstance(node, ast.Constant) and node.value == 1e-13
     ]
     assert found == []
+
+
+def memo_decorations(path):
+    """(line, literal maxsize or None) of every functools.lru_cache / cache
+    named in the module at path; None where maxsize is missing, None or not
+    an integer literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {"lru_cache", "cache"}
+    aliases = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name in names
+    }
+
+    def memo_kind(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr if node.attr in names and node.value.id == "functools" else None
+        return aliases.get(node.id) if isinstance(node, ast.Name) else None
+
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        kind = memo_kind(node)
+        if kind is None:
+            continue
+        call = calls.get(id(node))
+        size = None
+        if call is not None and kind == "lru_cache":
+            args = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+            if args and isinstance(args[0], ast.Constant) and type(args[0].value) is int:
+                size = args[0].value
+        found.append((node.lineno, size))
+    return found
+
+
+MEMOS = {path.stem: memo_decorations(path) for path in PACKAGE.glob("*.py")}
+
+
+def test_memos_have_a_finite_literal_maxsize():
+    """An unbounded memo would grow with every distinct input and let the
+    benchmark's peak RSS drift; each one names its bound."""
+    unbounded = [f"{name}:{line}" for name, memos in MEMOS.items() for line, size in memos if size is None]
+    assert unbounded == []
+
+
+def test_only_projective_and_qnets_memoize():
+    assert {name for name, memos in MEMOS.items() if memos} <= {"projective", "qnets"}
+    assert MEMOS["projective"] and MEMOS["qnets"]

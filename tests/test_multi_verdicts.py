@@ -1,6 +1,6 @@
 """How the multi-rectangle predicates reach their verdicts: the first chunk
-by SVD, the translation certificate, one SVD call for the rest; their
-agreement under Q/Q* duality and projective maps; the agreement of the
+by SVD, the translation certificate, one SVD call for the rest; the shared
+strip gauge and the perspectivity certificate; their agreement under Q/Q* duality and projective maps; the agreement of the
 equivalent multi-Q characterizations away from their thresholds; and the
 typed error for non-finite coordinates."""
 
@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import noisy_translation_nets, random_q_net
+from multinets import qnets
 from multinets.circular import (
     EuclidNet,
     is_multi_circular,
@@ -28,17 +29,23 @@ from multinets.qnets import (
     _FIRST_CHUNK,
     PlaneNet,
     PointNet,
+    _gauge_of,
+    _perspectivity_certified,
     _rects_planar,
+    _strip_gauge,
     _translation_certified,
     all_pairs_perspectivity,
     dualize_point_net,
+    from_translation,
     is_multi_q_net,
     is_multi_qstar,
+    is_q_net,
     is_translation_net,
     laplace_transforms_degenerate,
     multi_q_violations,
     multi_qstar_violations,
     neighbor_perspectivity,
+    translation_gauge,
 )
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -61,10 +68,12 @@ def rect_ratio(corners):
 
 def verdicts_agree(grid):
     """The certificate never passes a grid with a violating rectangle, and
-    the chunked predicate equals the exhaustive check."""
+    the chunked predicate equals the exhaustive check; the same for the
+    perspectivity predicates (perspectivity_agrees)."""
     exhaustive = not multi_q_violations(PointNet(grid))
     assert exhaustive or not _translation_certified(grid)
     assert _rects_planar(grid) == exhaustive
+    perspectivity_agrees(PointNet(grid))
 
 
 # -- the certificate never passes a violating net -------------------------------
@@ -304,6 +313,7 @@ def test_strip_sphere_rejects_strip_off_concurrency_by_1e_7():
 
 
 def count_svd_matrices(monkeypatch):
+    _gauge_of.cache_clear()
     counts = []
     svd = np.linalg.svd
 
@@ -330,6 +340,149 @@ def test_translation_nets_hand_only_the_first_chunk_to_svd(family, monkeypatch):
     stacks = sum(int(np.prod(s[:-2])) for s in shapes if s[-2:] == (4, d))
     assert stacks <= _FIRST_CHUNK + 1
     assert sum(int(np.prod(s[:-2])) for s in shapes) < 2 * _FIRST_CHUNK
+
+
+# -- one strip gauge per grid; the perspectivity certificate ----------------------
+
+PERSPECTIVITY = {
+    "neighbour": (neighbor_perspectivity, lambda n: (np.arange(n - 1), np.arange(1, n))),
+    "all pairs": (all_pairs_perspectivity, lambda n: np.triu_indices(n, 1)),
+}
+
+
+def perspective_exhaustive(net, pairs):
+    """The perspectivity verdict by common_point_of_spans on every pair of
+    rows and then of columns."""
+    p = net.points
+    for grid in (p, p.swapaxes(0, 1)):
+        i0, i1 = pairs(grid.shape[0])
+        _, resid, _ = common_point_of_spans(np.stack([grid[i0], grid[i1]], axis=2), min_rank=2)
+        if np.any(resid > RANK_RTOL):
+            return False
+    return True
+
+
+def certified(net, pairs):
+    p = net.points
+    return _perspectivity_certified(p, pairs(p.shape[0]), pairs(p.shape[1]))
+
+
+def perspectivity_agrees(net):
+    """Both perspectivity predicates equal the exhaustive reference, and the
+    certificate passes no net that the reference fails; returns the number
+    of predicates whose pairs the certificate passed."""
+    passed = 0
+    for predicate, pairs in PERSPECTIVITY.values():
+        want = perspective_exhaustive(net, pairs)
+        assert predicate(net) == want
+        if certified(net, pairs):
+            assert want
+            passed += 1
+    return passed
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("nu, nv", [(2, 2), (2, 5), (4, 3), (7, 7), (11, 6), (16, 16)])
+def test_certified_perspectivity_equals_exhaustive_on_translation_nets(nu, nv, scale):
+    assert perspectivity_agrees(PointNet(scale * translation_points(nu + nv, nu, nv))) == 2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certified_perspectivity_equals_exhaustive_on_rescaled_vertices(seed):
+    spread = 10 ** np.random.default_rng(seed).uniform(-12, 12, (7, 7, 1))
+    assert perspectivity_agrees(PointNet(spread * translation_points(seed, 7, 7))) == 2
+
+
+@pytest.mark.parametrize("eps", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7])
+def test_certified_perspectivity_equals_exhaustive_on_noisy_translation_nets(eps):
+    passed = [perspectivity_agrees(net) for net in noisy_translation_nets(eps, count=10)]
+    if eps <= 1e-12:
+        assert passed == [2] * 10
+
+
+def test_two_equal_rows_leave_all_pairs_to_the_exhaustive_route():
+    pts = translation_points(1, 6, 5)
+    pts[4] = -2.0 * pts[1]  # Y1_4 = Y1_1: c = 0 for the pair (1, 4)
+    net = PointNet(pts)
+    assert not certified(net, PERSPECTIVITY["all pairs"][1])
+    perspectivity_agrees(net)
+    assert all_pairs_perspectivity(net) and neighbor_perspectivity(net)
+
+
+@pytest.mark.parametrize("nu, nv", [(3, 3), (5, 5), (6, 4), (3, 7), (9, 9)])
+def test_certified_perspectivity_equals_exhaustive_on_generic_q_nets(nu, nv):
+    net = random_q_net(np.random.default_rng(nu * nv), nu, nv)
+    assert perspectivity_agrees(net) == 0
+
+
+
+@pytest.mark.parametrize("seed, spread", [(255, 1e-6), (150, 1e-7)])
+def test_certificate_decides_translation_nets_with_nearly_coincident_joins(seed, spread):
+    """Translation nets [p_i + q_j] whose first two columns have nearly
+    coincident joins: every p_i + q_0 lies within spread of the plane of
+    v and q_1 - q_0.  common_point_of_spans alone misses their common point
+    (test_known_defect_common_point_of_nearly_coincident_lines); the
+    certificate proves both predicates."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1, 1, (7, 4))
+    v = rng.uniform(-1, 1, 4)
+    alpha, beta = rng.uniform(0.5, 2, 7), rng.uniform(-1, 1, 7)
+    p = alpha[:, None] * v + beta[:, None] * (q[1] - q[0]) - q[0]
+    net = from_translation(p + spread * rng.standard_normal((7, 4)), q)
+    assert is_multi_q_net(net)
+    for predicate, pairs in PERSPECTIVITY.values():
+        assert certified(net, pairs)
+        assert predicate(net)
+
+def test_in_place_edit_between_calls_changes_the_verdicts():
+    """The gauge is memoized on the bytes of the grid, so an edit of
+    net.points outside the first chunk is seen by the certificates."""
+    net = PointNet(translation_points(2, 7, 7))
+    checks = (is_multi_q_net, is_translation_net, neighbor_perspectivity, all_pairs_perspectivity)
+    assert [check(net) for check in checks] == [True] * 4
+    net.points[6, 6, 2] *= 1.0 + 1e-3
+    assert multi_q_violations(net)
+    assert [check(net) for check in checks] == [False] * 4
+
+
+def test_editing_the_returned_gauge_does_not_leak_into_the_next_call():
+    net = PointNet(translation_points(4, 5, 6))
+    first = translation_gauge(net)
+    want = [a.copy() for a in first]
+    for a in first:
+        a[...] = 0.0
+    for got, w in zip(translation_gauge(net), want):
+        assert np.array_equal(got, w)
+    gauge = _strip_gauge(net.points)
+    assert not any(a.flags.writeable for a in (gauge.x00, gauge.y1, gauge.y2, gauge.points))
+
+
+@pytest.mark.parametrize("multi", [True, False])
+def test_a_multiq_verify_op_builds_the_strip_gauge_once(multi, monkeypatch):
+    """The seven checks of a multiq-verify op, on a translation net or a
+    generic Q-net; the dual's homogeneous covectors are the same floats."""
+    calls = []
+    strip_cauchy = qnets._strip_cauchy
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return strip_cauchy(*args, **kwargs)
+
+    monkeypatch.setattr(qnets, "_strip_cauchy", counting)
+    _gauge_of.cache_clear()
+    rng = np.random.default_rng(5)
+    net = PointNet(translation_points(5, 7, 7)) if multi else random_q_net(rng, 7, 7)
+    verdicts = (
+        is_q_net(net),
+        is_multi_q_net(net),
+        neighbor_perspectivity(net),
+        all_pairs_perspectivity(net),
+        laplace_transforms_degenerate(net),
+        is_translation_net(net),
+        is_multi_qstar(dualize_point_net(net)),
+    )
+    assert verdicts == (True,) + (multi,) * 6
+    assert len(calls) == 1
 
 
 # -- non-finite coordinates -----------------------------------------------------
