@@ -147,33 +147,46 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-# -- verify -------------------------------------------------------------------------
+# -- verify and classify ------------------------------------------------------------
 
 
-_VERIFIERS = {
-    "q": (PointNet, qnets.q_violations),
-    "multi-q": (PointNet, qnets.multi_q_violations),
-    "qstar": (PlaneNet, qnets.qstar_violations),
-    "multi-qstar": (PlaneNet, qnets.multi_qstar_violations),
-    "circular": (EuclidNet, circular.circular_violations),
-    "multi-circular": (EuclidNet, circular.multi_circular_violations),
-    "conical": (PlaneNet, conical.conical_violations),
-    "multi-conical": (PlaneNet, conical.multi_conical_violations),
-    "congruence": (congruences.IsoLineGrid, congruences.multi_congruence_violations),
+# command -> what -> (expected net type, function of the net)
+_COMMANDS = {
+    "verify": {
+        "q": (PointNet, qnets.q_violations),
+        "multi-q": (PointNet, qnets.multi_q_violations),
+        "qstar": (PlaneNet, qnets.qstar_violations),
+        "multi-qstar": (PlaneNet, qnets.multi_qstar_violations),
+        "circular": (EuclidNet, circular.circular_violations),
+        "multi-circular": (EuclidNet, circular.multi_circular_violations),
+        "conical": (PlaneNet, conical.conical_violations),
+        "multi-conical": (PlaneNet, conical.multi_conical_violations),
+        "congruence": (congruences.IsoLineGrid, congruences.multi_congruence_violations),
+    },
+    "classify": {
+        "circular": (EuclidNet, circular.classify_multi_circular),
+        "gauss": (EuclidNet, conical.classify_gauss),
+        "congruence": (congruences.IsoLineGrid, congruences.classify_congruence),
+    },
 }
 
 
-def _cmd_verify(args) -> int:
+class _UsageError(Exception):
+    """A request the command cannot serve; main reports it and exits 2."""
+
+
+def _apply_to_input(args):
+    """The command's function applied to the input net, once the net is
+    of the kind that function expects."""
     net = read_net(args.input or sys.stdin)
-    expected, checker = _VERIFIERS[args.what]
+    expected, function = _COMMANDS[args.command][args.what]
     if not isinstance(net, expected):
-        print(
-            f"error: '{args.what}' expects a {expected.__name__}, got "
-            f"{type(net).__name__}",
-            file=sys.stderr,
-        )
-        return 2
-    violations = checker(net)
+        raise _UsageError(f"'{args.what}' expects a {expected.__name__}, got {type(net).__name__}")
+    return function(net)
+
+
+def _cmd_verify(args) -> int:
+    violations = _apply_to_input(args)
     if not violations:
         print(f"ok: {args.what}")
         return 0
@@ -182,18 +195,8 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-# -- classify -----------------------------------------------------------------------
-
-
 def _cmd_classify(args) -> int:
-    net = read_net(args.input or sys.stdin)
-    if args.what == "circular":
-        result = circular.classify_multi_circular(net)
-    elif args.what == "gauss":
-        result = conical.classify_gauss(net)
-    else:
-        result = congruences.classify_congruence(net)
-    print(result)
+    print(_apply_to_input(args))
     return 0
 
 
@@ -212,12 +215,13 @@ def _load_arcs(doc_list):
 
 
 def _cmd_subdivide(args) -> int:
+    if (args.nu is None) != (args.nv is None):
+        raise _UsageError("--nu and --nv must be given together")
     net = read_net(args.input or sys.stdin)
-    n = (args.nu, args.nv) if args.nu and args.nv else args.n
+    n = args.n if args.nu is None else (args.nu, args.nv)
     if args.scheme == "q":
         if not isinstance(net, PointNet):
-            print("error: scheme q expects a point net", file=sys.stderr)
-            return 2
+            raise _UsageError("scheme q expects a point net")
         seeds = None
         if args.seeds:
             with open(args.seeds, "r", encoding="utf-8") as fh:
@@ -229,11 +233,9 @@ def _cmd_subdivide(args) -> int:
         out = subdivision.subdivide_q(net, n, rounds=args.rounds, seeds=seeds)
     else:
         if not isinstance(net, EuclidNet):
-            print("error: scheme circular expects an E3 net", file=sys.stderr)
-            return 2
+            raise _UsageError("scheme circular expects an E3 net")
         if not args.seeds:
-            print("error: scheme circular requires --seeds FILE", file=sys.stderr)
-            return 2
+            raise _UsageError("scheme circular requires --seeds FILE")
         with open(args.seeds, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         out = subdivision.subdivide_circular(
@@ -272,12 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_gen)
 
     v = sub.add_parser("verify", help="verify a net property")
-    v.add_argument("what", choices=sorted(_VERIFIERS))
+    v.add_argument("what", choices=sorted(_COMMANDS["verify"]))
     v.add_argument("-i", "--input")
     v.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("classify", help="classify a net")
-    c.add_argument("what", choices=["circular", "gauss", "congruence"])
+    c.add_argument("what", choices=list(_COMMANDS["classify"]))
     c.add_argument("-i", "--input")
     c.set_defaults(func=_cmd_classify)
 
@@ -305,6 +307,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -36,6 +36,7 @@ from .projective import (
     QuadricForm,
     _raise_unless_meet,
     classify_spans,
+    index_pairs,
     meet_lines,
     normalize,
     normalized_rows,
@@ -116,8 +117,7 @@ def multi_congruence_violations(g: IsoLineGrid):
          lambda k: IdenticalLines("spanning points are projectively equal")),
     ])
     d = g.form.dim
-    i0, i1 = np.triu_indices(nu, 1)
-    j0, j1 = np.triu_indices(nv, 1)
+    (i0, i1), (j0, j1) = index_pairs(nu), index_pairs(nv)
     keys = [("row", a, b, j) for j in range(nv) for a, b in zip(i0.tolist(), i1.tolist())]
     keys += [("col", i, a, b) for i in range(nu) for a, b in zip(j0.tolist(), j1.tolist())]
     stacks = np.concatenate(

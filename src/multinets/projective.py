@@ -241,8 +241,11 @@ def common_point_of_spans(spans, min_rank: int = 1):
     vector with the least root sum of squared sines to the counted spans,
     that root sum, which certifies a common point when <= RANK_RTOL, and the
     one of the best orthogonal direction, which flags a non-unique point.
-    Each sine comes from the off-span component of the direction, accurate
-    to rounding, not from the eigenvalues of the sum of span projectors.
+    All three come from one SVD of C, the complement projectors I - B^T B
+    of the counted spans stacked as rows (B an orthonormal basis of a span):
+    |C v|^2 is the sum of squared sines for a unit v, so the last right
+    singular vector is the best direction and the last two singular values
+    are the two root sums, each accurate to rounding.
     """
     a, b = np.moveaxis(normalized_rows(spans), -2, 0)
     c = np.sum(a * b, axis=-1, keepdims=True)
@@ -250,12 +253,10 @@ def common_point_of_spans(spans, min_rank: int = 1):
     sine = np.linalg.norm(w, axis=-1, keepdims=True)
     line = sine > RANK_RTOL * (1.0 + np.abs(c))  # sigma_2 / sigma_1 = sine / (1 + |c|)
     counted = (1 + line >= min_rank)[..., None]
-    basis = np.stack([a, np.where(line, w, 0.0) / np.where(line, sine, 1.0)], axis=-2) * counted
-    flat = np.concatenate([basis[..., 0, :], basis[..., 1, :]], axis=-2)
-    best = np.linalg.eigh(np.swapaxes(flat, -1, -2) @ flat)[1][..., None, :, :-3:-1]
-    off = (best - np.swapaxes(basis, -1, -2) @ (basis @ best)) * counted
-    resid = np.sqrt(np.sum(off * off, axis=(-3, -2)))
-    return best[..., 0, :, 0], resid[..., 0], resid[..., 1]
+    basis = np.stack([a, np.where(line, w, 0.0) / np.where(line, sine, 1.0)], axis=-2)
+    comp = (np.eye(a.shape[-1]) - np.swapaxes(basis, -1, -2) @ basis) * counted
+    _, s, vt = np.linalg.svd(comp.reshape(*comp.shape[:-3], -1, comp.shape[-1]), full_matrices=False)
+    return vt[..., -1, :], s[..., -1], s[..., -2]
 
 
 # -- quadric forms -----------------------------------------------------------

@@ -440,14 +440,69 @@ def test_cli_wrong_net_kind_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
+def _net_text(net):
+    buf = io.StringIO()
+    write_net(net, buf)
+    return buf.getvalue()
+
+
+def _point_net():
+    return random_q_net(np.random.default_rng(0), 3, 3)
+
+
+def _e3_net():
+    return sample_rotational([[1.0, 0.0], [1.5, 1.0], [1.2, 2.0]], [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "what, net, expected, got",
+    [
+        ("gauss", _point_net, "EuclidNet", "PointNet"),
+        ("circular", _point_net, "EuclidNet", "PointNet"),
+        ("congruence", _e3_net, "IsoLineGrid", "EuclidNet"),
+    ],
+)
+def test_cli_classify_wrong_net_kind_exit_2(what, net, expected, got, capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["classify", what], stdin_text=_net_text(net()), capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: '{what}' expects a {expected}, got {got}\n"
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        (["--nu", "3"], "error: --nu and --nv must be given together\n"),
+        (["--nv", "3"], "error: --nu and --nv must be given together\n"),
+        (["--nu", "0", "--nv", "4"], "input error: ValueError: subdivision counts must be >= 1\n"),
+    ],
+    ids=["nu-alone", "nv-alone", "zero"],
+)
+def test_cli_subdivide_takes_nu_and_nv_together(counts, message, capsys, monkeypatch):
+    text = _net_text(_point_net())
+    code, out, err = run_cli(
+        ["subdivide", "--scheme", "q", *counts], stdin_text=text, capsys=capsys, monkeypatch=monkeypatch
+    )
+    assert (code, out, err) == (2, "", message)
+
+
+def test_cli_subdivide_passes_nu_and_nv_through(capsys, monkeypatch):
+    text = _net_text(_point_net())
+    code, out, _ = run_cli(
+        ["subdivide", "--scheme", "q", "--nu", "1", "--nv", "3"], stdin_text=text, capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    assert code == 0
+    assert read_net(io.StringIO(out)).points.shape[:2] == (3, 7)
+
+
 # -- CLI verifiers: one passing and one failing input each -----------------------
 
 
 def _verify(what, net, capsys, monkeypatch):
-    buf = io.StringIO()
-    write_net(net, buf)
     code, out, _ = run_cli(
-        ["verify", what], stdin_text=buf.getvalue(), capsys=capsys, monkeypatch=monkeypatch
+        ["verify", what], stdin_text=_net_text(net), capsys=capsys, monkeypatch=monkeypatch
     )
     return code, out.splitlines()
 

@@ -121,3 +121,37 @@ def test_memos_have_a_finite_literal_maxsize():
 def test_only_projective_and_qnets_memoize():
     assert {name for name, memos in MEMOS.items() if memos} <= {"projective", "qnets"}
     assert MEMOS["projective"] and MEMOS["qnets"]
+
+
+def dotted(node):
+    """'np.linalg.eigh' for the expression np.linalg.eigh, None for an
+    expression that is not a chain of names."""
+    if isinstance(node, ast.Attribute):
+        head = dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+CALLS = {
+    path.stem: {
+        dotted(node.func)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    }
+    for path in PACKAGE.glob("*.py")
+}
+
+
+def callers(suffix):
+    return {name for name, calls in CALLS.items() if any(c and c.endswith(suffix) for c in calls)}
+
+
+def test_no_module_calls_eigh():
+    """common_point_of_spans reads its direction off one SVD; symmetric
+    eigen-decompositions stay in the signature classifier (eigvalsh)."""
+    assert callers("linalg.eigh") == set()
+
+
+def test_only_projective_enumerates_index_pairs():
+    """Row and column pairs come from the memoized projective.index_pairs."""
+    assert callers("triu_indices") == {"projective"}

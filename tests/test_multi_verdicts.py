@@ -415,24 +415,41 @@ def test_certified_perspectivity_equals_exhaustive_on_generic_q_nets(nu, nv):
     assert perspectivity_agrees(net) == 0
 
 
-
-@pytest.mark.parametrize("seed, spread", [(255, 1e-6), (150, 1e-7)])
-def test_certificate_decides_translation_nets_with_nearly_coincident_joins(seed, spread):
-    """Translation nets [p_i + q_j] whose first two columns have nearly
-    coincident joins: every p_i + q_0 lies within spread of the plane of
-    v and q_1 - q_0.  common_point_of_spans alone misses their common point
-    (test_known_defect_common_point_of_nearly_coincident_lines); the
-    certificate proves both predicates."""
-    rng = np.random.default_rng(seed)
+def nearly_coincident_joins_net(rng, spread):
+    """A 7x7 translation net [p_i + q_j] whose first two columns have nearly
+    coincident joins: every p_i + q_0 lies within spread of the plane of v
+    and q_1 - q_0."""
     q = rng.uniform(-1, 1, (7, 4))
     v = rng.uniform(-1, 1, 4)
     alpha, beta = rng.uniform(0.5, 2, 7), rng.uniform(-1, 1, 7)
     p = alpha[:, None] * v + beta[:, None] * (q[1] - q[0]) - q[0]
-    net = from_translation(p + spread * rng.standard_normal((7, 4)), q)
+    return from_translation(p + spread * rng.standard_normal((7, 4)), q)
+
+
+@pytest.mark.parametrize("seed, spread", [(255, 1e-6), (150, 1e-7)])
+def test_certificate_decides_translation_nets_with_nearly_coincident_joins(seed, spread):
+    """The certificate proves both predicates on nets with nearly
+    coincident joins; test_common_point_of_nearly_coincident_lines checks
+    common_point_of_spans on such lines."""
+    net = nearly_coincident_joins_net(np.random.default_rng(seed), spread)
     assert is_multi_q_net(net)
     for predicate, pairs in PERSPECTIVITY.values():
         assert certified(net, pairs)
         assert predicate(net)
+
+
+@pytest.mark.parametrize("spread", [1e-6, 1e-7, 1e-8])
+def test_nets_with_nearly_coincident_joins_are_in_perspective(spread):
+    """Without the certificate too: the exhaustive reference, which sends
+    every pair to common_point_of_spans, and both predicates answer True on
+    50 such nets."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        net = nearly_coincident_joins_net(rng, spread)
+        for predicate, pairs in PERSPECTIVITY.values():
+            assert perspective_exhaustive(net, pairs)
+            assert predicate(net)
+
 
 def test_in_place_edit_between_calls_changes_the_verdicts():
     """The gauge is memoized on the bytes of the grid, so an edit of
