@@ -267,7 +267,7 @@ def _unit_chart(points):
     centre = np.mean(points, axis=(0, 1))
     centered = points - centre
     scale = np.sqrt(np.mean(np.sum(centered * centered, axis=-1)))
-    if scale <= _ABS_EPS:
+    if scale == 0.0:
         return points, 0.0, 1.0
     return centered / scale, centre, scale
 

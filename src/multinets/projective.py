@@ -19,6 +19,8 @@ planes represented by exterior points of that quadric.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,12 +197,148 @@ def rect_stacks(grid, elementary: bool):
 def rank_violations(keys, stacks, max_rank: int):
     """Stacks whose span rank exceeds max_rank, as (key, residual) pairs.
 
-    One batched SVD of the row-normalized stacks (N, k, d) decides every
-    rank; the residual is sigma_min / sigma_max of the violating stack.
+    A batched SVD of the row-normalized stacks (N, k, d) decides each rank;
+    the residual is sigma_min / sigma_max of the violating stack.  For
+    4-row stacks and max_rank 3 the stacks that _rank4_certificate proves
+    planar skip the SVD, and the others get the SVD they would get in the
+    full batch, so the listing is the same.
     """
-    s = np.linalg.svd(normalized_rows(stacks), compute_uv=False)
+    stacks = np.asarray(stacks, dtype=float)
+    check = np.arange(len(stacks))
+    if max_rank == 3 and stacks.shape[-2] == 4:
+        _, v3, v4 = corner_minors(stacks)
+        check = np.flatnonzero(~_rank4_certificate(v3, v4, stacks.shape[-1])[0])
+    s = np.linalg.svd(normalized_rows(stacks[check]), compute_uv=False)
     ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=-1)
-    return [(keys[k], float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(ranks > max_rank)]
+    return [(keys[check[k]], float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(ranks > max_rank)]
+
+
+# -- corner minors of four-point stacks ------------------------------------------
+
+# The triple of W_t leaves out corner t of a stack (x00, x10, x01, x11) and
+# expands along its first row, _TRIPLE_FIRST[t], against the 2x2 minors of
+# its other two rows, the row pair _PAIR_ROWS[_TRIPLE_PAIR[t]].
+_PAIR_ROWS = ((2, 3), (1, 3), (1, 2))
+_TRIPLE_FIRST = (1, 0, 0, 0)
+_TRIPLE_PAIR = (0, 0, 1, 2)
+
+
+@functools.lru_cache(maxsize=8)
+def _minor_tables(d: int):
+    """Gather indices of corner_minors for stacks (N, 4, d), memoized per d.
+
+    Each table indexes a flattened operand, so that every factor of every
+    expansion is taken in one gather; the columns run over the sorted pairs
+    j < k, triples i < j < k and quadruples c1 < c2 < c3 < c4 of range(d).
+    pair (4, 3, C(d,2)) indexes the rows (4 d) for the factors s_j, t_k,
+    s_k, t_j of the 2x2 minors s_j t_k - s_k t_j of the row pairs
+    _PAIR_ROWS.  tri_rows and tri_pairs (3, 4, C(d,3)) index the rows and
+    those minors (3 C(d,2)) for the terms a_i P_jk, a_j P_ik, a_k P_ij of
+    W_t.  quad_rows and quad_tris (4, C(d,4)) index the rows and the 3x3
+    minors (4 C(d,3)) for the terms a_cm W_3(columns without cm) of each
+    4x4 minor, expanded along the last row.  The arrays are read-only.
+    """
+    pairs = list(itertools.combinations(range(d), 2))
+    triples = list(itertools.combinations(range(d), 3))
+    quads = list(itertools.combinations(range(d), 4))
+    pair_at = {cols: n for n, cols in enumerate(pairs)}
+    triple_at = {cols: n for n, cols in enumerate(triples)}
+
+    def drop(cols, m):
+        return cols[:m] + cols[m + 1:]
+
+    tables = (
+        [
+            [[rows[side] * d + cols[at] for cols in pairs] for rows in _PAIR_ROWS]
+            for side, at in ((0, 0), (1, 1), (0, 1), (1, 0))
+        ],
+        [[[_TRIPLE_FIRST[t] * d + cols[m] for cols in triples] for t in range(4)] for m in range(3)],
+        [
+            [[_TRIPLE_PAIR[t] * len(pairs) + pair_at[drop(cols, m)] for cols in triples] for t in range(4)]
+            for m in range(3)
+        ],
+        [[3 * d + cols[m] for cols in quads] for m in range(4)],
+        [[3 * len(triples) + triple_at[drop(cols, m)] for cols in quads] for m in range(4)],
+    )
+    return _read_only(*(np.array(table, dtype=np.intp) for table in tables))
+
+
+def corner_minors(stacks):
+    """Minors of the row-normalized stacks (N, 4, d) of four points.
+
+    Returns w (N, 4, C(d,3)), v3 (N, 4) and v4 (N,).  w[:, t] holds the 3x3
+    minors, over the column triples in sorted order, of the three unit rows
+    other than row t, in their order; v3[:, t] is their root sum of squares,
+    by Cauchy-Binet the volume sigma_1 sigma_2 sigma_3 of that triple.  v4 is
+    the root sum of squares of the 4x4 minors, each expanded along the last
+    row against w[:, 3]: the volume sigma_1 ... sigma_4 of the stack.  A
+    vanishing row raises ZeroVector.  The index tables are built on the
+    first call for each d.
+    """
+    a = normalized_rows(stacks)
+    n, d = len(a), a.shape[-1]
+    pair, tri_rows, tri_pairs, quad_rows, quad_tris = _minor_tables(d)
+    rows = a.reshape(n, 4 * d)
+    # summed term by term in place: one term's factors and product are the
+    # largest temporaries, which keeps the peak memory of the SVD route
+    p = rows[:, pair[0]] * rows[:, pair[1]]
+    p -= rows[:, pair[2]] * rows[:, pair[3]]
+    p = p.reshape(n, pair[0].size)
+    w = rows[:, tri_rows[0]] * p[:, tri_pairs[0]]
+    w -= rows[:, tri_rows[1]] * p[:, tri_pairs[1]]
+    w += rows[:, tri_rows[2]] * p[:, tri_pairs[2]]
+    f = rows[:, quad_rows] * w.reshape(n, tri_rows[0].size)[:, quad_tris]
+    m4 = f[:, 1] - f[:, 0] + f[:, 3] - f[:, 2]
+    return w, np.sqrt(np.einsum("ntk,ntk->nt", w, w)), np.sqrt(np.einsum("nk,nk->n", m4, m4))
+
+
+def _minor_rounding(d: int) -> float:
+    """The bound e on the rounding of v3 and v4 of corner_minors for d columns.
+
+    With u = 2^-53 and unit rows, whose computed entries are at most 1 + u:
+    a 2x2 minor is off by at most 2 gamma_2 (gamma_n = n u / (1 - n u)); a
+    3x3 minor, three products with those minors, by 6 gamma_2 + 6 gamma_3 +
+    O(u^2) < 32 u; a 4x4 minor, four products of the last row (whose entries
+    sum to at most 2 in absolute value) with 3x3 minors of size at most 1 (by
+    Hadamard), by 2 * 32 u + 2 gamma_4 < 73 u.  A root sum of squares of n
+    such minors is off by the norm of their errors, at most n times the
+    bound, plus (n + 2) u for its own rounding, as the volumes are at most
+    1.  So e = 128 u (C(d,3) + C(d,4)) bounds both; e = 0 for d < 3, where
+    no minor exists and both volumes are exactly 0.
+    """
+    return 128 * 2.0**-53 * (math.comb(d, 3) + math.comb(d, 4))
+
+
+def _rank4_certificate(v3, v4, d: int):
+    """Masks (planar, skew) of the stacks (N, 4, d) whose corner_minors
+    volumes v3, v4 prove the SVD rule's verdict: span rank <= 3 and span
+    rank 4 under span_rank.
+
+    The bound.  For unit rows, sigma_1 >= 1 (a row) and sigma_1 <= 2 (the
+    Frobenius norm), and by interlacing each triple has v3 <= sigma_1
+    sigma_2 sigma_3.  So v4 / max v3 >= sigma_4 >= sigma_4 / sigma_1, and
+    sigma_4 / sigma_1 = v4 / (sigma_1^2 sigma_2 sigma_3) >= v4 / 16.  With
+    the rounding bound e of _minor_rounding, a stack is planar when
+    (v4 + e) / (max v3 - e) <= RANK_RTOL / 2 and skew when
+    (v4 - e) / 16 > 2 RANK_RTOL (the first written without a division, so
+    that max v3 <= e proves nothing).  The factor 2 on either side absorbs
+    the rounding of the row normalization and of the backward-stable SVD,
+    which move sigma_4 / sigma_1 by a small multiple of u, orders of magnitude
+    below RANK_RTOL / 2.  Stacks in neither mask need the SVD.
+    """
+    e = _minor_rounding(d)
+    planar = v4 + e <= 0.5 * RANK_RTOL * (np.max(v3, axis=-1) - e)
+    return planar, v4 - e > 32.0 * RANK_RTOL
+
+
+def _above_rank3(stacks, v3, v4):
+    """span_rank(stacks) > 3 for stacks (N, 4, d) with corner_minors volumes
+    v3, v4: the verdicts of _rank4_certificate, and span_rank for the stacks
+    it leaves open."""
+    planar, skew = _rank4_certificate(v3, v4, stacks.shape[-1])
+    open_ = ~(planar | skew)
+    skew[open_] = span_rank(stacks[open_]) > 3
+    return skew
 
 
 def intersect_spans(a, b):

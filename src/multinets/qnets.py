@@ -32,8 +32,10 @@ from .projective import (
     _ABS_EPS,
     RANK_RTOL,
     ProjLine,
+    _above_rank3,
     _read_only,
     common_point_of_spans,
+    corner_minors,
     hpoint,
     index_pairs,
     normalize,
@@ -114,7 +116,8 @@ class LaplaceData:
     y2: np.ndarray
 
 
-# corner triples of a quad stack (x00, x10, x01, x11), one per dropped corner
+# corner triples of a quad stack (x00, x10, x01, x11), one per dropped corner,
+# in the order of the minors of projective.corner_minors
 _CORNER_TRIPLES = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 # Three unit rows a, b, c have sigma_3 >= |a^b^c| / (sigma_1 sigma_2), and
@@ -122,39 +125,29 @@ _CORNER_TRIPLES = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 # |a^b^c| >= _RANK3_VOLUME gives sigma_3 >= 6.6e-9, while sigma_1 <= sqrt(3)
 # puts the rank rule's RANK_RTOL sigma_1 at most 1.8e-9: such a triple spans
 # rank 3 under span_rank, with a margin far above the rounding of the minors
-# and of the SVD (a small multiple of 1e-16).
+# (projective._minor_rounding) and of the SVD (a small multiple of 1e-16).
 _RANK3_VOLUME = 1e-8
 
-
-def _triple_volumes(triples):
-    """|a^b^c| of the row triples (..., 3, d), from the 2x2 minors of a, b.
-
-    The 3x3 minors m_ijk = p_ij c_k + p_jk c_i + p_ki c_j of the
-    antisymmetric p = a b^T - b a^T, over all ordered (i, j, k), hold each
-    minor of distinct columns six times.
-    """
-    a, b, c = np.moveaxis(triples, -2, 0)
-    p = a[..., :, None] * b[..., None, :]
-    p = p - np.swapaxes(p, -1, -2)
-    m = (
-        p[..., :, :, None] * c[..., None, None, :]
-        + p[..., None, :, :] * c[..., :, None, None]
-        + np.swapaxes(p, -1, -2)[..., :, None, :] * c[..., None, :, None]
-    )
-    return np.sqrt(np.sum(m * m, axis=(-3, -2, -1)) / 6.0)
+# laplace_gauges solves by Cramer's rule where the unit rows x00, x10, x01
+# span a volume of at least _CRAMER_VOLUME.  The minors are off by a few u
+# (u = 2^-53), and the solve divides by the squared volume, so its relative
+# error grows like u / volume: below 1e-11 here.  Thinner quads keep the
+# SVD solve of _unit_lstsq.
+_CRAMER_VOLUME = 1e-4
 
 
-def _collinear_triples(quads):
+def _collinear_triples(quads, v3):
     """True for each quad (Q, 4, d) with a corner triple of span rank < 3.
 
-    A triple of unit rows with volume >= _RANK3_VOLUME spans rank 3 by the
-    bound above; only the thinner ones go to span_rank.
+    v3 (Q, 4) holds the volumes of the unit corner triples (corner_minors);
+    a triple with volume >= _RANK3_VOLUME spans rank 3 by the bound above,
+    and only the thinner ones go to span_rank.
     """
-    triples = quads[:, _CORNER_TRIPLES]
-    thin = _triple_volumes(normalized_rows(triples)) < _RANK3_VOLUME
+    thin = v3 < _RANK3_VOLUME
     low = np.zeros(thin.shape, dtype=bool)
     if np.any(thin):
-        low[thin] = span_rank(triples[thin]) < 3
+        q, t = np.nonzero(thin)
+        low[q, t] = span_rank(quads[q[:, None], np.take(_CORNER_TRIPLES, t, axis=0)]) < 3
     return np.any(low, axis=-1)
 
 
@@ -183,20 +176,38 @@ def laplace_gauges(quads):
     Returns t (Q, 4, d), y (Q, 2, d) and the coefficients (Q, 3) as (a, b, c).
     The first failing quad in stack order raises the first check that fails
     for it, in the order of laplace_gauge.
+
+    One pass of corner_minors decides planarity (with span_rank only where
+    its certificate leaves a quad open) and the corner triples, and gives
+    the coefficients by Cramer's rule: with W_t the minors of the unit rows
+    without corner t and r_t the corner norms, Cauchy-Binet turns the
+    wedges of x11 = a x10 + b x01 - c x00 with the other two of x00, x10,
+    x01 into a = -(r3/r1) <W1,W3> / |W3|^2, b = (r3/r2) <W2,W3> / |W3|^2 and
+    c = -(r3/r0) <W0,W3> / |W3|^2, the least-squares coefficients of
+    _unit_lstsq.  Quads whose volume |W3| is below _CRAMER_VOLUME keep
+    _unit_lstsq.
     """
     quads = np.asarray(quads, dtype=float)
+    w, v3, v4 = corner_minors(quads)
+    nonplanar = _above_rank3(quads, v3, v4)
+    collinear = _collinear_triples(quads, v3)
     x00, x10, x01, x11 = np.moveaxis(quads, -2, 0)
-    nonplanar = span_rank(quads) > 3
-    collinear = _collinear_triples(quads)
-    coeffs, unit, _ = _unit_lstsq(np.stack([x10, x01, -x00], axis=-1), x11)
+    norms = np.linalg.norm(quads, axis=-1)
+    cramer = v3[:, 3] >= _CRAMER_VOLUME
+    dots = np.einsum("qtk,qk->qt", w, w[:, 3])
+    scale = norms[:, 3] / np.where(cramer, dots[:, 3], 1.0)
+    unit = scale[:, None] * dots[:, [1, 2, 0]] * (-1.0, 1.0, -1.0)
+    coeffs = unit / norms[:, [1, 2, 0]]
+    rest = np.flatnonzero(~cramer)
+    if rest.size:
+        m = np.stack([x10[rest], x01[rest], -x00[rest]], axis=-1)
+        coeffs[rest], unit[rest], _ = _unit_lstsq(m, x11[rest])
     mags = np.abs(unit)
     vanishing = np.min(mags, axis=-1) <= 1e-12 * np.max(mags, axis=-1)
     a, b, c = coeffs.T
     t = np.stack([c[:, None] * x00, a[:, None] * x10, b[:, None] * x01, x11], axis=1)
     y = t[:, 1:3] - t[:, :1]
-    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= 1e-12 * np.linalg.norm(
-        x11, axis=-1
-    )
+    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= 1e-12 * norms[:, 3]
     checks = np.stack([nonplanar, collinear, vanishing, coincident], axis=-1)
     bad = np.flatnonzero(np.any(checks, axis=-1))
     if bad.size:
@@ -264,18 +275,21 @@ def _rects_planar(grid) -> bool:
     homogeneous points spans rank <= 3: the verdict of
     rank_violations(*rect_stacks(grid, elementary=False), 3) == [].
 
-    The first _FIRST_CHUNK rectangles in key order go to the SVD rule of
+    The first _FIRST_CHUNK rectangles in key order go to the rank rule of
     rank_violations: a violation there gives False, and a grid with no
     more rectangles gives True.  Then _translation_certified may pass every
     rectangle at once.  Failing that, the remaining rectangles go to the
-    SVD rule in one call.  Both calls give each stack the same SVD as the
-    exhaustive check, so they reach its verdict by construction, and the
-    certificate does by its proof.
+    rank rule in one call.  Both calls decide each stack by the volume
+    certificate of corner_minors and, where it leaves the stack open, by the
+    SVD of the exhaustive check, so they reach its verdict by the proof of
+    projective._rank4_certificate, and the translation certificate does by
+    its own.
     """
     rows, cols = rect_indices(*grid.shape[:2], False)
 
     def violated(lo, hi):
-        return bool(np.any(span_rank(grid[rows[lo:hi], cols[lo:hi]]) > 3))
+        stacks = grid[rows[lo:hi], cols[lo:hi]]
+        return bool(np.any(_above_rank3(stacks, *corner_minors(stacks)[1:])))
 
     if violated(0, _FIRST_CHUNK):
         return False
@@ -528,21 +542,27 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
     return net
 
 
+def _laplace_vectors(net: PointNet):
+    """Laplace vectors y (nu-1, nv-1, 2, d) of the gauges of all elementary
+    quads: y[..., 0, :] represents y1_{ij}, y[..., 1, :] y2_{ij}."""
+    nu, nv = net.dims
+    rows, cols = rect_indices(nu, nv, True)
+    _, y, _ = laplace_gauges(net.points[rows, cols])
+    return y.reshape(nu - 1, nv - 1, 2, net.ambient_dim)
+
+
 def laplace_transforms(net: PointNet):
     """Grids of Laplace points y1_{ij}, y2_{ij} of all elementary quads."""
-    nu, nv = net.dims
-    _, quads = rect_stacks(net.points, elementary=True)
-    _, y, _ = laplace_gauges(quads)
-    y = normalize(y).reshape(nu - 1, nv - 1, 2, net.ambient_dim)
+    y = normalize(_laplace_vectors(net))
     return tuple(PointNet(y[:, :, k], ambient=net.ambient) for k in (0, 1))
 
 
 def laplace_transforms_degenerate(net: PointNet) -> bool:
     """True iff y1 is constant along j and y2 along i, to _GAUGE_TOL."""
-    t1, t2 = laplace_transforms(net)
+    y = _laplace_vectors(net)
     return not (
-        np.any(proj_distance(t1.points, t1.points[:, :1]) > _GAUGE_TOL)
-        or np.any(proj_distance(t2.points, t2.points[:1]) > _GAUGE_TOL)
+        np.any(proj_distance(y[:, :, 0], y[:, :1, 0]) > _GAUGE_TOL)
+        or np.any(proj_distance(y[:, :, 1], y[:1, :, 1]) > _GAUGE_TOL)
     )
 
 

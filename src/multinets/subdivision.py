@@ -293,7 +293,7 @@ def subdivide_q(net: PointNet, n, rounds: int = 1, seeds=None) -> PointNet:
 # CircArc is the one-arc form.  Errors of arc constructions are coded per arc.
 _ARC_ERRORS = (
     None,
-    (DuplicatePoints, "arc tangent must not vanish"),
+    (DuplicatePoints, "arc tangent must be nonzero and finite"),
     (DuplicatePoints, "arc endpoints coincide"),
     (DuplicatePoints, "collinear arc points with exterior midpoint"),
     (DegenerateLaplaceSphere, "arc passes through the inversion center"),
@@ -318,11 +318,18 @@ def _dot(x, y):
 
 
 def _arcs(start, end, tangent):
-    """Arcs (..., 3, 3) with normalized tangents, and the error code of each."""
+    """Arcs (..., 3, 3) with normalized tangents, and the error code of each.
+
+    Only a zero or non-finite tangent norm is rejected, and endpoints count
+    as coincident when their chord is at most _ABS_EPS times the larger
+    endpoint norm, so the tests do not depend on the scale of the arc.
+    """
     norm = np.linalg.norm(tangent, axis=-1, keepdims=True)
-    code = np.where(norm[..., 0] <= _ABS_EPS, 1, 0)
-    code = np.where((code == 0) & (np.linalg.norm(end - start, axis=-1) <= _ABS_EPS), 2, code)
-    tangent = tangent / np.where(norm <= _ABS_EPS, 1.0, norm)
+    bad_tangent = (norm == 0.0) | ~np.isfinite(norm)
+    size = np.maximum(np.linalg.norm(start, axis=-1), np.linalg.norm(end, axis=-1))
+    code = np.where(bad_tangent[..., 0], 1, 0)
+    code = np.where((code == 0) & (np.linalg.norm(end - start, axis=-1) <= _ABS_EPS * size), 2, code)
+    tangent = tangent / np.where(bad_tangent, 1.0, norm)
     return np.stack(np.broadcast_arrays(start, end, tangent), axis=-2), code
 
 

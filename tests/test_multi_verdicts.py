@@ -24,8 +24,16 @@ from multinets.circular import (
 )
 from multinets.cli import main
 from multinets.errors import GeometryError, NonFiniteCoordinate, NotMultiCircular, ZeroVector
-from multinets.projective import RANK_RTOL, common_point_of_spans, normalized_rows, rect_indices
+from multinets.projective import (
+    RANK_RTOL,
+    common_point_of_spans,
+    corner_minors,
+    normalized_rows,
+    rect_indices,
+    rect_stacks,
+)
 from multinets.qnets import (
+    _CRAMER_VOLUME,
     _FIRST_CHUNK,
     PlaneNet,
     PointNet,
@@ -45,6 +53,8 @@ from multinets.qnets import (
     multi_q_violations,
     multi_qstar_violations,
     neighbor_perspectivity,
+    q_violations,
+    qstar_violations,
     translation_gauge,
 )
 
@@ -340,6 +350,40 @@ def test_translation_nets_hand_only_the_first_chunk_to_svd(family, monkeypatch):
     stacks = sum(int(np.prod(s[:-2])) for s in shapes if s[-2:] == (4, d))
     assert stacks <= _FIRST_CHUNK + 1
     assert sum(int(np.prod(s[:-2])) for s in shapes) < 2 * _FIRST_CHUNK
+
+
+def test_well_conditioned_q_net_hands_no_stack_to_svd(monkeypatch):
+    """On a generic 11x11 Q-net whose corner triples are far from collinear
+    the volume certificate decides every quad and Cramer's rule solves every
+    Laplace equation: no matrix reaches np.linalg.svd."""
+    net = random_q_net(np.random.default_rng(3), 11, 11)
+    _, v3, _ = corner_minors(rect_stacks(net.points, elementary=True)[1])
+    assert np.min(v3) >= _CRAMER_VOLUME
+    for check, want in ((is_q_net, True), (laplace_transforms_degenerate, False)):
+        shapes = count_svd_matrices(monkeypatch)
+        assert check(net) is want
+        assert sum(int(np.prod(s[:-2])) for s in shapes) == 0
+
+
+def full_svd_listing(grid, elementary):
+    """The rank_violations listing of every rectangle by one batched SVD."""
+    keys, stacks = rect_stacks(grid, elementary)
+    s = np.linalg.svd(normalized_rows(stacks), compute_uv=False)
+    return [(keys[k], float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(s[:, 3] > RANK_RTOL * s[:, 0])]
+
+
+@pytest.mark.parametrize("eps", [1e-10, 3e-10, 1e-9, 3e-9, 1e-8])
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+def test_violation_listings_equal_the_full_svd_listing(eps, scale):
+    """Noisy translation nets put many rectangles inside the certificate's
+    band, where the SVD decides; keys and residuals are the full SVD's."""
+    for net in noisy_translation_nets(eps, count=10):
+        net = PointNet(net.points * scale)
+        planes = dualize_point_net(net)
+        assert q_violations(net) == full_svd_listing(net.points, True)
+        assert multi_q_violations(net) == full_svd_listing(net.points, False)
+        assert qstar_violations(planes) == full_svd_listing(planes.homogeneous(), True)
+        assert multi_qstar_violations(planes) == full_svd_listing(planes.homogeneous(), False)
 
 
 # -- one strip gauge per grid; the perspectivity certificate ----------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,9 @@ from multinets.projective import (
     plane_rep,
     polar_reflect,
     RANK_RTOL,
+    _above_rank3,
+    _rank4_certificate,
+    corner_minors,
     proj_distance,
     proj_equal,
     rank_violations,
@@ -309,6 +314,58 @@ def test_rank_violations_zero_row():
     stacks[1, 2] = 0.0
     with pytest.raises(ZeroVector):
         rank_violations([0, 1], stacks, 3)
+    with pytest.raises(ZeroVector):
+        corner_minors(stacks)
+
+
+def _rescaled_stacks(rng, count, d):
+    """count stacks (4, d) with sigma_4 / sigma_1 log-uniform in
+    [1e-12, 1e-6] before their rows are rescaled by 10^U(-4, 4); for d = 3 the
+    third singular value takes that range instead."""
+    k = min(4, d)
+    s = np.ones((count, k))
+    s[:, 1:] = rng.uniform(0.05, 1.0, (count, k - 1))
+    s[:, -1] = 10 ** rng.uniform(-12, -6, count)
+    u = np.linalg.qr(rng.normal(size=(count, 4, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(count, d, k)))[0]
+    stacks = np.einsum("nik,nk,njk->nij", u, s, v)
+    return stacks * 10 ** rng.uniform(-4, 4, (count, 4, 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_corner_minors_are_the_volumes(rng, d):
+    stacks = rng.normal(size=(50, 4, d)) * 10 ** rng.uniform(-4, 4, (50, 4, 1))
+    rows = stacks / np.linalg.norm(stacks, axis=-1, keepdims=True)
+    w, v3, v4 = corner_minors(stacks)
+    triples = list(itertools.combinations(range(d), 3))
+    assert w.shape == (50, 4, len(triples)) and v3.shape == (50, 4) and v4.shape == (50,)
+    for t in range(4):
+        triple = rows[:, [r for r in range(4) if r != t]]
+        for k, cols in enumerate(triples):
+            assert np.allclose(w[:, t, k], np.linalg.det(triple[:, :, cols]), rtol=0, atol=1e-14)
+        s = np.linalg.svd(triple, compute_uv=False)
+        volume = np.prod(s[:, :3], axis=-1) if d >= 3 else 0.0
+        assert np.allclose(v3[:, t], volume, rtol=0, atol=1e-14)
+    s = np.linalg.svd(rows, compute_uv=False)
+    assert np.allclose(v4, np.prod(s[:, :4], axis=-1) if d >= 4 else 0.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_rank_certificate_and_its_fallback_equal_the_svd_rule(rng, d):
+    stacks = _rescaled_stacks(rng, 4000, d)
+    _, v3, v4 = corner_minors(stacks)
+    planar, skew = _rank4_certificate(v3, v4, d)
+    svd_rule = span_rank(stacks) > 3
+    assert not np.any(planar & svd_rule) and not np.any(skew & ~svd_rule)
+    assert np.array_equal(_above_rank3(stacks, v3, v4), svd_rule)
+    if d >= 4:
+        # the certificate decides both sides of the band, the SVD the rest
+        assert np.mean(planar) > 0.2 and np.mean(skew) > 0.2
+        assert np.any(svd_rule & ~skew) and np.any(~svd_rule & ~planar)
+    keys = list(range(len(stacks)))
+    s = np.linalg.svd(stacks / np.linalg.norm(stacks, axis=-1, keepdims=True), compute_uv=False)
+    full = [(k, float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(svd_rule)]
+    assert rank_violations(keys, stacks, 3) == full
 
 
 def _intersect_pair(a, b, rtol=RANK_RTOL):

@@ -15,14 +15,19 @@ from multinets.errors import (
 from multinets.projective import (
     RANK_RTOL,
     ProjLine,
+    corner_minors,
     meet_lines,
     proj_distance,
     proj_equal,
+    rect_stacks,
     span_rank,
 )
 from multinets.subdivision import subdivide_q
 from multinets.qnets import (
+    _CORNER_TRIPLES,
+    _CRAMER_VOLUME,
     PlaneNet,
+    _unit_lstsq,
     _perspective_gauge,
     PointNet,
     all_pairs_perspectivity,
@@ -689,13 +694,11 @@ def _corner_triple_collinear(quad):
     return False
 
 
-def test_laplace_checks_near_threshold():
-    # quads with c over 1e-16..1e-6 or two nearly coincident corners, each
-    # corner rescaled by 1e-3..1e3: only the triple check ever fires, exactly
-    # where the corner triples are numerically collinear
+def near_threshold_quads(count=400):
+    """Quads (4, 4) with c over 1e-16..1e-6 or two nearly coincident corners,
+    in turn, each corner rescaled by 1e-3..1e3 (default_rng(4))."""
     rng = np.random.default_rng(4)
-    fired = {"pass": 0, "collinear": 0}
-    for t in range(400):
+    for t in range(count):
         x00, x10, x01, v = rng.uniform(-1, 1, (4, 4))
         a, b, c = rng.uniform(0.3, 1.5, 3)
         eps = 10 ** rng.uniform(-16, -6)
@@ -709,7 +712,14 @@ def test_laplace_checks_near_threshold():
         x11 = a * x10 + b * x01 - c * x00
         if kind == 3:
             x11 = x00 + eps * (rng.uniform(-1, 1, 3) @ np.stack([x00, x10, x01]))
-        quad = np.stack([x00, x10, x01, x11]) * 10 ** rng.uniform(-3, 3, (4, 1))
+        yield np.stack([x00, x10, x01, x11]) * 10 ** rng.uniform(-3, 3, (4, 1))
+
+
+def test_laplace_checks_near_threshold():
+    # on the near-threshold quads only the triple check ever fires, exactly
+    # where the corner triples are numerically collinear
+    fired = {"pass": 0, "collinear": 0}
+    for quad in near_threshold_quads():
         try:
             tq, _, _ = laplace_gauges(quad[None])
         except GeometryError as exc:
@@ -723,3 +733,69 @@ def test_laplace_checks_near_threshold():
         assert np.linalg.norm(t10 + t01 - t00 - t11) <= 1e-6 * np.linalg.norm(t11)
         fired["pass"] += 1
     assert min(fired.values()) >= 50
+
+
+def lstsq_route_gauges(quads):
+    """Reference for laplace_gauges: planarity and corner triples by
+    span_rank, the coefficients by _unit_lstsq, for every quad."""
+    x00, x10, x01, x11 = np.moveaxis(quads, -2, 0)
+    nonplanar = span_rank(quads) > 3
+    collinear = np.any(span_rank(quads[:, _CORNER_TRIPLES]) < 3, axis=-1)
+    coeffs, unit, _ = _unit_lstsq(np.stack([x10, x01, -x00], axis=-1), x11)
+    mags = np.abs(unit)
+    vanishing = np.min(mags, axis=-1) <= 1e-12 * np.max(mags, axis=-1)
+    a, b, c = coeffs.T
+    t = np.stack([c[:, None] * x00, a[:, None] * x10, b[:, None] * x01, x11], axis=1)
+    y = t[:, 1:3] - t[:, :1]
+    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= 1e-12 * np.linalg.norm(x11, axis=-1)
+    checks = np.stack([nonplanar, collinear, vanishing, coincident], axis=-1)
+    bad = np.flatnonzero(np.any(checks, axis=-1))
+    if bad.size:
+        return None, int(bad[0]), int(np.argmax(checks[bad[0]]))
+    return (t, y, coeffs), None, None
+
+
+LAPLACE_MESSAGES = [
+    (NonPlanarQuad, "quad spans rank 4"),
+    (DegenerateQuad, "three corners are collinear or coincident"),
+    (DegenerateQuad, "vanishing Laplace coefficient"),
+    (DegenerateQuad, "coincident opposite corners"),
+]
+
+
+def assert_gauges_match_lstsq_route(quads):
+    """laplace_gauges raises the reference's first error, or matches its
+    t, y and coefficients to 1e-10 relative, quad by quad."""
+    want, bad, check = lstsq_route_gauges(quads)
+    if want is None:
+        kind, message = LAPLACE_MESSAGES[check]
+        with pytest.raises(kind, match=message):
+            laplace_gauges(quads)
+        if bad:
+            laplace_gauges(quads[:bad])
+        return
+    for got, ref in zip(laplace_gauges(quads), want):
+        err = np.linalg.norm((got - ref).reshape(len(quads), -1), axis=-1)
+        assert np.all(err <= 1e-10 * np.linalg.norm(ref.reshape(len(quads), -1), axis=-1))
+
+
+def test_laplace_gauges_match_the_lstsq_route_near_threshold():
+    quads = np.stack(list(near_threshold_quads()))
+    for quad in quads:
+        assert_gauges_match_lstsq_route(quad[None])
+    # thin quads (x10 or x01 next to a neighbour) keep _unit_lstsq, the rest
+    # take Cramer's rule
+    _, v3, _ = corner_minors(quads)
+    assert np.sum(v3[:, 3] < _CRAMER_VOLUME) >= 100 and np.sum(v3[:, 3] >= _CRAMER_VOLUME) >= 100
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_laplace_gauges_match_the_lstsq_route_on_q_nets(seed):
+    rng = np.random.default_rng(seed)
+    net = random_q_net(rng, 6, 7, dim=int(rng.integers(3, 6)))
+    quads = rect_stacks(net.points * 10 ** rng.uniform(-4, 4, (6, 7, 1)), elementary=True)[1]
+    assert_gauges_match_lstsq_route(quads)
+    # a quad bent out of its plane raises in stack order, as a broken net would
+    bent = quads.copy()
+    bent[rng.integers(len(quads)), 3, 0] *= 1.1
+    assert_gauges_match_lstsq_route(bent)

@@ -12,6 +12,7 @@ from multinets.circular import EuclidNet, is_circular_net, is_multi_circular
 from multinets.errors import (
     ArcsNotOrthogonal,
     DegenerateLaplaceSphere,
+    DuplicatePoints,
     GeometryError,
     InconsistentCorner,
     NonFiniteCoordinate,
@@ -379,6 +380,37 @@ def test_subdivide_deterministic(rng):
     assert np.array_equal(a.points, b.points)
 
 
+def affine_q_net(rng, nu, nv):
+    """Q-net in the affine chart w = 1: each vertex is an affine combination
+    of its three predecessors, so every quad is planar and finite; each
+    homogeneous representative is then rescaled by 10^U(-3, 3)."""
+    pts = np.ones((nu, nv, 4))
+    pts[:, 0, :3] = np.arange(nu)[:, None] * [1.0, 0, 0] + rng.uniform(-0.2, 0.2, (nu, 3))
+    pts[0, :, :3] = np.arange(nv)[:, None] * [0, 1.0, 0] + rng.uniform(-0.2, 0.2, (nv, 3))
+    for i in range(1, nu):
+        for j in range(1, nv):
+            x00, x10, x01 = pts[i - 1, j - 1, :3], pts[i, j - 1, :3], pts[i - 1, j, :3]
+            al, be = rng.uniform(0.8, 1.2, 2)
+            pts[i, j, :3] = x00 + al * (x10 - x00) + be * (x01 - x00)
+    return PointNet(pts * 10 ** rng.uniform(-3, 3, (nu, nv, 1)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_subdivide_q_interpolates_and_keeps_faces_planar(seed):
+    # every round reproduces its input bit-identically at the stride and has
+    # planar faces; two rounds at once equal two single rounds
+    rng = np.random.default_rng(seed)
+    net = affine_q_net(rng, *rng.integers(3, 6, 2))
+    n = tuple(int(k) for k in rng.integers(2, 4, 2))
+    coarse = net
+    for _ in range(2):
+        fine = subdivide_q(coarse, n)
+        assert np.array_equal(fine.points[:: n[0], :: n[1]], coarse.points)
+        assert is_q_net(fine)
+        coarse = fine
+    assert np.array_equal(subdivide_q(net, n, rounds=2).points, coarse.points)
+
+
 def test_subdivide_asymmetric_counts(rng):
     net = random_q_net(rng, 4, 4)
     strips = subdivide_q(net, (1, 8))
@@ -410,6 +442,25 @@ def test_arc_segment_case():
     arc = CircArc([0, 0, 0], [2, 0, 0], [1, 0, 0])
     assert np.allclose(arc.point_at(0.25), [0.5, 0, 0])
     assert np.allclose(arc.tangent_at(0.7), [1, 0, 0])
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1.0, 1e14])
+def test_arc_checks_are_relative_to_the_arc(scale):
+    # a chord far below the absolute zero threshold is still a chord, and a
+    # tangent of any positive length is a direction
+    arc = CircArc([0.0, 0, 0], [scale, 0, 0], [scale, scale, 0])
+    assert np.allclose(arc.tangent, [np.sqrt(0.5), np.sqrt(0.5), 0])
+    assert np.allclose(arc.point_at(1.0) / scale, [1.0, 0, 0], atol=1e-15)
+    start = scale * np.array([1.0, 2.0, 3.0])
+    for end, tangent in (
+        (start, [1.0, 0, 0]),
+        (start * (1 + 1e-15), [1.0, 0, 0]),
+        (start + [0, scale, 0], [0.0, 0, 0]),
+        (start + [0, scale, 0], [np.nan, 1.0, 0]),
+        (start + [0, scale, 0], [np.inf, 1.0, 0]),
+    ):
+        with pytest.raises(DuplicatePoints):
+            CircArc(start, end, tangent)
 
 
 def test_arc_through_points_orientation():
@@ -716,7 +767,9 @@ def test_circular_round_kernel_calls_do_not_grow_with_faces(monkeypatch):
         assert got == {"meet_lines": 1, "intersect_spans": 1, "polar_reflect": steps, "_reflect": steps + 4 + 4}
 
 
-SIMILARITIES = [(10.0**k, shift) for k in range(-6, 7) for shift in (0.0, 10.0)]
+# scales 1e-10 and 1e-14 take edges far below the absolute zero threshold
+# _ABS_EPS: every test on the way is relative to the net's own size
+SIMILARITIES = [(10.0**k, shift) for k in (-14, -10, *range(-6, 7)) for shift in (0.0, 10.0)]
 
 
 def similar_torus_net(scale, shift):
