@@ -28,6 +28,7 @@ from .errors import (
 from .projective import (
     _ABS_EPS,
     INF,
+    INPUT_ATOL,
     MOEBIUS,
     RANK_RTOL,
     Classification,
@@ -211,12 +212,7 @@ class SphereFamilyPair:
             zero = np.linalg.norm(fam, axis=-1) <= _ABS_EPS
             if np.any(zero) or np.any(MOEBIUS.eval(fam, fam) <= 0):
                 raise NotOnQuadric("family member is not a real sphere")
-        cross = MOEBIUS.eval(self.s1[:, None], self.s2[None])
-        scale = (
-            np.linalg.norm(self.s1, axis=-1)[:, None]
-            * np.linalg.norm(self.s2, axis=-1)[None, :]
-        )
-        if np.any(np.abs(cross) > 1e-9 * scale):
+        if not np.all(MOEBIUS.orthogonal(self.s1[:, None], self.s2[None])):
             raise MirrorsNotOrthogonal("sphere families must intersect orthogonally")
 
 
@@ -297,9 +293,9 @@ def sample_rotational(profile, angles) -> EuclidNet:
     ang = np.asarray(angles, dtype=float)
     if prof.shape[0] < 2 or ang.shape[0] < 2:
         raise DegenerateProfile("need at least two profile points and two angles")
-    if np.any(prof[:, 0] <= 1e-12):
+    if np.any(prof[:, 0] <= INPUT_ATOL):
         raise DegenerateProfile("profile radii must be positive")
-    if np.any(np.linalg.norm(np.diff(prof, axis=0), axis=-1) <= 1e-12):
+    if np.any(np.linalg.norm(np.diff(prof, axis=0), axis=-1) <= INPUT_ATOL):
         raise DegenerateProfile("profile has coincident consecutive points")
     r, z = prof[:, 0], prof[:, 1]
     pts = np.empty((len(ang), len(prof), 3))
@@ -317,10 +313,10 @@ def sample_cone(directions, radii) -> EuclidNet:
     if dirs.shape[0] < 2 or rho.shape[0] < 2:
         raise DegenerateProfile("need at least two directions and two radii")
     norms = np.linalg.norm(dirs, axis=-1)
-    if np.any(norms <= 1e-12) or np.any(rho <= 1e-12):
+    if np.any(norms <= INPUT_ATOL) or np.any(rho <= INPUT_ATOL):
         raise DegenerateProfile("directions must be nonzero and radii positive")
     dirs = dirs / norms[:, None]
-    if np.any(np.linalg.norm(np.diff(dirs, axis=0), axis=-1) <= 1e-12):
+    if np.any(np.linalg.norm(np.diff(dirs, axis=0), axis=-1) <= INPUT_ATOL):
         raise DegenerateProfile("coincident consecutive directions")
     pts = rho[None, :, None] * dirs[:, None, :]
     return EuclidNet(pts)
@@ -332,7 +328,7 @@ def sample_cylinder(base, offsets) -> EuclidNet:
     h = np.asarray(offsets, dtype=float)
     if b.shape[0] < 2 or h.shape[0] < 2:
         raise DegenerateProfile("need at least two base points and two offsets")
-    if np.any(np.linalg.norm(np.diff(b, axis=0), axis=-1) <= 1e-12):
+    if np.any(np.linalg.norm(np.diff(b, axis=0), axis=-1) <= INPUT_ATOL):
         raise DegenerateProfile("base polygon has coincident consecutive points")
     pts = np.empty((b.shape[0], h.shape[0], 3))
     pts[:, :, 0] = b[:, 0:1]

@@ -23,13 +23,15 @@ from .subdivision import CircArc
 
 # -- generators -------------------------------------------------------------------
 
+_MIN_DRAW_NORM = 1e-3  # a translation net is drawn again while some p_i + q_j is shorter
+
 
 def _gen_translation(rng, args):
     while True:
         p = rng.uniform(-1.0, 1.0, size=(args.nu, 4))
         q = rng.uniform(-1.0, 1.0, size=(args.nv, 4))
         s = p[:, None, :] + q[None, :, :]
-        if np.min(np.linalg.norm(s, axis=-1)) > 1e-3:
+        if np.min(np.linalg.norm(s, axis=-1)) > _MIN_DRAW_NORM:
             return qnets.from_translation(p, q)
 
 

@@ -167,7 +167,7 @@ def factor_congruence(g: IsoLineGrid):
     raise_first_failure([
         (span_rank(np.concatenate([pairs, g.lines], axis=2)) != 2,
          at_cell("cell ({},{}) is not spanned by the factor points")),
-        (np.abs(g.form.eval(s1[:, None], s2[None])) > 1e-9,
+        (~g.form.orthogonal(s1[:, None], s2[None]),
          at_cell("factor points at ({},{}) are not orthogonal")),
     ])
     return s1, s2

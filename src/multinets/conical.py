@@ -23,8 +23,11 @@ from .errors import (
     SingularPropagation,
     ZeroNormal,
 )
-from .projective import _ABS_EPS, MOEBIUS_S2, Classification, classify_spans, rect_stacks, span_rank
+from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, classify_spans,
+                         corner_minors, normalized_rows, rect_stacks, span_rank)
 from .qnets import PlaneNet, PointNet, translation_gauge
+
+_UNIT_SPHERE_TOL = 1e-9  # a point whose norm is within this of 1 lies on the unit sphere
 
 
 class GaussClass:
@@ -55,11 +58,7 @@ def is_conical_quad(planes) -> bool:
     h[:, 3] *= -1.0
     if span_rank(h) > 3:
         raise NotConcurrent("the four planes have no common point")
-    n = cov[:, :3]
-    norms = np.linalg.norm(n, axis=-1)
-    if np.any(norms <= _ABS_EPS):
-        raise ZeroNormal("plane covector with vanishing normal part")
-    n = n / norms[:, None]
+    n = gauss_map(PlaneNet(cov[None])).points[0]
     return is_concyclic(n[0], n[1], n[2], n[3])
 
 
@@ -115,21 +114,21 @@ def is_multi_conical(pn: PlaneNet) -> bool:
     return not multi_conical_violations(pn)
 
 
+def _sphere_rows(points, what: str) -> np.ndarray:
+    """Rows (p, 1) of points p (..., 3) on the unit sphere, else NotOnSphere for what."""
+    if np.any(np.abs(np.linalg.norm(points, axis=-1) - 1.0) > _UNIT_SPHERE_TOL):
+        raise NotOnSphere(f"{what} must lie on the unit sphere")
+    return np.concatenate([points, np.ones(points.shape[:-1] + (1,))], axis=-1)
+
+
 def polarize_spherical(net: EuclidNet) -> PlaneNet:
     """Tangent planes <x, p> = 1 of a multi-circular net on the unit sphere."""
     if not net.is_finite():
         raise NotOnSphere("net has vertices at infinity")
-    p = net.points
-    if np.any(np.abs(np.linalg.norm(p, axis=-1) - 1.0) > 1e-9):
-        raise NotOnSphere("net vertices must lie on the unit sphere")
+    cov = _sphere_rows(net.points, "net vertices")
     if not is_multi_circular(net):
         raise NotMultiCircular("polarization requires a multi-circular net")
-    cov = np.concatenate([p, np.ones(p.shape[:2] + (1,))], axis=-1)
     return PlaneNet(cov)
-
-
-# rows of a 4-corner stack left after deleting each row in turn
-_MINOR_ROWS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
 def parallel_conical_net(spherical: PlaneNet, d_row, d_col) -> PlaneNet:
@@ -144,17 +143,16 @@ def parallel_conical_net(spherical: PlaneNet, d_row, d_col) -> PlaneNet:
     nu, nv = spherical.dims
     if d_row.shape != (nu,) or d_col.shape != (nv,):
         raise DimensionMismatch("offset boundary lengths must match net dims")
-    if abs(d_row[0] - d_col[0]) > 1e-12:
+    if abs(d_row[0] - d_col[0]) > INPUT_ATOL:
         raise InconsistentCorner("d_row[0] and d_col[0] must agree at the corner")
     if not is_multi_conical(spherical):
         raise NotMultiCircular("base net must be a spherical multi-conical net")
-    n = spherical.covectors[..., :3]
-    n = n / np.linalg.norm(n, axis=-1, keepdims=True)
+    n = gauss_map(spherical).points
     # the concurrency determinant of a quad's planes (n, -d), expanded along
     # its offset column, is d00 m0 - d10 m1 + d01 m2 - d11 m3 with the 3x3
     # minors m of the unit normals n00, n10, n01, n11
     keys, corners = rect_stacks(n, elementary=True)
-    minors = np.linalg.det(corners[:, _MINOR_ROWS]).tolist()
+    minors = corner_minors(corners)[0][..., 0].tolist()
     d = np.empty((nu, nv))
     d[:, 0] = d_row
     d[0, :] = d_col
@@ -174,11 +172,7 @@ def s2_lift_net(net: EuclidNet) -> PointNet:
     """Lift a net on the unit sphere into the quadric of R^{3,1}: p -> (p, 1)."""
     if not net.is_finite():
         raise NotOnSphere("net has vertices at infinity")
-    p = net.points
-    if np.any(np.abs(np.linalg.norm(p, axis=-1) - 1.0) > 1e-9):
-        raise NotOnSphere("net vertices must lie on the unit sphere")
-    lifted = np.concatenate([p, np.ones(p.shape[:2] + (1,))], axis=-1)
-    return PointNet(lifted / np.linalg.norm(lifted, axis=-1, keepdims=True), ambient="R31")
+    return PointNet(normalized_rows(_sphere_rows(net.points, "net vertices")), ambient="R31")
 
 
 # the set of the two polar-span codes (n_pos, n_neg, n_zero), in either order
@@ -218,7 +212,7 @@ def sample_s2_rotational(colatitudes, longitudes) -> EuclidNet:
     ph = np.asarray(longitudes, dtype=float)
     if th.shape[0] < 2 or ph.shape[0] < 2:
         raise DegenerateProfile("need at least a 2x2 grid")
-    if np.any(np.sin(th) <= 1e-12):
+    if np.any(np.sin(th) <= INPUT_ATOL):
         raise DegenerateProfile("colatitudes must avoid the poles")
     pts = np.empty((len(ph), len(th), 3))
     for i, p in enumerate(ph):
@@ -248,9 +242,8 @@ def sample_s2_symmetric_strip(upper_points) -> EuclidNet:
     p = np.atleast_2d(np.asarray(upper_points, dtype=float))
     if p.shape[0] < 2:
         raise DegenerateProfile("need at least two strip points")
-    if np.any(np.abs(np.linalg.norm(p, axis=-1) - 1.0) > 1e-9):
-        raise NotOnSphere("strip points must lie on the unit sphere")
-    if np.any(np.abs(p[:, 2]) <= 1e-12):
+    _sphere_rows(p, "strip points")
+    if np.any(np.abs(p[:, 2]) <= INPUT_ATOL):
         raise DegenerateProfile("strip points must avoid the equator")
     mirrored = p.copy()
     mirrored[:, 2] *= -1.0

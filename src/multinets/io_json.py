@@ -16,7 +16,7 @@ import numpy as np
 from .circular import EuclidNet
 from .congruences import IsoLineGrid
 from .errors import InfiniteVertex, SchemaViolation
-from .projective import LIE, PLUECKER
+from .projective import LIE, PLUECKER, ZERO_RTOL
 from .qnets import PlaneNet, PointNet
 
 # (kind, ambient) -> (entry shape, builder of the net from its coordinate grid
@@ -162,7 +162,7 @@ def export_obj(net, target):
     if at_infinity is None:
         if ambient != "RP3":
             raise InfiniteVertex("OBJ export needs an RP3 or E3 net")
-        at_infinity = np.abs(coords[..., 3]) <= 1e-12 * np.linalg.norm(coords, axis=-1)
+        at_infinity = np.abs(coords[..., 3]) <= ZERO_RTOL * np.linalg.norm(coords, axis=-1)
     infinite = np.argwhere(at_infinity)
     if infinite.size:
         i, j = infinite[0]

@@ -35,15 +35,15 @@ from .errors import (
     raise_first_failure,
 )
 
-# Singular value sigma_k counts as zero iff sigma_k < RANK_RTOL * sigma_1.
-RANK_RTOL = 1e-9
-# |<x,x>| < QUADRIC_RTOL * |x|^2 counts as "on the quadric".
-QUADRIC_RTOL = 1e-9
-# An eigenvalue of a restricted form counts as zero iff its absolute value is
-# at most EIG_ZERO_RTOL times the largest absolute eigenvalue.
-EIG_ZERO_RTOL = 1e-7
-
-_ABS_EPS = 1e-13
+# The thresholds that more than one module decides by; README *Tolerances* lists every one.
+RANK_RTOL = 1e-9  # singular value sigma_k counts as zero iff sigma_k < RANK_RTOL * sigma_1
+QUADRIC_RTOL = 1e-9  # on the quadric: |<x,x>| <= it |x|^2; orthogonal: |<x,y>| <= it |x| |y|
+EIG_ZERO_RTOL = 1e-7  # eigenvalue of a restricted form is zero at this fraction of the largest
+_ABS_EPS = 1e-13  # a coordinate vector of norm at most this is the zero vector
+ZERO_RTOL = 1e-12  # a sum, difference or coefficient vanishes at this times the size of its terms
+INPUT_ATOL = 1e-12  # a radius, length, sine or offset gap handed to a sampler is zero up to this
+MATCH_TOL = 1e-8  # points that must coincide match to a sine, or a relative distance, of this
+REPRODUCE_TOL = 1e-7  # a construction reproduces the data it was built from to this
 
 
 class Infinity:
@@ -111,9 +111,9 @@ def proj_distance(u, v):
     return np.linalg.norm(vv - c * uu, axis=-1)
 
 
-def proj_equal(u, v, tol: float = 1e-9) -> bool:
-    """Projective equality up to tolerance on the angle."""
-    return proj_distance(u, v) <= tol
+def proj_equal(u, v) -> bool:
+    """Projective equality: the sine of the angle is at most RANK_RTOL."""
+    return proj_distance(u, v) <= RANK_RTOL
 
 
 def normalized_rows(points) -> np.ndarray:
@@ -428,6 +428,12 @@ class QuadricForm:
         x, _ = self._rows(x)
         return self._on_quadric(x)
 
+    def orthogonal(self, x, y):
+        """|<x, y>| <= QUADRIC_RTOL |x| |y| row by row, the polarized on_quadric."""
+        x, y = self._rows(x, y)
+        scale = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
+        return np.abs(self._apply(x, y)) <= QUADRIC_RTOL * scale
+
     def _rows(self, x, y=None):
         """x and y (x again if None) as float stacks of nonzero rows of this
         dimension; each input is validated once."""
@@ -672,7 +678,7 @@ def sphere_rep_to_euclidean(s):
     if ss <= 0:
         raise NotOnQuadric("representative is not exterior to the quadric")
     w = s[4] - s[3]
-    if abs(w) <= 1e-12 * np.linalg.norm(s):
+    if abs(w) <= ZERO_RTOL * np.linalg.norm(s):
         n = s[:3]
         scale = np.linalg.norm(n)
         return "plane", n / scale, float(s[3] / scale)

@@ -30,7 +30,10 @@ from .errors import (
 )
 from .projective import (
     _ABS_EPS,
+    MATCH_TOL,
     RANK_RTOL,
+    REPRODUCE_TOL,
+    ZERO_RTOL,
     ProjLine,
     _above_rank3,
     _read_only,
@@ -41,14 +44,11 @@ from .projective import (
     normalize,
     normalized_rows,
     proj_distance,
-    proj_equal,
     rank_violations,
     rect_indices,
     rect_stacks,
     span_rank,
 )
-
-_GAUGE_TOL = 1e-8
 
 
 @dataclass
@@ -203,11 +203,11 @@ def laplace_gauges(quads):
         m = np.stack([x10[rest], x01[rest], -x00[rest]], axis=-1)
         coeffs[rest], unit[rest], _ = _unit_lstsq(m, x11[rest])
     mags = np.abs(unit)
-    vanishing = np.min(mags, axis=-1) <= 1e-12 * np.max(mags, axis=-1)
+    vanishing = np.min(mags, axis=-1) <= ZERO_RTOL * np.max(mags, axis=-1)
     a, b, c = coeffs.T
     t = np.stack([c[:, None] * x00, a[:, None] * x10, b[:, None] * x01, x11], axis=1)
     y = t[:, 1:3] - t[:, :1]
-    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= 1e-12 * norms[:, 3]
+    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= ZERO_RTOL * norms[:, 3]
     checks = np.stack([nonplanar, collinear, vanishing, coincident], axis=-1)
     bad = np.flatnonzero(np.any(checks, axis=-1))
     if bad.size:
@@ -342,7 +342,7 @@ def _translation_certified(grid) -> bool:
     of u sigma_1, and the relative rounding of m, about d u: orders of
     magnitude below RANK_RTOL / 2 = 5e-10.  So a certified grid has no rank
     violation, and no vertex is off its gauge by a sine |L - R| / |R| above
-    eps / m <= RANK_RTOL / 4, far below the _GAUGE_TOL of translation_gauge's
+    eps / m <= RANK_RTOL / 4, far below the MATCH_TOL of translation_gauge's
     vertex check, which is therefore not repeated.  A strip gauge that
     _strip_cauchy cannot build (any GeometryError) and a non-finite bound
     leave the grid uncertified.  The gauge, eps, m and delta come from the
@@ -361,11 +361,11 @@ def _perspective_gauge(raw0, raw1, y):
 
     Each pair must be in perspective from [y], i.e. [raw1] lies on the line
     through [raw0] and [y]; the first sample (in row-major order) whose
-    relative residual exceeds _GAUGE_TOL raises PerspectivityViolation.
+    relative residual exceeds MATCH_TOL raises PerspectivityViolation.
     """
     m = np.stack([raw1, -raw0], axis=-1)
     coeffs, _, resid = _unit_lstsq(m, np.broadcast_to(y, m.shape[:-1]))
-    bad = np.argwhere(resid > _GAUGE_TOL)
+    bad = np.argwhere(resid > MATCH_TOL)
     if bad.size:
         k = tuple(bad[0])
         raise PerspectivityViolation(
@@ -382,11 +382,11 @@ def _strip_cauchy(rows, cols, ambient: str = "RP3"):
     row i=1 is row 0 translated by its y1, column j=1 is column 0 translated
     by its y2.
     """
-    (t00, _, _, _), (y1, y2), _ = laplace_gauge(rows[0, 0], rows[1, 0], rows[0, 1], rows[1, 1])
-    row0, _ = _perspective_gauge(rows[0], rows[1], y1)
-    col0, _ = _perspective_gauge(cols[:, 0], cols[:, 1], y2)
+    t, y, _ = laplace_gauges(rows[[0, 1, 0, 1], [0, 0, 1, 1]][None])
+    row0, _ = _perspective_gauge(rows[0], rows[1], y[0, 0])
+    col0, _ = _perspective_gauge(cols[:, 0], cols[:, 1], y[0, 1])
     y1, y2 = np.diff(col0, axis=0), np.diff(row0, axis=0)
-    return t00, y1, y2, from_cauchy_homogeneous(y1, y2, t00, ambient=ambient)
+    return t[0, 0], y1, y2, from_cauchy_homogeneous(y1, y2, t[0, 0], ambient=ambient)
 
 
 @dataclass(frozen=True)
@@ -460,6 +460,7 @@ def translation_gauge(net: PointNet):
     if nu < 2 or nv < 2:
         raise NotMultiQ("net must be at least 2x2")
     p = net.points
+    raise_unless_finite(p, "vertex")
     gauge = _strip_gauge(p)
     if gauge.error is not None:
         kind, message = gauge.error
@@ -469,7 +470,7 @@ def translation_gauge(net: PointNet):
             raise NotMultiQ(message) from kind(message)
         raise kind(message)
     # verify the reconstruction against the whole net
-    off = np.argwhere(proj_distance(gauge.points, p) > _GAUGE_TOL)
+    off = np.argwhere(proj_distance(gauge.points, p) > MATCH_TOL)
     if off.size:
         i, j = off[0]
         raise NotMultiQ(f"vertex ({i},{j}) off the translation reconstruction")
@@ -487,9 +488,9 @@ def is_translation_net(net: PointNet) -> bool:
 
 def _vanishing_sum(total, *summands):
     """Rows of total (..., d) that vanish next to the summands it adds up,
-    which broadcast against it: |total| <= 1e-12 * sum of |summand|."""
+    which broadcast against it: |total| <= ZERO_RTOL * sum of |summand|."""
     scale = sum(np.linalg.norm(s, axis=-1) for s in summands)
-    return np.linalg.norm(total, axis=-1) <= 1e-12 * scale
+    return np.linalg.norm(total, axis=-1) <= ZERO_RTOL * scale
 
 
 def from_translation(p_seq, q_seq, ambient: str = "RP3") -> PointNet:
@@ -529,14 +530,14 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
         raise DimensionMismatch("strip1 must be 2 x nv and strip2 nu x 2")
     rows, cols = strip1.points, strip2.points
     for (i, j) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        if not proj_equal(rows[i, j], cols[i, j], 1e-8):
+        if proj_distance(rows[i, j], cols[i, j]) > MATCH_TOL:
             raise InconsistentCorner(f"strips disagree at corner ({i},{j})")
     *_, net = _strip_cauchy(rows, cols, ambient=strip1.ambient)
     for name, dist, where in (
         ("row strip", proj_distance(net.points[1], rows[1]), "column"),
         ("column strip", proj_distance(net.points[:, 1], cols[:, 1]), "row"),
     ):
-        off = np.flatnonzero(dist > 1e-7)
+        off = np.flatnonzero(dist > REPRODUCE_TOL)
         if off.size:
             raise PerspectivityViolation(f"{name} not reproduced at {where} {off[0]}")
     return net
@@ -558,11 +559,11 @@ def laplace_transforms(net: PointNet):
 
 
 def laplace_transforms_degenerate(net: PointNet) -> bool:
-    """True iff y1 is constant along j and y2 along i, to _GAUGE_TOL."""
+    """True iff y1 is constant along j and y2 along i, to MATCH_TOL."""
     y = _laplace_vectors(net)
     return not (
-        np.any(proj_distance(y[:, :, 0], y[:, :1, 0]) > _GAUGE_TOL)
-        or np.any(proj_distance(y[:, :, 1], y[:1, :, 1]) > _GAUGE_TOL)
+        np.any(proj_distance(y[:, :, 0], y[:, :1, 0]) > MATCH_TOL)
+        or np.any(proj_distance(y[:, :, 1], y[:1, :, 1]) > MATCH_TOL)
     )
 
 

@@ -20,8 +20,8 @@ from .errors import (
     first_failure,
     raise_first_failure,
 )
-from .projective import _ABS_EPS, QuadricForm, _nonzero_rows, _reflect, proj_distance
-from .qnets import _GAUGE_TOL, PointNet, translation_gauge
+from .projective import _ABS_EPS, MATCH_TOL, ZERO_RTOL, QuadricForm, _nonzero_rows, _reflect, proj_distance
+from .qnets import PointNet, translation_gauge
 
 _AMBIENT_BY_FORM = {
     (1, 1, 1, 1, -1): "R41",
@@ -29,11 +29,12 @@ _AMBIENT_BY_FORM = {
     (1, 1, 1, 1, -1, -1): "R42",
     (1, 1, 1, -1, -1, -1): "R33",
 }
+_COMMUTE_RTOL = 1e-10  # both orders of two reflections agree to this, relative to the image
 
 
 def verify_polar_laplace(net: PointNet, q: QuadricForm) -> bool:
     """Check that the Laplace transform difference vectors y1_i, y2_j of the
-    net's translation gauge are q-orthogonal, to that gauge's _GAUGE_TOL.
+    net's translation gauge are q-orthogonal, to that gauge's MATCH_TOL.
 
     Requires a multi-Q-net with all vertices on the quadric.
     """
@@ -42,7 +43,7 @@ def verify_polar_laplace(net: PointNet, q: QuadricForm) -> bool:
     _, y1, y2 = translation_gauge(net)
     n1 = y1 / np.linalg.norm(y1, axis=-1, keepdims=True)
     n2 = y2 / np.linalg.norm(y2, axis=-1, keepdims=True)
-    return bool(np.all(np.abs(q.eval(n1[:, None], n2[None])) <= _GAUGE_TOL))
+    return bool(np.all(np.abs(q.eval(n1[:, None], n2[None])) <= MATCH_TOL))
 
 
 def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
@@ -69,12 +70,11 @@ def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
     # of ones let the form run over every entry
     zero0, zero1, zero2 = (np.linalg.norm(v, axis=-1) <= _ABS_EPS for v in (x00, n1, n2))
     f0, f1, f2 = (np.where(z[..., None], 1.0, v) for z, v in ((zero0, x00), (zero1, n1), (zero2, n2)))
-    scale = np.linalg.norm(f1, axis=-1)[..., :, None] * np.linalg.norm(f2, axis=-1)[..., None, :]
     setup = first_failure([
         (zero0, lambda e: ZeroVector("homogeneous coordinates must not vanish")),
         (np.any(zero1 | q.on_quadric(f1), axis=-1) | np.any(zero2 | q.on_quadric(f2), axis=-1),
          lambda e: IsotropicMirror("a mirror lies on the quadric")),
-        (np.any(np.abs(q.eval(f1[:, :, None], f2[:, None, :])) > 1e-9 * scale, axis=(-2, -1)),
+        (~np.all(q.orthogonal(f1[:, :, None], f2[:, None, :]), axis=(-2, -1)),
          lambda e: MirrorsNotOrthogonal("mirror families are not mutually orthogonal")),
         (~q.on_quadric(f0), lambda e: SeedNotOnQuadric("seed point must lie on the quadric")),
     ])
@@ -92,8 +92,8 @@ def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
     for i in range(k1):
         pts[:, i + 1] = _reflect(q, n1[:, i, None], pts[:, i])
 
-    fixed1 = proj_distance(pts[:, 1:], pts[:, :-1]) <= 1e-12
-    fixed2 = proj_distance(pts[:, :, 1:], pts[:, :, :-1]) <= 1e-12
+    fixed1 = proj_distance(pts[:, 1:], pts[:, :-1]) <= ZERO_RTOL
+    fixed2 = proj_distance(pts[:, :, 1:], pts[:, :, :-1]) <= ZERO_RTOL
     # commutation audit on the seed orbit; the seed's images are reflected
     # again, so they must not vanish either
     seed = x00[:, None, None, :]
@@ -102,7 +102,7 @@ def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
     _nonzero_rows(by1)
     a = _reflect(q, n1[:, :, None], by2)
     b = _reflect(q, n2[:, None, :], by1)
-    skew = np.linalg.norm(a - b, axis=-1) > 1e-10 * np.linalg.norm(a, axis=-1)
+    skew = np.linalg.norm(a - b, axis=-1) > _COMMUTE_RTOL * np.linalg.norm(a, axis=-1)
 
     def at_first(mask, kind, message):
         def make(e):

@@ -34,14 +34,17 @@ from .errors import (
 )
 from .projective import (
     _ABS_EPS,
+    MATCH_TOL,
     MOEBIUS,
+    QUADRIC_RTOL,
+    REPRODUCE_TOL,
+    ZERO_RTOL,
     intersect_spans,
     meet_lines,
     moebius_drop,
     moebius_lift,
     normalize,
     proj_distance,
-    proj_equal,
     rect_stacks,
     span_rank,
 )
@@ -55,7 +58,10 @@ from .qnets import (
 )
 from .quadric_nets import generate_by_reflections
 
-C1_ANGLE_TOL = 1e-6  # radians
+C1_ANGLE_TOL = 1e-6  # radians between the tangents of adjacent spline arcs
+_ORTHOGONAL_TOL = 1e-8  # |<t1, t2>| of the unit tangents of orthogonal arcs
+_ENDPOINT_RTOL = 1e-6  # gap of a gauged polyline end to its gauged corner, relative to the corner
+_COLLINEAR_RTOL = 1e-10  # |u x v| / (|u| |v|) of the chords u, v of three collinear points
 
 
 def _resolve_counts(n):
@@ -81,7 +87,7 @@ def _q_patches(t, y, p0, p1, q0, q1):
     q_reps, _ = _perspective_gauge(q0, q1, y[..., None, 0, :])
     for reps, ends in ((p_reps, t[..., [0, 1], :]), (q_reps, t[..., [0, 2], :])):
         gap = np.linalg.norm(reps[..., [0, -1], :] - ends, axis=-1)
-        if np.any(gap > 1e-6 * np.linalg.norm(ends, axis=-1)):
+        if np.any(gap > _ENDPOINT_RTOL * np.linalg.norm(ends, axis=-1)):
             raise PerspectivityViolation("polyline endpoint gauge mismatch")
     p_reps, q_reps, t00 = p_reps[..., :, None, :], q_reps[..., None, :, :], t[..., None, None, 0, :]
     pts = p_reps + q_reps - t00
@@ -106,15 +112,11 @@ def adapted_q_patch(x00, x10, x01, x11, p0, p1, q0, q1) -> PointNet:
     if p0.shape != p1.shape or q0.shape != q1.shape:
         raise DimensionMismatch("opposite polylines must have equal lengths")
     t, y, _ = laplace_gauge(x00, x10, x01, x11)
-    for poly, corner_a, corner_b in (
-        (p0, x00, x10),
-        (p1, x01, x11),
-        (q0, x00, x01),
-        (q1, x10, x11),
+    for end, corner in (
+        (p0[0], x00), (p0[-1], x10), (p1[0], x01), (p1[-1], x11),
+        (q0[0], x00), (q0[-1], x01), (q1[0], x10), (q1[-1], x11),
     ):
-        if not proj_equal(poly[0], corner_a, 1e-8) or not proj_equal(
-            poly[-1], corner_b, 1e-8
-        ):
+        if not proj_distance(end, corner) <= MATCH_TOL:  # a NaN end fails too
             raise InconsistentCorner("polyline endpoints must match the corners")
     return PointNet(_q_patches(np.stack(t), np.stack(y), p0, p1, q0, q1), ambient="RP3")
 
@@ -166,7 +168,7 @@ def _check_seeds(name, seed, verts):
     pts = np.where((zero | nonfinite)[..., None], 1.0, pts)
     corner = np.arange(n + 1) < 2
     off = np.empty((e, n + 1), dtype=bool)
-    off[:, :2] = (proj_distance(pts[:, :2], ends) > 1e-8) | nonfinite[:, :2]
+    off[:, :2] = (proj_distance(pts[:, :2], ends) > MATCH_TOL) | nonfinite[:, :2]
     lines = np.broadcast_to(ends[:, None], (e, n - 1, 2, d))
     off[:, 2:] = span_rank(np.concatenate([pts[:, 2:, None], lines], axis=2)) > 2
 
@@ -349,7 +351,7 @@ def _arc_points(arcs, t):
     along = _dot(w, tangent)[..., None]
     w_perp = w - along * tangent
     h = np.linalg.norm(w_perp, axis=-1, keepdims=True)
-    segment = h <= 1e-12 * np.linalg.norm(w, axis=-1, keepdims=True)
+    segment = h <= ZERO_RTOL * np.linalg.norm(w, axis=-1, keepdims=True)
     away = (segment & (along < 0))[:, 0]
     h = np.where(segment, 1.0, h)
     normal, rho = (w_perp / h)[:, None], (_dot(w, w)[..., None] / (2.0 * h))[:, None]
@@ -393,7 +395,7 @@ def _arcs_through(a, mid, b):
     v = b - a
     uu, uv, vv = _dot(u, u), _dot(u, v), _dot(v, v)
     scale = np.sqrt(uu) * np.sqrt(vv)
-    line = (scale <= 1e-26) | (np.linalg.norm(np.cross(u, v), axis=-1) <= 1e-10 * scale)
+    line = (scale <= _ABS_EPS**2) | (np.linalg.norm(np.cross(u, v), axis=-1) <= _COLLINEAR_RTOL * scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = uv / vv
         code = np.where(line & ~((0.0 <= s) & (s <= 1.0)), 3, 0)
@@ -500,8 +502,8 @@ def _laplace_spheres(quads):
             (ranks[:, k, 2] >= 4, error("lines span rank 4")),
             (ranks[:, k, 2] <= 2, error("lines coincide")),
         ]
-    exterior = MOEBIUS.eval(r, r)
-    checks += [(exterior[:, k] <= 1e-9, error("Laplace point is not exterior")) for k in (0, 1)]
+    interior = MOEBIUS.eval(r, r) <= QUADRIC_RTOL * np.sum(r * r, axis=-1)
+    checks += [(interior[:, k], error("Laplace point is not exterior")) for k in (0, 1)]
     return r[:, 0], r[:, 1], checks
 
 
@@ -569,9 +571,9 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
         raise NotConcyclic("quad corners are not concyclic")
     arcs = _chart_arcs([p0, q0], centre, size)
     scale = max(np.linalg.norm(c - corners[0]) for c in corners[1:])
-    if np.any(np.linalg.norm(arcs[:, :2] - corners[[[0, 1], [0, 2]]], axis=-1) > 1e-8 * scale):
+    if np.any(np.linalg.norm(arcs[:, :2] - corners[[[0, 1], [0, 2]]], axis=-1) > MATCH_TOL * scale):
         raise InconsistentCorner("arc endpoints must interpolate the quad corners")
-    if abs(float(np.dot(p0.tangent, q0.tangent))) > 1e-8:
+    if abs(float(np.dot(p0.tangent, q0.tangent))) > _ORTHOGONAL_TOL:
         raise ArcsNotOrthogonal("seed arcs must meet orthogonally at the corner")
     r1, r2, checks = _laplace_spheres(corners[None])
     raise_first_failure(checks)
@@ -588,7 +590,7 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
         raise failure[1]
     pts, at_inf = pts[0], at_inf[0]
     for k, ij in enumerate(((0, 0), (n_u, 0), (0, n_v), (n_u, n_v))):
-        if at_inf[ij] or np.linalg.norm(pts[ij] - corners[k]) > 1e-7 * max(1.0, scale):
+        if at_inf[ij] or np.linalg.norm(pts[ij] - corners[k]) > REPRODUCE_TOL * max(1.0, scale):
             raise NotConcyclic("patch corner drifted off the quad corner")
     pts = pts * size + centre
     pts[0, 0], pts[n_u, 0], pts[0, n_v], pts[n_u, n_v] = given
@@ -654,12 +656,12 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
             np.linalg.norm(arcs[:, 0] - ends[:-1], axis=-1),
             np.linalg.norm(arcs[:, 1] - ends[1:], axis=-1),
         )
-        off = np.flatnonzero(gaps > 1e-8 * scale)
+        off = np.flatnonzero(gaps > MATCH_TOL * scale)
         if off.size:
             raise InconsistentCorner(f"{name} seed arc {off[0]} does not interpolate its edge")
     _check_spline_c1(row0[None], ["row-0 spline"])
     _check_spline_c1(col0[None], ["column-0 spline"])
-    if abs(float(np.dot(row0[0, 2], col0[0, 2]))) > 1e-8:
+    if abs(float(np.dot(row0[0, 2], col0[0, 2]))) > _ORTHOGONAL_TOL:
         raise ArcsNotOrthogonal("axis splines must meet orthogonally at the origin")
 
     u_arcs = np.empty((nu - 1, nv, 3, 3))

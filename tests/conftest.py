@@ -3,7 +3,7 @@ import pytest
 
 from multinets.circular import torus_point, torus_u_tangent, torus_v_tangent  # noqa: F401
 from multinets.qnets import PointNet
-from multinets.projective import proj_equal
+from multinets.projective import proj_distance
 
 
 def random_q_net(rng, nu, nv, dim=4):
@@ -41,7 +41,7 @@ def nets_proj_equal(n1, n2, tol=1e-8):
     if (nu, nv) != n2.dims:
         return False
     return all(
-        proj_equal(n1.points[i, j], n2.points[i, j], tol)
+        proj_distance(n1.points[i, j], n2.points[i, j]) <= tol
         for i in range(nu)
         for j in range(nv)
     )

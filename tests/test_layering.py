@@ -1,6 +1,8 @@
 """Import layering of the package modules, read from their source with ast."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import multinets
@@ -45,19 +47,86 @@ def test_no_module_imports_cli():
     assert [name for name, imports in IMPORTS.items() if "cli" in imports] == []
 
 
-def test_no_tolerance_parameters_besides_proj_equal():
-    """Decisions compare against the named constants of projective (and the
-    gauge tolerance of qnets); proj_equal keeps its tol because its callers
-    pass different values."""
+def test_no_tolerance_parameters():
+    """Decisions compare against named module-level constants; no function
+    takes a tolerance argument."""
     found = []
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-                if names & {"tol", "rtol"} and getattr(node, "name", None) != "proj_equal":
+                if names & {"tol", "rtol", "atol", "eps"}:
                     found.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
     assert found == []
+
+
+def small_floats(path):
+    """The named thresholds and the stray literals of the module at path: a
+    dict of the upper-case module-level names assigned a float in (0, 1e-2)
+    to their values, and the lines of every other such float literal."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named, values = {}, set()
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.isupper()
+            and isinstance(node.value, ast.Constant)
+        ):
+            named[node.targets[0].id] = node.value.value
+            values.add(id(node.value))
+    stray = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) is float
+        and 0 < node.value < 1e-2
+        and id(node) not in values
+    ]
+    thresholds = {k: v for k, v in named.items() if type(v) is float and 0 < v < 1e-2}
+    return thresholds, stray
+
+
+THRESHOLDS = {path.stem: small_floats(path) for path in PACKAGE.glob("*.py")}
+
+
+def test_every_small_float_literal_is_a_named_threshold():
+    """A float below 1e-2 decides a verdict or an error; each one is the value
+    of a module-level upper-case name, written nowhere else."""
+    stray = [f"{name}:{line}" for name, (_, lines) in THRESHOLDS.items() for line in lines]
+    assert stray == []
+
+
+def test_no_threshold_is_named_in_two_modules():
+    """A threshold that two modules use lives in projective, once."""
+    owners = {}
+    for name, (named, _) in THRESHOLDS.items():
+        for constant in named:
+            owners.setdefault(constant, []).append(name)
+    assert {c: mods for c, mods in owners.items() if len(mods) > 1} == {}
+
+
+def readme_tolerances():
+    """(module, name, value) of the rows of the README's Tolerances table."""
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line.strip().strip("|"))]
+        if line.startswith("| `") and len(cells) == 4:
+            module, name = cells[0].strip("`").split(".")
+            rows.append((module, name, float(cells[1].strip("`"))))
+    return rows
+
+
+def test_readme_tolerance_table_names_every_threshold_with_its_value():
+    rows = readme_tolerances()
+    for module, name, value in rows:
+        assert getattr(importlib.import_module(f"multinets.{module}"), name) == value
+    named = {(module, c) for module, (consts, _) in THRESHOLDS.items() for c in consts}
+    assert sorted((module, name) for module, name, _ in rows) == sorted(named)
 
 
 def test_only_projective_spells_the_zero_threshold():

@@ -557,6 +557,17 @@ def test_point_net_rejects_non_finite_coordinates(bad):
         PointNet(pts)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_translation_gauge_rejects_a_net_made_non_finite_after_construction(bad):
+    """A vertex written after PointNet validated the grid is read again: the
+    translation test raises instead of answering True."""
+    net = PointNet(translation_points(0, 5, 5))
+    net.points[2, 2] = bad
+    for check in (translation_gauge, is_translation_net):
+        with pytest.raises(NonFiniteCoordinate, match=r"vertex \(2, 2\)"):
+            check(net)
+
+
 def test_zero_vector_is_reported_before_non_finite_coordinates():
     pts = translation_points(0, 3, 4)
     pts[0, 1] = np.nan

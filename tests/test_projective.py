@@ -139,6 +139,19 @@ def test_bilinear_euclidean():
     assert bilinear_eval(QuadricForm((1, 1, 1)), [1, 2, 3], [1, 1, 1]) == 6.0
 
 
+def test_orthogonal_is_the_polarized_quadric_rule_at_any_scale():
+    """|<x,y>| <= QUADRIC_RTOL |x| |y| row by row, whatever the scale of x and y."""
+    form = QuadricForm((1, 1, 1))
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])[:, None]
+    y = np.array([[0.5e-9, 1.0, 0.0], [2e-9, 1.0, 0.0], [1.0, 0.0, 0.0]])[None]
+    want = [[True, False, False], [True, True, True]]
+    for sx, sy in ((1.0, 1.0), (1e-8, 1e8), (1e8, 3e-6)):
+        assert form.orthogonal(sx * x, sy * y).tolist() == want
+    assert MOEBIUS.orthogonal(sphere_rep([0, 0, 0], 1.0), sphere_rep([1, 1, 0], 1.0)).item()
+    with pytest.raises(ZeroVector):
+        form.orthogonal([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
 def test_polar_reflect_coordinate():
     out = polar_reflect(QuadricForm((1, 1, 1)), [1, 0, 0], [1, 2, 3])
     assert np.allclose(out, [-1, 2, 3])
@@ -165,7 +178,7 @@ def test_polar_reflect_involution(rng):
         if abs(bilinear_eval(MOEBIUS, n, n)) < 1e-3:
             continue
         twice = polar_reflect(MOEBIUS, n, polar_reflect(MOEBIUS, n, x))
-        assert proj_equal(twice, x, 1e-10)
+        assert proj_distance(twice, x) <= 1e-10
 
 
 def test_polar_reflect_preserves_form(rng):

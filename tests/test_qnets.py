@@ -169,8 +169,8 @@ def test_from_translation_laplace_transforms_are_differences(rng):
     assert t1.dims == (4, 3) and t2.dims == (4, 3)
     for i in range(4):
         for j in range(3):
-            assert proj_equal(t1.points[i, j], p[i + 1] - p[i], 1e-8)
-            assert proj_equal(t2.points[i, j], q[j + 1] - q[j], 1e-8)
+            assert proj_distance(t1.points[i, j], p[i + 1] - p[i]) <= 1e-8
+            assert proj_distance(t2.points[i, j], q[j + 1] - q[j]) <= 1e-8
 
 
 def test_from_cauchy_integer_grid():
@@ -389,7 +389,7 @@ def test_qstar_vertices_equal_per_quad_svd(rng):
         got, want = qstar_vertices(pn), _qstar_vertex_loop(pn)
         assert [[v is None for v in row] for row in got] == [[v is None for v in row] for row in want]
         for g, w in zip(sum(got, []), sum(want, [])):
-            assert g is None or proj_equal(g, w, 1e-12)
+            assert g is None or proj_distance(g, w) <= 1e-12
     assert all(v is None for v in sum(qstar_vertices(nets[2]), []))
 
 

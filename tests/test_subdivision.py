@@ -97,7 +97,7 @@ def test_parallelogram_patch_is_affine_bilinear():
     for k, t in enumerate(ts):
         for l, s in enumerate(ts):
             expect = [2 * t, s, 0, 1]
-            assert proj_equal(patch.points[k, l], expect, 1e-10)
+            assert proj_distance(patch.points[k, l], expect) <= 1e-10
 
 
 def test_patch_reconstructs_translation_patch(rng):
@@ -195,15 +195,11 @@ def test_seeds_from_global_refinement_reproduced(rng):
     for i in range(2):
         for j in range(3):
             for k in range(4):
-                assert proj_equal(
-                    ep.u[i, j][k], fine_base.points[3 * i + k, 3 * j], 1e-7
-                )
+                assert proj_distance(ep.u[i, j][k], fine_base.points[3 * i + k, 3 * j]) <= 1e-7
     for i in range(3):
         for j in range(2):
             for l in range(4):
-                assert proj_equal(
-                    ep.v[i, j][l], fine_base.points[3 * i, 3 * j + l], 1e-7
-                )
+                assert proj_distance(ep.v[i, j][l], fine_base.points[3 * i, 3 * j + l]) <= 1e-7
     # the full subdivision then reproduces the refinement
     fine = subdivide_q(coarse, 3, seeds=seeds)
     assert nets_proj_equal(fine, fine_base, 1e-7)
@@ -261,7 +257,7 @@ def check_seeds_per_seed(net, seeds):
     p = net.points
     for name, seed, verts in (("u", seeds["u"], p[:, 0]), ("v", seeds["v"], p[0])):
         for i in range(len(seed)):
-            if not proj_equal(seed[i, 0], verts[i], 1e-8) or not proj_equal(seed[i, -1], verts[i + 1], 1e-8):
+            if not proj_distance(seed[i, 0], verts[i]) <= 1e-8 or not proj_distance(seed[i, -1], verts[i + 1]) <= 1e-8:
                 raise InconsistentCorner(f"{name} seed {i} does not interpolate its edge")
             for k in range(1, seed.shape[1] - 1):
                 if span_rank([seed[i, k], verts[i], verts[i + 1]]) > 2:
