@@ -32,6 +32,7 @@ from .projective import (
     MOEBIUS,
     RANK_RTOL,
     Classification,
+    _kept,
     classify_spans,
     common_point_of_spans,
     moebius_drop,
@@ -122,13 +123,15 @@ def invert_net(s_rep, net: EuclidNet) -> EuclidNet:
 # -- predicates ----------------------------------------------------------------
 
 
+# corner pairs of a 4-point stack, for the pairwise-distinct check
+_CORNER_PAIRS = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
+
+
 def is_concyclic(p0, p1, p2, p3) -> bool:
     """Four points of R^3 u {oo} lie on one circle (or line through oo)."""
-    lifts = [normalize(moebius_lift(p)) for p in (p0, p1, p2, p3)]
-    for k in range(4):
-        for l in range(k + 1, 4):
-            if span_rank([lifts[k], lifts[l]]) < 2:
-                raise DuplicatePoints("concyclicity needs pairwise distinct points")
+    lifts = np.stack([normalize(moebius_lift(p)) for p in (p0, p1, p2, p3)])
+    if np.any(span_rank(lifts[_CORNER_PAIRS]) < 2):
+        raise DuplicatePoints("concyclicity needs pairwise distinct points")
     return span_rank(lifts) <= 3
 
 
@@ -208,6 +211,7 @@ class SphereFamilyPair:
         if self.s1.shape[1] != 5 or self.s2.shape[1] != 5:
             raise DimensionMismatch("sphere representatives live in R^{4,1}")
         for fam in (self.s1, self.s2):
+            raise_unless_finite(fam, "sphere representative")
             # a zero vector is no sphere either, and the form would reject it
             zero = np.linalg.norm(fam, axis=-1) <= _ABS_EPS
             if np.any(zero) or np.any(MOEBIUS.eval(fam, fam) <= 0):
@@ -374,8 +378,8 @@ def _circle_order_embedded(quads, at_infinity) -> np.ndarray:
 
     A finite quad is embedded when its corners, ranked by angle on the
     circumcircle, step through the ranks by +1 or by -1 mod 4; four finite
-    collinear corners (second singular value at most RANK_RTOL times the
-    first) have no circumcentre and are ranked by their line coordinate.  A
+    collinear corners (second singular value dropped by projective._kept)
+    have no circumcentre and are ranked by their line coordinate.  A
     quad with one corner oo (mask (R, 4)) lies on a line, where the order is
     read off the line with oo acting as the wrap point.  Quads with two
     corners at oo give False.
@@ -386,7 +390,7 @@ def _circle_order_embedded(quads, at_infinity) -> np.ndarray:
     # in-plane orthonormal basis from each quad's plane
     _, s, vh = np.linalg.svd(m, full_matrices=False)
     xy = m @ np.swapaxes(vh[:, :2], 1, 2)
-    on_line = (s[:, 1] <= RANK_RTOL * s[:, 0])[:, None]
+    on_line = ~_kept(s)[:, 1:2]
     key = np.where(on_line, xy[..., 0], np.arctan2(xy[..., 1], xy[..., 0]))
     rank = np.argsort(np.argsort(key, axis=1), axis=1)
     step = (np.roll(rank, -1, axis=1) - rank) % 4

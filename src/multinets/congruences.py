@@ -30,7 +30,6 @@ from .projective import (
     LIE,
     PLUECKER,
     QUADRIC_RTOL,
-    RANK_RTOL,
     Classification,
     ProjLine,
     QuadricForm,
@@ -39,9 +38,9 @@ from .projective import (
     index_pairs,
     meet_lines,
     normalize,
-    normalized_rows,
     rank_violations,
     span_rank,
+    span_svd,
 )
 
 
@@ -68,8 +67,8 @@ class IsoLineGrid:
         # of its points are given; degenerate pairs go to multi_congruence_violations
         live = np.linalg.norm(self.lines, axis=-1) > _ABS_EPS
         pairs = np.where(live[..., None], self.lines, self.lines[..., ::-1, :])
-        _, s, basis = np.linalg.svd(normalized_rows(pairs[np.any(live, axis=-1)]), full_matrices=False)
-        basis = basis * (s > RANK_RTOL * s[:, :1])[..., None]
+        _, basis, kept = span_svd(pairs[np.any(live, axis=-1)])
+        basis = basis * kept[..., None]
         restricted = np.einsum("nkd,d,nld->nkl", basis, self.form.diagonal, basis)
         if np.any(np.linalg.norm(restricted, axis=(-2, -1)) > QUADRIC_RTOL):
             raise NotOnQuadric("spanning points off the quadric or their line not isotropic")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circular import EuclidNet, is_concyclic, is_multi_circular, lift_net
+from .circular import _CORNER_PAIRS, EuclidNet, is_concyclic, is_multi_circular, lift_net
 from .errors import (
     DegenerateProfile,
     DimensionMismatch,
@@ -22,6 +22,7 @@ from .errors import (
     NotOnSphere,
     SingularPropagation,
     ZeroNormal,
+    raise_unless_finite,
 )
 from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, classify_spans,
                          corner_minors, normalized_rows, rect_stacks, span_rank)
@@ -54,16 +55,11 @@ def is_conical_quad(planes) -> bool:
     cov = np.asarray(planes, dtype=float)
     if cov.shape != (4, 4):
         raise DimensionMismatch("expected four plane covectors")
-    h = cov.copy()
-    h[:, 3] *= -1.0
-    if span_rank(h) > 3:
+    raise_unless_finite(cov, "plane covector")
+    if span_rank(cov * (1.0, 1.0, 1.0, -1.0)) > 3:  # covectors (n, -d) on points (x, w)
         raise NotConcurrent("the four planes have no common point")
     n = gauss_map(PlaneNet(cov[None])).points[0]
     return is_concyclic(n[0], n[1], n[2], n[3])
-
-
-# corner pairs of a 4-point stack, for the pairwise-distinct check
-_CORNER_PAIRS = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 
 def _conical_violations(pn: PlaneNet, elementary: bool):
@@ -81,8 +77,7 @@ def _conical_violations(pn: PlaneNet, elementary: bool):
     grid = np.concatenate([pn.homogeneous(), lifted, zero], axis=-1)
     keys, corners = rect_stacks(grid, elementary)
     planes, lifts, vanishing = corners[..., :4], corners[..., 4:9], corners[..., 9].any(axis=1)
-    pairs = lifts[:, _CORNER_PAIRS].reshape(-1, 2, lifts.shape[-1])
-    repeated = (span_rank(pairs) < 2).reshape(len(keys), len(_CORNER_PAIRS)).any(axis=1)
+    repeated = (span_rank(lifts[:, _CORNER_PAIRS]) < 2).any(axis=1)
     skew = span_rank(planes) > 3
     degenerate = np.flatnonzero(~skew & (vanishing | repeated))
     if degenerate.size and vanishing[degenerate[0]]:

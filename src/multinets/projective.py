@@ -36,7 +36,7 @@ from .errors import (
 )
 
 # The thresholds that more than one module decides by; README *Tolerances* lists every one.
-RANK_RTOL = 1e-9  # singular value sigma_k counts as zero iff sigma_k < RANK_RTOL * sigma_1
+RANK_RTOL = 1e-9  # singular value sigma_k counts iff sigma_k > RANK_RTOL * sigma_1 (_kept)
 QUADRIC_RTOL = 1e-9  # on the quadric: |<x,x>| <= it |x|^2; orthogonal: |<x,y>| <= it |x| |y|
 EIG_ZERO_RTOL = 1e-7  # eigenvalue of a restricted form is zero at this fraction of the largest
 _ABS_EPS = 1e-13  # a coordinate vector of norm at most this is the zero vector
@@ -122,6 +122,19 @@ def normalized_rows(points) -> np.ndarray:
     return m / norms
 
 
+def _kept(s):
+    """The rank rule: which singular values s (..., k), sorted largest first, count."""
+    return s > RANK_RTOL * s[..., :1]
+
+
+def span_svd(points, compute_uv=True):
+    """(s, vh, kept) of the row-normalized stack points (..., k, d): singular
+    values, right singular vectors (None without compute_uv) and _kept(s)."""
+    out = np.linalg.svd(normalized_rows(points), full_matrices=False, compute_uv=compute_uv)
+    s, vh = out[1:] if compute_uv else (out, None)
+    return s, vh, _kept(s)
+
+
 def span_rank(points):
     """Numerical rank of the span of the given homogeneous points.
 
@@ -129,8 +142,7 @@ def span_rank(points):
     coplanarity of four points in RP^3 is span_rank <= 3.  A stack of
     point sets (..., k, d) gives an array of ranks.
     """
-    s = np.linalg.svd(normalized_rows(points), compute_uv=False)
-    ranks = np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+    ranks = np.sum(span_svd(points, compute_uv=False)[2], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 
 
@@ -208,8 +220,8 @@ def rank_violations(keys, stacks, max_rank: int):
     if max_rank == 3 and stacks.shape[-2] == 4:
         _, v3, v4 = corner_minors(stacks)
         check = np.flatnonzero(~_rank4_certificate(v3, v4, stacks.shape[-1])[0])
-    s = np.linalg.svd(normalized_rows(stacks[check]), compute_uv=False)
-    ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=-1)
+    s, _, kept = span_svd(stacks[check], compute_uv=False)
+    ranks = np.sum(kept, axis=-1)
     return [(keys[check[k]], float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(ranks > max_rank)]
 
 
@@ -350,16 +362,14 @@ def intersect_spans(a, b):
     the first basis row of a).  A basis row that a rank-deficient span drops
     is zeroed; it adds one zero singular value, which the count discounts.
     """
-    _, sa, qa = np.linalg.svd(normalized_rows(a), full_matrices=False)
-    _, sb, qb = np.linalg.svd(normalized_rows(b), full_matrices=False)
-    keep_a = sa > RANK_RTOL * sa[..., :1]
-    keep_b = sb > RANK_RTOL * sb[..., :1]
+    _, qa, keep_a = span_svd(a)
+    _, qb, keep_b = span_svd(b)
     qa = qa * keep_a[..., None]
     qb = qb * keep_b[..., None]
     m = np.swapaxes(np.concatenate([qa, -qb], axis=-2), -1, -2)
     _, s, vh = np.linalg.svd(m)
     pad = np.zeros(s.shape[:-1] + (m.shape[-1] - s.shape[-1],))
-    null = np.concatenate([s, pad], axis=-1) <= RANK_RTOL * s[..., :1]
+    null = ~_kept(np.concatenate([s, pad], axis=-1))
     dim = np.sum(null, axis=-1) - np.sum(~keep_a, axis=-1) - np.sum(~keep_b, axis=-1)
     # every null row maps into the intersection (dropped columns map to 0);
     # for dim 1 the longest image spans it
@@ -389,7 +399,7 @@ def common_point_of_spans(spans, min_rank: int = 1):
     c = np.sum(a * b, axis=-1, keepdims=True)
     w = b - c * a
     sine = np.linalg.norm(w, axis=-1, keepdims=True)
-    line = sine > RANK_RTOL * (1.0 + np.abs(c))  # sigma_2 / sigma_1 = sine / (1 + |c|)
+    line = sine > RANK_RTOL * (1.0 + np.abs(c))  # _kept on two rows: sigma_2 / sigma_1 = sine / (1 + |c|)
     counted = (1 + line >= min_rank)[..., None]
     basis = np.stack([a, np.where(line, w, 0.0) / np.where(line, sine, 1.0)], axis=-2)
     comp = (np.eye(a.shape[-1]) - np.swapaxes(basis, -1, -2) @ basis) * counted
@@ -492,10 +502,8 @@ def classify_spans(form: QuadricForm, families, decide) -> Classification:
     """
     dims, eigs, codes = [], [], []
     for vectors in families:
-        m = np.atleast_2d(np.asarray(vectors, dtype=float))
-        m = m / np.linalg.norm(m, axis=-1, keepdims=True)
-        _, s, vh = np.linalg.svd(m, full_matrices=False)
-        basis = vh[: int(np.sum(s > RANK_RTOL * s[0]))]
+        _, vh, kept = span_svd(vectors)
+        basis = vh[: int(np.sum(kept))]
         eig = np.linalg.eigvalsh(basis @ np.diag(form.diagonal) @ basis.T)
         zero = EIG_ZERO_RTOL * np.max(np.abs(eig))
         dims.append(len(basis))

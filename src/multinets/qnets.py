@@ -42,12 +42,12 @@ from .projective import (
     hpoint,
     index_pairs,
     normalize,
-    normalized_rows,
     proj_distance,
     rank_violations,
     rect_indices,
     rect_stacks,
     span_rank,
+    span_svd,
 )
 
 
@@ -696,8 +696,8 @@ def qstar_vertices(pn: PlaneNet):
     homogeneous points (None where the quad has a whole common line)."""
     nu, nv = pn.dims
     _, quads = rect_stacks(pn.homogeneous(), elementary=True)
-    _, s, vh = np.linalg.svd(normalized_rows(quads))
-    ranks = np.sum(s > RANK_RTOL * s[:, :1], axis=-1)
+    _, vh, kept = span_svd(quads)
+    ranks = np.sum(kept, axis=-1)
     bad = np.flatnonzero(ranks > 3)
     if bad.size:
         i, j = divmod(int(bad[0]), nv - 1)
@@ -717,17 +717,8 @@ def check_planar_parameter_lines(pn: PlaneNet) -> bool:
         verts = qstar_vertices(pn)
     except NonPlanarQuad:
         return False
-    nu1 = len(verts)
-    nv1 = len(verts[0]) if nu1 else 0
-    for i in range(nu1):
-        row = [v for v in verts[i] if v is not None]
-        if len(row) >= 4 and span_rank(row) > 3:
-            return False
-    for j in range(nv1):
-        col = [verts[i][j] for i in range(nu1) if verts[i][j] is not None]
-        if len(col) >= 4 and span_rank(col) > 3:
-            return False
-    return True
+    lines = ([v for v in line if v is not None] for line in verts + list(zip(*verts)))
+    return not any(len(line) >= 4 and span_rank(line) > 3 for line in lines)
 
 
 def dualize_point_net(net: PointNet) -> PlaneNet:
@@ -753,17 +744,16 @@ def build_qqstar_net(
     """
     if span_rank(np.concatenate([line1.span, line2.span])) < 4:
         raise SkewLines("carrier lines must be skew")
-    y1_points = [hpoint(y) for y in np.atleast_2d(np.asarray(y1_points, dtype=float))]
-    y2_points = [hpoint(y) for y in np.atleast_2d(np.asarray(y2_points, dtype=float))]
-    for y in y1_points:
-        if not line1.contains(y):
-            raise PointOffLine("y1 sample off line1")
-    for y in y2_points:
-        if not line2.contains(y):
-            raise PointOffLine("y2 sample off line2")
+    samples = []
+    for y in (y1_points, y2_points):
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        if y.ndim != 2:
+            raise DimensionMismatch(f"expected a coordinate vector, got shape {y.shape[1:]}")
+        samples.append((y, normalize(y)))
+    for k, line, (y, _) in zip((1, 2), (line1, line2), samples):
+        if np.any(span_rank(np.stack(np.broadcast_arrays(line.a, line.b, y), axis=1)) > 2):
+            raise PointOffLine(f"y{k} sample off line{k}")
     x00 = hpoint(x00)
     if line1.contains(x00) or line2.contains(x00):
         raise PointOffLine("x00 must avoid both carrier lines")
-    y1 = np.stack([normalize(y) for y in y1_points])
-    y2 = np.stack([normalize(y) for y in y2_points])
-    return from_cauchy_homogeneous(y1, y2, normalize(x00))
+    return from_cauchy_homogeneous(*(unit for _, unit in samples), normalize(x00))

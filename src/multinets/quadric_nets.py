@@ -14,6 +14,7 @@ from .errors import (
     DegenerateOrbit,
     IsotropicMirror,
     MirrorsNotOrthogonal,
+    NonFiniteCoordinate,
     NotOnQuadric,
     SeedNotOnQuadric,
     ZeroVector,
@@ -66,11 +67,14 @@ def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
     n1 = np.broadcast_to(n1, batch + (k1, d)).reshape(-1, k1, d)
     n2 = np.broadcast_to(n2, batch + (k2, d)).reshape(-1, k2, d)
     x00 = np.broadcast_to(x00, batch + (d,)).reshape(-1, d)
-    # an entry with a zero seed or mirror fails on that first; stand-in rows
-    # of ones let the form run over every entry
+    # an entry with a non-finite seed or mirror fails on that first, then one
+    # with a zero seed or mirror; stand-in ones let the form run over every entry
+    finite = np.all(np.isfinite(np.concatenate([x00[:, None], n1, n2], axis=1)), axis=(-2, -1))
+    x00, n1, n2 = (np.where(np.isfinite(v), v, 1.0) for v in (x00, n1, n2))
     zero0, zero1, zero2 = (np.linalg.norm(v, axis=-1) <= _ABS_EPS for v in (x00, n1, n2))
     f0, f1, f2 = (np.where(z[..., None], 1.0, v) for z, v in ((zero0, x00), (zero1, n1), (zero2, n2)))
     setup = first_failure([
+        (~finite, lambda e: NonFiniteCoordinate("a seed or mirror has a non-finite coordinate")),
         (zero0, lambda e: ZeroVector("homogeneous coordinates must not vanish")),
         (np.any(zero1 | q.on_quadric(f1), axis=-1) | np.any(zero2 | q.on_quadric(f2), axis=-1),
          lambda e: IsotropicMirror("a mirror lies on the quadric")),

@@ -30,6 +30,8 @@ from multinets.errors import (
     DegenerateStrip,
     DuplicatePoints,
     MirrorsNotOrthogonal,
+    NonFiniteCoordinate,
+    ZeroVector,
 )
 from multinets.projective import (
     INF,
@@ -240,6 +242,18 @@ def test_generate_rejects_non_orthogonal_families():
         SphereFamilyPair(s1, s2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", [0, 1])
+def test_sphere_families_with_a_non_finite_entry_raise_non_finite(bad, family):
+    fams = [
+        np.stack([plane_rep([np.cos(t), np.sin(t), 0], 0.0) for t in (0.2, 0.9, 1.7)]),
+        np.stack([sphere_rep([0, 0, 0], r) for r in (1.0, 1.6, 2.4)]),
+    ]
+    fams[family][1, 3] = bad
+    with pytest.raises(NonFiniteCoordinate, match=r"sphere representative \(1\)"):
+        SphereFamilyPair(*fams)
+
+
 # -- classification -----------------------------------------------------------------
 
 
@@ -269,6 +283,14 @@ def test_classification_moebius_invariant(rng):
 def test_classify_degenerate_single_strip(rng):
     net = rot_net(rng, n_ang=2, n_prof=5)
     assert classify_multi_circular(net).kind == NetClass.DEGENERATE
+
+
+def test_classify_repeated_angle_raises_zero_vector():
+    # the repeated angle makes a Laplace vector vanish; the span kernel
+    # rejects it as a zero row instead of decomposing NaN
+    net = sample_rotational([[1, 0], [1.2, 0.5], [0.9, 1.1], [1.1, 1.6]], [0, 0.5, 0.5, 1])
+    with pytest.raises(ZeroVector):
+        classify_multi_circular(net)
 
 
 def test_samplers_validate_profiles():

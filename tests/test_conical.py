@@ -24,6 +24,7 @@ from multinets.errors import (
     DimensionMismatch,
     DuplicatePoints,
     InconsistentCorner,
+    NonFiniteCoordinate,
     NotConcurrent,
     NotOnSphere,
     SingularPropagation,
@@ -103,6 +104,14 @@ def test_sphere_tangent_planes_at_concyclic_points():
 def test_non_concurrent_quad_rejected(rng):
     cov = rng.uniform(-1, 1, (4, 4))
     with pytest.raises(NotConcurrent):
+        is_conical_quad(cov)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_covector_raises_before_the_concurrency_test(rng, bad):
+    cov = rng.uniform(-1, 1, (4, 4))
+    cov[2, 1] = bad
+    with pytest.raises(NonFiniteCoordinate, match=r"plane covector \(2\)"):
         is_conical_quad(cov)
 
 

@@ -224,3 +224,51 @@ def test_no_module_calls_eigh():
 def test_only_projective_enumerates_index_pairs():
     """Row and column pairs come from the memoized projective.index_pairs."""
     assert callers("triu_indices") == {"projective"}
+
+
+def sites(path, match):
+    """'module.function' of every node of the module at path that match
+    accepts, named by its innermost enclosing function."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if match(node):
+            found.append(f"{path.stem}.{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def package_sites(match):
+    return sorted(site for path in PACKAGE.glob("*.py") for site in sites(path, match))
+
+
+def is_rank_rule(node):
+    """A product RANK_RTOL * <subscript>, such as RANK_RTOL * s[..., :1]."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    operands = (node.left, node.right)
+    return any(isinstance(a, ast.Name) and a.id == "RANK_RTOL" and isinstance(b, ast.Subscript)
+               for a, b in (operands, operands[::-1]))
+
+
+def is_svd_call(node):
+    return isinstance(node, ast.Call) and (dotted(node.func) or "").endswith("linalg.svd")
+
+
+def test_the_rank_rule_is_written_once():
+    """Every numerical rank is decided by projective._kept on singular values
+    sorted largest first, reached through projective.span_svd."""
+    assert package_sites(is_rank_rule) == ["projective._kept"]
+
+
+def test_outside_projective_only_a_solve_and_the_circle_order_call_the_svd():
+    """Outside projective, the SVD serves only the least-squares solve and the
+    plane of centred Euclidean points, which reads collinearity off _kept."""
+    assert callers("linalg.svd") <= {"projective", "qnets", "circular"}
+    outside = [site for site in package_sites(is_svd_call) if not site.startswith("projective.")]
+    assert sorted(set(outside)) == ["circular._circle_order_embedded", "qnets._unit_lstsq"]

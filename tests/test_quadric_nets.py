@@ -5,6 +5,7 @@ from multinets.errors import (
     DegenerateOrbit,
     IsotropicMirror,
     MirrorsNotOrthogonal,
+    NonFiniteCoordinate,
     NotOnQuadric,
     SeedNotOnQuadric,
 )
@@ -235,3 +236,30 @@ def test_batched_generation_setup_errors_keep_entry_order():
         generate_by_reflections(MOEBIUS, np.stack([n1, isotropic, fix1]), n2, x00)
     with pytest.raises(SeedNotOnQuadric):
         generate_by_reflections(MOEBIUS, n1, n2, np.stack([x00, [1.0, 0, 0, 0, 2], x00]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["n1", "n2", "x00"])
+def test_non_finite_seed_or_mirror_raises_non_finite(bad, where):
+    x00, fams = failing_families()
+    n1, n2, _ = fams["valid"]
+    args = {"n1": n1.copy(), "n2": n2.copy(), "x00": x00.copy()}
+    args[where][..., 3] = bad
+    with pytest.raises(NonFiniteCoordinate):
+        generate_by_reflections(MOEBIUS, args["n1"], args["n2"], args["x00"])
+
+
+def test_non_finite_entry_keeps_the_batch_order():
+    x00, fams = failing_families()
+    n1, n2, _ = fams["valid"]
+    nan = n1.copy()
+    nan[2, 0] = np.nan
+    isotropic = n1.copy()
+    isotropic[0] = [0.0, 0, 0, 1, 1]
+    # the first failing entry raises, and a non-finite entry fails before its other checks
+    with pytest.raises(DegenerateOrbit):
+        generate_by_reflections(MOEBIUS, np.stack([n1, fams["fix1"][0], nan]), n2, x00)
+    with pytest.raises(NonFiniteCoordinate):
+        generate_by_reflections(MOEBIUS, np.stack([n1, nan, isotropic]), n2, x00)
+    with pytest.raises(IsotropicMirror):
+        generate_by_reflections(MOEBIUS, np.stack([isotropic, nan]), n2, x00)

@@ -664,6 +664,25 @@ def test_cyclide_patch_rejects_nonconcyclic_quad():
 # -- circular subdivision -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_subdivide_circular_interpolates_and_keeps_faces_circular(seed):
+    # random tori: every round reproduces its input bit-identically at the
+    # stride and has concyclic faces; the first of two rounds is one round
+    rng = np.random.default_rng(seed)
+    big, small = rng.uniform(1.5, 3.0), rng.uniform(0.3, 0.9)
+    us = np.cumsum(np.r_[0.0, rng.uniform(0.2, 0.6, rng.integers(2, 5))])
+    vs = np.cumsum(np.r_[-0.8, rng.uniform(0.2, 0.5, rng.integers(2, 5))])
+    net = torus_net(us, vs, big, small)
+    arcs = torus_seed_arcs(us, vs, big, small)
+    n = tuple(int(k) for k in rng.integers(2, 4, 2))
+    once = subdivide_circular(net, n, *arcs)
+    twice = subdivide_circular(net, n, *arcs, rounds=2)
+    assert np.array_equal(once.points[:: n[0], :: n[1]], net.points)
+    assert np.array_equal(twice.points[:: n[0] ** 2, :: n[1] ** 2], net.points)
+    assert np.array_equal(twice.points[:: n[0], :: n[1]], once.points)
+    assert is_circular_net(once) and is_circular_net(twice)
+
+
 def test_circular_subdivision_torus():
     us = [0.2, 0.9, 1.7]
     vs = [-0.5, 0.3, 1.0]
