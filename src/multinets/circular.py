@@ -41,6 +41,7 @@ from .projective import (
     polar_reflect,
     rect_stacks,
     span_rank,
+    stack_coords,
 )
 from .qnets import (
     PointNet,
@@ -301,13 +302,9 @@ def sample_rotational(profile, angles) -> EuclidNet:
         raise DegenerateProfile("profile radii must be positive")
     if np.any(np.linalg.norm(np.diff(prof, axis=0), axis=-1) <= INPUT_ATOL):
         raise DegenerateProfile("profile has coincident consecutive points")
-    r, z = prof[:, 0], prof[:, 1]
-    pts = np.empty((len(ang), len(prof), 3))
-    for i, t in enumerate(ang):
-        pts[i, :, 0] = r * np.cos(t)
-        pts[i, :, 1] = r * np.sin(t)
-        pts[i, :, 2] = z
-    return EuclidNet(pts)
+    # (r cos t, r sin t, z) as (r, r, z) times (cos t, sin t, 1)
+    turns = np.stack([np.cos(ang), np.sin(ang), np.ones_like(ang)], axis=-1)
+    return EuclidNet(prof[:, [0, 0, 1]] * turns[:, None])
 
 
 def sample_cone(directions, radii) -> EuclidNet:
@@ -342,20 +339,20 @@ def sample_cylinder(base, offsets) -> EuclidNet:
 
 
 def torus_point(big, small, u, v) -> np.ndarray:
-    """Point of the torus of revolution with radii big > small at the
-    angles u (about the z-axis) and v (around the tube)."""
+    """Points (..., 3) of the torus of revolution with radii big > small at
+    the angles u (about the z-axis) and v (around the tube), which broadcast."""
     w = big + small * np.cos(v)
-    return np.array([w * np.cos(u), w * np.sin(u), small * np.sin(v)])
+    return stack_coords(w * np.cos(u), w * np.sin(u), small * np.sin(v))
 
 
 def torus_u_tangent(u, v) -> np.ndarray:
-    """Unit tangent of the u-curvature line (a parallel circle) at (u, v)."""
-    return np.array([-np.sin(u), np.cos(u), 0.0])
+    """Unit tangents (..., 3) of the u-curvature lines (parallel circles) at (u, v)."""
+    return stack_coords(-np.sin(u), np.cos(u), np.zeros(np.shape(v)))
 
 
 def torus_v_tangent(u, v) -> np.ndarray:
-    """Unit tangent of the v-curvature line (a meridian circle) at (u, v)."""
-    return np.array([-np.sin(v) * np.cos(u), -np.sin(v) * np.sin(u), np.cos(v)])
+    """Unit tangents (..., 3) of the v-curvature lines (meridian circles) at (u, v)."""
+    return stack_coords(-np.sin(v) * np.cos(u), -np.sin(v) * np.sin(u), np.cos(v))
 
 
 def sample_canonical(kind: NetClass, profile, params) -> EuclidNet:

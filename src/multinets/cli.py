@@ -118,16 +118,13 @@ def _gen_congruence(rng, args):
 
 
 def _torus_patch_data(big, small, u0, u1, v0, v1):
-    """Corner quad plus the two curvature-circle arcs at a torus patch."""
-    x00 = circular.torus_point(big, small, u0, v0)
-    x10 = circular.torus_point(big, small, u1, v0)
-    x01 = circular.torus_point(big, small, u0, v1)
-    x11 = circular.torus_point(big, small, u1, v1)
-    tan_u = circular.torus_u_tangent(u0, v0)
-    tan_v = circular.torus_v_tangent(u0, v0)
-    p_arc = CircArc(x00, x10, tan_u)
-    q_arc = CircArc(x00, x01, tan_v)
-    return (x00, x10, x01, x11), p_arc, q_arc
+    """Corners x00, x10, x01, x11 (4, 3) of a torus patch plus the two
+    curvature-circle arcs at x00."""
+    u, v = np.array([u0, u1, u0, u1]), np.array([v0, v0, v1, v1])
+    corners = circular.torus_point(big, small, u, v)
+    p_arc = CircArc(corners[0], corners[1], circular.torus_u_tangent(u0, v0))
+    q_arc = CircArc(corners[0], corners[2], circular.torus_v_tangent(u0, v0))
+    return corners, p_arc, q_arc
 
 
 _GEN = {
@@ -206,14 +203,7 @@ def _cmd_classify(args) -> int:
 
 
 def _load_arcs(doc_list):
-    return [
-        CircArc(
-            np.asarray(a["start"], dtype=float),
-            np.asarray(a["end"], dtype=float),
-            np.asarray(a["tangent"], dtype=float),
-        )
-        for a in doc_list
-    ]
+    return [CircArc(a["start"], a["end"], a["tangent"]) for a in doc_list]
 
 
 def _cmd_subdivide(args) -> int:
@@ -221,25 +211,21 @@ def _cmd_subdivide(args) -> int:
         raise _UsageError("--nu and --nv must be given together")
     net = read_net(args.input or sys.stdin)
     n = args.n if args.nu is None else (args.nu, args.nv)
-    if args.scheme == "q":
-        if not isinstance(net, PointNet):
-            raise _UsageError("scheme q expects a point net")
-        seeds = None
-        if args.seeds:
-            with open(args.seeds, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            seeds = {
-                "u": np.asarray(raw["u"], dtype=float),
-                "v": np.asarray(raw["v"], dtype=float),
-            }
-        out = subdivision.subdivide_q(net, n, rounds=args.rounds, seeds=seeds)
-    else:
+    if args.scheme == "q" and not isinstance(net, PointNet):
+        raise _UsageError("scheme q expects a point net")
+    if args.scheme == "circular":
         if not isinstance(net, EuclidNet):
             raise _UsageError("scheme circular expects an E3 net")
         if not args.seeds:
             raise _UsageError("scheme circular requires --seeds FILE")
+    raw = None
+    if args.seeds:
         with open(args.seeds, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+    if args.scheme == "q":
+        seeds = None if raw is None else {k: np.asarray(raw[k], dtype=float) for k in ("u", "v")}
+        out = subdivision.subdivide_q(net, n, rounds=args.rounds, seeds=seeds)
+    else:
         out = subdivision.subdivide_circular(
             net, n, _load_arcs(raw["row0"]), _load_arcs(raw["col0"]), rounds=args.rounds
         )

@@ -24,6 +24,7 @@ from .errors import (
     PlanarFamily,
     ZeroVector,
     raise_first_failure,
+    raise_unless_finite,
 )
 from .projective import (
     _ABS_EPS,
@@ -39,8 +40,10 @@ from .projective import (
     meet_lines,
     normalize,
     rank_violations,
+    row_dot,
     span_rank,
     span_svd,
+    stack_coords,
 )
 
 
@@ -63,6 +66,7 @@ class IsoLineGrid:
             raise DimensionMismatch("IsoLineGrid expects shape (nu, nv, 2, d)")
         if self.lines.shape[3] != self.form.dim:
             raise DimensionMismatch("line coordinates do not match the form")
+        raise_unless_finite(self.lines, "spanning point")
         # the form must vanish on an orthonormal basis of each line, whichever
         # of its points are given; degenerate pairs go to multi_congruence_violations
         live = np.linalg.norm(self.lines, axis=-1) > _ABS_EPS
@@ -204,94 +208,82 @@ def classify_congruence(g: IsoLineGrid) -> Classification:
 
 
 def pluecker_embed(p, q) -> np.ndarray:
-    """Pluecker coordinates of the line through two points of R^3, in the
-    diagonalizing basis of the (3,3) form.
+    """Pluecker coordinates of the lines through points p and q of R^3, in
+    the diagonalizing basis of the (3,3) form.
 
-    With direction u = q - p and moment v = p x q the image is (u+v, u-v);
-    it is isotropic, and two lines of R^3 intersect (or are parallel) iff
-    their images are orthogonal under the form.
+    Stacks of points (..., 3) broadcast against each other and give stacks
+    (..., 6).  With direction u = q - p and moment v = p x q the image is
+    (u+v, u-v); it is isotropic, and two lines of R^3 intersect (or are
+    parallel) iff their images are orthogonal under the form.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != (3,) or q.shape != (3,):
+    if p.shape[-1:] != (3,) or q.shape[-1:] != (3,):
         raise DimensionMismatch("expected two points of R^3")
     u = q - p
-    if np.linalg.norm(u) <= _ABS_EPS:
+    if np.any(np.linalg.norm(u, axis=-1) <= _ABS_EPS):
         raise CoincidentPoints("line needs two distinct points")
     v = np.cross(p, q)
-    return np.concatenate([u + v, u - v])
+    return np.concatenate([u + v, u - v], axis=-1)
 
 
 # -- fixtures -------------------------------------------------------------------------
+# Lie coordinates (..., 6) with form diag(+,+,+,+,-,-): spheres are
+# (c, (|c|^2-r^2-1)/2, (|c|^2-r^2+1)/2, r) with signed radius r and outward
+# normal (x-c)/r; planes carry -1 in the radius slot so that oriented contact
+# <.,.> = 0 means touching with matching normals.
 
 
 def lie_point_rep(p) -> np.ndarray:
-    """Lie coordinates of a point sphere (radius 0)."""
-    p = np.asarray(p, dtype=float)
-    n2 = float(np.dot(p, p))
-    return np.array([p[0], p[1], p[2], (n2 - 1.0) / 2.0, (n2 + 1.0) / 2.0, 0.0])
+    """Lie coordinates of point spheres (radius 0)."""
+    return lie_sphere_rep(p, 0.0)
 
 
-def lie_sphere_rep(center, radius: float) -> np.ndarray:
-    """Lie coordinates of an oriented sphere with signed radius."""
+def lie_sphere_rep(center, radius) -> np.ndarray:
+    """Lie coordinates of oriented spheres; centres (..., 3) broadcast
+    against signed radii (...)."""
     c = np.asarray(center, dtype=float)
-    a = float(np.dot(c, c)) - radius * radius
-    return np.array([c[0], c[1], c[2], (a - 1.0) / 2.0, (a + 1.0) / 2.0, radius])
+    r = np.asarray(radius, dtype=float)
+    a = row_dot(c, c) - r * r
+    return stack_coords(c[..., 0], c[..., 1], c[..., 2], (a - 1.0) / 2.0, (a + 1.0) / 2.0, r)
 
 
-def lie_plane_rep(normal, offset: float) -> np.ndarray:
-    """Lie coordinates of the oriented plane {x : <x, n> = offset}, unit n.
-
-    Layout (x1..x6) with form diag(+,+,+,+,-,-): spheres are
-    (c, (|c|^2-r^2-1)/2, (|c|^2-r^2+1)/2, r) with signed radius r and
-    outward normal (x-c)/r; planes carry -1 in the radius slot so that
-    oriented contact <.,.> = 0 means touching with matching normals.
-    """
+def lie_plane_rep(normal, offset) -> np.ndarray:
+    """Lie coordinates of the oriented planes {x : <x, n> = offset} with n
+    the normal scaled to unit length; a vanishing normal raises ZeroVector."""
     n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-    return np.array([n[0], n[1], n[2], offset, offset, -1.0])
+    norm = np.sqrt(row_dot(n, n))[..., None]
+    if np.any(norm <= _ABS_EPS):
+        raise ZeroVector("plane normal must not vanish")
+    n = n / norm
+    return stack_coords(n[..., 0], n[..., 1], n[..., 2], offset, offset, -1.0)
 
 
 def contact_element(point, unit_normal) -> np.ndarray:
-    """Isotropic Lie line of a surface contact element: spanned by the point
-    sphere and the oriented tangent plane."""
+    """Isotropic Lie lines (..., 2, 6) of surface contact elements, each
+    spanned by the point sphere and the oriented tangent plane."""
     p = np.asarray(point, dtype=float)
     n = np.asarray(unit_normal, dtype=float)
-    sphere = lie_point_rep(p)
-    plane = lie_plane_rep(n, float(np.dot(p, n)))
-    return np.stack([normalize(sphere), normalize(plane)])
+    pair = np.broadcast_arrays(lie_point_rep(p), lie_plane_rep(n, row_dot(p, n)))
+    return normalize(np.stack(pair, axis=-2))
 
 
 def torus_contact_grid(big_radius: float, small_radius: float, us, vs) -> IsoLineGrid:
     """Contact elements of a torus of revolution along its curvature-line
     parameters; us are angles around the axis, vs meridian angles."""
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    lines = np.empty((len(us), len(vs), 2, 6))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            w = big_radius + small_radius * np.cos(v)
-            p = np.array([w * np.cos(u), w * np.sin(u), small_radius * np.sin(v)])
-            n = np.array([np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v)])
-            lines[i, j] = contact_element(p, n)
-    return IsoLineGrid(lines, LIE)
+    u = np.asarray(us, dtype=float)[:, None]
+    v = np.asarray(vs, dtype=float)
+    w = big_radius + small_radius * np.cos(v)
+    p = stack_coords(w * np.cos(u), w * np.sin(u), small_radius * np.sin(v))
+    n = stack_coords(np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v))
+    return IsoLineGrid(contact_element(p, n), LIE)
 
 
 def hyperboloid_ruling_grid(a_params, b_params) -> IsoLineGrid:
     """Pluecker images of the two ruling families of z = x y sampled at the
     given parameters; cell (i, j) is the pencil at their meeting point."""
-    a_params = np.asarray(a_params, dtype=float)
-    b_params = np.asarray(b_params, dtype=float)
-    g1 = np.stack(
-        [
-            normalize(pluecker_embed(np.array([a, 0.0, 0.0]), np.array([a, 1.0, a])))
-            for a in a_params
-        ]
-    )
-    g2 = np.stack(
-        [
-            normalize(pluecker_embed(np.array([0.0, b, 0.0]), np.array([1.0, b, b])))
-            for b in b_params
-        ]
-    )
-    return from_generators(g1, g2, PLUECKER)
+    a = np.asarray(a_params, dtype=float)
+    b = np.asarray(b_params, dtype=float)
+    g1 = pluecker_embed(stack_coords(a, 0.0, 0.0), stack_coords(a, 1.0, a))
+    g2 = pluecker_embed(stack_coords(0.0, b, 0.0), stack_coords(1.0, b, b))
+    return from_generators(normalize(g1), normalize(g2), PLUECKER)

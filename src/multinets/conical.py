@@ -25,7 +25,7 @@ from .errors import (
     raise_unless_finite,
 )
 from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, classify_spans,
-                         corner_minors, normalized_rows, rect_stacks, span_rank)
+                         corner_minors, normalized_rows, rect_stacks, span_rank, stack_coords)
 from .qnets import PlaneNet, PointNet, translation_gauge
 
 _UNIT_SPHERE_TOL = 1e-9  # a point whose norm is within this of 1 lies on the unit sphere
@@ -207,14 +207,13 @@ def sample_s2_rotational(colatitudes, longitudes) -> EuclidNet:
     ph = np.asarray(longitudes, dtype=float)
     if th.shape[0] < 2 or ph.shape[0] < 2:
         raise DegenerateProfile("need at least a 2x2 grid")
-    if np.any(np.sin(th) <= INPUT_ATOL):
+    sin_th = np.sin(th)
+    if np.any(sin_th <= INPUT_ATOL):
         raise DegenerateProfile("colatitudes must avoid the poles")
-    pts = np.empty((len(ph), len(th), 3))
-    for i, p in enumerate(ph):
-        pts[i, :, 0] = np.sin(th) * np.cos(p)
-        pts[i, :, 1] = np.sin(th) * np.sin(p)
-        pts[i, :, 2] = np.cos(th)
-    return EuclidNet(pts)
+    # (sin th cos ph, sin th sin ph, cos th) as (sin th, sin th, cos th) times (cos ph, sin ph, 1)
+    meridian = np.stack([sin_th, sin_th, np.cos(th)], axis=-1)
+    turns = np.stack([np.cos(ph), np.sin(ph), np.ones_like(ph)], axis=-1)
+    return EuclidNet(meridian * turns[:, None])
 
 
 def sample_s2_stereographic(us, vs) -> EuclidNet:
@@ -224,12 +223,9 @@ def sample_s2_stereographic(us, vs) -> EuclidNet:
     vs = np.asarray(vs, dtype=float)
     if us.shape[0] < 2 or vs.shape[0] < 2:
         raise DegenerateProfile("need at least a 2x2 grid")
-    pts = np.empty((len(us), len(vs), 3))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            s = u * u + v * v + 1.0
-            pts[i, j] = (2 * u / s, 2 * v / s, (u * u + v * v - 1.0) / s)
-    return EuclidNet(pts)
+    u, v = us[:, None], vs
+    s = u * u + v * v + 1.0
+    return EuclidNet(stack_coords(2 * u / s, 2 * v / s, (u * u + v * v - 1.0) / s))
 
 
 def sample_s2_symmetric_strip(upper_points) -> EuclidNet:

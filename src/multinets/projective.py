@@ -122,6 +122,18 @@ def normalized_rows(points) -> np.ndarray:
     return m / norms
 
 
+def stack_coords(*coords) -> np.ndarray:
+    """Stack of points (..., k) from k coordinate arrays that broadcast;
+    scalar coordinates give one point (k,)."""
+    return np.stack(np.broadcast_arrays(*coords), axis=-1)
+
+
+def row_dot(x, y):
+    """Dot products row by row of stacks (..., d) that broadcast, each summed
+    as np.dot sums one pair (np.sum(x * y, axis=-1) differs in the last bit)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _kept(s):
     """The rank rule: which singular values s (..., k), sorted largest first, count."""
     return s > RANK_RTOL * s[..., :1]

@@ -529,9 +529,10 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
     if strip1.dims[0] != 2 or strip2.dims[1] != 2:
         raise DimensionMismatch("strip1 must be 2 x nv and strip2 nu x 2")
     rows, cols = strip1.points, strip2.points
-    for (i, j) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        if proj_distance(rows[i, j], cols[i, j]) > MATCH_TOL:
-            raise InconsistentCorner(f"strips disagree at corner ({i},{j})")
+    i, j = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])  # the corners in the order they are named
+    off = np.flatnonzero(proj_distance(rows[i, j], cols[i, j]) > MATCH_TOL)
+    if off.size:
+        raise InconsistentCorner(f"strips disagree at corner ({i[off[0]]},{j[off[0]]})")
     *_, net = _strip_cauchy(rows, cols, ambient=strip1.ambient)
     for name, dist, where in (
         ("row strip", proj_distance(net.points[1], rows[1]), "column"),
@@ -742,18 +743,23 @@ def build_qqstar_net(
     polygons are planar, with the row planes through line2 and the column
     planes through line1.
     """
+    d = line1.a.shape[0]
+    if line2.a.shape != (d,):
+        raise DimensionMismatch("carrier lines of different dimension")
     if span_rank(np.concatenate([line1.span, line2.span])) < 4:
         raise SkewLines("carrier lines must be skew")
     samples = []
     for y in (y1_points, y2_points):
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        if y.ndim != 2:
-            raise DimensionMismatch(f"expected a coordinate vector, got shape {y.shape[1:]}")
+        if y.ndim != 2 or y.shape[1] != d:
+            raise DimensionMismatch(f"expected samples of {d} coordinates, got shape {y.shape}")
         samples.append((y, normalize(y)))
     for k, line, (y, _) in zip((1, 2), (line1, line2), samples):
         if np.any(span_rank(np.stack(np.broadcast_arrays(line.a, line.b, y), axis=1)) > 2):
             raise PointOffLine(f"y{k} sample off line{k}")
     x00 = hpoint(x00)
+    if x00.shape != (d,):
+        raise DimensionMismatch(f"expected x00 of {d} coordinates, got shape {x00.shape}")
     if line1.contains(x00) or line2.contains(x00):
         raise PointOffLine("x00 must avoid both carrier lines")
     return from_cauchy_homogeneous(*(unit for _, unit in samples), normalize(x00))

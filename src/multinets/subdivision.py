@@ -46,6 +46,7 @@ from .projective import (
     normalize,
     proj_distance,
     rect_stacks,
+    row_dot,
     span_rank,
 )
 from .qnets import (
@@ -112,12 +113,12 @@ def adapted_q_patch(x00, x10, x01, x11, p0, p1, q0, q1) -> PointNet:
     if p0.shape != p1.shape or q0.shape != q1.shape:
         raise DimensionMismatch("opposite polylines must have equal lengths")
     t, y, _ = laplace_gauge(x00, x10, x01, x11)
-    for end, corner in (
-        (p0[0], x00), (p0[-1], x10), (p1[0], x01), (p1[-1], x11),
-        (q0[0], x00), (q0[-1], x01), (q1[0], x10), (q1[-1], x11),
-    ):
-        if not proj_distance(end, corner) <= MATCH_TOL:  # a NaN end fails too
-            raise InconsistentCorner("polyline endpoints must match the corners")
+    # [[x00, x10], [x01, x11]] are the ends of p0 and p1, its transpose those of q0 and q1
+    corners = np.reshape(np.array([x00, x10, x01, x11], dtype=float), (2, 2, -1))
+    p_gap = proj_distance(np.stack([p0, p1])[:, [0, -1]], corners)
+    q_gap = proj_distance(np.stack([q0, q1])[:, [0, -1]], corners.swapaxes(0, 1))
+    if not (np.all(p_gap <= MATCH_TOL) and np.all(q_gap <= MATCH_TOL)):  # a NaN end fails too
+        raise InconsistentCorner("polyline endpoints must match the corners")
     return PointNet(_q_patches(np.stack(t), np.stack(y), p0, p1, q0, q1), ambient="RP3")
 
 
@@ -565,12 +566,13 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
     chart of the corners and mapped back, with the corners as given.
     """
     n_u, n_v = _resolve_counts(n)
-    given = np.stack([np.asarray(x, dtype=float) for x in (x00, x10, x01, x11)])
+    given = np.array([x00, x10, x01, x11], dtype=float)
     (corners,), centre, size = _unit_chart(given[None])
     if not is_concyclic(corners[0], corners[1], corners[3], corners[2]):
         raise NotConcyclic("quad corners are not concyclic")
     arcs = _chart_arcs([p0, q0], centre, size)
-    scale = max(np.linalg.norm(c - corners[0]) for c in corners[1:])
+    chords = corners[1:] - corners[0]
+    scale = np.max(np.sqrt(row_dot(chords, chords)))
     if np.any(np.linalg.norm(arcs[:, :2] - corners[[[0, 1], [0, 2]]], axis=-1) > MATCH_TOL * scale):
         raise InconsistentCorner("arc endpoints must interpolate the quad corners")
     if abs(float(np.dot(p0.tangent, q0.tangent))) > _ORTHOGONAL_TOL:
@@ -588,13 +590,14 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
     )
     if failure is not None:
         raise failure[1]
-    pts, at_inf = pts[0], at_inf[0]
-    for k, ij in enumerate(((0, 0), (n_u, 0), (0, n_v), (n_u, n_v))):
-        if at_inf[ij] or np.linalg.norm(pts[ij] - corners[k]) > REPRODUCE_TOL * max(1.0, scale):
-            raise NotConcyclic("patch corner drifted off the quad corner")
-    pts = pts * size + centre
-    pts[0, 0], pts[n_u, 0], pts[0, n_v], pts[n_u, n_v] = given
-    return EuclidNet(pts, at_inf)
+    # the patch corners, in the order of the given ones; boundary samples are never at oo
+    ends = ([0, n_u, 0, n_u], [0, 0, n_v, n_v])
+    drift = pts[0][ends] - corners
+    if np.any(np.sqrt(row_dot(drift, drift)) > REPRODUCE_TOL * max(1.0, scale)):
+        raise NotConcyclic("patch corner drifted off the quad corner")
+    pts = pts[0] * size + centre
+    pts[ends] = given
+    return EuclidNet(pts, at_inf[0])
 
 
 # -- circular net subdivision ----------------------------------------------------------

@@ -20,7 +20,9 @@ from multinets.congruences import (
 )
 from multinets.errors import (
     CoincidentPoints,
+    DimensionMismatch,
     IdenticalLines,
+    NonFiniteCoordinate,
     NotMultiCongruence,
     NotOnQuadric,
     PlanarFamily,
@@ -337,3 +339,32 @@ def test_grid_validation_rejects_non_isotropic():
     lines[0, 0, 1] = [0, 0, 1, 0, 0, 1]
     with pytest.raises(NotOnQuadric):
         IsoLineGrid(lines, PLUECKER)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0, 0, 0), (1, 2, 1, 4), (2, 1, 0, 5)])
+def test_non_finite_spanning_point_raises_non_finite(bad, entry):
+    """A NaN or an infinity is caught before the isotropy SVD (before: a NaN
+    grid was accepted and an infinite one raised numpy's LinAlgError)."""
+    lines = hyperboloid_ruling_grid([-1, 0, 1], [-1, 0.5, 2]).lines.copy()
+    lines[entry] = bad
+    where = ", ".join(map(str, entry[:3]))
+    with pytest.raises(NonFiniteCoordinate, match=rf"spanning point \({where}\)"):
+        IsoLineGrid(lines, PLUECKER)
+
+
+@pytest.mark.parametrize("normal", [[0.0, 0.0, 0.0], [[0, 0, 1.0], [0.0, 0.0, 0.0]]])
+def test_lie_plane_rep_of_a_zero_normal_raises_zero_vector(normal):
+    with pytest.raises(ZeroVector):
+        lie_plane_rep(normal, 1.0)
+
+
+def test_embedding_checks_every_row_of_a_stack():
+    p = np.array([[0.0, 0, 0], [1, 2, 3], [0, 1, 0]])
+    q = np.array([[1.0, 0, 0], [1, 2, 3], [0, 1, 1]])
+    with pytest.raises(CoincidentPoints):
+        pluecker_embed(p, q)
+    with pytest.raises(DimensionMismatch):
+        pluecker_embed(p[:, :2], q[:, :2])
+    with pytest.raises(DimensionMismatch):
+        pluecker_embed(1.0, [1.0, 2.0, 3.0])

@@ -487,6 +487,31 @@ def test_cli_subdivide_takes_nu_and_nv_together(counts, message, capsys, monkeyp
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "scheme, net, seeds, message",
+    [
+        ("q", _e3_net, None, "error: scheme q expects a point net\n"),
+        ("circular", _point_net, "missing.json", "error: scheme circular expects an E3 net\n"),
+        ("circular", _e3_net, None, "error: scheme circular requires --seeds FILE\n"),
+        ("q", _point_net, {"u": []}, "input error: KeyError: 'v'\n"),
+        ("circular", _e3_net, {"col0": []}, "input error: KeyError: 'row0'\n"),
+        ("circular", _e3_net, {"row0": [{"start": [0, 0, 0]}], "col0": []},
+         "input error: KeyError: 'end'\n"),
+    ],
+    ids=["q-kind", "circular-kind-before-file", "circular-no-seeds", "q-seeds", "circular-seeds", "arc"],
+)
+def test_cli_subdivide_checks_the_net_before_its_seeds(scheme, net, seeds, message, tmp_path, capsys,
+                                                       monkeypatch):
+    args = ["subdivide", "--scheme", scheme]
+    if seeds is not None:
+        path = tmp_path / "seeds.json"
+        if isinstance(seeds, dict):
+            path.write_text(json.dumps(seeds))
+        args += ["--seeds", str(path if isinstance(seeds, dict) else tmp_path / seeds)]
+    code, out, err = run_cli(args, stdin_text=_net_text(net()), capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_cli_subdivide_passes_nu_and_nv_through(capsys, monkeypatch):
     text = _net_text(_point_net())
     code, out, _ = run_cli(

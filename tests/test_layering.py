@@ -272,3 +272,80 @@ def test_outside_projective_only_a_solve_and_the_circle_order_call_the_svd():
     assert callers("linalg.svd") <= {"projective", "qnets", "circular"}
     outside = [site for site in package_sites(is_svd_call) if not site.startswith("projective.")]
     assert sorted(set(outside)) == ["circular._circle_order_embedded", "qnets._unit_lstsq"]
+
+
+def is_loop(node):
+    return isinstance(node, (ast.For, ast.AsyncFor, ast.While))
+
+
+def is_comprehension(node):
+    return isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))
+
+
+# Functions that loop in Python, each sequential or ordered by design: a
+# recurrence, orbit or transport step, a subdivision round, a redraw, a
+# per-entry parse that names the bad entry, an ordered or fixed pair of
+# checks, or ragged lines.  Everything else works on whole stacks.
+LOOPS = {
+    "circular.__post_init__",
+    "circular._net_class",
+    "cli._cmd_verify",
+    "cli._gen_qqstar",
+    "cli._gen_reflect",
+    "cli._gen_rotational",
+    "cli._gen_translation",
+    "congruences.factor_congruence",
+    "conical.parallel_conical_net",
+    "errors.first_failure",
+    "io_json.document_to_net",
+    "io_json.net_to_document",
+    "projective._read_only",
+    "projective.classify_spans",
+    "qnets.build_qqstar_net",
+    "qnets.from_two_strips",
+    "quadric_nets.generate_by_reflections",
+    "subdivision._edge_polylines",
+    "subdivision._laplace_spheres",
+    "subdivision._q_patches",
+    "subdivision._subdivide_circular_round",
+    "subdivision.subdivide_circular",
+    "subdivision.subdivide_q",
+}
+
+# Samplers, fixtures and the helpers that build representatives: one array expression each.
+STACKED = [
+    "circular.sample_rotational",
+    "circular.torus_point",
+    "circular.torus_u_tangent",
+    "circular.torus_v_tangent",
+    "cli._torus_patch_data",
+    "congruences.contact_element",
+    "congruences.hyperboloid_ruling_grid",
+    "congruences.lie_plane_rep",
+    "congruences.lie_point_rep",
+    "congruences.lie_sphere_rep",
+    "congruences.pluecker_embed",
+    "congruences.torus_contact_grid",
+    "conical.sample_s2_rotational",
+    "conical.sample_s2_stereographic",
+]
+
+
+def test_every_loop_is_on_the_allowlist():
+    """A function that loops in Python is named in LOOPS, and every name
+    there still loops, so the list shrinks as loops go."""
+    assert set(package_sites(is_loop)) == LOOPS
+
+
+def test_samplers_and_fixtures_have_no_loop_or_comprehension():
+    functions = {
+        f"{path.stem}.{node.name}": node
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    looping = [
+        name for name in STACKED
+        if any(is_loop(node) or is_comprehension(node) for node in ast.walk(functions[name]))
+    ]
+    assert looping == []

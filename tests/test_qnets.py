@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import nets_proj_equal, noisy_translation_nets, random_q_net
 from multinets.errors import (
     DegenerateQuad,
+    DimensionMismatch,
     GeometryError,
     InconsistentCorner,
     NonPlanarQuad,
@@ -246,6 +249,26 @@ def test_two_strips_inconsistent_corner(rng):
         from_two_strips(PointNet(net.points[0:2]), PointNet(other))
 
 
+@pytest.mark.parametrize(
+    "broken, named",
+    [
+        ([(0, 0)], "(0,0)"),
+        ([(1, 1), (1, 0)], "(1,0)"),
+        ([(1, 1), (0, 1)], "(0,1)"),
+        ([(0, 1), (1, 0)], "(1,0)"),
+        ([(1, 1)], "(1,1)"),
+    ],
+)
+def test_two_strips_name_the_first_failing_corner(broken, named, rng):
+    """Corners are checked in the order (0,0), (1,0), (0,1), (1,1)."""
+    net = from_translation(rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4)))
+    other = net.points[:, 0:2].copy()
+    for ij in broken:
+        other[ij] = rng.uniform(-1, 1, 4)
+    with pytest.raises(InconsistentCorner, match=re.escape(f"strips disagree at corner {named}")):
+        from_two_strips(PointNet(net.points[0:2]), PointNet(other))
+
+
 # -- laplace transforms ------------------------------------------------------------
 
 
@@ -450,6 +473,29 @@ def test_qqstar_point_off_line():
     line2 = ProjLine([0, 0, 1, 0], [0, 0, 0, 1])
     with pytest.raises(PointOffLine):
         build_qqstar_net(line1, line2, [[0, 0, 1, 1]], [[0, 0, 1, 0]], [1, 1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "y1, x00",
+    [
+        ([[1.0, 2.0, 3.0]], [1, 1, 1, 1]),
+        ([[1.0, 2.0, 0.0, 0.0]], [1.0, 1.0, 1.0]),
+    ],
+    ids=["sample", "x00"],
+)
+def test_qqstar_coordinate_count_off_the_lines_raises_dimension_mismatch(y1, x00):
+    """Before: numpy's ValueError from a broadcast or a ragged stack."""
+    line1 = ProjLine([1, 0, 0, 0], [0, 1, 0, 0])
+    line2 = ProjLine([0, 0, 1, 0], [0, 0, 0, 1])
+    with pytest.raises(DimensionMismatch):
+        build_qqstar_net(line1, line2, y1, [[0, 0, 1, 1]], x00)
+
+
+def test_qqstar_carrier_lines_of_different_dimension_raise_dimension_mismatch():
+    line1 = ProjLine([1, 0, 0, 0], [0, 1, 0, 0])
+    line2 = ProjLine([0, 0, 1, 0, 0], [0, 0, 0, 1, 0])
+    with pytest.raises(DimensionMismatch):
+        build_qqstar_net(line1, line2, [[1, 1, 0, 0]], [[0, 0, 1, 1, 0]], [1, 1, 1, 1])
 
 
 def test_qqstar_requires_skew_lines():

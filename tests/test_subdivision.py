@@ -132,6 +132,17 @@ def test_patch_rejects_inconsistent_endpoints(rng):
         )
 
 
+@pytest.mark.parametrize("bad", ["nan", "off"])
+@pytest.mark.parametrize("poly, end", [(k, e) for k in range(4) for e in (0, -1)])
+def test_patch_checks_every_polyline_end_against_its_corner(poly, end, bad, rng):
+    base = from_translation(rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4)))
+    p = base.points
+    polys = [p[:, 0].copy(), p[:, 2].copy(), p[0, :].copy(), p[2, :].copy()]
+    polys[poly][end] = np.nan if bad == "nan" else rng.uniform(-1, 1, 4)
+    with pytest.raises(InconsistentCorner, match="polyline endpoints must match the corners"):
+        adapted_q_patch(p[0, 0], p[2, 0], p[0, 2], p[2, 2], *polys)
+
+
 def test_patch_rejects_broken_perspectivity(rng):
     base = from_translation(rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (4, 4)))
     p = base.points
