@@ -130,7 +130,9 @@ _CORNER_PAIRS = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
 def is_concyclic(p0, p1, p2, p3) -> bool:
     """Four points of R^3 u {oo} lie on one circle (or line through oo)."""
-    lifts = np.stack([normalize(moebius_lift(p)) for p in (p0, p1, p2, p3)])
+    lifts = np.stack([moebius_lift(p) for p in (p0, p1, p2, p3)])
+    raise_unless_finite(lifts, "lifted corner")
+    lifts = normalize(lifts)
     if np.any(span_rank(lifts[_CORNER_PAIRS]) < 2):
         raise DuplicatePoints("concyclicity needs pairwise distinct points")
     return span_rank(lifts) <= 3
@@ -295,7 +297,7 @@ def sample_rotational(profile, angles) -> EuclidNet:
     """Net of revolution: profile points (r, z) with r > 0 swept through the
     given angles about the z-axis; dims are (len(angles), len(profile))."""
     prof = np.atleast_2d(np.asarray(profile, dtype=float))
-    ang = np.asarray(angles, dtype=float)
+    ang = np.atleast_1d(np.asarray(angles, dtype=float))
     if prof.shape[0] < 2 or ang.shape[0] < 2:
         raise DegenerateProfile("need at least two profile points and two angles")
     if np.any(prof[:, 0] <= INPUT_ATOL):
@@ -310,7 +312,7 @@ def sample_rotational(profile, angles) -> EuclidNet:
 def sample_cone(directions, radii) -> EuclidNet:
     """Cone net: rays through unit directions u_i scaled by radii rho_j."""
     dirs = np.atleast_2d(np.asarray(directions, dtype=float))
-    rho = np.asarray(radii, dtype=float)
+    rho = np.atleast_1d(np.asarray(radii, dtype=float))
     if dirs.shape[0] < 2 or rho.shape[0] < 2:
         raise DegenerateProfile("need at least two directions and two radii")
     norms = np.linalg.norm(dirs, axis=-1)
@@ -326,7 +328,7 @@ def sample_cone(directions, radii) -> EuclidNet:
 def sample_cylinder(base, offsets) -> EuclidNet:
     """Cylinder net: planar base polygon (x, y) translated along z."""
     b = np.atleast_2d(np.asarray(base, dtype=float))
-    h = np.asarray(offsets, dtype=float)
+    h = np.atleast_1d(np.asarray(offsets, dtype=float))
     if b.shape[0] < 2 or h.shape[0] < 2:
         raise DegenerateProfile("need at least two base points and two offsets")
     if np.any(np.linalg.norm(np.diff(b, axis=0), axis=-1) <= INPUT_ATOL):

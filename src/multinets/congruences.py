@@ -129,7 +129,7 @@ def multi_congruence_violations(g: IsoLineGrid):
             np.concatenate([g.lines[:, j0], g.lines[:, j1]], axis=2).reshape(-1, 4, d),
         ]
     )
-    return rank_violations(keys, stacks, 3)
+    return rank_violations(keys, stacks)
 
 
 def is_multi_congruence(g: IsoLineGrid) -> bool:
@@ -271,8 +271,11 @@ def contact_element(point, unit_normal) -> np.ndarray:
 def torus_contact_grid(big_radius: float, small_radius: float, us, vs) -> IsoLineGrid:
     """Contact elements of a torus of revolution along its curvature-line
     parameters; us are angles around the axis, vs meridian angles."""
-    u = np.asarray(us, dtype=float)[:, None]
+    u = np.asarray(us, dtype=float)
     v = np.asarray(vs, dtype=float)
+    if u.ndim != 1 or v.ndim != 1:
+        raise DimensionMismatch("expected 1-d arrays of angles us and vs")
+    u = u[:, None]
     w = big_radius + small_radius * np.cos(v)
     p = stack_coords(w * np.cos(u), w * np.sin(u), small_radius * np.sin(v))
     n = stack_coords(np.cos(v) * np.cos(u), np.cos(v) * np.sin(u), np.sin(v))

@@ -22,10 +22,12 @@ from .errors import (
     NotOnSphere,
     SingularPropagation,
     ZeroNormal,
+    raise_first_failure,
     raise_unless_finite,
 )
-from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, classify_spans,
-                         corner_minors, normalized_rows, rect_stacks, span_rank, stack_coords)
+from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, _above_rank3,
+                         classify_spans, corner_minors, normalized_rows, rect_stacks, span_rank,
+                         stack_coords)
 from .qnets import PlaneNet, PointNet, translation_gauge
 
 _UNIT_SPHERE_TOL = 1e-9  # a point whose norm is within this of 1 lies on the unit sphere
@@ -67,8 +69,9 @@ def _conical_violations(pn: PlaneNet, elementary: bool):
 
     Concurrency is span rank <= 3 of the homogeneous covectors; on the
     concurrent rectangles, concyclicity of the unit normals is span rank
-    <= 3 of their Moebius lifts.  Like is_conical_quad, the first concurrent
-    rectangle with a vanishing or a repeated normal raises.
+    <= 3 of their Moebius lifts; _above_rank3 decides both.  Like
+    is_conical_quad, the first concurrent rectangle with a vanishing or a
+    repeated normal raises.
     """
     normals = pn.covectors[..., :3]
     norms = np.linalg.norm(normals, axis=-1, keepdims=True)
@@ -78,13 +81,12 @@ def _conical_violations(pn: PlaneNet, elementary: bool):
     keys, corners = rect_stacks(grid, elementary)
     planes, lifts, vanishing = corners[..., :4], corners[..., 4:9], corners[..., 9].any(axis=1)
     repeated = (span_rank(lifts[:, _CORNER_PAIRS]) < 2).any(axis=1)
-    skew = span_rank(planes) > 3
-    degenerate = np.flatnonzero(~skew & (vanishing | repeated))
-    if degenerate.size and vanishing[degenerate[0]]:
-        raise ZeroNormal("plane covector with vanishing normal part")
-    if degenerate.size:
-        raise DuplicatePoints("concyclicity needs pairwise distinct points")
-    failing = np.flatnonzero(skew | (span_rank(lifts) > 3))
+    skew = _above_rank3(planes, *corner_minors(planes)[1:])
+    raise_first_failure([
+        (~skew & vanishing, lambda k: ZeroNormal("plane covector with vanishing normal part")),
+        (~skew & repeated, lambda k: DuplicatePoints("concyclicity needs pairwise distinct points")),
+    ])
+    failing = np.flatnonzero(skew | _above_rank3(lifts, *corner_minors(lifts)[1:]))
     return [
         (keys[k], "planes not concurrent" if skew[k] else "normals not concyclic")
         for k in failing
@@ -203,8 +205,8 @@ def classify_gauss(net: EuclidNet) -> Classification:
 
 def sample_s2_rotational(colatitudes, longitudes) -> EuclidNet:
     """Latitude/longitude grid on the unit sphere; dims (lon, lat)."""
-    th = np.asarray(colatitudes, dtype=float)
-    ph = np.asarray(longitudes, dtype=float)
+    th = np.atleast_1d(np.asarray(colatitudes, dtype=float))
+    ph = np.atleast_1d(np.asarray(longitudes, dtype=float))
     if th.shape[0] < 2 or ph.shape[0] < 2:
         raise DegenerateProfile("need at least a 2x2 grid")
     sin_th = np.sin(th)
@@ -219,8 +221,8 @@ def sample_s2_rotational(colatitudes, longitudes) -> EuclidNet:
 def sample_s2_stereographic(us, vs) -> EuclidNet:
     """Inverse stereographic image (from the north pole) of the orthogonal
     grid {u_i} x {v_j} in the plane."""
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
+    us = np.atleast_1d(np.asarray(us, dtype=float))
+    vs = np.atleast_1d(np.asarray(vs, dtype=float))
     if us.shape[0] < 2 or vs.shape[0] < 2:
         raise DegenerateProfile("need at least a 2x2 grid")
     u, v = us[:, None], vs

@@ -218,23 +218,17 @@ def rect_stacks(grid, elementary: bool):
     return keys, g[rows, cols]
 
 
-def rank_violations(keys, stacks, max_rank: int):
-    """Stacks whose span rank exceeds max_rank, as (key, residual) pairs.
+def rank_violations(keys, stacks):
+    """Four-point stacks (N, 4, d) of span rank above 3, as (key, residual) pairs.
 
-    A batched SVD of the row-normalized stacks (N, k, d) decides each rank;
-    the residual is sigma_min / sigma_max of the violating stack.  For
-    4-row stacks and max_rank 3 the stacks that _rank4_certificate proves
-    planar skip the SVD, and the others get the SVD they would get in the
-    full batch, so the listing is the same.
+    _above_rank3 decides each stack; the residual sigma_min / sigma_max of
+    a violator comes from the SVD it would get in a full batch, so the
+    listing is that of the SVD rule.
     """
     stacks = np.asarray(stacks, dtype=float)
-    check = np.arange(len(stacks))
-    if max_rank == 3 and stacks.shape[-2] == 4:
-        _, v3, v4 = corner_minors(stacks)
-        check = np.flatnonzero(~_rank4_certificate(v3, v4, stacks.shape[-1])[0])
-    s, _, kept = span_svd(stacks[check], compute_uv=False)
-    ranks = np.sum(kept, axis=-1)
-    return [(keys[check[k]], float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(ranks > max_rank)]
+    check = np.flatnonzero(_above_rank3(stacks, *corner_minors(stacks)[1:]))
+    s = span_svd(stacks[check], compute_uv=False)[0]
+    return [(keys[k], float(s[n, -1] / s[n, 0])) for n, k in enumerate(check)]
 
 
 # -- corner minors of four-point stacks ------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
     SkewLines,
     ZeroSum,
     ZeroVector,
+    raise_first_failure,
     raise_unless_finite,
 )
 from .projective import (
@@ -208,17 +209,12 @@ def laplace_gauges(quads):
     t = np.stack([c[:, None] * x00, a[:, None] * x10, b[:, None] * x01, x11], axis=1)
     y = t[:, 1:3] - t[:, :1]
     coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= ZERO_RTOL * norms[:, 3]
-    checks = np.stack([nonplanar, collinear, vanishing, coincident], axis=-1)
-    bad = np.flatnonzero(np.any(checks, axis=-1))
-    if bad.size:
-        q = bad[0]
-        failures = [
-            NonPlanarQuad("quad spans rank 4"),
-            DegenerateQuad("three corners are collinear or coincident"),
-            DegenerateQuad("vanishing Laplace coefficient"),
-            DegenerateQuad("coincident opposite corners"),
-        ]
-        raise failures[int(np.argmax(checks[q]))]
+    raise_first_failure([
+        (nonplanar, lambda k: NonPlanarQuad("quad spans rank 4")),
+        (collinear, lambda k: DegenerateQuad("three corners are collinear or coincident")),
+        (vanishing, lambda k: DegenerateQuad("vanishing Laplace coefficient")),
+        (coincident, lambda k: DegenerateQuad("coincident opposite corners")),
+    ])
     return t, y, coeffs
 
 
@@ -226,6 +222,7 @@ def laplace_gauge(x00, x10, x01, x11):
     """Renormalized representatives (t00, t10, t01, t11) with
     t11 = t10 + t01 - t00, plus the Laplace vectors (y1, y2)."""
     quad = np.stack([hpoint(p) for p in (x00, x10, x01, x11)])
+    raise_unless_finite(quad, "corner")
     t, y, coeffs = laplace_gauges(quad[None])
     return tuple(t[0]), tuple(y[0]), tuple(coeffs[0].tolist())
 
@@ -245,7 +242,7 @@ def laplace_data(x00, x10, x01, x11) -> LaplaceData:
 
 def q_violations(net: PointNet):
     """Non-planar elementary quads as ((i0,i1,j0,j1), residual) entries."""
-    return rank_violations(*rect_stacks(net.points, elementary=True), 3)
+    return rank_violations(*rect_stacks(net.points, elementary=True))
 
 
 def is_q_net(net: PointNet) -> bool:
@@ -255,7 +252,7 @@ def is_q_net(net: PointNet) -> bool:
 
 def multi_q_violations(net: PointNet):
     """Non-planar coordinate rectangles, exhaustively over all index pairs."""
-    return rank_violations(*rect_stacks(net.points, elementary=False), 3)
+    return rank_violations(*rect_stacks(net.points, elementary=False))
 
 
 def is_multi_q_net(net: PointNet) -> bool:
@@ -273,17 +270,15 @@ _FIRST_CHUNK = 64
 def _rects_planar(grid) -> bool:
     """True iff every coordinate rectangle of a grid (nu, nv, d) of
     homogeneous points spans rank <= 3: the verdict of
-    rank_violations(*rect_stacks(grid, elementary=False), 3) == [].
+    rank_violations(*rect_stacks(grid, elementary=False)) == [].
 
-    The first _FIRST_CHUNK rectangles in key order go to the rank rule of
-    rank_violations: a violation there gives False, and a grid with no
-    more rectangles gives True.  Then _translation_certified may pass every
-    rectangle at once.  Failing that, the remaining rectangles go to the
-    rank rule in one call.  Both calls decide each stack by the volume
-    certificate of corner_minors and, where it leaves the stack open, by the
-    SVD of the exhaustive check, so they reach its verdict by the proof of
-    projective._rank4_certificate, and the translation certificate does by
-    its own.
+    The first _FIRST_CHUNK rectangles in key order go to _above_rank3, the
+    mask that rank_violations lists: a violation there gives False, and a
+    grid with no more rectangles gives True.  Then _translation_certified
+    may pass every rectangle at once.  Failing that, the remaining
+    rectangles go to _above_rank3 in one call.  The mask reaches the SVD
+    rule's verdict by the proof of projective._rank4_certificate, and the
+    translation certificate does by its own.
     """
     rows, cols = rect_indices(*grid.shape[:2], False)
 
@@ -673,7 +668,7 @@ def has_planar_parameter_polygons(net: PointNet) -> bool:
 
 def qstar_violations(pn: PlaneNet):
     """Elementary plane quadruples that do not meet in a point."""
-    return rank_violations(*rect_stacks(pn.homogeneous(), elementary=True), 3)
+    return rank_violations(*rect_stacks(pn.homogeneous(), elementary=True))
 
 
 def is_qstar_net(pn: PlaneNet) -> bool:
@@ -683,7 +678,7 @@ def is_qstar_net(pn: PlaneNet) -> bool:
 
 def multi_qstar_violations(pn: PlaneNet):
     """Plane rectangles failing concurrency, exhaustively."""
-    return rank_violations(*rect_stacks(pn.homogeneous(), elementary=False), 3)
+    return rank_violations(*rect_stacks(pn.homogeneous(), elementary=False))
 
 
 def is_multi_qstar(pn: PlaneNet) -> bool:

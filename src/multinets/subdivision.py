@@ -31,6 +31,7 @@ from .errors import (
     ZeroVector,
     first_failure,
     raise_first_failure,
+    raise_unless_finite,
 )
 from .projective import (
     _ABS_EPS,
@@ -423,11 +424,9 @@ class CircArc:
     tangent: np.ndarray
 
     def __post_init__(self):
-        arcs, code = _arcs(
-            np.asarray(self.start, dtype=float),
-            np.asarray(self.end, dtype=float),
-            np.asarray(self.tangent, dtype=float),
-        )
+        start, end = np.asarray(self.start, dtype=float), np.asarray(self.end, dtype=float)
+        raise_unless_finite(np.stack([start, end]), "arc endpoint")
+        arcs, code = _arcs(start, end, np.asarray(self.tangent, dtype=float))
         _raise_arc_errors(code)
         self.start, self.end, self.tangent = arcs
 
@@ -567,6 +566,7 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
     """
     n_u, n_v = _resolve_counts(n)
     given = np.array([x00, x10, x01, x11], dtype=float)
+    raise_unless_finite(given, "corner")
     (corners,), centre, size = _unit_chart(given[None])
     if not is_concyclic(corners[0], corners[1], corners[3], corners[2]):
         raise NotConcyclic("quad corners are not concyclic")

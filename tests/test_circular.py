@@ -76,6 +76,19 @@ def test_duplicate_points_rejected():
         is_concyclic([0, 0, 0], [0, 0, 0], [1, 0, 0], [0, 1, 0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("corner", range(4))
+def test_non_finite_corner_raises_non_finite_before_the_lift_is_decomposed(bad, corner):
+    pts = [[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0]]
+    pts[corner][1] = bad
+    with pytest.raises(NonFiniteCoordinate, match=rf"lifted corner \({corner}\)"):
+        is_concyclic(*pts)
+    # the point at infinity is a marker, not a non-finite corner
+    pts[corner - 1] = INF
+    with pytest.raises(NonFiniteCoordinate, match=rf"lifted corner \({corner}\)"):
+        is_concyclic(*pts)
+
+
 # -- multi-circular predicates ---------------------------------------------------
 
 
@@ -300,6 +313,16 @@ def test_samplers_validate_profiles():
         sample_cone([[1, 0, 0]], [1.0, 2.0])
     with pytest.raises(DegenerateProfile):
         sample_cylinder([[0, 0], [0, 0]], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("sample, args, message", [
+    (sample_rotational, ([[1.0, 0.0], [1.2, 1.0]], 0.5), "two profile points and two angles"),
+    (sample_cone, ([[1.0, 0, 0], [0, 1.0, 0]], 0.5), "two directions and two radii"),
+    (sample_cylinder, ([[0.0, 0.0], [1.0, 0.0]], 0.5), "two base points and two offsets"),
+])
+def test_samplers_take_a_scalar_as_a_list_of_one(sample, args, message):
+    with pytest.raises(DegenerateProfile, match=f"need at least {message}"):
+        sample(*args)
 
 
 # -- embeddedness -------------------------------------------------------------------

@@ -368,3 +368,9 @@ def test_embedding_checks_every_row_of_a_stack():
         pluecker_embed(p[:, :2], q[:, :2])
     with pytest.raises(DimensionMismatch):
         pluecker_embed(1.0, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("us, vs", [(0.3, [1.0, 2.0]), ([1.0, 2.0], 0.3), ([[1.0, 2.0]], [1.0, 2.0])])
+def test_torus_contact_grid_needs_lists_of_angles(us, vs):
+    with pytest.raises(DimensionMismatch, match="1-d arrays of angles"):
+        torus_contact_grid(2.0, 0.5, us, vs)

@@ -21,6 +21,7 @@ from multinets.conical import (
     sample_s2_symmetric_strip,
 )
 from multinets.errors import (
+    DegenerateProfile,
     DimensionMismatch,
     DuplicatePoints,
     InconsistentCorner,
@@ -30,6 +31,7 @@ from multinets.errors import (
     SingularPropagation,
     ZeroNormal,
 )
+from multinets.projective import RANK_RTOL, moebius_lift, normalized_rows, rect_stacks
 from multinets.qnets import PlaneNet, is_multi_qstar
 
 
@@ -113,6 +115,13 @@ def test_non_finite_covector_raises_before_the_concurrency_test(rng, bad):
     cov[2, 1] = bad
     with pytest.raises(NonFiniteCoordinate, match=r"plane covector \(2\)"):
         is_conical_quad(cov)
+
+
+@pytest.mark.parametrize("args", [(0.5, [1.0, 2.0]), ([1.0, 2.0], 0.5)])
+@pytest.mark.parametrize("sample", [sample_s2_rotational, sample_s2_stereographic])
+def test_s2_samplers_take_a_scalar_as_a_list_of_one(sample, args):
+    with pytest.raises(DegenerateProfile, match="need at least a 2x2 grid"):
+        sample(*args)
 
 
 # -- multi-conical ------------------------------------------------------------
@@ -387,6 +396,81 @@ def test_single_row_plane_net_has_empty_report(rng, shape):
     assert conical_violations(pn) == []
     assert multi_conical_violations(pn) == []
     assert is_multi_conical(pn)
+
+
+@pytest.mark.parametrize("part", ["covectors", "normals"])
+def test_multi_conical_listing_near_the_rank_threshold(part):
+    """Planes through one point x0 with the normals of a multi-conical net;
+    one offset (covectors) or one normal (normals, the planes kept through
+    x0) is moved so that sigma_4 / sigma_1 of the rectangles through it
+    sweeps RANK_RTOL, for the covectors or for the lifted unit normals.
+    The batched listing equals the per-rectangle reference throughout."""
+    rng = np.random.default_rng(19)
+    x0 = np.array([0.3, -0.4, 0.2])
+    base = polarize_spherical(s2_rot()).covectors[..., :3]
+    direction = rng.normal(size=3)
+    ratios, reasons = [], set()
+    # the rectangles through the moved plane read sigma_4 / sigma_1 of about
+    # 0.2 eps (covectors) and 0.005 eps to 0.15 eps (normals)
+    low, high = {"covectors": (2.0, 10.0), "normals": (5.0, 40.0)}[part]
+    for eps in np.geomspace(low, high, 30) * RANK_RTOL:
+        n = base.copy()
+        if part == "normals":
+            n[1, 2] += eps * direction
+        cov = np.concatenate([n, (n @ x0)[..., None]], axis=-1)
+        if part == "covectors":
+            cov[1, 2, 3] += eps
+        pn = PlaneNet(cov)
+        _, stacks = rect_stacks(cov if part == "covectors" else n, elementary=False)
+        if part == "normals":
+            stacks = moebius_lift(stacks / np.linalg.norm(stacks, axis=-1, keepdims=True))
+        s = np.linalg.svd(normalized_rows(stacks), compute_uv=False)
+        ratios.extend(s[:, 3] / s[:, 0] / RANK_RTOL)
+        report = multi_conical_violations(pn)
+        assert report == scalar_conical_violations(pn, elementary=False)
+        assert conical_violations(pn) == scalar_conical_violations(pn, elementary=True)
+        reasons |= {why for _, why in report}
+    assert reasons == {"planes not concurrent" if part == "covectors" else "normals not concyclic"}
+    ratios = np.array(ratios)
+    # both sides of the threshold are populated within a few percent of it
+    assert np.any((ratios > 1.0) & (ratios < 1.05))
+    assert np.any((ratios < 1.0) & (ratios > 0.95))
+
+
+def test_multi_conical_nets_hand_no_four_point_stack_to_svd(monkeypatch):
+    """On polar strip, rotational and stereographic nets and a parallel net
+    of each, the volume certificate of _above_rank3 decides every rectangle
+    of planes and of lifted normals: no (4, d) matrix reaches np.linalg.svd,
+    only the 2-row pairs of the pairwise-distinct check (and empty batches)."""
+    rng = np.random.default_rng(5)
+    up = rng.normal(size=(5, 3))
+    up[:, 2] = np.abs(up[:, 2]) + 0.3
+    up /= np.linalg.norm(up, axis=1, keepdims=True)
+    spherical = [
+        polarize_spherical(sample_s2_symmetric_strip(up)),
+        polarize_spherical(s2_rot(6, 5)),
+        polarize_spherical(sample_s2_stereographic([-1.0, -0.2, 0.5, 1.3, 2.0], [0.1, 0.8, 1.5, 2.1])),
+    ]
+    nets = list(spherical)
+    for pn in spherical:
+        nu, nv = pn.dims
+        d_row = 1 + 0.5 * rng.uniform(-1, 1, nu)
+        d_col = 1 + 0.5 * rng.uniform(-1, 1, nv)
+        d_col[0] = d_row[0]
+        nets.append(parallel_conical_net(pn, d_row, d_col))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for pn in nets:
+        assert is_multi_conical(pn)
+        assert conical_violations(pn) == []
+    assert sum(int(np.prod(s[:-2])) for s in shapes if s[-2] == 4) == 0
+    assert sum(int(np.prod(s[:-2])) for s in shapes if s[-2:] == (2, 5)) > 0
 
 
 # -- parallel conical nets against the per-quad determinant recurrence -------------

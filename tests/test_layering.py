@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
 import multinets
+from multinets.projective import rank_violations
 
 PACKAGE = Path(multinets.__file__).parent
 
@@ -349,3 +351,18 @@ def test_samplers_and_fixtures_have_no_loop_or_comprehension():
         if any(is_loop(node) or is_comprehension(node) for node in ast.walk(functions[name]))
     ]
     assert looping == []
+
+
+def calls_named(name):
+    """A matcher of the calls of a function by its bare or dotted name."""
+    return lambda node: isinstance(node, ast.Call) and (dotted(node.func) or "").split(".")[-1] == name
+
+
+def test_only_above_rank3_calls_the_rank4_certificate():
+    """Every batch of four-point stacks is decided by projective._above_rank3,
+    the one caller of the volume certificate."""
+    assert package_sites(calls_named("_rank4_certificate")) == ["projective._above_rank3"]
+
+
+def test_rank_violations_takes_keys_and_four_point_stacks_only():
+    assert list(inspect.signature(rank_violations).parameters) == ["keys", "stacks"]

@@ -291,21 +291,22 @@ def test_rect_stacks_without_rectangles(shape):
     for elementary in (True, False):
         keys, stacks = rect_stacks(np.ones(shape), elementary)
         assert keys == [] and stacks.shape == (0, 4, shape[2])
-        assert rank_violations(keys, stacks, 3) == []
+        assert rank_violations(keys, stacks) == []
 
 
-def _stacks_near_threshold(rng):
-    """4 x 5 stacks with sigma_4 / sigma_1 spread around RANK_RTOL."""
+def _stacks_near_threshold(rng, d):
+    """4 x d stacks with sigma_4 / sigma_1 spread around RANK_RTOL."""
     out = []
     for eps in np.geomspace(0.2 * RANK_RTOL, 5 * RANK_RTOL, 200):
         u = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-        v = np.linalg.qr(rng.normal(size=(5, 5)))[0][:4]
+        v = np.linalg.qr(rng.normal(size=(d, d)))[0][:4]
         out.append(u @ np.diag([1.0, 0.8, 0.6, eps]) @ v)
     return np.stack(out)
 
 
-def test_rank_violations_agree_with_span_rank_near_threshold(rng):
-    stacks = _stacks_near_threshold(rng)
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_rank_violations_agree_with_span_rank_near_threshold(rng, d):
+    stacks = _stacks_near_threshold(rng, d)
     ratios = []
     for st in stacks:
         s = np.linalg.svd(st / np.linalg.norm(st, axis=1, keepdims=True), compute_uv=False)
@@ -315,7 +316,7 @@ def test_rank_violations_agree_with_span_rank_near_threshold(rng):
     assert np.any((ratios > 1.0) & (ratios < 1.05))
     assert np.any((ratios < 1.0) & (ratios > 0.95))
     keys = list(range(len(stacks)))
-    report = rank_violations(keys, stacks, 3)
+    report = rank_violations(keys, stacks)
     assert [k for k, _ in report] == [k for k in keys if span_rank(stacks[k]) > 3]
     for k, residual in report:
         assert np.isclose(residual, ratios[k] * RANK_RTOL, rtol=1e-6, atol=0)
@@ -326,7 +327,7 @@ def test_rank_violations_zero_row():
     stacks = np.ones((2, 4, 4))
     stacks[1, 2] = 0.0
     with pytest.raises(ZeroVector):
-        rank_violations([0, 1], stacks, 3)
+        rank_violations([0, 1], stacks)
     with pytest.raises(ZeroVector):
         corner_minors(stacks)
 
@@ -378,7 +379,7 @@ def test_rank_certificate_and_its_fallback_equal_the_svd_rule(rng, d):
     keys = list(range(len(stacks)))
     s = np.linalg.svd(stacks / np.linalg.norm(stacks, axis=-1, keepdims=True), compute_uv=False)
     full = [(k, float(s[k, -1] / s[k, 0])) for k in np.flatnonzero(svd_rule)]
-    assert rank_violations(keys, stacks, 3) == full
+    assert rank_violations(keys, stacks) == full
 
 
 def _intersect_pair(a, b, rtol=RANK_RTOL):

@@ -9,6 +9,7 @@ from multinets.errors import (
     DimensionMismatch,
     GeometryError,
     InconsistentCorner,
+    NonFiniteCoordinate,
     NonPlanarQuad,
     PerspectivityViolation,
     PointOffLine,
@@ -91,6 +92,15 @@ def test_laplace_rejects_nonplanar():
 def test_laplace_rejects_collinear():
     with pytest.raises(DegenerateQuad):
         laplace_data([0, 0, 0, 1], [1, 0, 0, 1], [2, 0, 0, 1], [1, 1, 0, 1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("corner", range(4))
+def test_laplace_data_of_a_non_finite_corner_raises_non_finite(bad, corner):
+    quad = [[0.0, 0, 0, 1], [1.0, 0, 0, 1], [0.0, 1, 0, 1], [1.0, 1, 0, 1]]
+    quad[corner][2] = bad
+    with pytest.raises(NonFiniteCoordinate, match=rf"corner \({corner}\)"):
+        laplace_data(*quad)
 
 
 # -- planarity predicates -----------------------------------------------------

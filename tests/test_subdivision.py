@@ -132,6 +132,17 @@ def test_patch_rejects_inconsistent_endpoints(rng):
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("corner", range(4))
+def test_patch_of_a_non_finite_corner_raises_non_finite(bad, corner, rng):
+    base = from_translation(rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (3, 4)))
+    p = base.points
+    corners = [p[0, 0].copy(), p[2, 0].copy(), p[0, 2].copy(), p[2, 2].copy()]
+    corners[corner][1] = bad
+    with pytest.raises(NonFiniteCoordinate, match=rf"corner \({corner}\)"):
+        adapted_q_patch(*corners, p[:, 0], p[:, 2], p[0, :], p[2, :])
+
+
 @pytest.mark.parametrize("bad", ["nan", "off"])
 @pytest.mark.parametrize("poly, end", [(k, e) for k in range(4) for e in (0, -1)])
 def test_patch_checks_every_polyline_end_against_its_corner(poly, end, bad, rng):
@@ -470,6 +481,15 @@ def test_arc_checks_are_relative_to_the_arc(scale):
             CircArc(start, end, tangent)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("end", [0, 1])
+def test_arc_with_a_non_finite_endpoint_raises_non_finite(bad, end):
+    ends = [[0.0, 0, 0], [1.0, 0, 0]]
+    ends[end][2] = bad
+    with pytest.raises(NonFiniteCoordinate, match=rf"arc endpoint \({end}\)"):
+        CircArc(*ends, [0, 1, 0])
+
+
 def test_arc_through_points_orientation():
     a, m, b = [1, 0, 0], [0, 1, 0], [-1, 0, 0]
     arc = arc_through_points(a, m, b)
@@ -657,6 +677,17 @@ def test_cyclide_patch_rejects_nonorthogonal_arcs():
     q0 = CircArc(corners[0], corners[2], skew_t)
     with pytest.raises(ArcsNotOrthogonal):
         adapted_cyclide_patch(*corners, p0, q0, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("corner", range(4))
+def test_cyclide_patch_of_a_non_finite_corner_raises_non_finite(bad, corner):
+    c = [[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0], [1.0, 1, 0]]
+    p0 = CircArc(c[0], c[1], [1, 0, 0])
+    q0 = CircArc(c[0], c[2], [0, 1, 0])
+    c[corner][0] = bad
+    with pytest.raises(NonFiniteCoordinate, match=rf"corner \({corner}\)"):
+        adapted_cyclide_patch(*c, p0, q0, 2)
 
 
 def test_cyclide_patch_rejects_nonconcyclic_quad():
