@@ -287,6 +287,8 @@ def hyperboloid_ruling_grid(a_params, b_params) -> IsoLineGrid:
     given parameters; cell (i, j) is the pencil at their meeting point."""
     a = np.asarray(a_params, dtype=float)
     b = np.asarray(b_params, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise DimensionMismatch("expected 1-d arrays of parameters a_params and b_params")
     g1 = pluecker_embed(stack_coords(a, 0.0, 0.0), stack_coords(a, 1.0, a))
     g2 = pluecker_embed(stack_coords(0.0, b, 0.0), stack_coords(1.0, b, b))
     return from_generators(normalize(g1), normalize(g2), PLUECKER)

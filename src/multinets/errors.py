@@ -171,14 +171,15 @@ class InfiniteVertex(GeometryError):
 def raise_unless_finite(coords, what: str, skip=None):
     """Raise NonFiniteCoordinate for the first entry, in C order, of a grid
     of coordinate vectors (..., d) that holds a NaN or an infinity; entries
-    flagged in the boolean mask skip (...) are not checked."""
+    flagged in the boolean mask skip (...) are not checked.  A single vector
+    (d,) is named without an index."""
     bad = ~np.all(np.isfinite(coords), axis=-1)
     if skip is not None:
         bad &= ~skip
-    hits = np.argwhere(bad)
-    if hits.size:
-        where = ", ".join(map(str, hits[0].tolist()))
-        raise NonFiniteCoordinate(f"{what} ({where}) has a non-finite coordinate")
+    if np.any(bad):
+        where = np.argwhere(bad)[0].tolist()
+        name = f"{what} ({', '.join(map(str, where))})" if where else what
+        raise NonFiniteCoordinate(f"{name} has a non-finite coordinate")
 
 
 def first_failure(checks):

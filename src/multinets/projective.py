@@ -367,6 +367,10 @@ def intersect_spans(a, b):
     where dim is 1, vector (..., d) is a unit vector spanning it (elsewhere
     the first basis row of a).  A basis row that a rank-deficient span drops
     is zeroed; it adds one zero singular value, which the count discounts.
+
+    Nothing in the package calls it; like span_ranks, it stays while the
+    benchmark's tracer (perfbench/tracing.py LAYERS) and its tests look the
+    name up.
     """
     _, qa, keep_a = span_svd(a)
     _, qb, keep_b = span_svd(b)

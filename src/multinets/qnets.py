@@ -177,6 +177,17 @@ def laplace_gauges(quads):
     Returns t (Q, 4, d), y (Q, 2, d) and the coefficients (Q, 3) as (a, b, c).
     The first failing quad in stack order raises the first check that fails
     for it, in the order of laplace_gauge.
+    """
+    t, y, coeffs, checks = _laplace_gauges(quads)
+    raise_first_failure(checks)
+    return t, y, coeffs
+
+
+def _laplace_gauges(quads):
+    """laplace_gauges without the raise: t, y and the coefficients of every
+    quad, and the checks of each quad in the order first_failure takes them
+    (rank 4, a collinear corner triple, a vanishing coefficient, coincident
+    opposite corners).  The rows of a failing quad are not meaningful.
 
     One pass of corner_minors decides planarity (with span_rank only where
     its certificate leaves a quad open) and the corner triples, and gives
@@ -209,13 +220,13 @@ def laplace_gauges(quads):
     t = np.stack([c[:, None] * x00, a[:, None] * x10, b[:, None] * x01, x11], axis=1)
     y = t[:, 1:3] - t[:, :1]
     coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= ZERO_RTOL * norms[:, 3]
-    raise_first_failure([
+    checks = [
         (nonplanar, lambda k: NonPlanarQuad("quad spans rank 4")),
         (collinear, lambda k: DegenerateQuad("three corners are collinear or coincident")),
         (vanishing, lambda k: DegenerateQuad("vanishing Laplace coefficient")),
         (coincident, lambda k: DegenerateQuad("coincident opposite corners")),
-    ])
-    return t, y, coeffs
+    ]
+    return t, y, coeffs, checks
 
 
 def laplace_gauge(x00, x10, x01, x11):

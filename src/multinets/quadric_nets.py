@@ -12,14 +12,13 @@ import numpy as np
 
 from .errors import (
     DegenerateOrbit,
+    DimensionMismatch,
     IsotropicMirror,
     MirrorsNotOrthogonal,
     NonFiniteCoordinate,
     NotOnQuadric,
     SeedNotOnQuadric,
     ZeroVector,
-    first_failure,
-    raise_first_failure,
 )
 from .projective import _ABS_EPS, MATCH_TOL, ZERO_RTOL, QuadricForm, _nonzero_rows, _reflect, proj_distance
 from .qnets import PointNet, translation_gauge
@@ -53,76 +52,53 @@ def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
 
     All mirrors must be non-isotropic and the families mutually orthogonal;
     the result is a multi-Q-net on the quadric whose Laplace transforms are
-    the mirror points themselves.  Leading batch axes on the families
-    (..., k, d) and the seed (..., d) give the array (..., nu, nv, d) of
-    all orbits; a failing batch raises the error of its first failing entry.
+    the mirror points themselves.  The families are (k, d) arrays (a single
+    mirror may be given as (d,)) and the seed is one point (d,).
     """
-    n1 = np.asarray(n1_seq, dtype=float)
-    n2 = np.asarray(n2_seq, dtype=float)
+    n1 = np.atleast_2d(np.asarray(n1_seq, dtype=float))
+    n2 = np.atleast_2d(np.asarray(n2_seq, dtype=float))
     x00 = np.asarray(x00, dtype=float)
-    n1 = n1[None] if n1.ndim == 1 else n1
-    n2 = n2[None] if n2.ndim == 1 else n2
-    batch = np.broadcast_shapes(n1.shape[:-2], n2.shape[:-2], x00.shape[:-1])
-    (k1, d), (k2, _) = n1.shape[-2:], n2.shape[-2:]
-    n1 = np.broadcast_to(n1, batch + (k1, d)).reshape(-1, k1, d)
-    n2 = np.broadcast_to(n2, batch + (k2, d)).reshape(-1, k2, d)
-    x00 = np.broadcast_to(x00, batch + (d,)).reshape(-1, d)
-    # an entry with a non-finite seed or mirror fails on that first, then one
-    # with a zero seed or mirror; stand-in ones let the form run over every entry
-    finite = np.all(np.isfinite(np.concatenate([x00[:, None], n1, n2], axis=1)), axis=(-2, -1))
-    x00, n1, n2 = (np.where(np.isfinite(v), v, 1.0) for v in (x00, n1, n2))
-    zero0, zero1, zero2 = (np.linalg.norm(v, axis=-1) <= _ABS_EPS for v in (x00, n1, n2))
-    f0, f1, f2 = (np.where(z[..., None], 1.0, v) for z, v in ((zero0, x00), (zero1, n1), (zero2, n2)))
-    setup = first_failure([
-        (~finite, lambda e: NonFiniteCoordinate("a seed or mirror has a non-finite coordinate")),
-        (zero0, lambda e: ZeroVector("homogeneous coordinates must not vanish")),
-        (np.any(zero1 | q.on_quadric(f1), axis=-1) | np.any(zero2 | q.on_quadric(f2), axis=-1),
-         lambda e: IsotropicMirror("a mirror lies on the quadric")),
-        (~np.all(q.orthogonal(f1[:, :, None], f2[:, None, :]), axis=(-2, -1)),
-         lambda e: MirrorsNotOrthogonal("mirror families are not mutually orthogonal")),
-        (~q.on_quadric(f0), lambda e: SeedNotOnQuadric("seed point must lie on the quadric")),
-    ])
-    # entries before the first failing one are generated and audited, as
-    # one call per entry would have done before reaching it
-    good = len(x00) if setup is None else setup[0]
-    n1, n2, x00 = n1[:good], n2[:good], x00[:good]
+    if n1.ndim != 2 or n2.ndim != 2 or x00.ndim != 1:
+        raise DimensionMismatch("expected two mirror families (k, d) and one seed (d,)")
+    if not (np.all(np.isfinite(x00)) and np.all(np.isfinite(n1)) and np.all(np.isfinite(n2))):
+        raise NonFiniteCoordinate("a seed or mirror has a non-finite coordinate")
+    if np.linalg.norm(x00) <= _ABS_EPS:
+        raise ZeroVector("homogeneous coordinates must not vanish")
+    for n in (n1, n2):
+        if np.any(np.linalg.norm(n, axis=-1) <= _ABS_EPS) or np.any(q.on_quadric(n)):
+            raise IsotropicMirror("a mirror lies on the quadric")
+    if not np.all(q.orthogonal(n1[:, None], n2[None])):
+        raise MirrorsNotOrthogonal("mirror families are not mutually orthogonal")
+    if not q.on_quadric(x00):
+        raise SeedNotOnQuadric("seed point must lie on the quadric")
 
-    # the setup has validated the mirrors and the seed, so the reflections go
-    # unchecked; proj_distance validates the orbit points they produce
-    pts = np.empty((good, k1 + 1, k2 + 1, d))
-    pts[:, 0, 0] = x00
+    # the checks above have validated the mirrors and the seed, so the
+    # reflections go unchecked; proj_distance validates the orbit points
+    (k1, d), k2 = n1.shape, len(n2)
+    pts = np.empty((k1 + 1, k2 + 1, d))
+    pts[0, 0] = x00
     for j in range(k2):
-        pts[:, 0, j + 1] = _reflect(q, n2[:, j], pts[:, 0, j])
+        pts[0, j + 1] = _reflect(q, n2[j], pts[0, j])
     for i in range(k1):
-        pts[:, i + 1] = _reflect(q, n1[:, i, None], pts[:, i])
+        pts[i + 1] = _reflect(q, n1[i], pts[i])
 
-    fixed1 = proj_distance(pts[:, 1:], pts[:, :-1]) <= ZERO_RTOL
-    fixed2 = proj_distance(pts[:, :, 1:], pts[:, :, :-1]) <= ZERO_RTOL
+    fixed1 = proj_distance(pts[1:], pts[:-1]) <= ZERO_RTOL
+    fixed2 = proj_distance(pts[:, 1:], pts[:, :-1]) <= ZERO_RTOL
     # commutation audit on the seed orbit; the seed's images are reflected
     # again, so they must not vanish either
-    seed = x00[:, None, None, :]
-    by2, by1 = _reflect(q, n2[:, None, :], seed), _reflect(q, n1[:, :, None], seed)
+    by2, by1 = _reflect(q, n2[None], x00), _reflect(q, n1[:, None], x00)
     _nonzero_rows(by2)
     _nonzero_rows(by1)
-    a = _reflect(q, n1[:, :, None], by2)
-    b = _reflect(q, n2[:, None, :], by1)
+    a = _reflect(q, n1[:, None], by2)
+    b = _reflect(q, n2[None], by1)
     skew = np.linalg.norm(a - b, axis=-1) > _COMMUTE_RTOL * np.linalg.norm(a, axis=-1)
-
-    def at_first(mask, kind, message):
-        def make(e):
-            i, j = np.argwhere(mask[e])[0]
-            return kind(message.format(i=i, j=j))
-
-        return np.any(mask, axis=(-2, -1)), make
-
-    raise_first_failure([
-        at_first(fixed1, DegenerateOrbit, "mirror 1[{i}] fixes the orbit at ({i},{j})"),
-        at_first(fixed2, DegenerateOrbit, "mirror 2[{j}] fixes the orbit at ({i},{j})"),
-        at_first(skew, MirrorsNotOrthogonal, "reflections 1[{i}] and 2[{j}] do not commute"),
-    ])
-    if setup is not None:
-        raise setup[1]
-    if batch:
-        return pts.reshape(batch + pts.shape[1:])
+    for mask, kind, message in (
+        (fixed1, DegenerateOrbit, "mirror 1[{i}] fixes the orbit at ({i},{j})"),
+        (fixed2, DegenerateOrbit, "mirror 2[{j}] fixes the orbit at ({i},{j})"),
+        (skew, MirrorsNotOrthogonal, "reflections 1[{i}] and 2[{j}] do not commute"),
+    ):
+        if np.any(mask):
+            i, j = np.argwhere(mask)[0]
+            raise kind(message.format(i=i, j=j))
     ambient = _AMBIENT_BY_FORM.get(tuple(q.signature), f"Q{q.signature}")
-    return PointNet(pts[0], ambient=ambient)
+    return PointNet(pts, ambient=ambient)

@@ -3,9 +3,10 @@
 Q-net faces are filled with adapted multi-Q patches f(u,v) = [p0(u) + q0(v)
 - x00] built from boundary polylines in perspective with the face's Laplace
 points; circular nets are refined with adapted Dupin cyclide patches built
-from two orthogonal circular arcs via the reflection engine on the quadric
-of R^{4,1}.  Both schemes interpolate the input vertices and keep the
-defining face property after every round.
+from two orthogonal circular arcs: lifted to the quadric of R^{4,1}, a
+circular net is a Q-net, and a cyclide patch is the adapted multi-Q patch
+of its lifted boundary samples.  Both schemes interpolate the input
+vertices and keep the defining face property after every round.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     SeedArcsNotC1,
     ZeroSum,
     ZeroVector,
-    first_failure,
     raise_first_failure,
     raise_unless_finite,
 )
@@ -40,8 +40,6 @@ from .projective import (
     QUADRIC_RTOL,
     REPRODUCE_TOL,
     ZERO_RTOL,
-    intersect_spans,
-    meet_lines,
     moebius_drop,
     moebius_lift,
     normalize,
@@ -52,13 +50,13 @@ from .projective import (
 )
 from .qnets import (
     PointNet,
+    _laplace_gauges,
     _perspective_gauge,
     _unit_lstsq,
     _vanishing_sum,
     laplace_gauge,
     laplace_gauges,
 )
-from .quadric_nets import generate_by_reflections
 
 C1_ANGLE_TOL = 1e-6  # radians between the tangents of adjacent spline arcs
 _ORTHOGONAL_TOL = 1e-8  # |<t1, t2>| of the unit tangents of orthogonal arcs
@@ -471,7 +469,9 @@ def _invert_edges(arcs, samples, mirrors):
 
 def arc_through_points(a, mid, b) -> CircArc:
     """Arc from a to b passing through mid."""
-    arcs, code = _arcs_through(*(np.asarray(x, dtype=float)[None] for x in (a, mid, b)))
+    points = np.array([a, mid, b], dtype=float)
+    raise_unless_finite(points, "arc point")
+    arcs, code = _arcs_through(*points[:, None])
     _raise_arc_errors(code)
     return CircArc(*arcs[0])
 
@@ -480,78 +480,45 @@ def arc_through_points(a, mid, b) -> CircArc:
 
 
 def _laplace_spheres(quads):
-    """Lifted Laplace points R1 (swaps x00<->x10) and R2 (swaps x00<->x01)
-    of circular quads (F, 4, 3) with corners (x00, x10, x01, x11); both are
-    exterior points (spheres orthogonal to the circumcircle centered at the
-    Laplace points).
+    """Laplace gauges t (F, 4, 5) and y (F, 2, 5) of the lifted corners of
+    circular quads (F, 4, 3) in the order (x00, x10, x01, x11), and the
+    checks of each quad in the order first_failure takes them.
 
-    Returns R1 and R2 (F, 5) and the checks of each quad, in the order
-    first_failure takes them.
+    The Laplace points y1 = y[:, 0] (swaps x00<->x10) and y2 = y[:, 1]
+    (swaps x00<->x01) must be exterior points: spheres orthogonal to the
+    circumcircle, centred at the quad's Laplace points.  No projective line
+    lies on the quadric, so a lifted quad that the gauge finds degenerate
+    has two coincident corners.
     """
-    lifts = normalize(moebius_lift(quads))
-    r, ranks = meet_lines(lifts[:, [[0, 1], [0, 2]]], lifts[:, [[2, 3], [1, 3]]])
+    t, y, _, [(rank4, _), *degenerate] = _laplace_gauges(normalize(moebius_lift(quads)))
 
     def error(message):
         return lambda f: DegenerateLaplaceSphere(message)
 
-    checks = []
-    for k in (0, 1):
-        checks += [
-            (ranks[:, k, 0] != 2, error("spanning points are projectively equal")),
-            (ranks[:, k, 1] != 2, error("spanning points are projectively equal")),
-            (ranks[:, k, 2] >= 4, error("lines span rank 4")),
-            (ranks[:, k, 2] <= 2, error("lines coincide")),
-        ]
-    interior = MOEBIUS.eval(r, r) <= QUADRIC_RTOL * np.sum(r * r, axis=-1)
+    checks = [(rank4, error("lines span rank 4"))]
+    checks += [(fails, error("spanning points are projectively equal")) for fails, _ in degenerate]
+    # the form is applied unchecked: a zero y fails the gauge's checks above
+    interior = MOEBIUS._apply(y, y) <= QUADRIC_RTOL * np.sum(y * y, axis=-1)
     checks += [(interior[:, k], error("Laplace point is not exterior")) for k in (0, 1)]
-    return r[:, 0], r[:, 1], checks
+    return t, y, checks
 
 
-def _pencil_mirrors(u0, u1, v0, v1):
-    """Mirror spheres stepping sample k to k+1 within the pencils carried by
-    corresponding sample rows (F, n+1, 3): (F, n_u, 5) from u0 and u1,
-    (F, n_v, 5) from v0 and v1, and the check of each quad.
+def _cyclide_patches(t, y, u0, u1, v0, v1):
+    """Adapted Dupin cyclide patches (F, n_u+1, n_v+1, 3) of a batch of
+    circular quads, and their infinity masks.
 
-    The mirror lies in the intersection of span(L_k, L_{k+1}) with
-    span(L'_k, L'_{k+1}); any non-isotropic point of a span of two quadric
-    points swaps them, so the intersection point swaps both pairs at once.
-    """
-
-    def steps(*rows):
-        lifts = [normalize(moebius_lift(r)) for r in rows]
-        return np.concatenate([np.stack([x[:, :-1], x[:, 1:]], axis=2) for x in lifts], axis=1)
-
-    mirrors, dim = intersect_spans(steps(u0, v0), steps(u1, v1))
-
-    def make(f):
-        if dim[f][np.flatnonzero(dim[f] != 1)[0]] == 0:
-            return NotConcyclic("sample quad has no mirror pencil (not concyclic)")
-        return DegenerateLaplaceSphere("mirror pencil is not unique")
-
-    n_u = u0.shape[1] - 1
-    return mirrors[:, :n_u], mirrors[:, n_u:], (np.any(dim != 1, axis=-1), make)
-
-
-def _cyclide_patches(u0, u1, v0, v1):
-    """Adapted Dupin cyclide patches of a batch of circular quads.
-
+    t and y are the Laplace gauges of the lifted quads (_laplace_spheres).
     u0 (F, n_u+1, 3) samples x00 -> x10 and u1 holds its images x01 -> x11
     in the second Laplace sphere; v0 (F, n_v+1, 3) samples x00 -> x01 and v1
-    holds its images x10 -> x11 in the first.  The interior is generated by
-    the two pencils of mirror spheres through corresponding samples, the
-    boundary is the samples.  Returns the points (G, n_u+1, n_v+1, 3) and
-    infinity masks of the first G quads, and first_failure of the pencil
-    checks (quad G and its error, or None when G = F).
+    holds its images x10 -> x11 in the first.  In the lift the patch is the
+    adapted multi-Q patch of the lifted samples, unique given its four
+    boundary polylines; the boundary is the samples as given.
     """
-    m1, m2, check = _pencil_mirrors(u0, u1, v0, v1)
-    failure = first_failure([check])
-    g = len(u0) if failure is None else failure[0]
-    seeds = normalize(moebius_lift(u0[:g, 0]))
-    pts, at_inf = moebius_drop(generate_by_reflections(MOEBIUS, m1[:g], m2[:g], seeds))
-    pts[:, :, 0], pts[:, :, -1], pts[:, 0], pts[:, -1] = u0[:g], u1[:g], v0[:g], v1[:g]
+    pts, at_inf = moebius_drop(_q_patches(t, y, *map(moebius_lift, (u0, u1, v0, v1))))
+    pts[:, :, 0], pts[:, :, -1], pts[:, 0], pts[:, -1] = u0, u1, v0, v1
     at_inf[:, :, [0, -1]] = False
     at_inf[:, [0, -1]] = False
-    return pts, at_inf, failure
+    return pts, at_inf
 
 
 def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> EuclidNet:
@@ -559,10 +526,10 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
 
     p0 interpolates x00 -> x10 and q0 interpolates x00 -> x01; the arcs must
     meet orthogonally at x00.  The opposite boundary arcs arise by inversion
-    in the quad's Laplace spheres, and the interior is generated by the two
-    pencils of mirror spheres through corresponding arc samples; every row
-    and column of the result is concyclic.  The patch is built in the unit
-    chart of the corners and mapped back, with the corners as given.
+    in the quad's Laplace spheres, and the interior is the adapted multi-Q
+    patch of the lifted boundary samples; every row and column of the
+    result is concyclic.  The patch is built in the unit chart of the
+    corners and mapped back, with the corners as given.
     """
     n_u, n_v = _resolve_counts(n)
     given = np.array([x00, x10, x01, x11], dtype=float)
@@ -577,19 +544,15 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
         raise InconsistentCorner("arc endpoints must interpolate the quad corners")
     if abs(float(np.dot(p0.tangent, q0.tangent))) > _ORTHOGONAL_TOL:
         raise ArcsNotOrthogonal("seed arcs must meet orthogonally at the corner")
-    r1, r2, checks = _laplace_spheres(corners[None])
+    t, y, checks = _laplace_spheres(corners[None])
     raise_first_failure(checks)
     (p_samples,), _ = _arc_at(arcs[:1], np.arange(n_u + 1) / n_u)
     (q_samples,), _ = _arc_at(arcs[1:], np.arange(n_v + 1) / n_v)
-    p_ref, p_inf = invert_point(r2[0], p_samples)
-    q_ref, q_inf = invert_point(r1[0], q_samples)
+    p_ref, p_inf = invert_point(y[0, 1], p_samples)
+    q_ref, q_inf = invert_point(y[0, 0], q_samples)
     if p_inf.any() or q_inf.any():
         raise DegenerateLaplaceSphere("boundary sample maps to infinity")
-    pts, at_inf, failure = _cyclide_patches(
-        p_samples[None], p_ref[None], q_samples[None], q_ref[None]
-    )
-    if failure is not None:
-        raise failure[1]
+    pts, at_inf = _cyclide_patches(t, y, p_samples[None], p_ref[None], q_samples[None], q_ref[None])
     # the patch corners, in the order of the given ones; boundary samples are never at oo
     ends = ([0, n_u, 0, n_u], [0, 0, n_v, n_v])
     drift = pts[0][ends] - corners
@@ -679,8 +642,8 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     # one step per j) and the columns (v-arcs, one step per i); code[...]
     # holds the error code of the transport onto an edge, -1 where its face
     # or its input failed and it was not transported
-    r1, r2, checks = _laplace_spheres(rect_stacks(p, elementary=True)[1])
-    r1, r2 = r1.reshape(nu - 1, nv - 1, 5), r2.reshape(nu - 1, nv - 1, 5)
+    t, y, checks = _laplace_spheres(rect_stacks(p, elementary=True)[1])
+    r1, r2 = y[:, 0].reshape(nu - 1, nv - 1, 5), y[:, 1].reshape(nu - 1, nv - 1, 5)
     failed = np.any([fails for fails, _ in checks], axis=0).reshape(nu - 1, nv - 1)
     u_code = np.full((nu - 1, nv), -1)
     v_code = np.full((nu, nv - 1), -1)
@@ -711,7 +674,9 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     _check_spline_c1(v_arcs, [f"column {i} spline" for i in range(nu)])
 
     faces = (nu - 1) * (nv - 1)
-    patches, at_inf, failure = _cyclide_patches(
+    patches, at_inf = _cyclide_patches(
+        t,
+        y,
         u_smp[:, :-1].reshape(faces, n_u + 1, 3),
         u_smp[:, 1:].reshape(faces, n_u + 1, 3),
         v_smp[:-1].reshape(faces, n_v + 1, 3),
@@ -719,8 +684,6 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     )
     if at_inf.any():
         raise DegenerateLaplaceSphere("patch produced a vertex at infinity")
-    if failure is not None:
-        raise failure[1]
     fine = _assemble(patches.reshape(nu - 1, nv - 1, n_u + 1, n_v + 1, 3), u_smp, v_smp, p)
 
     # seed data for a further round: sub-arcs between consecutive samples

@@ -370,6 +370,12 @@ def test_embedding_checks_every_row_of_a_stack():
         pluecker_embed(1.0, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("a, b", [(0.5, [1.0, 2.0]), ([1.0, 2.0], 0.5), ([[1.0, 2.0]], [1.0, 2.0])])
+def test_hyperboloid_ruling_grid_needs_lists_of_parameters(a, b):
+    with pytest.raises(DimensionMismatch, match="1-d arrays of parameters"):
+        hyperboloid_ruling_grid(a, b)
+
+
 @pytest.mark.parametrize("us, vs", [(0.3, [1.0, 2.0]), ([1.0, 2.0], 0.3), ([[1.0, 2.0]], [1.0, 2.0])])
 def test_torus_contact_grid_needs_lists_of_angles(us, vs):
     with pytest.raises(DimensionMismatch, match="1-d arrays of angles"):

@@ -307,7 +307,6 @@ LOOPS = {
     "qnets.from_two_strips",
     "quadric_nets.generate_by_reflections",
     "subdivision._edge_polylines",
-    "subdivision._laplace_spheres",
     "subdivision._q_patches",
     "subdivision._subdivide_circular_round",
     "subdivision.subdivide_circular",

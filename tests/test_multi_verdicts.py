@@ -23,7 +23,13 @@ from multinets.circular import (
     strip_sphere,
 )
 from multinets.cli import main
-from multinets.errors import GeometryError, NonFiniteCoordinate, NotMultiCircular, ZeroVector
+from multinets.errors import (
+    GeometryError,
+    NonFiniteCoordinate,
+    NotMultiCircular,
+    ZeroVector,
+    raise_unless_finite,
+)
 from multinets.projective import (
     RANK_RTOL,
     common_point_of_spans,
@@ -566,6 +572,13 @@ def test_translation_gauge_rejects_a_net_made_non_finite_after_construction(bad)
     for check in (translation_gauge, is_translation_net):
         with pytest.raises(NonFiniteCoordinate, match=r"vertex \(2, 2\)"):
             check(net)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_single_non_finite_vector_raises_without_an_index(bad):
+    with pytest.raises(NonFiniteCoordinate, match=r"^x has a non-finite coordinate$"):
+        raise_unless_finite(np.array([bad, 0.0, 0.0]), "x")
+    raise_unless_finite(np.array([1.0, 0.0, 0.0]), "x")
 
 
 def test_zero_vector_is_reported_before_non_finite_coordinates():

@@ -3,6 +3,7 @@ import pytest
 
 from multinets.errors import (
     DegenerateOrbit,
+    DimensionMismatch,
     IsotropicMirror,
     MirrorsNotOrthogonal,
     NonFiniteCoordinate,
@@ -188,56 +189,6 @@ def test_generation_errors_name_the_first_index(kind):
     assert str(info.value) == message
 
 
-def test_batched_generation_equals_entry_by_entry(rng):
-    pairs = [split_block_mirrors(rng, 3, 4) for _ in range(5)]
-    seeds = np.stack([quadric_seed(rng) for _ in pairs])
-    n1 = np.stack([a for a, _ in pairs])
-    n2 = np.stack([b for _, b in pairs])
-    batched = generate_by_reflections(MOEBIUS, n1, n2, seeds)
-    assert batched.shape == (5, 4, 5, 5)
-    for e in range(5):
-        single = generate_by_reflections(MOEBIUS, n1[e], n2[e], seeds[e])
-        assert np.array_equal(batched[e], single.points)
-    # leading axes broadcast: one family pair for a (2, 5) grid of seeds
-    grid = generate_by_reflections(MOEBIUS, n1[0], n2[0], seeds.reshape(5, 5)[None].repeat(2, 0))
-    assert grid.shape == (2, 5, 4, 5, 5)
-    assert np.array_equal(grid[1, 3], generate_by_reflections(MOEBIUS, n1[0], n2[0], seeds[3]).points)
-
-
-@pytest.mark.parametrize(
-    "order, expect",
-    [
-        (["valid", "fix1", "skew"], "fix1"),
-        (["valid", "skew", "fix1"], "skew"),
-        (["valid", "fix2", "fix1"], "fix2"),
-        (["valid", "valid", "skew"], "skew"),
-    ],
-)
-def test_batched_generation_raises_like_entry_by_entry(order, expect):
-    x00, fams = failing_families()
-    n1 = np.stack([fams[k][0] for k in order])
-    n2 = np.stack([fams[k][1] for k in order])
-    exc, message = fams[expect][2]
-    with pytest.raises(exc) as info:
-        generate_by_reflections(MOEBIUS, n1, n2, x00)
-    assert str(info.value) == message
-
-
-def test_batched_generation_setup_errors_keep_entry_order():
-    x00, fams = failing_families()
-    n1, n2, _ = fams["valid"]
-    isotropic = n1.copy()
-    isotropic[0] = [0.0, 0, 0, 1, 1]
-    fix1 = fams["fix1"][0]
-    # an entry failing a setup check stops the batch only where it stands
-    with pytest.raises(DegenerateOrbit):
-        generate_by_reflections(MOEBIUS, np.stack([n1, fix1, isotropic]), n2, x00)
-    with pytest.raises(IsotropicMirror):
-        generate_by_reflections(MOEBIUS, np.stack([n1, isotropic, fix1]), n2, x00)
-    with pytest.raises(SeedNotOnQuadric):
-        generate_by_reflections(MOEBIUS, n1, n2, np.stack([x00, [1.0, 0, 0, 0, 2], x00]))
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["n1", "n2", "x00"])
 def test_non_finite_seed_or_mirror_raises_non_finite(bad, where):
@@ -249,17 +200,9 @@ def test_non_finite_seed_or_mirror_raises_non_finite(bad, where):
         generate_by_reflections(MOEBIUS, args["n1"], args["n2"], args["x00"])
 
 
-def test_non_finite_entry_keeps_the_batch_order():
+def test_generation_takes_one_family_pair_and_one_seed():
     x00, fams = failing_families()
     n1, n2, _ = fams["valid"]
-    nan = n1.copy()
-    nan[2, 0] = np.nan
-    isotropic = n1.copy()
-    isotropic[0] = [0.0, 0, 0, 1, 1]
-    # the first failing entry raises, and a non-finite entry fails before its other checks
-    with pytest.raises(DegenerateOrbit):
-        generate_by_reflections(MOEBIUS, np.stack([n1, fams["fix1"][0], nan]), n2, x00)
-    with pytest.raises(NonFiniteCoordinate):
-        generate_by_reflections(MOEBIUS, np.stack([n1, nan, isotropic]), n2, x00)
-    with pytest.raises(IsotropicMirror):
-        generate_by_reflections(MOEBIUS, np.stack([isotropic, nan]), n2, x00)
+    for args in ((n1[None], n2, x00), (n1, n2[None], x00), (n1, n2, x00[None])):
+        with pytest.raises(DimensionMismatch, match="one seed"):
+            generate_by_reflections(MOEBIUS, *args)

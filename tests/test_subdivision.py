@@ -8,7 +8,7 @@ from conftest import (
     torus_u_tangent,
     torus_v_tangent,
 )
-from multinets.circular import EuclidNet, is_circular_net, is_multi_circular
+from multinets.circular import EuclidNet, _unit_chart, is_circular_net, is_multi_circular
 from multinets.errors import (
     ArcsNotOrthogonal,
     DegenerateLaplaceSphere,
@@ -23,8 +23,11 @@ from multinets.errors import (
     ZeroVector,
 )
 from multinets.projective import (
+    MOEBIUS,
     ProjLine,
+    intersect_spans,
     meet_lines,
+    moebius_drop,
     moebius_lift,
     normalize,
     proj_distance,
@@ -32,6 +35,7 @@ from multinets.projective import (
     span_rank,
 )
 from multinets.qnets import PointNet, from_translation, is_q_net
+from multinets.quadric_nets import generate_by_reflections
 from multinets.subdivision import (
     CircArc,
     adapted_cyclide_patch,
@@ -351,19 +355,23 @@ def test_collinear_joins_flag_a_bent_join():
 
 
 def test_subdivision_gauges_each_face_once(monkeypatch):
+    import multinets.projective as projective
     import multinets.subdivision as subdivision
 
     from test_acceptance import random_non_multi_q_net
 
     quads, meets = [], []
     gauges = subdivision.laplace_gauges
+    line_meet = projective._line_meet
 
     def counting_gauges(q):
         quads.append(len(q))
         return gauges(q)
 
     monkeypatch.setattr(subdivision, "laplace_gauges", counting_gauges)
-    monkeypatch.setattr(subdivision, "meet_lines", lambda *a: meets.append(a))
+    # the Laplace points come from the gauges, not from meets of edge lines:
+    # every meet_lines call, under any name, goes through _line_meet
+    monkeypatch.setattr(projective, "_line_meet", lambda pts: meets.append(pts) or line_meet(pts))
     net = random_non_multi_q_net(np.random.default_rng(2030), 4, 4)
     subdivide_q(net, 3, rounds=2)
     assert quads == [9, 81] and meets == []
@@ -488,6 +496,15 @@ def test_arc_with_a_non_finite_endpoint_raises_non_finite(bad, end):
     ends[end][2] = bad
     with pytest.raises(NonFiniteCoordinate, match=rf"arc endpoint \({end}\)"):
         CircArc(*ends, [0, 1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", [0, 1, 2])
+def test_arc_through_a_non_finite_point_raises_non_finite(bad, which):
+    points = [[1.0, 0, 0], [0.0, 1, 0], [-1.0, 0, 0]]
+    points[which][1] = bad
+    with pytest.raises(NonFiniteCoordinate, match=rf"^arc point \({which}\) has a non-finite coordinate$"):
+        arc_through_points(*points)
 
 
 def test_arc_through_points_orientation():
@@ -814,14 +831,61 @@ def test_circular_round_kernel_calls_do_not_grow_with_faces(monkeypatch):
         us, vs = np.linspace(0.2, 2.0, size), np.linspace(-0.6, 1.2, size)
         subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs))
         per_size[size] = dict(calls)
-    # 4 faces against 25: one line meet and one span intersection for all
-    # faces; checked reflections once per row or column step of the
-    # propagation (nu - 1 + nv - 1), each one unchecked reflection, plus the
-    # n_u + n_v orbit steps and 4 commutation reflections of the one
-    # generate_by_reflections call, which has validated its input already
+    # 4 faces against 25: checked reflections once per row or column step of
+    # the propagation (nu - 1 + nv - 1), each one unchecked reflection; the
+    # Laplace spheres and the patches of all faces take no line meet, span
+    # intersection or reflection
     for size, got in per_size.items():
         steps = 2 * (size - 1)
-        assert got == {"meet_lines": 1, "intersect_spans": 1, "polar_reflect": steps, "_reflect": steps + 4 + 4}
+        assert got == {"polar_reflect": steps, "_reflect": steps}
+
+
+def reflection_patch(block):
+    """Reference for a cyclide patch, from the boundary of its block
+    (n_u+1, n_v+1, 3) of a fine grid, by the reflection engine; returns the
+    block and the reference, both in the block's unit chart.
+
+    The mirror stepping sample k to k+1 of the first direction spans the
+    intersection of the pencils span(L_k, L_{k+1}) of the two opposite
+    lifted boundary rows, and likewise for the second direction; the
+    interior is the orbit of the corner under both mirror families.
+    """
+    chart, _, _ = _unit_chart(block)
+    lifts = normalize(moebius_lift(chart))
+
+    def mirrors(row0, row1):
+        pencils = [np.stack([row[:-1], row[1:]], axis=1) for row in (row0, row1)]
+        vector, dim = intersect_spans(*pencils)
+        assert np.all(dim == 1)
+        return vector
+
+    m1 = mirrors(lifts[:, 0], lifts[:, -1])
+    m2 = mirrors(lifts[0], lifts[-1])
+    ref, at_inf = moebius_drop(generate_by_reflections(MOEBIUS, m1, m2, lifts[0, 0]).points)
+    assert not at_inf.any()
+    return chart, ref
+
+
+def assert_blocks_match_reflection_patches(fine, n_u, n_v):
+    for i in range(0, fine.shape[0] - 1, n_u):
+        for j in range(0, fine.shape[1] - 1, n_v):
+            chart, ref = reflection_patch(fine[i : i + n_u + 1, j : j + n_v + 1])
+            assert np.max(np.abs(chart - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cyclide_patches_equal_the_reflection_orbits_on_random_tori(seed):
+    rng = np.random.default_rng(seed)
+    big, small = rng.uniform(1.5, 3.0), rng.uniform(0.3, 0.9)
+    us = np.cumsum(np.r_[rng.uniform(0.0, 3.0), rng.uniform(0.2, 0.6, rng.integers(2, 4))])
+    vs = np.cumsum(np.r_[rng.uniform(-1.0, 0.5), rng.uniform(0.2, 0.5, rng.integers(2, 4))])
+    n_u, n_v = (int(k) for k in rng.integers(2, 5, 2))
+    net = torus_net(us, vs, big, small)
+    row, col = torus_seed_arcs(us, vs, big, small)
+    assert_blocks_match_reflection_patches(subdivide_circular(net, (n_u, n_v), row, col).points, n_u, n_v)
+    p = net.points
+    patch = adapted_cyclide_patch(p[0, 0], p[1, 0], p[0, 1], p[1, 1], row[0], col[0], (n_u, n_v))
+    assert_blocks_match_reflection_patches(patch.points, n_u, n_v)
 
 
 # scales 1e-10 and 1e-14 take edges far below the absolute zero threshold
@@ -858,6 +922,7 @@ def test_circular_subdivision_commutes_with_similarities(build, stride, scale, s
     vertices = fine[::stride, ::stride]
     assert np.array_equal(vertices, p[: vertices.shape[0], : vertices.shape[1]])
     assert np.max(np.abs((fine - move) / scale - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert_blocks_match_reflection_patches(fine, stride, stride)
 
 
 def crossing_quad():
