@@ -40,6 +40,7 @@ from .projective import (
     normalize,
     polar_reflect,
     rect_stacks,
+    repeated_rows,
     span_rank,
     stack_coords,
 )
@@ -124,16 +125,12 @@ def invert_net(s_rep, net: EuclidNet) -> EuclidNet:
 # -- predicates ----------------------------------------------------------------
 
 
-# corner pairs of a 4-point stack, for the pairwise-distinct check
-_CORNER_PAIRS = [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
-
-
 def is_concyclic(p0, p1, p2, p3) -> bool:
     """Four points of R^3 u {oo} lie on one circle (or line through oo)."""
     lifts = np.stack([moebius_lift(p) for p in (p0, p1, p2, p3)])
     raise_unless_finite(lifts, "lifted corner")
     lifts = normalize(lifts)
-    if np.any(span_rank(lifts[_CORNER_PAIRS]) < 2):
+    if repeated_rows(lifts[None])[0]:
         raise DuplicatePoints("concyclicity needs pairwise distinct points")
     return span_rank(lifts) <= 3
 

@@ -1,17 +1,16 @@
 """Conical and multi-conical plane nets.
 
-A plane-net quadruple is conical when its planes are concurrent and tangent
-to a common cone of revolution, equivalently when its unit normals are
-concyclic on S^2.  Multi-conical nets are exactly the multi-Q*-nets whose
-Gauss map is multi-circular in S^2; they are parallel to spherical
-multi-conical nets, which are polar to their Gauss maps.
+A plane-net quadruple is conical when its planes touch a common cone or
+cylinder of revolution: given pairwise distinct normals, when their Blaschke
+points (n, d, |n|) span rank <= 3.  Multi-conical nets are the multi-Q-nets of
+Blaschke points, parallel to spherical ones, which are polar to their Gauss maps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circular import _CORNER_PAIRS, EuclidNet, is_concyclic, is_multi_circular, lift_net
+from .circular import EuclidNet, is_multi_circular
 from .errors import (
     DegenerateProfile,
     DimensionMismatch,
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, _above_rank3,
                          classify_spans, corner_minors, normalized_rows, rect_stacks, span_rank,
-                         stack_coords)
+                         repeated_rows, stack_coords)
 from .qnets import PlaneNet, PointNet, translation_gauge
 
 _UNIT_SPHERE_TOL = 1e-9  # a point whose norm is within this of 1 lies on the unit sphere
@@ -44,6 +43,7 @@ class GaussClass:
 
 def gauss_map(pn: PlaneNet) -> EuclidNet:
     """Grid of unit normals of the planes, orientation preserved."""
+    raise_unless_finite(pn.covectors, "covector")
     n = pn.covectors[..., :3]
     norms = np.linalg.norm(n, axis=-1)
     if np.any(norms <= _ABS_EPS):
@@ -51,46 +51,48 @@ def gauss_map(pn: PlaneNet) -> EuclidNet:
     return EuclidNet(n / norms[..., None])
 
 
+def _blaschke_stacks(cov):
+    """Blaschke points (N, 4, 5) of covector stacks (N, 4, 4), and the checks of their normals."""
+    norms = np.linalg.norm(cov[..., :3], axis=-1, keepdims=True)
+    zero = norms <= _ABS_EPS
+    rows = np.concatenate([cov[..., :3], norms], axis=-1) / np.where(zero, 1.0, np.sqrt(2.0) * norms)
+    return np.concatenate([cov, norms], axis=-1), [
+        (np.any(zero[..., 0], axis=1), lambda k: ZeroNormal("plane covector with vanishing normal part")),
+        (repeated_rows(rows), lambda k: DuplicatePoints("concyclicity needs pairwise distinct points")),
+    ]
+
+
 def is_conical_quad(planes) -> bool:
-    """Four concurrent planes tangent to a common cone of revolution,
-    i.e. their unit normals are concyclic on S^2."""
+    """Four planes tangent to a common cone or cylinder of revolution, by the
+    rule and the errors of _conical_violations (README *Conical nets*)."""
     cov = np.asarray(planes, dtype=float)
     if cov.shape != (4, 4):
         raise DimensionMismatch("expected four plane covectors")
     raise_unless_finite(cov, "plane covector")
-    if span_rank(cov * (1.0, 1.0, 1.0, -1.0)) > 3:  # covectors (n, -d) on points (x, w)
+    blaschke, normal_checks = _blaschke_stacks(cov[None] * (1.0, 1.0, 1.0, -1.0))  # as PlaneNet.homogeneous
+    conical = not any(fails[0] for fails, _ in normal_checks) and span_rank(blaschke[0]) <= 3
+    if not conical and span_rank(blaschke[0, :, :4]) > 3:
         raise NotConcurrent("the four planes have no common point")
-    n = gauss_map(PlaneNet(cov[None])).points[0]
-    return is_concyclic(n[0], n[1], n[2], n[3])
+    raise_first_failure(normal_checks)
+    return conical
 
 
 def _conical_violations(pn: PlaneNet, elementary: bool):
-    """Rectangles failing the conical condition as (key, reason) pairs.
-
-    Concurrency is span rank <= 3 of the homogeneous covectors; on the
-    concurrent rectangles, concyclicity of the unit normals is span rank
-    <= 3 of their Moebius lifts; _above_rank3 decides both.  Like
-    is_conical_quad, the first concurrent rectangle with a vanishing or a
-    repeated normal raises.
-    """
-    normals = pn.covectors[..., :3]
-    norms = np.linalg.norm(normals, axis=-1, keepdims=True)
-    zero = norms <= _ABS_EPS
-    lifted = lift_net(EuclidNet(normals / np.where(zero, 1.0, norms))).points
-    grid = np.concatenate([pn.homogeneous(), lifted, zero], axis=-1)
-    keys, corners = rect_stacks(grid, elementary)
-    planes, lifts, vanishing = corners[..., :4], corners[..., 4:9], corners[..., 9].any(axis=1)
-    repeated = (span_rank(lifts[:, _CORNER_PAIRS]) < 2).any(axis=1)
-    skew = _above_rank3(planes, *corner_minors(planes)[1:])
-    raise_first_failure([
-        (~skew & vanishing, lambda k: ZeroNormal("plane covector with vanishing normal part")),
-        (~skew & repeated, lambda k: DuplicatePoints("concyclicity needs pairwise distinct points")),
-    ])
-    failing = np.flatnonzero(skew | _above_rank3(lifts, *corner_minors(lifts)[1:]))
-    return [
-        (keys[k], "planes not concurrent" if skew[k] else "normals not concyclic")
-        for k in failing
-    ]
+    """Rectangles failing the conical condition as (key, reason) pairs: one
+    _above_rank3 mask over the Blaschke stacks, then the covector rank and
+    the rank of the rows (n, |n|) on the failing ones alone, and on those
+    through a vanishing or a repeated normal (README *Conical nets*)."""
+    keys, cov = rect_stacks(pn.homogeneous(), elementary)  # (n, -d): the sign of d leaves every rank alone
+    blaschke, normal_checks = _blaschke_stacks(cov)
+    check = np.flatnonzero(np.any([_above_rank3(blaschke)] + [fails for fails, _ in normal_checks], axis=0))
+    if not check.size:
+        return []
+    skew = _above_rank3(cov[check])
+    raise_first_failure([(fails[check] & ~skew, make) for fails, make in normal_checks])
+    why = np.full(check.size, "planes not concurrent", dtype=object)
+    why[~skew] = np.where(_above_rank3(blaschke[check[~skew]][..., [0, 1, 2, 4]]),
+                          "normals not concyclic", "planes not tangent to a common cylinder")
+    return [(keys[k], reason) for k, reason in zip(check.tolist(), why.tolist())]
 
 
 def conical_violations(pn: PlaneNet):
@@ -105,9 +107,7 @@ def multi_conical_violations(pn: PlaneNet):
 
 
 def is_multi_conical(pn: PlaneNet) -> bool:
-    """True iff every coordinate rectangle of planes is concurrent with
-    concyclic unit normals (equivalently: multi-Q* with a multi-circular
-    Gauss map)."""
+    """True iff the planes of every coordinate rectangle touch a common cone or cylinder of revolution."""
     return not multi_conical_violations(pn)
 
 
@@ -158,8 +158,7 @@ def parallel_conical_net(spherical: PlaneNet, d_row, d_col) -> PlaneNet:
         if abs(m3) <= _ABS_EPS * max(1.0, abs(num)):
             raise SingularPropagation(f"degenerate quad at ({i},{j})")
         d[i + 1, j + 1] = num / m3
-    cov = np.concatenate([n, d[..., None]], axis=-1)
-    return PlaneNet(cov)
+    return PlaneNet(np.concatenate([n, d[..., None]], axis=-1))
 
 
 # -- Gauss map classification -----------------------------------------------------

@@ -173,6 +173,8 @@ def raise_unless_finite(coords, what: str, skip=None):
     of coordinate vectors (..., d) that holds a NaN or an infinity; entries
     flagged in the boolean mask skip (...) are not checked.  A single vector
     (d,) is named without an index."""
+    if np.isfinite(coords).all():  # the common case, in one pass
+        return
     bad = ~np.all(np.isfinite(coords), axis=-1)
     if skip is not None:
         bad &= ~skip

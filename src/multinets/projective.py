@@ -226,7 +226,7 @@ def rank_violations(keys, stacks):
     listing is that of the SVD rule.
     """
     stacks = np.asarray(stacks, dtype=float)
-    check = np.flatnonzero(_above_rank3(stacks, *corner_minors(stacks)[1:]))
+    check = np.flatnonzero(_above_rank3(stacks))
     s = span_svd(stacks[check], compute_uv=False)[0]
     return [(keys[k], float(s[n, -1] / s[n, 0])) for n, k in enumerate(check)]
 
@@ -349,10 +349,12 @@ def _rank4_certificate(v3, v4, d: int):
     return planar, v4 - e > 32.0 * RANK_RTOL
 
 
-def _above_rank3(stacks, v3, v4):
+def _above_rank3(stacks, v3=None, v4=None):
     """span_rank(stacks) > 3 for stacks (N, 4, d) with corner_minors volumes
-    v3, v4: the verdicts of _rank4_certificate, and span_rank for the stacks
-    it leaves open."""
+    v3, v4 (computed here unless given): the verdicts of _rank4_certificate,
+    and span_rank for the stacks it leaves open."""
+    if v3 is None:
+        _, v3, v4 = corner_minors(stacks)
     planar, skew = _rank4_certificate(v3, v4, stacks.shape[-1])
     open_ = ~(planar | skew)
     skew[open_] = span_rank(stacks[open_]) > 3
@@ -390,6 +392,28 @@ def intersect_spans(a, b):
     return vector / np.linalg.norm(vector, axis=-1, keepdims=True), dim
 
 
+def _pair_span(a, b):
+    """The rank rule on pairs of unit rows a, b (..., d), without an SVD.
+
+    Returns (w, sine, two): w = b - c a is the part of b orthogonal to a
+    (c = <a, b>), sine = |w| (..., 1), and two (..., 1) flags the pairs of
+    span rank 2.  The Gram matrix of two unit rows has the eigenvalues
+    1 +- |c|, so sigma_2 / sigma_1 = sine / (1 + |c|), and two is _kept of
+    the pair.
+    """
+    c = np.sum(a * b, axis=-1, keepdims=True)
+    w = b - c * a
+    sine = np.linalg.norm(w, axis=-1, keepdims=True)
+    return w, sine, sine > RANK_RTOL * (1.0 + np.abs(c))
+
+
+def repeated_rows(stacks):
+    """Which stacks (N, k, d) of unit rows hold two rows of span rank 1,
+    by _pair_span on every pair: the rank rule without an SVD."""
+    i, j = index_pairs(stacks.shape[-2])
+    return ~np.all(_pair_span(stacks[:, i], stacks[:, j])[2], axis=(1, 2))
+
+
 def common_point_of_spans(spans, min_rank: int = 1):
     """Vector closest to lying on every given line, with linear residuals.
 
@@ -406,10 +430,7 @@ def common_point_of_spans(spans, min_rank: int = 1):
     are the two root sums, each accurate to rounding.
     """
     a, b = np.moveaxis(normalized_rows(spans), -2, 0)
-    c = np.sum(a * b, axis=-1, keepdims=True)
-    w = b - c * a
-    sine = np.linalg.norm(w, axis=-1, keepdims=True)
-    line = sine > RANK_RTOL * (1.0 + np.abs(c))  # _kept on two rows: sigma_2 / sigma_1 = sine / (1 + |c|)
+    w, sine, line = _pair_span(a, b)
     counted = (1 + line >= min_rank)[..., None]
     basis = np.stack([a, np.where(line, w, 0.0) / np.where(line, sine, 1.0)], axis=-2)
     comp = (np.eye(a.shape[-1]) - np.swapaxes(basis, -1, -2) @ basis) * counted

@@ -75,6 +75,13 @@ class PointNet:
     def ambient_dim(self) -> int:
         return self.points.shape[2]
 
+    def vertices(self) -> np.ndarray:
+        """The grid of points, checked again for NaN and infinity: the array
+        is writable, and an in-place edit skips __post_init__.  Every public
+        predicate reads the grid through it once."""
+        raise_unless_finite(self.points, "vertex")
+        return self.points
+
     def quad(self, i: int, j: int):
         """Corners (x00, x10, x01, x11) of the elementary quad at (i, j)."""
         p = self.points
@@ -100,7 +107,9 @@ class PlaneNet:
         return self.covectors.shape[0], self.covectors.shape[1]
 
     def homogeneous(self) -> np.ndarray:
-        """Covectors (n, -d) acting on homogeneous points (x, w)."""
+        """Covectors (n, -d) acting on homogeneous points (x, w), checked
+        again for NaN and infinity as PointNet.vertices checks points."""
+        raise_unless_finite(self.covectors, "covector")
         h = self.covectors.copy()
         h[..., 3] *= -1.0
         return h
@@ -253,7 +262,7 @@ def laplace_data(x00, x10, x01, x11) -> LaplaceData:
 
 def q_violations(net: PointNet):
     """Non-planar elementary quads as ((i0,i1,j0,j1), residual) entries."""
-    return rank_violations(*rect_stacks(net.points, elementary=True))
+    return rank_violations(*rect_stacks(net.vertices(), elementary=True))
 
 
 def is_q_net(net: PointNet) -> bool:
@@ -263,13 +272,13 @@ def is_q_net(net: PointNet) -> bool:
 
 def multi_q_violations(net: PointNet):
     """Non-planar coordinate rectangles, exhaustively over all index pairs."""
-    return rank_violations(*rect_stacks(net.points, elementary=False))
+    return rank_violations(*rect_stacks(net.vertices(), elementary=False))
 
 
 def is_multi_q_net(net: PointNet) -> bool:
     """True iff every coordinate rectangle is planar; the verdict of
     multi_q_violations, reached as _rects_planar describes."""
-    return _rects_planar(net.points)
+    return _rects_planar(net.vertices())
 
 
 # Rectangles decided by the SVD rule before the translation certificate is
@@ -295,7 +304,7 @@ def _rects_planar(grid) -> bool:
 
     def violated(lo, hi):
         stacks = grid[rows[lo:hi], cols[lo:hi]]
-        return bool(np.any(_above_rank3(stacks, *corner_minors(stacks)[1:])))
+        return bool(np.any(_above_rank3(stacks)))
 
     if violated(0, _FIRST_CHUNK):
         return False
@@ -465,8 +474,7 @@ def translation_gauge(net: PointNet):
     nu, nv = net.dims
     if nu < 2 or nv < 2:
         raise NotMultiQ("net must be at least 2x2")
-    p = net.points
-    raise_unless_finite(p, "vertex")
+    p = net.vertices()
     gauge = _strip_gauge(p)
     if gauge.error is not None:
         kind, message = gauge.error
@@ -534,7 +542,7 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
     """
     if strip1.dims[0] != 2 or strip2.dims[1] != 2:
         raise DimensionMismatch("strip1 must be 2 x nv and strip2 nu x 2")
-    rows, cols = strip1.points, strip2.points
+    rows, cols = strip1.vertices(), strip2.vertices()
     i, j = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])  # the corners in the order they are named
     off = np.flatnonzero(proj_distance(rows[i, j], cols[i, j]) > MATCH_TOL)
     if off.size:
@@ -555,7 +563,7 @@ def _laplace_vectors(net: PointNet):
     quads: y[..., 0, :] represents y1_{ij}, y[..., 1, :] y2_{ij}."""
     nu, nv = net.dims
     rows, cols = rect_indices(nu, nv, True)
-    _, y, _ = laplace_gauges(net.points[rows, cols])
+    _, y, _ = laplace_gauges(net.vertices()[rows, cols])
     return y.reshape(nu - 1, nv - 1, 2, net.ambient_dim)
 
 
@@ -588,7 +596,7 @@ def _parameter_polygons_perspective(net: PointNet, pairs) -> bool:
     every pair at once.  Failing that, the remaining row pairs and then the
     column pairs go to common_point_of_spans, one call per direction.
     """
-    p = net.points
+    p = net.vertices()
     (r0, r1), (c0, c1) = pairs(p.shape[0]), pairs(p.shape[1])
     first = p.shape[0] - 1
     if not _joins_concurrent(p, r0[:first], r1[:first]):
@@ -670,7 +678,7 @@ def all_pairs_perspectivity(net: PointNet) -> bool:
 
 def has_planar_parameter_polygons(net: PointNet) -> bool:
     """Every row and column point set spans rank <= 3 (planar polygons)."""
-    p = net.points
+    p = net.vertices()
     return not (np.any(span_rank(p) > 3) or np.any(span_rank(p.swapaxes(0, 1)) > 3))
 
 

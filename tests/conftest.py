@@ -36,6 +36,31 @@ def noisy_translation_nets(eps, count=40, n=7):
     return nets
 
 
+def multi_conical_nets():
+    """Polar nets of a symmetric strip, a rotational and a stereographic
+    net on S^2, and a parallel conical net of each."""
+    from multinets.conical import (parallel_conical_net, polarize_spherical, sample_s2_rotational,
+                                   sample_s2_stereographic, sample_s2_symmetric_strip)
+
+    rng = np.random.default_rng(5)
+    up = rng.normal(size=(5, 3))
+    up[:, 2] = np.abs(up[:, 2]) + 0.3
+    up /= np.linalg.norm(up, axis=1, keepdims=True)
+    spherical = [
+        polarize_spherical(sample_s2_symmetric_strip(up)),
+        polarize_spherical(sample_s2_rotational(np.linspace(0.5, 2.2, 5), np.linspace(0.3, 4.0, 6))),
+        polarize_spherical(sample_s2_stereographic([-1.0, -0.2, 0.5, 1.3, 2.0], [0.1, 0.8, 1.5, 2.1])),
+    ]
+    nets = list(spherical)
+    for pn in spherical:
+        nu, nv = pn.dims
+        d_row = 1 + 0.5 * rng.uniform(-1, 1, nu)
+        d_col = 1 + 0.5 * rng.uniform(-1, 1, nv)
+        d_col[0] = d_row[0]
+        nets.append(parallel_conical_net(pn, d_row, d_col))
+    return nets
+
+
 def nets_proj_equal(n1, n2, tol=1e-8):
     nu, nv = n1.dims
     if (nu, nv) != n2.dims:

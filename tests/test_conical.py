@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import multi_conical_nets
+
 from multinets.circular import is_multi_circular
 from multinets.conical import (
     GaussClass,
@@ -31,8 +33,11 @@ from multinets.errors import (
     SingularPropagation,
     ZeroNormal,
 )
-from multinets.projective import RANK_RTOL, moebius_lift, normalized_rows, rect_stacks
+from multinets.projective import RANK_RTOL, normalized_rows, rect_stacks, span_rank
 from multinets.qnets import PlaneNet, is_multi_qstar
+
+
+CYLINDER = "planes not tangent to a common cylinder"
 
 
 def s2_rot(n_lon=5, n_lat=4):
@@ -294,7 +299,9 @@ def test_classify_gauss_inversion_invariant(rng):
 
 
 def scalar_conical_violations(pn, elementary):
-    """Reference sweep: is_conical_quad on every rectangle, in key order."""
+    """Reference sweep: is_conical_quad on every rectangle, in key order; a
+    quad that fails it is named by the rank of the rows (nu, 1) of its unit
+    normals nu, which is at most 3 iff the normals are concyclic."""
     nu, nv = pn.dims
     cov = pn.covectors
     bad = []
@@ -310,7 +317,9 @@ def scalar_conical_violations(pn, elementary):
                     key = (i0, j0) if elementary else (i0, i1, j0, j1)
                     try:
                         if not is_conical_quad(quad):
-                            bad.append((key, "normals not concyclic"))
+                            n = quad[:, :3]
+                            rows = np.concatenate([n, np.linalg.norm(n, axis=-1, keepdims=True)], axis=-1)
+                            bad.append((key, "normals not concyclic" if span_rank(rows) > 3 else CYLINDER))
                     except NotConcurrent:
                         bad.append((key, "planes not concurrent"))
     return bad
@@ -398,39 +407,46 @@ def test_single_row_plane_net_has_empty_report(rng, shape):
     assert is_multi_conical(pn)
 
 
-@pytest.mark.parametrize("part", ["covectors", "normals"])
+def blaschke_points(cov):
+    """Blaschke points (n, d, |n|) of covectors (..., 4)."""
+    return np.concatenate([cov, np.linalg.norm(cov[..., :3], axis=-1, keepdims=True)], axis=-1)
+
+
+@pytest.mark.parametrize("part", ["offsets", "normals"])
 def test_multi_conical_listing_near_the_rank_threshold(part):
     """Planes through one point x0 with the normals of a multi-conical net;
-    one offset (covectors) or one normal (normals, the planes kept through
-    x0) is moved so that sigma_4 / sigma_1 of the rectangles through it
-    sweeps RANK_RTOL, for the covectors or for the lifted unit normals.
-    The batched listing equals the per-rectangle reference throughout."""
+    one offset (offsets) or one normal (normals, the plane kept through x0)
+    is moved so that sigma_4 / sigma_1 of the Blaschke stacks of the
+    rectangles through it sweeps RANK_RTOL.  The batched listing equals the
+    per-rectangle reference throughout."""
     rng = np.random.default_rng(19)
     x0 = np.array([0.3, -0.4, 0.2])
     base = polarize_spherical(s2_rot()).covectors[..., :3]
     direction = rng.normal(size=3)
     ratios, reasons = [], set()
-    # the rectangles through the moved plane read sigma_4 / sigma_1 of about
-    # 0.2 eps (covectors) and 0.005 eps to 0.15 eps (normals)
-    low, high = {"covectors": (2.0, 10.0), "normals": (5.0, 40.0)}[part]
+    # the Blaschke stacks through the moved plane read sigma_4 / sigma_1 of
+    # 0.1 eps to 0.2 eps (offsets) and 0.004 eps to 0.17 eps (normals)
+    low, high = {"offsets": (4.0, 10.0), "normals": (5.0, 40.0)}[part]
     for eps in np.geomspace(low, high, 30) * RANK_RTOL:
         n = base.copy()
         if part == "normals":
             n[1, 2] += eps * direction
         cov = np.concatenate([n, (n @ x0)[..., None]], axis=-1)
-        if part == "covectors":
+        if part == "offsets":
             cov[1, 2, 3] += eps
         pn = PlaneNet(cov)
-        _, stacks = rect_stacks(cov if part == "covectors" else n, elementary=False)
-        if part == "normals":
-            stacks = moebius_lift(stacks / np.linalg.norm(stacks, axis=-1, keepdims=True))
+        _, stacks = rect_stacks(blaschke_points(cov), elementary=False)
         s = np.linalg.svd(normalized_rows(stacks), compute_uv=False)
         ratios.extend(s[:, 3] / s[:, 0] / RANK_RTOL)
         report = multi_conical_violations(pn)
         assert report == scalar_conical_violations(pn, elementary=False)
         assert conical_violations(pn) == scalar_conical_violations(pn, elementary=True)
         reasons |= {why for _, why in report}
-    assert reasons == {"planes not concurrent" if part == "covectors" else "normals not concyclic"}
+    # near the threshold, a rectangle whose covectors and normal rows each
+    # pass their own rank test, but whose Blaschke stack fails, reads as the
+    # cylinder case, as it does at exact rank
+    main = {"offsets": "planes not concurrent", "normals": "normals not concyclic"}[part]
+    assert main in reasons <= {main, CYLINDER}
     ratios = np.array(ratios)
     # both sides of the threshold are populated within a few percent of it
     assert np.any((ratios > 1.0) & (ratios < 1.05))
@@ -439,25 +455,11 @@ def test_multi_conical_listing_near_the_rank_threshold(part):
 
 def test_multi_conical_nets_hand_no_four_point_stack_to_svd(monkeypatch):
     """On polar strip, rotational and stereographic nets and a parallel net
-    of each, the volume certificate of _above_rank3 decides every rectangle
-    of planes and of lifted normals: no (4, d) matrix reaches np.linalg.svd,
-    only the 2-row pairs of the pairwise-distinct check (and empty batches)."""
-    rng = np.random.default_rng(5)
-    up = rng.normal(size=(5, 3))
-    up[:, 2] = np.abs(up[:, 2]) + 0.3
-    up /= np.linalg.norm(up, axis=1, keepdims=True)
-    spherical = [
-        polarize_spherical(sample_s2_symmetric_strip(up)),
-        polarize_spherical(s2_rot(6, 5)),
-        polarize_spherical(sample_s2_stereographic([-1.0, -0.2, 0.5, 1.3, 2.0], [0.1, 0.8, 1.5, 2.1])),
-    ]
-    nets = list(spherical)
-    for pn in spherical:
-        nu, nv = pn.dims
-        d_row = 1 + 0.5 * rng.uniform(-1, 1, nu)
-        d_col = 1 + 0.5 * rng.uniform(-1, 1, nv)
-        d_col[0] = d_row[0]
-        nets.append(parallel_conical_net(pn, d_row, d_col))
+    of each, the volume certificate of _above_rank3 decides every Blaschke
+    stack, and the pairwise-distinct check of the normals is closed form: no
+    matrix reaches np.linalg.svd (only the empty batch of the stacks that the
+    certificate leaves open)."""
+    nets = multi_conical_nets()
     shapes = []
     svd = np.linalg.svd
 
@@ -469,8 +471,7 @@ def test_multi_conical_nets_hand_no_four_point_stack_to_svd(monkeypatch):
     for pn in nets:
         assert is_multi_conical(pn)
         assert conical_violations(pn) == []
-    assert sum(int(np.prod(s[:-2])) for s in shapes if s[-2] == 4) == 0
-    assert sum(int(np.prod(s[:-2])) for s in shapes if s[-2:] == (2, 5)) > 0
+    assert sum(int(np.prod(s[:-2])) for s in shapes) == 0
 
 
 # -- parallel conical nets against the per-quad determinant recurrence -------------
@@ -562,3 +563,73 @@ def test_multi_conical_listing_invariant(index, seed, log_spread):
     want = multi_conical_violations(PlaneNet(cov))
     assert multi_conical_violations(PlaneNet(moved)) == want
     assert multi_conical_violations(PlaneNet(cov * scales)) == want
+
+
+# -- the Blaschke rule: planes parallel to a line, Laguerre invariance ------------------
+
+
+@pytest.mark.parametrize("offsets, conical", [((0.7, -0.3, 1.1, 0.2), False), ((0.8,) * 4, True)])
+def test_planes_parallel_to_a_line_are_conical_only_on_a_common_cylinder(offsets, conical):
+    """Four planes parallel to the z-axis have their normals on the great
+    circle z = 0 and meet only at infinity, so they are concurrent with
+    concyclic normals.  They touch a common cylinder of revolution about the
+    z-axis iff their offsets agree; generic offsets touch none, and neither
+    does any cone.  (The rule before the Blaschke lift called both conical.)"""
+    angles = np.array([0.3, 1.4, 2.9, 4.4])
+    scale = np.array([1.0, 3.0, 0.5, 2.0])[:, None]
+    normals = scale * np.stack([np.cos(angles), np.sin(angles), np.zeros(4)], axis=-1)
+    cov = np.concatenate([normals, scale * np.array(offsets)[:, None]], axis=-1)
+    pn = PlaneNet(cov.reshape(2, 2, 4))
+    assert is_multi_qstar(pn) and is_multi_circular(gauss_map(pn))
+    assert is_conical_quad(cov[[0, 1, 3, 2]]) == conical
+    assert is_multi_conical(pn) == conical
+    assert multi_conical_violations(pn) == ([] if conical else [((0, 1, 0, 1), CYLINDER)])
+    assert conical_violations(pn) == ([] if conical else [((0, 0), CYLINDER)])
+
+
+def laguerre_nets(seed):
+    """A random parallel conical net (covectors) and two shaken variants:
+    offsets shaken (planes not concurrent), and normals shaken with the
+    planes kept through one point (normals not concyclic)."""
+    rng = np.random.default_rng(seed)
+    n_lon, n_lat = rng.integers(3, 6, 2)
+    base = polarize_spherical(sample_s2_rotational(
+        np.sort(rng.uniform(0.3, 2.8, n_lat)), np.sort(rng.uniform(0.0, 6.0, n_lon))
+    ))
+    d_row = 1 + 0.5 * rng.uniform(-1, 1, n_lon)
+    d_col = 1 + 0.5 * rng.uniform(-1, 1, n_lat)
+    d_col[0] = d_row[0]
+    cov = parallel_conical_net(base, d_row, d_col).covectors
+    offsets = cov.copy()
+    offsets[..., 3] += 1e-3 * rng.normal(size=cov.shape[:2])
+    n = cov[..., :3] + 1e-3 * rng.normal(size=cov.shape[:2] + (3,))
+    through = np.concatenate([n, (n @ rng.uniform(-1, 1, 3))[..., None]], axis=-1)
+    return [cov, offsets, through]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.floats(-1.0, 1.0))
+def test_multi_conical_verdicts_are_laguerre_invariant(seed, index, offset):
+    """The Blaschke points (n, d, |n|) of a net move by linear maps under a
+    positive rescaling of each covector, the orientation flip
+    (n, d) -> (-n, -d), rigid motions and a common offset d -> d + t |n|, so
+    the rank mask, hence the keys of the listing and the verdict, stay.  The
+    first three also keep concurrency and concyclicity, so the reasons stay;
+    an offset moves concurrent planes off their common point, so only the
+    keys are compared there."""
+    cov = laguerre_nets(seed)[index]
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    n = cov[..., :3] @ q.T
+    moved = np.concatenate([n, (cov[..., 3] + n @ rng.uniform(-1, 1, 3))[..., None]], axis=-1)
+    scaled = cov * 10.0 ** rng.uniform(-3, 3, cov.shape[:2] + (1,))
+    shifted = cov.copy()
+    shifted[..., 3] += offset * np.linalg.norm(cov[..., :3], axis=-1)
+    want = multi_conical_violations(PlaneNet(cov))
+    assert bool(want) == (index > 0)
+    for image in (moved, scaled, -cov):
+        assert multi_conical_violations(PlaneNet(image)) == want
+        assert is_multi_conical(PlaneNet(image)) == (not want)
+    assert [key for key, _ in multi_conical_violations(PlaneNet(shifted))] == [key for key, _ in want]
+    assert is_multi_conical(PlaneNet(shifted)) == (not want)

@@ -365,3 +365,33 @@ def test_only_above_rank3_calls_the_rank4_certificate():
 
 def test_rank_violations_takes_keys_and_four_point_stacks_only():
     assert list(inspect.signature(rank_violations).parameters) == ["keys", "stacks"]
+
+
+def test_conical_reads_no_moebius_lift():
+    """Conical nets are decided on their Blaschke points, so conical takes
+    neither the Moebius lift nor the concyclicity test from circular."""
+    tree = ast.parse((PACKAGE / "conical.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert names & {"lift_net", "is_concyclic", "_CORNER_PAIRS"} == set()
+
+
+def test_a_multi_conical_grid_costs_one_rank_mask(monkeypatch):
+    """On multi-conical nets, _conical_violations decides every rectangle
+    with one _above_rank3 call over the Blaschke stacks."""
+    from conftest import multi_conical_nets
+    from multinets import conical
+
+    nets = multi_conical_nets()
+    calls = []
+    above_rank3 = conical._above_rank3
+
+    def counting(stacks, *volumes):
+        calls.append(stacks.shape[1:])
+        return above_rank3(stacks, *volumes)
+
+    monkeypatch.setattr(conical, "_above_rank3", counting)
+    for pn in nets:
+        for elementary in (False, True):
+            calls.clear()
+            assert conical._conical_violations(pn, elementary) == []
+            assert calls == [(4, 5)]

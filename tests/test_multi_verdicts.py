@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import noisy_translation_nets, random_q_net
-from multinets import qnets
+from multinets import conical, qnets
 from multinets.circular import (
     EuclidNet,
     is_multi_circular,
@@ -572,6 +572,39 @@ def test_translation_gauge_rejects_a_net_made_non_finite_after_construction(bad)
     for check in (translation_gauge, is_translation_net):
         with pytest.raises(NonFiniteCoordinate, match=r"vertex \(2, 2\)"):
             check(net)
+
+
+# every public predicate of a net kind, and the grid it reads
+POINT_NET_PREDICATES = (
+    is_q_net, q_violations, is_multi_q_net, multi_q_violations, neighbor_perspectivity,
+    all_pairs_perspectivity, qnets.laplace_transforms, laplace_transforms_degenerate,
+    qnets.has_planar_parameter_polygons, is_translation_net,
+)
+PLANE_NET_PREDICATES = (
+    qnets.is_qstar_net, qstar_violations, is_multi_qstar, multi_qstar_violations,
+    qnets.check_planar_parameter_lines, conical.conical_violations,
+    conical.multi_conical_violations, conical.is_multi_conical, conical.gauss_map,
+)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["point", "plane"])
+def test_every_predicate_raises_non_finite_after_an_in_place_edit(kind, bad):
+    """A coordinate written after the net validated its grid is read again by
+    every public predicate: NonFiniteCoordinate, not numpy's LinAlgError, a
+    RuntimeWarning or an answer."""
+    grid = translation_points(0, 5, 5)
+    if kind == "point":
+        net, predicates, what = PointNet(grid), POINT_NET_PREDICATES, "vertex"
+        net.points[2, 2, 1] = bad
+    else:
+        net, predicates, what = PlaneNet(grid), PLANE_NET_PREDICATES, "covector"
+        net.covectors[2, 2, 1] = bad
+    for check in predicates:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteCoordinate, match=rf"^{what} \(2, 2\) has a non-finite coordinate$"):
+                check(net)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
