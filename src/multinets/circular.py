@@ -33,6 +33,7 @@ from .projective import (
     RANK_RTOL,
     Classification,
     _kept,
+    _read_only,
     classify_spans,
     common_point_of_spans,
     moebius_drop,
@@ -54,24 +55,26 @@ from .qnets import (
 from .quadric_nets import generate_by_reflections
 
 
-@dataclass
+@dataclass(frozen=True)
 class EuclidNet:
-    """Grid of points of R^3 u {oo}; infinite vertices are flagged in a mask."""
+    """Grid of points of R^3 u {oo}, stored read-only; infinite vertices are flagged in a mask."""
 
     points: np.ndarray
     at_infinity: np.ndarray = None
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 3 or self.points.shape[2] != 3:
+        points = np.array(self.points, dtype=float)
+        if points.ndim != 3 or points.shape[2] != 3:
             raise DimensionMismatch("EuclidNet expects an array of shape (nu, nv, 3)")
         if self.at_infinity is None:
-            self.at_infinity = np.zeros(self.points.shape[:2], dtype=bool)
+            at_infinity = np.zeros(points.shape[:2], dtype=bool)
         else:
-            self.at_infinity = np.asarray(self.at_infinity, dtype=bool)
-            if self.at_infinity.shape != self.points.shape[:2]:
+            at_infinity = np.array(self.at_infinity, dtype=bool)
+            if at_infinity.shape != points.shape[:2]:
                 raise DimensionMismatch("infinity mask shape mismatch")
-        raise_unless_finite(self.points, "vertex", skip=self.at_infinity)
+        raise_unless_finite(points, "vertex", skip=at_infinity)
+        object.__setattr__(self, "points", *_read_only(points))
+        object.__setattr__(self, "at_infinity", *_read_only(at_infinity))
 
     @property
     def dims(self):
@@ -198,26 +201,28 @@ def strip_sphere(net: EuclidNet, direction: int, index: int) -> np.ndarray:
 # -- Cauchy construction ----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SphereFamilyPair:
-    """Two families of Moebius sphere representatives with <s1_i, s2_j> = 0."""
+    """Two families of Moebius sphere representatives with <s1_i, s2_j> = 0, stored read-only."""
 
     s1: np.ndarray
     s2: np.ndarray
 
     def __post_init__(self):
-        self.s1 = np.atleast_2d(np.asarray(self.s1, dtype=float))
-        self.s2 = np.atleast_2d(np.asarray(self.s2, dtype=float))
-        if self.s1.shape[1] != 5 or self.s2.shape[1] != 5:
+        s1 = np.atleast_2d(np.array(self.s1, dtype=float))
+        s2 = np.atleast_2d(np.array(self.s2, dtype=float))
+        if s1.shape[1] != 5 or s2.shape[1] != 5:
             raise DimensionMismatch("sphere representatives live in R^{4,1}")
-        for fam in (self.s1, self.s2):
+        for fam in (s1, s2):
             raise_unless_finite(fam, "sphere representative")
             # a zero vector is no sphere either, and the form would reject it
             zero = np.linalg.norm(fam, axis=-1) <= _ABS_EPS
             if np.any(zero) or np.any(MOEBIUS.eval(fam, fam) <= 0):
                 raise NotOnQuadric("family member is not a real sphere")
-        if not np.all(MOEBIUS.orthogonal(self.s1[:, None], self.s2[None])):
+        if not np.all(MOEBIUS.orthogonal(s1[:, None], s2[None])):
             raise MirrorsNotOrthogonal("sphere families must intersect orthogonally")
+        object.__setattr__(self, "s1", *_read_only(s1))
+        object.__setattr__(self, "s2", *_read_only(s2))
 
 
 def generate_multi_circular(x00, fams: SphereFamilyPair) -> EuclidNet:

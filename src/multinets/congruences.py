@@ -35,6 +35,7 @@ from .projective import (
     ProjLine,
     QuadricForm,
     _raise_unless_meet,
+    _read_only,
     classify_spans,
     index_pairs,
     meet_lines,
@@ -53,29 +54,30 @@ class CongruenceClass:
     DEGENERATE = "degenerate"
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsoLineGrid:
-    """Grid of isotropic lines in a quadric, each stored as a spanning pair."""
+    """Grid of isotropic lines in a quadric, each stored read-only as a spanning pair."""
 
     lines: np.ndarray
     form: QuadricForm
 
     def __post_init__(self):
-        self.lines = np.asarray(self.lines, dtype=float)
-        if self.lines.ndim != 4 or self.lines.shape[2] != 2:
+        lines = np.array(self.lines, dtype=float)
+        if lines.ndim != 4 or lines.shape[2] != 2:
             raise DimensionMismatch("IsoLineGrid expects shape (nu, nv, 2, d)")
-        if self.lines.shape[3] != self.form.dim:
+        if lines.shape[3] != self.form.dim:
             raise DimensionMismatch("line coordinates do not match the form")
-        raise_unless_finite(self.lines, "spanning point")
+        raise_unless_finite(lines, "spanning point")
         # the form must vanish on an orthonormal basis of each line, whichever
         # of its points are given; degenerate pairs go to multi_congruence_violations
-        live = np.linalg.norm(self.lines, axis=-1) > _ABS_EPS
-        pairs = np.where(live[..., None], self.lines, self.lines[..., ::-1, :])
+        live = np.linalg.norm(lines, axis=-1) > _ABS_EPS
+        pairs = np.where(live[..., None], lines, lines[..., ::-1, :])
         _, basis, kept = span_svd(pairs[np.any(live, axis=-1)])
         basis = basis * kept[..., None]
         restricted = np.einsum("nkd,d,nld->nkl", basis, self.form.diagonal, basis)
         if np.any(np.linalg.norm(restricted, axis=(-2, -1)) > QUADRIC_RTOL):
             raise NotOnQuadric("spanning points off the quadric or their line not isotropic")
+        object.__setattr__(self, "lines", *_read_only(lines))
 
     @property
     def dims(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circular import EuclidNet, is_multi_circular
+from .circular import EuclidNet
 from .errors import (
     DegenerateProfile,
     DimensionMismatch,
@@ -27,7 +27,7 @@ from .errors import (
 from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, _above_rank3,
                          classify_spans, corner_minors, normalized_rows, rect_stacks, span_rank,
                          repeated_rows, stack_coords)
-from .qnets import PlaneNet, PointNet, translation_gauge
+from .qnets import PlaneNet, PointNet, _rects_planar, translation_gauge
 
 _UNIT_SPHERE_TOL = 1e-9  # a point whose norm is within this of 1 lies on the unit sphere
 
@@ -43,7 +43,6 @@ class GaussClass:
 
 def gauss_map(pn: PlaneNet) -> EuclidNet:
     """Grid of unit normals of the planes, orientation preserved."""
-    raise_unless_finite(pn.covectors, "covector")
     n = pn.covectors[..., :3]
     norms = np.linalg.norm(n, axis=-1)
     if np.any(norms <= _ABS_EPS):
@@ -123,7 +122,8 @@ def polarize_spherical(net: EuclidNet) -> PlaneNet:
     if not net.is_finite():
         raise NotOnSphere("net has vertices at infinity")
     cov = _sphere_rows(net.points, "net vertices")
-    if not is_multi_circular(net):
+    # points of S^2 are concyclic iff their rows (p, 1) are coplanar
+    if not _rects_planar(cov):
         raise NotMultiCircular("polarization requires a multi-circular net")
     return PlaneNet(cov)
 
@@ -193,9 +193,10 @@ def classify_gauss(net: EuclidNet) -> Classification:
     symmetric strip; a (+ +)/(+ -) pairing a net of revolution; (+ 0) on
     both sides the inverse stereographic image of an orthogonal grid.
     """
-    if not is_multi_circular(net):
+    lifted = s2_lift_net(net)
+    if not _rects_planar(lifted.points):
         raise NotMultiCircular("classification requires a multi-circular net")
-    _, y1, y2 = translation_gauge(s2_lift_net(net))
+    _, y1, y2 = translation_gauge(lifted)
     return classify_spans(MOEBIUS_S2, (y1, y2), _gauss_class)
 
 

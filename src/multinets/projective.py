@@ -565,20 +565,21 @@ def _reflect(q: QuadricForm, n, x):
 # -- projective lines --------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjLine:
-    """Projective line spanned by two distinct points."""
+    """Projective line spanned by two distinct points, stored read-only."""
 
     a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        self.a = hpoint(self.a)
-        self.b = hpoint(self.b)
-        if self.a.shape != self.b.shape:
+        a, b = hpoint(np.array(self.a, dtype=float)), hpoint(np.array(self.b, dtype=float))
+        if a.shape != b.shape:
             raise DimensionMismatch("spanning points of different dimension")
-        if span_rank([self.a, self.b]) != 2:
+        if span_rank([a, b]) != 2:
             raise IdenticalLines("spanning points are projectively equal")
+        object.__setattr__(self, "a", *_read_only(a))
+        object.__setattr__(self, "b", *_read_only(b))
 
     @property
     def span(self) -> np.ndarray:

@@ -52,20 +52,21 @@ from .projective import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PointNet:
-    """Finite rectangular grid of points of RP^n, stored as (nu, nv, n+1)."""
+    """Finite rectangular grid of points of RP^n, stored read-only as (nu, nv, n+1)."""
 
     points: np.ndarray
     ambient: str = "RP3"
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 3:
+        points = np.array(self.points, dtype=float)
+        if points.ndim != 3:
             raise DimensionMismatch("PointNet expects an array of shape (nu, nv, n+1)")
-        if np.any(np.linalg.norm(self.points, axis=-1) <= _ABS_EPS):
+        if np.any(np.linalg.norm(points, axis=-1) <= _ABS_EPS):
             raise ZeroVector("net contains a zero coordinate vector")
-        raise_unless_finite(self.points, "vertex")
+        raise_unless_finite(points, "vertex")
+        object.__setattr__(self, "points", *_read_only(points))
 
     @property
     def dims(self):
@@ -75,44 +76,34 @@ class PointNet:
     def ambient_dim(self) -> int:
         return self.points.shape[2]
 
-    def vertices(self) -> np.ndarray:
-        """The grid of points, checked again for NaN and infinity: the array
-        is writable, and an in-place edit skips __post_init__.  Every public
-        predicate reads the grid through it once."""
-        raise_unless_finite(self.points, "vertex")
-        return self.points
-
     def quad(self, i: int, j: int):
         """Corners (x00, x10, x01, x11) of the elementary quad at (i, j)."""
         p = self.points
         return p[i, j], p[i + 1, j], p[i, j + 1], p[i + 1, j + 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneNet:
-    """Grid of oriented planes {x : n . x = d}, stored as covectors (n1,n2,n3,d)."""
+    """Grid of oriented planes {x : n . x = d}, stored read-only as covectors (n1,n2,n3,d)."""
 
     covectors: np.ndarray
 
     def __post_init__(self):
-        self.covectors = np.asarray(self.covectors, dtype=float)
-        if self.covectors.ndim != 3 or self.covectors.shape[2] != 4:
+        covectors = np.array(self.covectors, dtype=float)
+        if covectors.ndim != 3 or covectors.shape[2] != 4:
             raise DimensionMismatch("PlaneNet expects an array of shape (nu, nv, 4)")
-        if np.any(np.linalg.norm(self.covectors, axis=-1) <= _ABS_EPS):
+        if np.any(np.linalg.norm(covectors, axis=-1) <= _ABS_EPS):
             raise ZeroVector("plane net contains a zero covector")
-        raise_unless_finite(self.covectors, "covector")
+        raise_unless_finite(covectors, "covector")
+        object.__setattr__(self, "covectors", *_read_only(covectors))
 
     @property
     def dims(self):
         return self.covectors.shape[0], self.covectors.shape[1]
 
     def homogeneous(self) -> np.ndarray:
-        """Covectors (n, -d) acting on homogeneous points (x, w), checked
-        again for NaN and infinity as PointNet.vertices checks points."""
-        raise_unless_finite(self.covectors, "covector")
-        h = self.covectors.copy()
-        h[..., 3] *= -1.0
-        return h
+        """Covectors (n, -d) acting on homogeneous points (x, w)."""
+        return self.covectors * (1.0, 1.0, 1.0, -1.0)
 
 
 @dataclass
@@ -262,7 +253,7 @@ def laplace_data(x00, x10, x01, x11) -> LaplaceData:
 
 def q_violations(net: PointNet):
     """Non-planar elementary quads as ((i0,i1,j0,j1), residual) entries."""
-    return rank_violations(*rect_stacks(net.vertices(), elementary=True))
+    return rank_violations(*rect_stacks(net.points, elementary=True))
 
 
 def is_q_net(net: PointNet) -> bool:
@@ -272,13 +263,13 @@ def is_q_net(net: PointNet) -> bool:
 
 def multi_q_violations(net: PointNet):
     """Non-planar coordinate rectangles, exhaustively over all index pairs."""
-    return rank_violations(*rect_stacks(net.vertices(), elementary=False))
+    return rank_violations(*rect_stacks(net.points, elementary=False))
 
 
 def is_multi_q_net(net: PointNet) -> bool:
     """True iff every coordinate rectangle is planar; the verdict of
     multi_q_violations, reached as _rects_planar describes."""
-    return _rects_planar(net.vertices())
+    return _rects_planar(net.points)
 
 
 # Rectangles decided by the SVD rule before the translation certificate is
@@ -474,7 +465,7 @@ def translation_gauge(net: PointNet):
     nu, nv = net.dims
     if nu < 2 or nv < 2:
         raise NotMultiQ("net must be at least 2x2")
-    p = net.vertices()
+    p = net.points
     gauge = _strip_gauge(p)
     if gauge.error is not None:
         kind, message = gauge.error
@@ -542,7 +533,7 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
     """
     if strip1.dims[0] != 2 or strip2.dims[1] != 2:
         raise DimensionMismatch("strip1 must be 2 x nv and strip2 nu x 2")
-    rows, cols = strip1.vertices(), strip2.vertices()
+    rows, cols = strip1.points, strip2.points
     i, j = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])  # the corners in the order they are named
     off = np.flatnonzero(proj_distance(rows[i, j], cols[i, j]) > MATCH_TOL)
     if off.size:
@@ -563,7 +554,7 @@ def _laplace_vectors(net: PointNet):
     quads: y[..., 0, :] represents y1_{ij}, y[..., 1, :] y2_{ij}."""
     nu, nv = net.dims
     rows, cols = rect_indices(nu, nv, True)
-    _, y, _ = laplace_gauges(net.vertices()[rows, cols])
+    _, y, _ = laplace_gauges(net.points[rows, cols])
     return y.reshape(nu - 1, nv - 1, 2, net.ambient_dim)
 
 
@@ -596,7 +587,7 @@ def _parameter_polygons_perspective(net: PointNet, pairs) -> bool:
     every pair at once.  Failing that, the remaining row pairs and then the
     column pairs go to common_point_of_spans, one call per direction.
     """
-    p = net.vertices()
+    p = net.points
     (r0, r1), (c0, c1) = pairs(p.shape[0]), pairs(p.shape[1])
     first = p.shape[0] - 1
     if not _joins_concurrent(p, r0[:first], r1[:first]):
@@ -678,7 +669,7 @@ def all_pairs_perspectivity(net: PointNet) -> bool:
 
 def has_planar_parameter_polygons(net: PointNet) -> bool:
     """Every row and column point set spans rank <= 3 (planar polygons)."""
-    p = net.vertices()
+    p = net.points
     return not (np.any(span_rank(p) > 3) or np.any(span_rank(p.swapaxes(0, 1)) > 3))
 
 
@@ -740,9 +731,7 @@ def dualize_point_net(net: PointNet) -> PlaneNet:
     """Apply the identity polarity: point (a,b,c,e) -> plane a x + b y + c z = -e."""
     if net.ambient_dim != 4:
         raise DimensionMismatch("polarity defined for RP^3 nets")
-    cov = net.points.copy()
-    cov[..., 3] *= -1.0
-    return PlaneNet(cov)
+    return PlaneNet(net.points * (1.0, 1.0, 1.0, -1.0))
 
 
 # -- (Q + Q*)-nets -------------------------------------------------------------

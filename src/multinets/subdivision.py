@@ -40,6 +40,7 @@ from .projective import (
     QUADRIC_RTOL,
     REPRODUCE_TOL,
     ZERO_RTOL,
+    _read_only,
     moebius_drop,
     moebius_lift,
     normalize,
@@ -408,9 +409,9 @@ def _arc_array(arcs):
     return np.array([[arc.start, arc.end, arc.tangent] for arc in arcs], dtype=float).reshape(-1, 3, 3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircArc:
-    """Circular arc from start to end with a unit tangent at the start.
+    """Circular arc from start to end with a unit tangent at the start, stored read-only.
 
     A tangent parallel to the chord yields a straight segment (the arc of a
     circle through oo); otherwise the arc is traced with constant speed as
@@ -426,7 +427,10 @@ class CircArc:
         raise_unless_finite(np.stack([start, end]), "arc endpoint")
         arcs, code = _arcs(start, end, np.asarray(self.tangent, dtype=float))
         _raise_arc_errors(code)
-        self.start, self.end, self.tangent = arcs
+        start, end, tangent = _read_only(*arcs)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
+        object.__setattr__(self, "tangent", tangent)
 
     def _at(self, t):
         return _arc_at(_arc_array([self]), np.atleast_1d(np.asarray(t, dtype=float)))

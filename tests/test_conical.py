@@ -29,6 +29,7 @@ from multinets.errors import (
     InconsistentCorner,
     NonFiniteCoordinate,
     NotConcurrent,
+    NotMultiCircular,
     NotOnSphere,
     SingularPropagation,
     ZeroNormal,
@@ -193,6 +194,28 @@ def test_polarize_requires_sphere(rng):
 
     with pytest.raises(NotOnSphere):
         polarize_spherical(EuclidNet(rng.uniform(-1, 1, (3, 3, 3))))
+
+
+def test_s2_nets_are_decided_on_their_rows_p_1(rng):
+    """polarize_spherical and classify_gauss decide multi-circularity by the
+    rank rule on the rows (p, 1), which gives is_multi_circular's verdict on
+    nets of the unit sphere, after the sphere itself is checked."""
+    from multinets.circular import EuclidNet
+
+    generic = EuclidNet(normalized_rows(rng.uniform(-1, 1, (3, 4, 3))))
+    assert not is_multi_circular(generic)
+    for net in (s2_rot(), sample_s2_stereographic([-1.0, 0.5, 1.3], [0.1, 0.8, 1.5]), generic):
+        for check in (polarize_spherical, classify_gauss):
+            if is_multi_circular(net):
+                check(net)
+            else:
+                with pytest.raises(NotMultiCircular):
+                    check(net)
+    off = EuclidNet(rng.uniform(-1, 1, (3, 3, 3)))
+    assert not is_multi_circular(off)
+    for check in (polarize_spherical, classify_gauss):
+        with pytest.raises(NotOnSphere):
+            check(off)
 
 
 def test_polarize_stereographic_grid():

@@ -368,11 +368,37 @@ def test_rank_violations_takes_keys_and_four_point_stacks_only():
 
 
 def test_conical_reads_no_moebius_lift():
-    """Conical nets are decided on their Blaschke points, so conical takes
-    neither the Moebius lift nor the concyclicity test from circular."""
+    """Conical nets are decided on their Blaschke points, and nets on S^2 on
+    their rows (p, 1), so conical takes neither the Moebius lift nor the
+    concyclicity tests from circular."""
     tree = ast.parse((PACKAGE / "conical.py").read_text(encoding="utf-8"))
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert names & {"lift_net", "is_concyclic", "_CORNER_PAIRS"} == set()
+    assert names & {"lift_net", "is_concyclic", "is_multi_circular", "_CORNER_PAIRS"} == set()
+
+
+def is_frozen_dataclass(decorator):
+    """True iff the decorator node reads @dataclass(frozen=True)."""
+    return (
+        isinstance(decorator, ast.Call)
+        and getattr(decorator.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in decorator.keywords)
+    )
+
+
+def test_every_validating_dataclass_is_frozen():
+    """A dataclass that validates its fields in __post_init__ is frozen, so
+    it validates once, at construction, and no field is reassigned later."""
+    validating, thawed = set(), []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "__post_init__" for item in node.body
+            ):
+                validating.add(node.name)
+                if not any(is_frozen_dataclass(d) for d in node.decorator_list):
+                    thawed.append(f"{path.stem}.{node.name}")
+    assert {"PointNet", "PlaneNet", "EuclidNet", "IsoLineGrid", "CircArc", "ProjLine", "SphereFamilyPair"} <= validating
+    assert thawed == []
 
 
 def test_a_multi_conical_grid_costs_one_rank_mask(monkeypatch):

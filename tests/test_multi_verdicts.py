@@ -4,6 +4,7 @@ strip gauge and the perspectivity certificate; their agreement under Q/Q* dualit
 equivalent multi-Q characterizations away from their thresholds; and the
 typed error for non-finite coordinates."""
 
+import dataclasses
 import json
 import warnings
 
@@ -16,6 +17,8 @@ from conftest import noisy_translation_nets, random_q_net
 from multinets import conical, qnets
 from multinets.circular import (
     EuclidNet,
+    SphereFamilyPair,
+    generate_multi_circular,
     is_multi_circular,
     lift_net,
     multi_circular_violations,
@@ -23,6 +26,12 @@ from multinets.circular import (
     strip_sphere,
 )
 from multinets.cli import main
+from multinets.congruences import (
+    classify_congruence,
+    factor_congruence,
+    is_multi_congruence,
+    torus_contact_grid,
+)
 from multinets.errors import (
     GeometryError,
     NonFiniteCoordinate,
@@ -32,11 +41,14 @@ from multinets.errors import (
 )
 from multinets.projective import (
     RANK_RTOL,
+    ProjLine,
     common_point_of_spans,
     corner_minors,
     normalized_rows,
+    plane_rep,
     rect_indices,
     rect_stacks,
+    sphere_rep,
 )
 from multinets.qnets import (
     _CRAMER_VOLUME,
@@ -63,6 +75,7 @@ from multinets.qnets import (
     qstar_violations,
     translation_gauge,
 )
+from multinets.subdivision import CircArc
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -501,15 +514,22 @@ def test_nets_with_nearly_coincident_joins_are_in_perspective(spread):
             assert predicate(net)
 
 
-def test_in_place_edit_between_calls_changes_the_verdicts():
-    """The gauge is memoized on the bytes of the grid, so an edit of
-    net.points outside the first chunk is seen by the certificates."""
+def test_an_edited_copy_gets_its_own_verdicts_while_the_memo_holds_the_first_grid():
+    """The gauge is memoized on the bytes of the grid, not on the net: a net
+    built from a copy edited outside the first chunk is decided on its own
+    grid by the certificates, and the memo still serves the first grid."""
+    _gauge_of.cache_clear()
     net = PointNet(translation_points(2, 7, 7))
     checks = (is_multi_q_net, is_translation_net, neighbor_perspectivity, all_pairs_perspectivity)
     assert [check(net) for check in checks] == [True] * 4
-    net.points[6, 6, 2] *= 1.0 + 1e-3
-    assert multi_q_violations(net)
-    assert [check(net) for check in checks] == [False] * 4
+    points = net.points.copy()
+    points[6, 6, 2] *= 1.0 + 1e-3
+    edited = PointNet(points)
+    assert multi_q_violations(edited)
+    assert [check(edited) for check in checks] == [False] * 4
+    hits = _gauge_of.cache_info().hits
+    assert [check(net) for check in checks] == [True] * 4
+    assert _gauge_of.cache_info().hits > hits
 
 
 def test_editing_the_returned_gauge_does_not_leak_into_the_next_call():
@@ -563,18 +583,7 @@ def test_point_net_rejects_non_finite_coordinates(bad):
         PointNet(pts)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_translation_gauge_rejects_a_net_made_non_finite_after_construction(bad):
-    """A vertex written after PointNet validated the grid is read again: the
-    translation test raises instead of answering True."""
-    net = PointNet(translation_points(0, 5, 5))
-    net.points[2, 2] = bad
-    for check in (translation_gauge, is_translation_net):
-        with pytest.raises(NonFiniteCoordinate, match=r"vertex \(2, 2\)"):
-            check(net)
-
-
-# every public predicate of a net kind, and the grid it reads
+# every public predicate of a net kind
 POINT_NET_PREDICATES = (
     is_q_net, q_violations, is_multi_q_net, multi_q_violations, neighbor_perspectivity,
     all_pairs_perspectivity, qnets.laplace_transforms, laplace_transforms_degenerate,
@@ -587,24 +596,77 @@ PLANE_NET_PREDICATES = (
 )
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("kind", ["point", "plane"])
-def test_every_predicate_raises_non_finite_after_an_in_place_edit(kind, bad):
-    """A coordinate written after the net validated its grid is read again by
-    every public predicate: NonFiniteCoordinate, not numpy's LinAlgError, a
-    RuntimeWarning or an answer."""
+def _answers(value, functions):
+    """repr of each function's answer for value, or of the error it raises."""
+    answers = []
+    for function in functions:
+        try:
+            answers.append(repr(function(value)))
+        except GeometryError as exc:
+            answers.append(repr(exc))
+    return answers
+
+
+def frozen_values():
+    """One value of every class that validates its fields, the names of its
+    array fields, and the functions whose answers read them."""
     grid = translation_points(0, 5, 5)
-    if kind == "point":
-        net, predicates, what = PointNet(grid), POINT_NET_PREDICATES, "vertex"
-        net.points[2, 2, 1] = bad
-    else:
-        net, predicates, what = PlaneNet(grid), PLANE_NET_PREDICATES, "covector"
-        net.covectors[2, 2, 1] = bad
-    for check in predicates:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteCoordinate, match=rf"^{what} \(2, 2\) has a non-finite coordinate$"):
-                check(net)
+    us, vs = [0.2, 1.1, 2.0], [-0.8, -0.1, 0.6]
+    s1 = np.stack([plane_rep([np.cos(t), np.sin(t), 0], 0.0) for t in (0.2, 0.9, 1.7)])
+    s2 = np.stack([sphere_rep([0, 0, 0], r) for r in (1.0, 1.6, 2.4)])
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[0, 0] = True
+    return {
+        "PointNet": (PointNet(grid), ("points",), POINT_NET_PREDICATES),
+        "PlaneNet": (PlaneNet(grid), ("covectors",), PLANE_NET_PREDICATES),
+        "EuclidNet": (
+            EuclidNet(rotational_net(0, 4).points, mask), ("points", "at_infinity"),
+            (is_multi_circular, multi_circular_violations, lift_net),
+        ),
+        "IsoLineGrid": (
+            torus_contact_grid(2.0, 0.5, us, vs), ("lines",),
+            (is_multi_congruence, factor_congruence, classify_congruence),
+        ),
+        "CircArc": (
+            CircArc([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]), ("start", "end", "tangent"),
+            (lambda arc: arc.sample(5), lambda arc: arc.tangent_at(0.5)),
+        ),
+        "ProjLine": (
+            ProjLine([1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]), ("a", "b"),
+            (lambda line: line.span, lambda line: line.contains([1.0, 1.0, 0.0, 2.0])),
+        ),
+        "SphereFamilyPair": (
+            SphereFamilyPair(s1, s2), ("s1", "s2"),
+            (lambda fams: generate_multi_circular(np.array([0.5, 0.5, 0.3]), fams).points,),
+        ),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0], ids=["nan", "inf", "-inf", "zero"])
+@pytest.mark.parametrize("kind", list(frozen_values()))
+def test_a_validated_value_refuses_in_place_edits_and_reassignment(kind, bad):
+    """Each class validates its fields once, at construction, and keeps them
+    as read-only copies: a NaN, an infinity or a zero row written into a
+    field raises numpy's read-only ValueError, assigning a field raises
+    FrozenInstanceError, and the value answers as it did before."""
+    value, fields, functions = frozen_values()[kind]
+    before = _answers(value, functions)
+    for name in fields:
+        array = getattr(value, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * (array.ndim - 1)] = bad
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, np.zeros_like(array))
+    assert _answers(value, functions) == before
+
+
+def test_a_validated_value_leaves_the_given_array_writable_and_unaliased():
+    grid = translation_points(0, 3, 4)
+    net = PointNet(grid)
+    grid[1, 1] = np.nan
+    assert grid.flags.writeable
+    assert np.all(np.isfinite(net.points))
+    assert not np.shares_memory(net.points, grid)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

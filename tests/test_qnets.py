@@ -615,7 +615,7 @@ def _broken_quads_net(nonplanar, degenerate):
     off its plane, and a degenerate quad whose far corner is moved onto the
     line through its neighbours (x11 = x10 + x01 - x00 with c = 0)."""
     rng = np.random.default_rng(31)
-    pts = from_translation(rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6, 4))).points
+    pts = from_translation(rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (6, 4))).points.copy()
     i, j = nonplanar
     pts[i + 1, j + 1] += np.array([0.3, -0.2, 0.1, 0.25])
     i, j = degenerate

@@ -971,7 +971,7 @@ def test_circular_subdivision_rejects_a_collapsed_edge():
     # a 3x3 torus net with p[2, 2] moved onto p[1, 2]: face (1, 1) is still
     # concyclic but its second edge line is a point
     us, vs = [0.2, 0.9, 1.7], [-0.5, 0.3, 1.0]
-    pts = torus_net(us, vs).points
+    pts = torus_net(us, vs).points.copy()
     pts[2, 2] = pts[1, 2]
     with pytest.raises(DegenerateLaplaceSphere, match="^spanning points are projectively equal$"):
         subdivide_circular(EuclidNet(pts), 2, *torus_seed_arcs(us, vs))
