@@ -152,8 +152,12 @@ def span_rank(points):
 
     Rows are normalized first, so the verdict is scaling invariant;
     coplanarity of four points in RP^3 is span_rank <= 3.  A stack of
-    point sets (..., k, d) gives an array of ranks.
+    point sets (..., k, d) gives an array of ranks; an empty stack gives an
+    empty one at once, without normalizing rows or calling the SVD.
     """
+    points = np.asarray(points, dtype=float)
+    if 0 in points.shape[:-2]:
+        return np.zeros(points.shape[:-2], dtype=int)
     ranks = np.sum(span_svd(points, compute_uv=False)[2], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
 

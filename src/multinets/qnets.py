@@ -257,8 +257,17 @@ def q_violations(net: PointNet):
 
 
 def is_q_net(net: PointNet) -> bool:
-    """True iff every elementary quad is planar (span rank <= 3)."""
-    return not q_violations(net)
+    """True iff every elementary quad is planar (span rank <= 3); the
+    verdict of q_violations, read from the grid view's elementary stage."""
+    return _elementary_planar(net.points)
+
+
+def _elementary_planar(grid) -> bool:
+    """True iff no elementary quad of a grid (nu, nv, d) spans rank 4: the
+    first check mask of _GridView.elementary, the _above_rank3 mask that
+    rank_violations lists for the same stacks."""
+    (nonplanar, _), *_ = _grid_view(grid).elementary[3]
+    return not np.any(nonplanar)
 
 
 def multi_q_violations(net: PointNet):
@@ -281,26 +290,9 @@ _FIRST_CHUNK = 64
 def _rects_planar(grid) -> bool:
     """True iff every coordinate rectangle of a grid (nu, nv, d) of
     homogeneous points spans rank <= 3: the verdict of
-    rank_violations(*rect_stacks(grid, elementary=False)) == [].
-
-    The first _FIRST_CHUNK rectangles in key order go to _above_rank3, the
-    mask that rank_violations lists: a violation there gives False, and a
-    grid with no more rectangles gives True.  Then _translation_certified
-    may pass every rectangle at once.  Failing that, the remaining
-    rectangles go to _above_rank3 in one call.  The mask reaches the SVD
-    rule's verdict by the proof of projective._rank4_certificate, and the
-    translation certificate does by its own.
-    """
-    rows, cols = rect_indices(*grid.shape[:2], False)
-
-    def violated(lo, hi):
-        stacks = grid[rows[lo:hi], cols[lo:hi]]
-        return bool(np.any(_above_rank3(stacks)))
-
-    if violated(0, _FIRST_CHUNK):
-        return False
-    certified = len(rows) <= _FIRST_CHUNK or _translation_certified(grid)
-    return certified or not violated(_FIRST_CHUNK, len(rows))
+    rank_violations(*rect_stacks(grid, elementary=False)) == [], decided
+    once per grid by _GridView.rects_planar."""
+    return _grid_view(grid).rects_planar
 
 
 def _translation_certified(grid) -> bool:
@@ -350,11 +342,11 @@ def _translation_certified(grid) -> bool:
     violation, and no vertex is off its gauge by a sine |L - R| / |R| above
     eps / m <= RANK_RTOL / 4, far below the MATCH_TOL of translation_gauge's
     vertex check, which is therefore not repeated.  A strip gauge that
-    _strip_cauchy cannot build (any GeometryError) and a non-finite bound
-    leave the grid uncertified.  The gauge, eps, m and delta come from the
-    memoized record of _strip_gauge.
+    cannot be built (any GeometryError) and a non-finite bound leave the
+    grid uncertified.  The gauge, eps, m and delta come from the strip
+    stage of the grid view.
     """
-    gauge = _strip_gauge(grid)
+    gauge = _grid_view(grid).strip
     return gauge.error is None and bool(4 * gauge.eps + gauge.delta <= RANK_RTOL * gauge.min_norm)
 
 
@@ -380,31 +372,31 @@ def _perspective_gauge(raw0, raw1, y):
     return coeffs[..., 1:] * raw0, coeffs[..., :1] * raw1
 
 
-def _strip_cauchy(rows, cols, ambient: str = "RP3"):
-    """Cauchy data (x00, y1, y2) of the multi-Q-net through a row strip
+def _strip_cauchy(rows, cols, x00, y, ambient: str = "RP3"):
+    """Laplace vectors y1, y2 of the multi-Q-net through a row strip
     rows (2, nv, d) and a column strip cols (nu, 2, d), and that net.
 
-    Both strips are gauged from the Laplace gauge of the corner quad of rows:
-    row i=1 is row 0 translated by its y1, column j=1 is column 0 translated
-    by its y2.
+    x00 (d,) and y (2, d) are the gauged corner t00 and the Laplace vectors
+    of the Laplace gauge of the corner quad of rows.  Both strips are gauged
+    from it: row i=1 is row 0 translated by its y1, column j=1 is column 0
+    translated by its y2.
     """
-    t, y, _ = laplace_gauges(rows[[0, 1, 0, 1], [0, 0, 1, 1]][None])
-    row0, _ = _perspective_gauge(rows[0], rows[1], y[0, 0])
-    col0, _ = _perspective_gauge(cols[:, 0], cols[:, 1], y[0, 1])
+    row0, _ = _perspective_gauge(rows[0], rows[1], y[0])
+    col0, _ = _perspective_gauge(cols[:, 0], cols[:, 1], y[1])
     y1, y2 = np.diff(col0, axis=0), np.diff(row0, axis=0)
-    return t[0, 0], y1, y2, from_cauchy_homogeneous(y1, y2, t[0, 0], ambient=ambient)
+    return y1, y2, from_cauchy_homogeneous(y1, y2, x00, ambient=ambient)
 
 
 @dataclass(frozen=True)
 class _StripGauge:
     """The strip gauge of one grid (nu, nv, d) and the terms of its bounds.
 
-    Where _strip_cauchy raised a GeometryError, error holds its type and
-    message and nothing else is set.  Otherwise x00, y1, y2 and points are
-    _strip_cauchy's Cauchy data and reconstruction, acc1 (nu, d) and acc2
-    (nv, d) the partial sums Y1_i, Y2_j with Y1_0 = Y2_0 = 0, and eps,
-    min_norm and delta the eps, m and delta of _translation_certified.  The
-    arrays are read-only.
+    Where the corner quad's checks or _strip_cauchy raised a GeometryError,
+    error holds its type and message and nothing else is set.  Otherwise
+    x00 is the gauged corner, y1, y2 and points are _strip_cauchy's Laplace
+    vectors and reconstruction, acc1 (nu, d) and acc2 (nv, d) the partial
+    sums Y1_i, Y2_j with Y1_0 = Y2_0 = 0, and eps, min_norm and delta the
+    eps, m and delta of _translation_certified.  The arrays are read-only.
     """
 
     error: tuple | None = None
@@ -419,41 +411,98 @@ class _StripGauge:
     delta: float = np.nan
 
 
-def _strip_gauge(grid) -> _StripGauge:
-    """The _StripGauge of a grid (nu, nv, d) with nu, nv >= 2, memoized on
-    its shape and bytes: the multi-Q predicates of one net (and of its dual,
-    whose homogeneous covectors are the same floats) build it once."""
+class _GridView:
+    """The stages that the predicates of one grid (nu, nv, d) of homogeneous
+    points share, each computed on first use and then kept.
+
+    - elementary: _laplace_gauges over the elementary quads in rect_indices
+      order, as (t, y, coeffs, checks).  The first mask of checks is the
+      _above_rank3 mask of those stacks, the verdict of is_q_net and
+      is_qstar_net; laplace_transforms raises the first failure of checks.
+    - rects_planar: the verdict of _rects_planar.
+    - strip: the _StripGauge, gauged from quad 0 of the elementary stage
+      and raising from that quad's checks only.
+
+    The grid and every array held are read-only, and public functions hand
+    out copies.  Nets are frozen, so a view never goes stale.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+
+    @functools.cached_property
+    def elementary(self):
+        rows, cols = rect_indices(*self.grid.shape[:2], True)
+        t, y, coeffs, checks = _laplace_gauges(self.grid[rows, cols])
+        _read_only(t, y, coeffs, *(fails for fails, _ in checks))
+        return t, y, coeffs, tuple(checks)
+
+    @functools.cached_property
+    def rects_planar(self) -> bool:
+        """The first _FIRST_CHUNK rectangles in key order go to _above_rank3,
+        the mask that rank_violations lists: a violation there gives False,
+        and a grid with no more rectangles gives True.  Then
+        _translation_certified may pass every rectangle at once.  Failing
+        that, the remaining rectangles go to _above_rank3 in one call.  The
+        mask reaches the SVD rule's verdict by the proof of
+        projective._rank4_certificate, and the translation certificate does
+        by its own.
+        """
+        grid = self.grid
+        rows, cols = rect_indices(*grid.shape[:2], False)
+
+        def violated(lo, hi):
+            return bool(np.any(_above_rank3(grid[rows[lo:hi], cols[lo:hi]])))
+
+        if violated(0, _FIRST_CHUNK):
+            return False
+        certified = len(rows) <= _FIRST_CHUNK or _translation_certified(grid)
+        return certified or not violated(_FIRST_CHUNK, len(rows))
+
+    @functools.cached_property
+    def strip(self) -> _StripGauge:
+        """The _StripGauge of the grid; nu, nv >= 2."""
+        grid = self.grid
+        t, y, _, checks = self.elementary
+        x00 = t[0, 0]
+        try:
+            raise_first_failure([(fails[:1], make) for fails, make in checks])
+            y1, y2, rec = _strip_cauchy(grid[0:2], grid[:, 0:2], x00, y[0])
+        except GeometryError as exc:
+            return _StripGauge(error=(type(exc), str(exc)))
+        acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
+        acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
+        r = rec.points
+        lam = np.sum(r * grid, axis=-1) / np.sum(grid * grid, axis=-1)
+        fitted = lam[..., None] * grid
+        l_norms = np.linalg.norm(fitted, axis=-1)
+        sizes = (
+            np.linalg.norm(x00)
+            + np.linalg.norm(acc1, axis=-1)[:, None]
+            + np.linalg.norm(acc2, axis=-1)[None, :]
+            + l_norms
+        )
+        return _StripGauge(
+            None,
+            *_read_only(x00, y1, y2, r, acc1, acc2),
+            eps=float(np.max(np.linalg.norm(fitted - r, axis=-1))),
+            min_norm=float(np.min(l_norms)),
+            delta=float(16 * grid.shape[-1] * np.finfo(float).eps * np.max(sizes)),
+        )
+
+
+def _grid_view(grid) -> _GridView:
+    """The _GridView of a grid (nu, nv, d), memoized on its shape and bytes:
+    the predicates of one net (and of its dual, whose homogeneous covectors
+    are the same floats) share it."""
     grid = np.asarray(grid, dtype=float)
-    return _gauge_of(grid.shape, grid.tobytes())
+    return _view_of(grid.shape, grid.tobytes())
 
 
 @functools.lru_cache(maxsize=4)
-def _gauge_of(shape, data) -> _StripGauge:
-    """_strip_gauge of the float64 grid with these shape and C-order bytes."""
-    grid = np.frombuffer(data).reshape(shape)
-    try:
-        x00, y1, y2, rec = _strip_cauchy(grid[0:2], grid[:, 0:2])
-    except GeometryError as exc:
-        return _StripGauge(error=(type(exc), str(exc)))
-    acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
-    acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
-    r = rec.points
-    lam = np.sum(r * grid, axis=-1) / np.sum(grid * grid, axis=-1)
-    fitted = lam[..., None] * grid
-    l_norms = np.linalg.norm(fitted, axis=-1)
-    sizes = (
-        np.linalg.norm(x00)
-        + np.linalg.norm(acc1, axis=-1)[:, None]
-        + np.linalg.norm(acc2, axis=-1)[None, :]
-        + l_norms
-    )
-    return _StripGauge(
-        None,
-        *_read_only(x00, y1, y2, r, acc1, acc2),
-        eps=float(np.max(np.linalg.norm(fitted - r, axis=-1))),
-        min_norm=float(np.min(l_norms)),
-        delta=float(16 * shape[-1] * np.finfo(float).eps * np.max(sizes)),
-    )
+def _view_of(shape, data) -> _GridView:
+    """_grid_view of the float64 grid with these shape and C-order bytes."""
+    return _GridView(np.frombuffer(data).reshape(shape))
 
 
 def translation_gauge(net: PointNet):
@@ -466,7 +515,7 @@ def translation_gauge(net: PointNet):
     if nu < 2 or nv < 2:
         raise NotMultiQ("net must be at least 2x2")
     p = net.points
-    gauge = _strip_gauge(p)
+    gauge = _grid_view(p).strip
     if gauge.error is not None:
         kind, message = gauge.error
         if issubclass(kind, (ZeroSum, ZeroVector)):
@@ -538,7 +587,8 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
     off = np.flatnonzero(proj_distance(rows[i, j], cols[i, j]) > MATCH_TOL)
     if off.size:
         raise InconsistentCorner(f"strips disagree at corner ({i[off[0]]},{j[off[0]]})")
-    *_, net = _strip_cauchy(rows, cols, ambient=strip1.ambient)
+    t, y, _ = laplace_gauges(rows[i, j][None])
+    *_, net = _strip_cauchy(rows, cols, t[0, 0], y[0], ambient=strip1.ambient)
     for name, dist, where in (
         ("row strip", proj_distance(net.points[1], rows[1]), "column"),
         ("column strip", proj_distance(net.points[:, 1], cols[:, 1]), "row"),
@@ -551,10 +601,11 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
 
 def _laplace_vectors(net: PointNet):
     """Laplace vectors y (nu-1, nv-1, 2, d) of the gauges of all elementary
-    quads: y[..., 0, :] represents y1_{ij}, y[..., 1, :] y2_{ij}."""
+    quads: y[..., 0, :] represents y1_{ij}, y[..., 1, :] y2_{ij}.  Read
+    from the grid view, so the array is read-only."""
     nu, nv = net.dims
-    rows, cols = rect_indices(nu, nv, True)
-    _, y, _ = laplace_gauges(net.points[rows, cols])
+    _, y, _, checks = _grid_view(net.points).elementary
+    raise_first_failure(checks)
     return y.reshape(nu - 1, nv - 1, 2, net.ambient_dim)
 
 
@@ -647,7 +698,7 @@ def _perspectivity_certified(grid, row_pairs, col_pairs) -> bool:
     nu, nv = grid.shape[:2]
     if nu < 2 or nv < 2:
         return False
-    gauge = _strip_gauge(grid)
+    gauge = _grid_view(grid).strip
     if gauge.error is not None:
         return False
     sep = min(
@@ -682,8 +733,9 @@ def qstar_violations(pn: PlaneNet):
 
 
 def is_qstar_net(pn: PlaneNet) -> bool:
-    """True iff every elementary plane quadruple is concurrent."""
-    return not qstar_violations(pn)
+    """True iff every elementary plane quadruple is concurrent; the verdict
+    of qstar_violations, read from the grid view's elementary stage."""
+    return _elementary_planar(pn.homogeneous())
 
 
 def multi_qstar_violations(pn: PlaneNet):

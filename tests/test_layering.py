@@ -189,6 +189,16 @@ def test_memos_have_a_finite_literal_maxsize():
     assert unbounded == []
 
 
+def test_qnets_holds_one_grid_memo_the_view():
+    """The predicates of one grid share the stages of its view, memoized on
+    the grid's shape and bytes; the strip-gauge memo it replaced is gone."""
+    from multinets import qnets
+
+    assert len(MEMOS["qnets"]) == 1
+    assert qnets._view_of.cache_info().maxsize == 4
+    assert not hasattr(qnets, "_gauge_of") and not hasattr(qnets, "_strip_gauge")
+
+
 def test_only_projective_and_qnets_memoize():
     assert {name for name, memos in MEMOS.items() if memos} <= {"projective", "qnets"}
     assert MEMOS["projective"] and MEMOS["qnets"]

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import noisy_translation_nets, random_q_net
-from multinets import conical, qnets
+from multinets import conical, projective, qnets
 from multinets.circular import (
     EuclidNet,
     SphereFamilyPair,
@@ -55,11 +55,11 @@ from multinets.qnets import (
     _FIRST_CHUNK,
     PlaneNet,
     PointNet,
-    _gauge_of,
+    _grid_view,
     _perspectivity_certified,
     _rects_planar,
-    _strip_gauge,
     _translation_certified,
+    _view_of,
     all_pairs_perspectivity,
     dualize_point_net,
     from_translation,
@@ -342,7 +342,7 @@ def test_strip_sphere_rejects_strip_off_concurrency_by_1e_7():
 
 
 def count_svd_matrices(monkeypatch):
-    _gauge_of.cache_clear()
+    _view_of.cache_clear()
     counts = []
     svd = np.linalg.svd
 
@@ -515,10 +515,10 @@ def test_nets_with_nearly_coincident_joins_are_in_perspective(spread):
 
 
 def test_an_edited_copy_gets_its_own_verdicts_while_the_memo_holds_the_first_grid():
-    """The gauge is memoized on the bytes of the grid, not on the net: a net
+    """The view is memoized on the bytes of the grid, not on the net: a net
     built from a copy edited outside the first chunk is decided on its own
     grid by the certificates, and the memo still serves the first grid."""
-    _gauge_of.cache_clear()
+    _view_of.cache_clear()
     net = PointNet(translation_points(2, 7, 7))
     checks = (is_multi_q_net, is_translation_net, neighbor_perspectivity, all_pairs_perspectivity)
     assert [check(net) for check in checks] == [True] * 4
@@ -527,49 +527,133 @@ def test_an_edited_copy_gets_its_own_verdicts_while_the_memo_holds_the_first_gri
     edited = PointNet(points)
     assert multi_q_violations(edited)
     assert [check(edited) for check in checks] == [False] * 4
-    hits = _gauge_of.cache_info().hits
+    hits = _view_of.cache_info().hits
     assert [check(net) for check in checks] == [True] * 4
-    assert _gauge_of.cache_info().hits > hits
+    assert _view_of.cache_info().hits > hits
 
 
-def test_editing_the_returned_gauge_does_not_leak_into_the_next_call():
+def test_editing_what_the_predicates_return_does_not_leak_into_the_view():
+    """Every array the view holds is read-only, translation_gauge hands out
+    writable copies and laplace_transforms read-only nets of their own: after
+    writing into both, every predicate of the net and its dual answers as
+    before."""
+    _view_of.cache_clear()
     net = PointNet(translation_points(4, 5, 6))
-    first = translation_gauge(net)
-    want = [a.copy() for a in first]
-    for a in first:
+    before = _answers(net, POINT_NET_PREDICATES) + _answers(dualize_point_net(net), PLANE_NET_PREDICATES)
+    view = _grid_view(net.points)
+    t, y, coeffs, checks = view.elementary
+    assert view.rects_planar
+    strip = view.strip
+    held = [view.grid, t, y, coeffs, *(fails for fails, _ in checks),
+            strip.x00, strip.y1, strip.y2, strip.points, strip.acc1, strip.acc2]
+    assert not any(a.flags.writeable for a in held)
+    for a in translation_gauge(net):
+        assert a.flags.writeable and not any(np.shares_memory(a, h) for h in held)
         a[...] = 0.0
-    for got, w in zip(translation_gauge(net), want):
-        assert np.array_equal(got, w)
-    gauge = _strip_gauge(net.points)
-    assert not any(a.flags.writeable for a in (gauge.x00, gauge.y1, gauge.y2, gauge.points))
+    for grid in qnets.laplace_transforms(net):
+        assert not any(np.shares_memory(grid.points, h) for h in held)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.points[0, 0] = 0.0
+    after = _answers(net, POINT_NET_PREDICATES) + _answers(dualize_point_net(net), PLANE_NET_PREDICATES)
+    assert after == before
+
+
+MULTIQ_VERIFY = (
+    is_q_net, is_multi_q_net, neighbor_perspectivity, all_pairs_perspectivity,
+    laplace_transforms_degenerate, is_translation_net, lambda net: is_multi_qstar(dualize_point_net(net)),
+)
 
 
 @pytest.mark.parametrize("multi", [True, False])
-def test_a_multiq_verify_op_builds_the_strip_gauge_once(multi, monkeypatch):
-    """The seven checks of a multiq-verify op, on a translation net or a
-    generic Q-net; the dual's homogeneous covectors are the same floats."""
+def test_a_multiq_verify_op_builds_each_stage_once(multi, monkeypatch):
+    """The seven checks of a multiq-verify op on a 7x7 translation net or
+    generic Q-net make one _laplace_gauges pass over the 36 elementary
+    quads, whose rank mask is is_q_net's verdict and whose quad 0 gauges
+    the strip, one rank mask over the first chunk of rectangles, and one
+    strip gauge; the dual's homogeneous covectors are the same floats, so
+    it reads the same rectangle verdict."""
     calls = []
-    strip_cauchy = qnets._strip_cauchy
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return strip_cauchy(*args, **kwargs)
+    def count(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(qnets, "_strip_cauchy", counting)
-    _gauge_of.cache_clear()
+        def counting(*args, **kwargs):
+            calls.append((name, np.shape(args[0])))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((qnets, "_laplace_gauges"), (qnets, "corner_minors"), (projective, "corner_minors"),
+                         (qnets, "_above_rank3"), (qnets, "_strip_cauchy")):
+        count(module, name)
+    _view_of.cache_clear()
     rng = np.random.default_rng(5)
     net = PointNet(translation_points(5, 7, 7)) if multi else random_q_net(rng, 7, 7)
-    verdicts = (
-        is_q_net(net),
-        is_multi_q_net(net),
-        neighbor_perspectivity(net),
-        all_pairs_perspectivity(net),
-        laplace_transforms_degenerate(net),
-        is_translation_net(net),
-        is_multi_qstar(dualize_point_net(net)),
-    )
-    assert verdicts == (True,) + (multi,) * 6
-    assert len(calls) == 1
+    assert tuple(check(net) for check in MULTIQ_VERIFY) == (True,) + (multi,) * 6
+    assert calls == [
+        ("_laplace_gauges", (36, 4, 4)),
+        ("corner_minors", (36, 4, 4)),
+        ("_above_rank3", (36, 4, 4)),
+        ("_above_rank3", (_FIRST_CHUNK, 4, 4)),
+        ("corner_minors", (_FIRST_CHUNK, 4, 4)),
+        ("_strip_cauchy", (2, 7, 4)),
+    ]
+
+
+def memo_nets():
+    """Translation, generic, noisy and broken 7x7 nets: one vertex moved off
+    its rectangles, and that net with the corner quad's x01 put on the line
+    x00 x10, so that quad (0,0) has a collinear triple and quad (0,1) spans
+    rank 4."""
+    moved = translation_points(5, 7, 7)
+    moved[4, 5, 1] += 0.3
+    collinear = moved.copy()
+    collinear[0, 1] = collinear[0, 0] + collinear[1, 0]
+    return {
+        "translation": PointNet(translation_points(5, 7, 7)),
+        "generic": random_q_net(np.random.default_rng(5), 7, 7),
+        "noisy": noisy_translation_nets(1e-9, count=1)[0],
+        "moved": PointNet(moved),
+        "collinear": PointNet(collinear),
+    }
+
+
+# the errors that translation_gauge and laplace_transforms raised on the
+# broken nets before the view existed
+BROKEN_NET_ERRORS = {
+    "moved": [
+        (qnets.NotMultiQ, "vertex (4,5) off the translation reconstruction"),
+        (qnets.NonPlanarQuad, "quad spans rank 4"),
+    ],
+    "collinear": [
+        (qnets.NotMultiQ, "three corners are collinear or coincident"),
+        (qnets.DegenerateQuad, "three corners are collinear or coincident"),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", list(memo_nets()))
+def test_every_answer_is_the_same_from_a_cold_and_a_warm_view(kind):
+    """Each predicate asked with the view memo cleared before it answers as
+    it does when all run in turn on one view, in about the order of a
+    multiq-verify op: verdicts, listings, gauges and raised errors.  translation_gauge raises
+    from the corner quad's checks only, and laplace_transforms from the
+    first failing quad in row-major order."""
+    net = memo_nets()[kind]
+    plane_functions = PLANE_NET_PREDICATES[:4]  # the Q* predicates
+    cold = []
+    for function in POINT_NET_PREDICATES:
+        _view_of.cache_clear()
+        cold += _answers(net, (function,))
+    for function in plane_functions:
+        _view_of.cache_clear()
+        cold += _answers(dualize_point_net(net), (function,))
+    _view_of.cache_clear()
+    warm = _answers(net, POINT_NET_PREDICATES) + _answers(dualize_point_net(net), plane_functions)
+    assert warm == cold
+    if kind in BROKEN_NET_ERRORS:
+        answers = dict(zip(POINT_NET_PREDICATES, warm))
+        assert [answers[translation_gauge], answers[qnets.laplace_transforms]] == BROKEN_NET_ERRORS[kind]
 
 
 # -- non-finite coordinates -----------------------------------------------------
@@ -587,7 +671,7 @@ def test_point_net_rejects_non_finite_coordinates(bad):
 POINT_NET_PREDICATES = (
     is_q_net, q_violations, is_multi_q_net, multi_q_violations, neighbor_perspectivity,
     all_pairs_perspectivity, qnets.laplace_transforms, laplace_transforms_degenerate,
-    qnets.has_planar_parameter_polygons, is_translation_net,
+    qnets.has_planar_parameter_polygons, is_translation_net, translation_gauge,
 )
 PLANE_NET_PREDICATES = (
     qnets.is_qstar_net, qstar_violations, is_multi_qstar, multi_qstar_violations,
@@ -597,13 +681,25 @@ PLANE_NET_PREDICATES = (
 
 
 def _answers(value, functions):
-    """repr of each function's answer for value, or of the error it raises."""
+    """Each function's answer for value with arrays and dataclasses as nested
+    lists (exact floats), or the type and message of the GeometryError it
+    raises."""
+
+    def exact(answer):
+        if dataclasses.is_dataclass(answer):
+            return [exact(getattr(answer, field.name)) for field in dataclasses.fields(answer)]
+        if isinstance(answer, np.ndarray):
+            return answer.tolist()
+        if isinstance(answer, (tuple, list)):
+            return [exact(a) for a in answer]
+        return answer
+
     answers = []
     for function in functions:
         try:
-            answers.append(repr(function(value)))
+            answers.append(exact(function(value)))
         except GeometryError as exc:
-            answers.append(repr(exc))
+            answers.append((type(exc), str(exc)))
     return answers
 
 

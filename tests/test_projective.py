@@ -74,6 +74,22 @@ def test_span_rank_projective_equality():
     assert span_rank([p, 2 * p, -p]) == 1
 
 
+@pytest.mark.parametrize("shape", [(0, 4, 4), (0, 3, 5), (2, 0, 4, 4)])
+def test_span_rank_of_an_empty_batch_is_empty_without_an_svd(shape, monkeypatch):
+    """_above_rank3 hands span_rank the stacks its certificate leaves open,
+    usually none: no row is normalized and no matrix decomposed."""
+    from multinets import projective
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on an empty batch")
+
+    dtype = span_rank(np.eye(4)[None]).dtype
+    monkeypatch.setattr(projective, "normalized_rows", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    ranks = span_rank(np.zeros(shape))
+    assert ranks.shape == shape[:-2] and ranks.dtype == dtype
+
+
 def test_span_rank_scale_invariant(rng):
     pts = rng.uniform(-1, 1, (5, 4))
     r0 = span_rank(pts)
