@@ -48,9 +48,9 @@ from .projective import (
 from .qnets import (
     PointNet,
     _rects_planar,
+    _strip_laplace_vectors,
     multi_q_violations,
     q_violations,
-    translation_gauge,
 )
 from .quadric_nets import generate_by_reflections
 
@@ -285,11 +285,12 @@ def classify_multi_circular(net: EuclidNet) -> Classification:
     through a circle -> rotational, (+ -) concentric -> cone, (+ 0)
     parallel planes -> cylinder.
     """
-    lifted = lift_net(EuclidNet(_unit_chart(net.points)[0]) if net.is_finite() else net)
-    if not _rects_planar(lifted.points):
+    points = _unit_chart(net.points)[0] if net.is_finite() else net.points
+    lifted = normalize(moebius_lift(points, net.at_infinity))
+    raise_unless_finite(lifted, "vertex")
+    if not _rects_planar(lifted):
         raise NotMultiCircular("classification requires a multi-circular net")
-    _, y1, y2 = translation_gauge(lifted)
-    return classify_spans(MOEBIUS, (y1, y2), _net_class)
+    return classify_spans(MOEBIUS, _strip_laplace_vectors(lifted), _net_class)
 
 
 # -- canonical samplers -------------------------------------------------------------

@@ -27,7 +27,7 @@ from .errors import (
 from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, _above_rank3,
                          classify_spans, corner_minors, normalized_rows, rect_stacks, span_rank,
                          repeated_rows, stack_coords)
-from .qnets import PlaneNet, PointNet, _rects_planar, translation_gauge
+from .qnets import PlaneNet, _rects_planar, _strip_laplace_vectors
 
 _UNIT_SPHERE_TOL = 1e-9  # a point whose norm is within this of 1 lies on the unit sphere
 
@@ -164,11 +164,12 @@ def parallel_conical_net(spherical: PlaneNet, d_row, d_col) -> PlaneNet:
 # -- Gauss map classification -----------------------------------------------------
 
 
-def s2_lift_net(net: EuclidNet) -> PointNet:
-    """Lift a net on the unit sphere into the quadric of R^{3,1}: p -> (p, 1)."""
+def _s2_lift(net: EuclidNet) -> np.ndarray:
+    """Lift a net on the unit sphere into the quadric of R^{3,1}: the grid
+    (nu, nv, 4) of the rows (p, 1), each scaled to unit norm."""
     if not net.is_finite():
         raise NotOnSphere("net has vertices at infinity")
-    return PointNet(normalized_rows(_sphere_rows(net.points, "net vertices")), ambient="R31")
+    return normalized_rows(_sphere_rows(net.points, "net vertices"))
 
 
 # the set of the two polar-span codes (n_pos, n_neg, n_zero), in either order
@@ -193,11 +194,10 @@ def classify_gauss(net: EuclidNet) -> Classification:
     symmetric strip; a (+ +)/(+ -) pairing a net of revolution; (+ 0) on
     both sides the inverse stereographic image of an orthogonal grid.
     """
-    lifted = s2_lift_net(net)
-    if not _rects_planar(lifted.points):
+    lifted = _s2_lift(net)
+    if not _rects_planar(lifted):
         raise NotMultiCircular("classification requires a multi-circular net")
-    _, y1, y2 = translation_gauge(lifted)
-    return classify_spans(MOEBIUS_S2, (y1, y2), _gauss_class)
+    return classify_spans(MOEBIUS_S2, _strip_laplace_vectors(lifted), _gauss_class)
 
 
 # -- S^2 samplers -------------------------------------------------------------------

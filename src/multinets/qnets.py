@@ -26,6 +26,7 @@ from .errors import (
     SkewLines,
     ZeroSum,
     ZeroVector,
+    first_failure,
     raise_first_failure,
     raise_unless_finite,
 )
@@ -43,10 +44,12 @@ from .projective import (
     hpoint,
     index_pairs,
     normalize,
+    normalized_rows,
     proj_distance,
     rank_violations,
     rect_indices,
     rect_stacks,
+    repeated_rows,
     span_rank,
     span_svd,
 )
@@ -607,6 +610,34 @@ def _laplace_vectors(net: PointNet):
     _, y, _, checks = _grid_view(net.points).elementary
     raise_first_failure(checks)
     return y.reshape(nu - 1, nv - 1, 2, net.ambient_dim)
+
+
+def _strip_laplace_vectors(grid):
+    """Laplace vectors y1 (nu-1, d) and y2 (nv-1, d) of a multi-Q grid
+    (nu, nv, d) of homogeneous points, read from the elementary stage of its
+    view: y1_i is that of quad (i, 0) and y2_j that of quad (0, j).
+
+    On a multi-Q-net the direction-1 Laplace point of quad (i, j) does not
+    depend on j, nor the direction-2 point on i, so these represent the
+    points of translation_gauge's y1, y2.  Each keeps the scale of its own
+    quad's gauge, which neither a span nor the signature of a form on it
+    sees.  The caller decides multi-Q.  A grid below 2x2 raises NotMultiQ as
+    translation_gauge does.  The first elementary quad that fails a check
+    raises ZeroVector when two of its corners coincide (its Laplace vector
+    would vanish), and its first failing check otherwise.
+    """
+    nu, nv = grid.shape[:2]
+    if nu < 2 or nv < 2:
+        raise NotMultiQ("net must be at least 2x2")
+    _, y, _, checks = _grid_view(grid).elementary
+    failure = first_failure(checks)
+    if failure is not None:
+        k, exc = failure
+        i, j = divmod(k, nv - 1)
+        if repeated_rows(normalized_rows(grid[i : i + 2, j : j + 2].reshape(1, 4, -1)))[0]:
+            raise ZeroVector(f"quad ({i},{j}) has coincident corners: a Laplace vector vanishes")
+        raise exc
+    return y[:: nv - 1, 0], y[: nv - 1, 1]
 
 
 def laplace_transforms(net: PointNet):

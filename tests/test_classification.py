@@ -7,17 +7,30 @@ codes up to the form's dimension must get the same class from both.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from multinets import circular, conical, congruences
+from multinets import circular, conical, congruences, qnets
 from multinets.circular import NetClass
 from multinets.cli import main
 from multinets.conical import GaussClass
 from multinets.congruences import CongruenceClass
+from multinets.errors import NotMultiQ, ZeroVector
 from multinets.io_json import write_net
-from multinets.projective import LIE, MOEBIUS, PLUECKER, QuadricForm, classify_spans
+from multinets.projective import (
+    LIE,
+    MOEBIUS,
+    MOEBIUS_S2,
+    PLUECKER,
+    QuadricForm,
+    classify_spans,
+    moebius_lift,
+    normalize,
+    sphere_rep,
+)
+from multinets.qnets import PointNet, _view_of, translation_gauge
 
 
 def codes_up_to(dim):
@@ -158,3 +171,153 @@ def test_classify_golden_line(what, net, line, tmp_path, capsys):
     write_net(net, str(path))
     assert main(["classify", what, "-i", str(path)]) == 0
     assert capsys.readouterr().out == line + "\n"
+
+
+# -- the Laplace families of the circular and Gauss classifiers -----------------
+#
+# classify_multi_circular and classify_gauss read y1_i from quad (i, 0) and y2_j
+# from quad (0, j) of the elementary stage of the lifted grid's view.  On a
+# multi-Q grid these represent the points of translation_gauge's y1, y2, and a
+# span and its signature do not see the scale of a representative, so both
+# routes classify alike.
+
+
+def circular_lift(net):
+    """The grid that classify_multi_circular decides: the Moebius lift of
+    the net's unit chart, rows normalized."""
+    return normalize(moebius_lift(circular._unit_chart(net.points)[0]))
+
+
+def euclid_net(rng, shape):
+    """A 4x5 or 5x4 rotational, cone or cylinder net, drawn as classify-mix draws them."""
+    if shape == "rotational":
+        prof = np.stack([rng.uniform(0.5, 1.5, 5), np.cumsum(rng.uniform(0.2, 0.5, 5))], axis=1)
+        return circular.sample_rotational(prof, rng.uniform(0.0, 1.0) + np.cumsum(rng.uniform(0.3, 1.2, 4)))
+    if shape == "cone":
+        return circular.sample_cone(rng.normal(size=(4, 3)), np.cumsum(rng.uniform(0.3, 1.0, 5)))
+    return circular.sample_cylinder(rng.uniform(-1.0, 1.0, (5, 2)), np.cumsum(rng.uniform(0.3, 1.0, 4)))
+
+
+def s2_net(rng, shape):
+    """A net of revolution, stereographic grid or symmetric strip on S^2."""
+    if shape == "rotational":
+        return conical.sample_s2_rotational(
+            0.4 + np.cumsum(rng.uniform(0.35, 0.55, 4)), np.cumsum(rng.uniform(0.5, 0.9, 5))
+        )
+    if shape == "stereographic":
+        return conical.sample_s2_stereographic(
+            -1.2 + np.cumsum(rng.uniform(0.4, 0.8, 4)), -0.2 + np.cumsum(rng.uniform(0.4, 0.8, 3))
+        )
+    up = rng.normal(size=(5, 3))
+    up[:, 2] = np.abs(up[:, 2]) + 0.3
+    return conical.sample_s2_symmetric_strip(up / np.linalg.norm(up, axis=1, keepdims=True))
+
+
+def classification_cases(seed):
+    """(classify, lifted grid, form, decide) for the plain and the inverted
+    Euclidean nets and the S^2 nets of one seed; the mirror spheres stay in
+    classify-mix's domain (centre (4, 4, 4) + U(-1, 1)^3, radius U(1, 2))."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for shape in ("rotational", "cone", "cylinder"):
+        net = euclid_net(rng, shape)
+        image = circular.invert_net(sphere_rep(4.0 + rng.uniform(-1, 1, 3), rng.uniform(1.0, 2.0)), net)
+        for each in (net, image):
+            cases.append((circular.classify_multi_circular, each, circular_lift(each), MOEBIUS, circular._net_class))
+    for shape in ("rotational", "stereographic", "strip"):
+        net = s2_net(rng, shape)
+        cases.append((conical.classify_gauss, net, conical._s2_lift(net), MOEBIUS_S2, conical._gauss_class))
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_classifiers_agree_with_classify_spans_on_the_strip_gauge(seed):
+    """Kind and span dimensions equal those of classify_spans on
+    translation_gauge's y1, y2, and the eigenvalues agree to 1e-9 of the
+    largest."""
+    for classify, net, lifted, form, decide in classification_cases(seed):
+        _, y1, y2 = translation_gauge(PointNet(lifted))
+        want = classify_spans(form, (y1, y2), decide)
+        got = classify(net)
+        assert (got.kind, got.span_dims) == (want.kind, want.span_dims)
+        for e_got, e_want in zip(got.eigenvalues, want.eigenvalues):
+            np.testing.assert_allclose(e_got, e_want, rtol=0, atol=1e-9 * np.max(np.abs(e_want)))
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_classifying_reads_the_elementary_stage_only(case, monkeypatch):
+    """On classify-mix's grids (at most 64 rectangles, so no translation
+    certificate), classifying makes one _laplace_gauges pass, no strip
+    gauge and leaves the view's strip stage unevaluated; translation_gauge
+    on the same grid afterwards returns what it returns on a cold view."""
+    classify, net, lifted, *_ = classification_cases(7)[case]
+    _view_of.cache_clear()
+    cold = translation_gauge(PointNet(lifted))
+    _view_of.cache_clear()
+    calls = []
+    for name in ("_laplace_gauges", "_strip_cauchy"):
+        original = getattr(qnets, name)
+        monkeypatch.setattr(qnets, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    classify(net)
+    assert calls == ["_laplace_gauges"]
+    assert "strip" not in qnets._grid_view(lifted).__dict__
+    warm = translation_gauge(PointNet(lifted))
+    assert calls == ["_laplace_gauges", "_strip_cauchy"]
+    for a, b in zip(warm, cold):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 3e-10])
+def test_classification_follows_the_multi_circular_predicate_under_noise(eps):
+    """6 seeds x 40 rotational nets (5 profile points, 4 angles) with
+    Gaussian vertex noise of eps times the RMS extent: wherever
+    is_multi_circular holds, classify_multi_circular answers a class.  The
+    strip gauge it read before raised NotMultiQ on 12 of them at 1e-10 and
+    on 33 at 3e-10."""
+    kinds = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            prof = np.stack([rng.uniform(0.5, 1.5, 5), np.cumsum(rng.uniform(0.2, 0.5, 5))], axis=1)
+            p = circular.sample_rotational(prof, np.sort(rng.uniform(0, 2 * np.pi, 4))).points
+            rms = np.sqrt(np.mean(np.sum((p - p.mean(axis=(0, 1))) ** 2, axis=-1)))
+            noisy = circular.EuclidNet(p + eps * rms * rng.normal(size=p.shape))
+            if circular.is_multi_circular(noisy):
+                kinds.append(circular.classify_multi_circular(noisy).kind)
+    assert len(kinds) == 240 and set(kinds) <= {NetClass.ROTATIONAL, NetClass.DEGENERATE}
+
+
+# inputs whose error changed when the classifiers stopped building the strip
+# gauge, with the error they raised before: repeated rows or columns, all
+# through a zero Laplace vector now
+PROFILE = [[1.0, 0.0], [1.2, 0.5], [0.9, 1.1], [1.1, 1.6]]
+AXIS = circular.sample_rotational(PROFILE, [0.0, 0.5, 1.0, 1.5]).points.copy()
+AXIS[:, 2, :2] = 0.0  # the third profile point on the axis
+DEGENERATE_INPUTS = [
+    # before: ZeroVector, "homogeneous coordinates must not vanish"
+    pytest.param(circular.classify_multi_circular, circular.sample_rotational(PROFILE, [0.0, 0.5, 0.5, 1.0]),
+                 ZeroVector, "quad (1,0)", id="repeated-angle"),
+    pytest.param(circular.classify_multi_circular, circular.sample_cylinder([[0, 0], [1, 0], [1, 1]], [0, 1, 1, 2]),
+                 ZeroVector, "quad (0,1)", id="repeated-offset"),
+    pytest.param(conical.classify_gauss, conical.sample_s2_rotational([0.5, 0.9, 1.4], [0.0, 0.6, 0.6, 1.3]),
+                 ZeroVector, "quad (1,0)", id="repeated-longitude"),
+    # before: NotMultiQ, "three corners are collinear or coincident"
+    pytest.param(circular.classify_multi_circular, circular.sample_rotational(PROFILE, [0.0, 0.0, 0.5, 1.0]),
+                 ZeroVector, "quad (0,0)", id="repeated-first-angle"),
+    pytest.param(circular.classify_multi_circular, circular.EuclidNet(np.ones((3, 3, 3))),
+                 ZeroVector, "quad (0,0)", id="one-point"),
+    pytest.param(conical.classify_gauss, conical.sample_s2_rotational([0.5, 0.5, 1.4], [0.0, 0.6, 1.3]),
+                 ZeroVector, "quad (0,0)", id="repeated-first-colatitude"),
+    # before: NotMultiQ, "sample 2 not in perspective (residual 8.81e-01)"
+    pytest.param(circular.classify_multi_circular, circular.EuclidNet(AXIS),
+                 ZeroVector, "quad (0,1)", id="profile-point-on-axis"),
+    # unchanged
+    pytest.param(circular.classify_multi_circular, circular.EuclidNet(AXIS[:1, :3]),
+                 NotMultiQ, "net must be at least 2x2", id="one-row"),
+]
+
+
+@pytest.mark.parametrize("classify, net, error, where", DEGENERATE_INPUTS)
+def test_coincident_corners_raise_zero_vector(classify, net, error, where):
+    with pytest.raises(error, match=re.escape(where)):
+        classify(net)

@@ -386,6 +386,16 @@ def test_conical_reads_no_moebius_lift():
     assert names & {"lift_net", "is_concyclic", "is_multi_circular", "_CORNER_PAIRS"} == set()
 
 
+def test_the_classifiers_build_no_strip_gauge():
+    """classify_multi_circular and classify_gauss read their Laplace vectors
+    from the elementary stage of the grid view (qnets._strip_laplace_vectors),
+    so neither circular nor conical imports translation_gauge."""
+    for name in ("circular", "conical"):
+        tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert "_strip_laplace_vectors" in names and "translation_gauge" not in names
+
+
 def is_frozen_dataclass(decorator):
     """True iff the decorator node reads @dataclass(frozen=True)."""
     return (
