@@ -34,12 +34,14 @@ from .projective import (
     Classification,
     ProjLine,
     QuadricForm,
+    _pair_span,
     _raise_unless_meet,
     _read_only,
     classify_spans,
     index_pairs,
     meet_lines,
     normalize,
+    normalized_rows,
     rank_violations,
     row_dot,
     span_rank,
@@ -115,10 +117,11 @@ def multi_congruence_violations(g: IsoLineGrid):
     by_col = g.lines.swapaxes(0, 1)  # (nv, nu, 2, d): lines of column j
     zero = np.linalg.norm(by_col, axis=-1) <= _ABS_EPS
     # a line with a zero point fails on that first; a stand-in row of ones
-    # lets span_rank run over every line
+    # lets every line's rows be normalized
+    unit = normalized_rows(np.where(zero[..., None], 1.0, by_col))
     raise_first_failure([
         (np.any(zero, axis=-1), lambda k: ZeroVector("homogeneous coordinates must not vanish")),
-        (span_rank(np.where(zero[..., None], 1.0, by_col)) != 2,
+        (~_pair_span(unit[..., 0, :], unit[..., 1, :])[2][..., 0],
          lambda k: IdenticalLines("spanning points are projectively equal")),
     ])
     d = g.form.dim

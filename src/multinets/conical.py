@@ -25,7 +25,7 @@ from .errors import (
     raise_unless_finite,
 )
 from .projective import (_ABS_EPS, INPUT_ATOL, MOEBIUS_S2, Classification, _above_rank3,
-                         classify_spans, corner_minors, normalized_rows, rect_stacks, span_rank,
+                         classify_spans, corner_minors, rect_stacks, span_rank,
                          repeated_rows, stack_coords)
 from .qnets import PlaneNet, _rects_planar, _strip_laplace_vectors
 
@@ -164,14 +164,6 @@ def parallel_conical_net(spherical: PlaneNet, d_row, d_col) -> PlaneNet:
 # -- Gauss map classification -----------------------------------------------------
 
 
-def _s2_lift(net: EuclidNet) -> np.ndarray:
-    """Lift a net on the unit sphere into the quadric of R^{3,1}: the grid
-    (nu, nv, 4) of the rows (p, 1), each scaled to unit norm."""
-    if not net.is_finite():
-        raise NotOnSphere("net has vertices at infinity")
-    return normalized_rows(_sphere_rows(net.points, "net vertices"))
-
-
 # the set of the two polar-span codes (n_pos, n_neg, n_zero), in either order
 _GAUSS_CLASSES = {
     frozenset({(2, 0, 0), (1, 1, 0)}): GaussClass.REVOLUTION,
@@ -194,10 +186,12 @@ def classify_gauss(net: EuclidNet) -> Classification:
     symmetric strip; a (+ +)/(+ -) pairing a net of revolution; (+ 0) on
     both sides the inverse stereographic image of an orthogonal grid.
     """
-    lifted = _s2_lift(net)
-    if not _rects_planar(lifted):
+    if not net.is_finite():
+        raise NotOnSphere("net has vertices at infinity")
+    rows = _sphere_rows(net.points, "net vertices")  # the rows polarize_spherical reads
+    if not _rects_planar(rows):
         raise NotMultiCircular("classification requires a multi-circular net")
-    return classify_spans(MOEBIUS_S2, _strip_laplace_vectors(lifted), _gauss_class)
+    return classify_spans(MOEBIUS_S2, _strip_laplace_vectors(rows), _gauss_class)
 
 
 # -- S^2 samplers -------------------------------------------------------------------

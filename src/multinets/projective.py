@@ -231,6 +231,8 @@ def rank_violations(keys, stacks):
     """
     stacks = np.asarray(stacks, dtype=float)
     check = np.flatnonzero(_above_rank3(stacks))
+    if not check.size:
+        return []
     s = span_svd(stacks[check], compute_uv=False)[0]
     return [(keys[k], float(s[n, -1] / s[n, 0])) for n, k in enumerate(check)]
 
@@ -309,6 +311,8 @@ def corner_minors(stacks):
     w = rows[:, tri_rows[0]] * p[:, tri_pairs[0]]
     w -= rows[:, tri_rows[1]] * p[:, tri_pairs[1]]
     w += rows[:, tri_rows[2]] * p[:, tri_pairs[2]]
+    # in C order each stack's minors sum in one order, whatever else is in the batch
+    w = np.ascontiguousarray(w)
     f = rows[:, quad_rows] * w.reshape(n, tri_rows[0].size)[:, quad_tris]
     m4 = f[:, 1] - f[:, 0] + f[:, 3] - f[:, 2]
     return w, np.sqrt(np.einsum("ntk,ntk->nt", w, w)), np.sqrt(np.einsum("nk,nk->n", m4, m4))
@@ -580,7 +584,7 @@ class ProjLine:
         a, b = hpoint(np.array(self.a, dtype=float)), hpoint(np.array(self.b, dtype=float))
         if a.shape != b.shape:
             raise DimensionMismatch("spanning points of different dimension")
-        if span_rank([a, b]) != 2:
+        if not _pair_span(*normalized_rows([a, b]))[2][0]:
             raise IdenticalLines("spanning points are projectively equal")
         object.__setattr__(self, "a", *_read_only(a))
         object.__setattr__(self, "b", *_read_only(b))
@@ -598,18 +602,19 @@ def meet_lines(l1, l2):
 
     Stacks of lines given by their spanning points (..., 2, d) give
     (point, ranks) instead of raising: ranks (..., 3) holds the span ranks
-    of the first line's points, the second line's and all four; where they
-    are (2, 2, 3), point (..., d) is the normalized meet (elsewhere the first
-    spanning point, normalized).  Two ProjLines give their meet, and raise
-    SkewLines or IdenticalLines where their points span rank 4 or 2.
+    of the first line's points, the second line's (_pair_span) and all four
+    (the meet's SVD); where they are (2, 2, 3), point (..., d) is the
+    normalized meet, elsewhere the first spanning point.  Two ProjLines give
+    their meet, and raise SkewLines or IdenticalLines at rank 4 or 2.
     """
     single = isinstance(l1, ProjLine)
     a, b = (np.asarray(line, dtype=float) for line in ((l1.span, l2.span) if single else (l1, l2)))
     if a.shape[-1] != b.shape[-1]:
         raise DimensionMismatch(f"lines of different dimension: {a.shape} vs {b.shape}")
     pts = np.concatenate(np.broadcast_arrays(a, b), axis=-2)
-    ranks = np.stack([span_rank(pts[..., :2, :]), span_rank(pts[..., 2:, :]), span_rank(pts)], axis=-1)
-    point, rows = _line_meet(pts)
+    point, rows, s = _line_meet(pts)
+    two = _pair_span(rows[..., ::2, :], rows[..., 1::2, :])[2][..., 0]
+    ranks = np.concatenate([1 + two, np.sum(_kept(s), axis=-1, keepdims=True)], axis=-1)
     meets = np.all(ranks == (2, 2, 3), axis=-1)[..., None]
     point = normalize(np.where(meets, point, rows[..., 0, :]))
     if not single:
@@ -629,12 +634,12 @@ def _raise_unless_meet(ranks):
 
 
 def _line_meet(pts):
-    """Unnormalized meet of the lines pts[..., :2, :] and pts[..., 2:, :],
-    from the null vector of the normalized points, and those points."""
+    """Unnormalized meet of the lines pts[..., :2, :] and pts[..., 2:, :]
+    from the SVD of the normalized points, those points and their singular values."""
     rows = normalized_rows(pts)
     m = np.swapaxes(rows, -1, -2) * np.array([1.0, 1.0, -1.0, -1.0])
-    coeff = np.linalg.svd(m)[2][..., -1, :]
-    return coeff[..., :1] * rows[..., 0, :] + coeff[..., 1:2] * rows[..., 1, :], rows
+    _, s, vh = np.linalg.svd(m)
+    return vh[..., -1, :1] * rows[..., 0, :] + vh[..., -1, 1:2] * rows[..., 1, :], rows, s
 
 
 # -- Moebius lift of R^3 u {oo} ----------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circular import EuclidNet, _unit_chart, circular_violations, invert_point, is_concyclic
+from .circular import EuclidNet, _unit_chart, invert_point, is_concyclic
 from .errors import (
     ArcsNotOrthogonal,
     DegenerateLaplaceSphere,
@@ -614,10 +614,12 @@ def subdivide_circular(
 def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     """One round from seed arcs row0 (nu-1, 3, 3) and col0 (nv-1, 3, 3);
     returns the fine net and the seed arcs of the next round."""
-    if circular_violations(net):
-        raise NotCircular("input is not a circular net")
     nu, nv = net.dims
     p = net.points
+    # the rank-4 mask of the lifted faces is the verdict of circular_violations
+    t, y, checks = _laplace_spheres(rect_stacks(p, elementary=True)[1])
+    if np.any(checks[0][0]):
+        raise NotCircular("input is not a circular net")
     if len(row0) != nu - 1 or len(col0) != nv - 1:
         raise DimensionMismatch("need one seed arc per axis edge")
     scale = max(1.0, float(np.max(np.abs(p))))
@@ -642,11 +644,10 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     u_smp[:, 0], u_tangents = _arc_at(row0, np.arange(n_u + 1) / n_u)
     v_smp[0], v_tangents = _arc_at(col0, np.arange(n_v + 1) / n_v)
 
-    # Laplace spheres of all faces, then inversion along the rows (u-arcs,
-    # one step per j) and the columns (v-arcs, one step per i); code[...]
-    # holds the error code of the transport onto an edge, -1 where its face
-    # or its input failed and it was not transported
-    t, y, checks = _laplace_spheres(rect_stacks(p, elementary=True)[1])
+    # inversion in the Laplace spheres along the rows (u-arcs, one step per
+    # j) and the columns (v-arcs, one step per i); code[...] holds the error
+    # code of the transport onto an edge, -1 where its face or its input
+    # failed and it was not transported
     r1, r2 = y[:, 0].reshape(nu - 1, nv - 1, 5), y[:, 1].reshape(nu - 1, nv - 1, 5)
     failed = np.any([fails for fails, _ in checks], axis=0).reshape(nu - 1, nv - 1)
     u_code = np.full((nu - 1, nv), -1)

@@ -226,7 +226,8 @@ def classification_cases(seed):
             cases.append((circular.classify_multi_circular, each, circular_lift(each), MOEBIUS, circular._net_class))
     for shape in ("rotational", "stereographic", "strip"):
         net = s2_net(rng, shape)
-        cases.append((conical.classify_gauss, net, conical._s2_lift(net), MOEBIUS_S2, conical._gauss_class))
+        rows = conical._sphere_rows(net.points, "net vertices")  # the rows classify_gauss reads
+        cases.append((conical.classify_gauss, net, rows, MOEBIUS_S2, conical._gauss_class))
     return cases
 
 

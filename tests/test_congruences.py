@@ -383,3 +383,27 @@ def test_hyperboloid_ruling_grid_needs_lists_of_parameters(a, b):
 def test_torus_contact_grid_needs_lists_of_angles(us, vs):
     with pytest.raises(DimensionMismatch, match="1-d arrays of angles"):
         torus_contact_grid(2.0, 0.5, us, vs)
+
+
+@pytest.mark.parametrize("kind", ["lie", "pluecker"])
+def test_classifying_a_6x6_congruence_makes_seven_svd_calls(kind, monkeypatch):
+    """Each rank question is answered once: the passing multi-congruence
+    listing and its identical-lines check (_pair_span) run no SVD; then one
+    SVD per family of rows and of columns, one per meet_lines call (its line
+    ranks from _pair_span, its four-point rank off the meet's own SVD), one
+    over the cells and one per factor span."""
+    if kind == "lie":
+        g = torus_contact_grid(2.0, 0.5, np.linspace(0.0, 2.5, 6), np.linspace(-1.2, 0.8, 6))
+        want = CongruenceClass.DUPIN_CYCLIDE
+    else:
+        g = hyperboloid_ruling_grid(np.linspace(-2.0, 1.0, 6), np.linspace(-1.5, 1.5, 6))
+        want = CongruenceClass.HYPERBOLOID
+    svd, shapes = np.linalg.svd, []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert classify_congruence(g).kind == want
+    assert shapes == [(6, 12, 6), (6, 12, 6), (6, 6, 4), (6, 6, 4), (6, 6, 4, 6), (6, 6), (6, 6)]

@@ -656,3 +656,23 @@ def test_multi_conical_verdicts_are_laguerre_invariant(seed, index, offset):
         assert is_multi_conical(PlaneNet(image)) == (not want)
     assert [key for key, _ in multi_conical_violations(PlaneNet(shifted))] == [key for key, _ in want]
     assert is_multi_conical(PlaneNet(shifted)) == (not want)
+
+
+def test_polarizing_then_classifying_an_s2_net_decides_its_rectangles_once(monkeypatch):
+    """polarize_spherical and classify_gauss both read the rows (p, 1) of the
+    net, so they share one grid view: one _above_rank3 pass over its 60
+    rectangles, then the elementary stage's pass over its 12 quads."""
+    from multinets import qnets
+
+    net = sample_s2_rotational([0.6, 1.0, 1.4, 1.9], [0.0, 0.7, 1.5, 2.1, 2.8])
+    qnets._view_of.cache_clear()
+    calls, original = [], qnets._above_rank3
+
+    def counting(stacks, *args):
+        calls.append(len(stacks))
+        return original(stacks, *args)
+
+    monkeypatch.setattr(qnets, "_above_rank3", counting)
+    polarize_spherical(net)
+    assert classify_gauss(net).kind == GaussClass.REVOLUTION
+    assert calls == [60, 12]

@@ -396,6 +396,22 @@ def test_the_classifiers_build_no_strip_gauge():
         assert "_strip_laplace_vectors" in names and "translation_gauge" not in names
 
 
+def test_each_rank_question_is_answered_once():
+    """A circular subdivision round decides circularity from its own Laplace
+    spheres, S^2 nets are decided and classified on their rows (p, 1), and
+    the two-row ranks of lines come from projective._pair_span."""
+    from multinets import conical
+
+    tree = ast.parse((PACKAGE / "subdivision.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "circular_violations" not in names
+    assert not hasattr(conical, "_s2_lift")
+    pair_span = set(package_sites(calls_named("_pair_span")))
+    span_rank = set(package_sites(calls_named("span_rank")))
+    for site in ("projective.meet_lines", "projective.__post_init__", "congruences.multi_congruence_violations"):
+        assert site in pair_span and site not in span_rank
+
+
 def is_frozen_dataclass(decorator):
     """True iff the decorator node reads @dataclass(frozen=True)."""
     return (

@@ -23,10 +23,12 @@ from multinets.projective import (
     moebius_drop,
     moebius_lift,
     normalize,
+    normalized_rows,
     plane_rep,
     polar_reflect,
     RANK_RTOL,
     _above_rank3,
+    _pair_span,
     _rank4_certificate,
     corner_minors,
     proj_distance,
@@ -503,3 +505,92 @@ def test_common_point_of_spans_minimizes_the_root_sum_of_squared_sines(d, min_ra
         directions = rng.standard_normal((100, d))
         directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
         assert all(resid[k] <= _root_sum_of_squared_sines(*own, v) for v in directions)
+
+
+# -- each rank question answered once --------------------------------------------
+
+
+def _pairs_at_ratio(rng, count, d, ratio):
+    """count pairs of rescaled rows (count, 2, d) whose unit rows have
+    sigma_2 / sigma_1 = ratio: the second at the angle 2 atan(ratio) from
+    the first, or from its opposite."""
+    a = normalized_rows(rng.normal(size=(count, d)))
+    u = rng.normal(size=(count, d))
+    u = normalized_rows(u - np.sum(u * a, axis=1, keepdims=True) * a)
+    theta = 2 * np.arctan(ratio)
+    b = rng.choice([-1.0, 1.0], (count, 1)) * (np.cos(theta) * a + np.sin(theta) * u)
+    return np.stack([a, b], axis=1) * rng.uniform(0.01, 100.0, (count, 2, 1))
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_the_two_row_rank_of_pair_span_is_span_rank(rng, d):
+    """_pair_span decides the two-row rank of ProjLine, meet_lines and the
+    identical-lines check; it equals span_rank on random pairs and on pairs
+    at half and twice the threshold."""
+    cases = {"random": rng.normal(size=(200, 2, d))}
+    cases.update({t: _pairs_at_ratio(rng, 200, d, t * RANK_RTOL) for t in (0.5, 2.0)})
+    for name, pairs in cases.items():
+        unit = normalized_rows(pairs)
+        ranks = 1 + _pair_span(unit[:, 0], unit[:, 1])[2][:, 0]
+        assert ranks.tolist() == span_rank(pairs).tolist(), name
+    assert set(span_rank(cases[0.5]).tolist()) == {1} and set(span_rank(cases[2.0]).tolist()) == {2}
+
+
+def _line_pairs(rng, d):
+    """Pairs of lines (200, 4, d) by their spanning points, 50 of each kind:
+    skew, meeting, identical, and with a degenerate line (its second point a
+    multiple of its first; in half of them both lines so)."""
+    pts = rng.normal(size=(4, 50, 4, d))
+    skew, meeting, identical, degenerate = pts
+    meeting[:, 3] = np.einsum("nk,nkd->nd", rng.normal(size=(50, 3)), meeting[:, :3])
+    identical[:, 2:] = np.einsum("nlk,nkd->nld", rng.normal(size=(50, 2, 2)), identical[:, :2])
+    degenerate[:, 1] = rng.uniform(-3, 3, (50, 1)) * degenerate[:, 0]
+    degenerate[:25, 3] = rng.uniform(-3, 3, (25, 1)) * degenerate[:25, 2]
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_meet_lines_ranks_are_the_three_span_ranks(rng, d, monkeypatch):
+    """meet_lines reads its line ranks off _pair_span and the four-point rank
+    off the SVD that finds the meet: one SVD per call, and the ranks of the
+    span_rank calls they replace."""
+    lines = _line_pairs(rng, d)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    _, ranks = meet_lines(lines[:, :2], lines[:, 2:])
+    assert len(calls) == 1
+    want = np.stack([span_rank(lines[:, :2]), span_rank(lines[:, 2:]), span_rank(lines)], axis=-1)
+    assert ranks.tolist() == want.tolist()
+    kinds = [set(map(tuple, want[k : k + 50].tolist())) for k in range(0, 200, 50)]
+    assert kinds[:3] == [{(2, 2, 4)}, {(2, 2, 3)}, {(2, 2, 2)}]
+    assert kinds[3] == {(1, 1, 2), (1, 2, 3)}
+
+
+def test_a_passing_listing_runs_no_svd(rng, monkeypatch):
+    """rank_violations decides every stack by _above_rank3 and takes the SVD
+    for the residuals of the violators only: none when all stacks pass."""
+    stacks = rng.normal(size=(30, 4, 5))
+    stacks[:, 3] = np.einsum("nk,nkd->nd", rng.normal(size=(30, 3)), stacks[:, :3])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SVD for an empty listing")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    assert rank_violations(list(range(30)), stacks) == []
+
+
+def test_a_quad_alone_and_in_a_batch_gets_the_same_minors_and_coefficients():
+    """corner_minors sums each stack's minors in one order, so a quad gets
+    bit-identical v3, v4 and Laplace coefficients alone and among all the
+    elementary quads of its net (300 quads of random translation nets)."""
+    from multinets.qnets import _laplace_gauges
+
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        _, quads = rect_stacks(rng.normal(size=(6, 1, 4)) + rng.normal(size=(1, 6, 4)), elementary=True)
+        _, v3, v4 = corner_minors(quads)
+        coeffs = _laplace_gauges(quads)[2]
+        for k in range(len(quads)):
+            _, v3_k, v4_k = corner_minors(quads[k : k + 1])
+            assert (v3_k[0].tolist(), v4_k.tolist()) == (v3[k].tolist(), [v4[k]])
+            assert _laplace_gauges(quads[k : k + 1])[2][0].tolist() == coeffs[k].tolist()

@@ -14,8 +14,10 @@ from multinets.errors import (
     DegenerateLaplaceSphere,
     DuplicatePoints,
     GeometryError,
+    DimensionMismatch,
     InconsistentCorner,
     NonFiniteCoordinate,
+    NotCircular,
     NotConcyclic,
     PerspectivityViolation,
     PointOffLine,
@@ -838,6 +840,44 @@ def test_circular_round_kernel_calls_do_not_grow_with_faces(monkeypatch):
     for size, got in per_size.items():
         steps = 2 * (size - 1)
         assert got == {"polar_reflect": steps, "_reflect": steps}
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+def test_a_circular_round_makes_one_corner_minors_pass(rounds, monkeypatch):
+    """A round decides circularity from the rank-4 mask of its Laplace-sphere
+    pass, the verdict circular_violations would reach on the same lifted
+    faces, so it computes the corner minors of its faces once."""
+    import multinets.projective as projective
+    import multinets.qnets as qnets
+
+    calls, original = [], projective.corner_minors
+
+    def counting(stacks):
+        calls.append(len(stacks))
+        return original(stacks)
+
+    for module in (projective, qnets):
+        monkeypatch.setattr(module, "corner_minors", counting)
+    us, vs = [0.2, 0.9, 1.7, 2.3], [-0.5, 0.3, 1.0]
+    subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs), rounds=rounds)
+    assert calls == [6, 24][:rounds]
+
+
+def test_a_non_circular_net_raises_not_circular_before_its_seeds_are_checked():
+    us, vs = [0.2, 0.9, 1.7], [-0.5, 0.3, 1.0]
+    pts = torus_net(us, vs).points.copy()
+    pts[2, 2] += (0.0, 0.0, 0.3)
+    row, col = torus_seed_arcs(us, vs)
+    moved = CircArc(row[1].start + 0.1, row[1].end, row[1].tangent)
+    for bad_row, bad_col in (([row[0]], col), ([row[0], moved], col), (row, col[::-1]), (row, col)):
+        with pytest.raises(NotCircular, match="^input is not a circular net$"):
+            subdivide_circular(EuclidNet(pts), 2, bad_row, bad_col)
+    # on the circular net the same seeds fail on their own checks
+    good = torus_net(us, vs)
+    with pytest.raises(DimensionMismatch):
+        subdivide_circular(good, 2, [row[0]], col)
+    with pytest.raises(InconsistentCorner):
+        subdivide_circular(good, 2, [row[0], moved], col)
 
 
 def reflection_patch(block):
