@@ -45,7 +45,6 @@ from .projective import (
     rank_violations,
     row_dot,
     span_rank,
-    span_svd,
     stack_coords,
 )
 
@@ -58,7 +57,12 @@ class CongruenceClass:
 
 @dataclass(frozen=True)
 class IsoLineGrid:
-    """Grid of isotropic lines in a quadric, each stored read-only as a spanning pair."""
+    """Grid of isotropic lines in a quadric, each stored read-only as a spanning pair.
+
+    The form must vanish on the orthonormal basis (a, w / sine) of each line
+    (projective._pair_span; a alone at rank 1), whichever of its points are
+    given; degenerate pairs go to multi_congruence_violations.
+    """
 
     lines: np.ndarray
     form: QuadricForm
@@ -70,12 +74,11 @@ class IsoLineGrid:
         if lines.shape[3] != self.form.dim:
             raise DimensionMismatch("line coordinates do not match the form")
         raise_unless_finite(lines, "spanning point")
-        # the form must vanish on an orthonormal basis of each line, whichever
-        # of its points are given; degenerate pairs go to multi_congruence_violations
         live = np.linalg.norm(lines, axis=-1) > _ABS_EPS
         pairs = np.where(live[..., None], lines, lines[..., ::-1, :])
-        _, basis, kept = span_svd(pairs[np.any(live, axis=-1)])
-        basis = basis * kept[..., None]
+        a, b = np.moveaxis(normalized_rows(pairs[np.any(live, axis=-1)]), -2, 0)
+        w, sine, two = _pair_span(a, b)
+        basis = np.stack([a, np.where(two, w, 0.0) / np.where(two, sine, 1.0)], axis=-2)
         restricted = np.einsum("nkd,d,nld->nkl", basis, self.form.diagonal, basis)
         if np.any(np.linalg.norm(restricted, axis=(-2, -1)) > QUADRIC_RTOL):
             raise NotOnQuadric("spanning points off the quadric or their line not isotropic")
@@ -93,6 +96,8 @@ def from_generators(s1, s2, form: QuadricForm) -> IsoLineGrid:
     """Grid l_{ij} = span(s1_i, s2_j) from two orthogonal isotropic families."""
     s1 = np.atleast_2d(np.asarray(s1, dtype=float))
     s2 = np.atleast_2d(np.asarray(s2, dtype=float))
+    if s1.ndim != 2 or s2.ndim != 2 or s1.shape[1] != form.dim or s2.shape[1] != form.dim:
+        raise DimensionMismatch(f"expected families of shape (k, {form.dim}), got {s1.shape} and {s2.shape}")
     lines = np.empty((s1.shape[0], s2.shape[0], 2, form.dim))
     lines[:, :, 0, :] = s1[:, None, :]
     lines[:, :, 1, :] = s2[None, :, :]
@@ -144,10 +149,11 @@ def is_multi_congruence(g: IsoLineGrid) -> bool:
 def factor_congruence(g: IsoLineGrid):
     """Generating point families with l_{ij} = span(s1_i, s2_j).
 
-    s1_i is the meet of l_{i,0} and l_{i,1}, s2_j of l_{0,j} and l_{1,j};
-    the factorization is verified on every cell and the two families checked
-    for mutual orthogonality.  Rows or columns spanning only an isotropic
-    plane raise PlanarFamily.
+    s1_i is the meet of l_{i,0} and l_{i,1}, s2_j of l_{0,j} and l_{1,j}.
+    Rows or columns spanning only an isotropic plane raise PlanarFamily;
+    otherwise every cell line holds both factor points (README, *Line
+    congruences*), so the one check per cell is the orthogonality of its
+    factor points, raised for the first failing cell in row-major order.
     """
     nu, nv = g.dims
     if nu < 2 or nv < 2:
@@ -166,18 +172,9 @@ def factor_congruence(g: IsoLineGrid):
     _raise_unless_meet(ranks1)
     s2, ranks2 = meet_lines(g.lines[0], g.lines[1])
     _raise_unless_meet(ranks2)
-    pairs = np.stack(np.broadcast_arrays(s1[:, None], s2[None]), axis=2)
-
-    def at_cell(message):
-        return lambda k: NotMultiCongruence(message.format(*divmod(k, nv)))
-
-    # cells in row-major order, the span checked before the orthogonality
-    raise_first_failure([
-        (span_rank(np.concatenate([pairs, g.lines], axis=2)) != 2,
-         at_cell("cell ({},{}) is not spanned by the factor points")),
-        (~g.form.orthogonal(s1[:, None], s2[None]),
-         at_cell("factor points at ({},{}) are not orthogonal")),
-    ])
+    bad = np.flatnonzero(~g.form.orthogonal(s1[:, None], s2[None]))
+    if bad.size:
+        raise NotMultiCongruence("factor points at ({},{}) are not orthogonal".format(*divmod(bad[0], nv)))
     return s1, s2
 
 

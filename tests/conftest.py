@@ -75,3 +75,18 @@ def nets_proj_equal(n1, n2, tol=1e-8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shapes of the matrices handed to np.linalg.svd while the test runs,
+    in call order."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return shapes

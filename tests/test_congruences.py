@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multinets.congruences import (
     CongruenceClass,
@@ -26,16 +30,19 @@ from multinets.errors import (
     NotMultiCongruence,
     NotOnQuadric,
     PlanarFamily,
+    SkewLines,
     ZeroVector,
 )
 from multinets.projective import (
     LIE,
     PLUECKER,
+    QUADRIC_RTOL,
     RANK_RTOL,
     ProjLine,
     bilinear_eval,
     normalize,
     proj_distance,
+    span_svd,
 )
 
 
@@ -232,20 +239,207 @@ def test_first_failing_cell_in_row_major_order_raises():
         factor_congruence(g)
 
 
+def on_cone(x, form, through=None):
+    """A point of the quadric next to x: x moved onto the form-orthogonal
+    complement of the point through (if given), then along its own polar
+    direction by the smaller root of the quadratic, in the stable form."""
+    dg = form.diagonal
+    unit = np.zeros_like(x) if through is None else normalize(dg * through)
+    x = x - (x @ unit) * unit
+    r = dg * x - (dg * x @ unit) * unit
+    a, b, c = r @ (dg * r), x @ (dg * r), x @ (dg * x)
+    return x - c / (b + np.copysign(np.sqrt(b * b - a * c), b)) * r
+
+
+def factor_grid(kind, nu, nv, seed):
+    """A torus contact grid (Lie) or a hyperboloid ruling grid (Pluecker) of
+    nu x nv lines at parameters at least 0.2 apart, drawn from
+    default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    if kind == "lie":
+        us = rng.uniform(0, 6.0) + np.cumsum(rng.uniform(0.3, 1.0, nu))
+        return torus_contact_grid(2.0, 0.5, us, -1.3 + np.cumsum(rng.uniform(0.2, 0.5, nv)))
+    return hyperboloid_ruling_grid(-2 + np.cumsum(rng.uniform(0.3, 0.8, nu)),
+                                   -2 + np.cumsum(rng.uniform(0.3, 0.8, nv)))
+
+
+def moved_cell(g, i, j, mode, delta, seed):
+    """The lines of g with cell (i, j) replaced by another isotropic line:
+    through s1_i and a point of the quadric about delta away from s2_j
+    ("first"), through s2_j and a point about delta away from s1_i
+    ("second"), through two points about delta away from both ("neither"),
+    or the line l_{i+1,j} ("next i", through s2_j only) or l_{i,j+1}
+    ("next j", through s1_i only), indices taken cyclically."""
+    nu, nv = g.dims
+    lines = g.lines.copy()
+    if mode == "next i":
+        lines[i, j] = g.lines[(i + 1) % nu, j]
+        return lines
+    if mode == "next j":
+        lines[i, j] = g.lines[i, (j + 1) % nv]
+        return lines
+    s1, s2 = factor_congruence(g)
+    p, q = s1[i], s2[j]
+    step = delta * np.random.default_rng(seed).normal(size=(2, g.form.dim))
+    if mode == "neither":
+        p = on_cone(p + step[0], g.form)
+    if mode == "second":
+        p = on_cone(p + step[0], g.form, through=q)
+    else:
+        q = on_cone(q + step[1], g.form, through=p)
+    lines[i, j] = normalize(np.stack([p, q]))
+    return lines
+
+
+def cell_residuals(lines, s1, s2):
+    """sigma_3 / sigma_1 of each cell's four points s1_i, s2_j and the two
+    spanning points: above RANK_RTOL where the cell line misses a factor
+    point, the check factor_congruence no longer makes."""
+    pairs = np.stack(np.broadcast_arrays(s1[:, None], s2[None]), axis=2)
+    s = span_svd(np.concatenate([pairs, lines], axis=2), compute_uv=False)[0]
+    return s[..., 2] / s[..., 0]
+
+
+# the checks factor_congruence makes before the orthogonality of the factor points
+EARLIER_CHECKS = {
+    NotMultiCongruence: r"line grid is not a multi-congruence",
+    PlanarFamily: r"lines of (row|column) \d+ lie in a plane",
+    SkewLines: r"lines span rank 4",
+    IdenticalLines: r"lines coincide",
+}
+MOVED_GRIDS = dict(
+    kind=st.sampled_from(["lie", "pluecker"]),
+    nu=st.integers(2, 5),
+    nv=st.integers(2, 5),
+    cell=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(mode=st.sampled_from(["first", "second", "neither", "next i", "next j"]),
+       log_delta=st.floats(-6.0, -1.0), **MOVED_GRIDS)
+def test_a_cell_line_off_its_factor_points_fails_an_earlier_check(mode, log_delta, kind, nu, nv, cell, seed):
+    """A cell line that stays isotropic but misses a factor point, by 1e-6
+    or more, fails a check that runs before the orthogonality of the factor
+    points, with that check's own type and message: the per-cell span check
+    those grids would reach cannot fire."""
+    g = factor_grid(kind, nu, nv, seed)
+    i, j = cell[0] % nu, cell[1] % nv
+    lines = moved_cell(g, i, j, mode, 10.0**log_delta, seed)
+    moved = IsoLineGrid(lines, g.form)
+    assert cell_residuals(lines, *factor_congruence(g))[i, j] > 1e-3 * 10.0**log_delta
+    with pytest.raises(tuple(EARLIER_CHECKS)) as raised:
+        factor_congruence(moved)
+    assert re.fullmatch(EARLIER_CHECKS[type(raised.value)], str(raised.value))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(mode=st.sampled_from(["first", "second", "neither"]), log_delta=st.floats(-11.0, -7.0), **MOVED_GRIDS)
+def test_inside_the_rank_band_factors_lie_on_every_cell_line(mode, log_delta, kind, nu, nv, cell, seed):
+    """A cell line moved by 1e-11 to 1e-7, inside the RANK_RTOL band: the
+    grid fails one of the kept checks, or its factor points lie on every
+    cell line to within 10 RANK_RTOL."""
+    g = factor_grid(kind, nu, nv, seed)
+    lines = moved_cell(g, cell[0] % nu, cell[1] % nv, mode, 10.0**log_delta, seed)
+    moved = IsoLineGrid(lines, g.form)
+    try:
+        s1, s2 = factor_congruence(moved)
+    except NotMultiCongruence as err:
+        assert re.fullmatch(r"line grid is not a multi-congruence|factor points at \(\d,\d\) are not orthogonal",
+                            str(err))
+        return
+    assert np.max(cell_residuals(lines, s1, s2)) <= 10 * RANK_RTOL
+
+
+def svd_restricted_norm(pair, form):
+    """Reference for one spanning pair (2, d) of nonzero rows: the Frobenius
+    norm of the form restricted to the orthonormal basis from the SVD of the
+    normalized rows, its second row dropped at rank 1."""
+    _, basis, kept = span_svd(pair)
+    basis = basis * kept[:, None]
+    return np.linalg.norm(basis * form.diagonal @ basis.T)
+
+
+def svd_isotropic(pair, form):
+    return bool(svd_restricted_norm(pair, form) <= QUADRIC_RTOL)
+
+
+def accepts(pair, form):
+    """IsoLineGrid's verdict on the one-line grid of pair."""
+    try:
+        IsoLineGrid(np.asarray(pair)[None, None], form)
+    except NotOnQuadric:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("inner, isotropic", [(1e-6, False), (1e-12, True)])
 def test_line_isotropy_does_not_depend_on_its_spanning_pair(inner, isotropic):
     """A torus contact line spanned by unit a, b with <a, b> = inner, given
-    as (a, b) and as (a, a + 1e-4 b): both spellings get the same verdict."""
+    as (a, b) and as (a, a + 1e-4 b): both spellings get the same verdict,
+    the verdict of the SVD basis."""
     a, b = torus_contact_grid(2.0, 0.5, [0.3], [0.4]).lines[0, 0]
     b = _nudged(b, np.empty((0, 6)), a, eps=inner)
     assert np.isclose(LIE.eval(a, b), inner, rtol=1e-3, atol=0)
     for pair in ([a, b], [a, a + 1e-4 * b]):
+        assert svd_isotropic(np.array(pair), LIE) is isotropic
         lines = np.array(pair)[None, None]
         if isotropic:
             IsoLineGrid(lines, LIE)
         else:
             with pytest.raises(NotOnQuadric, match="not isotropic"):
                 IsoLineGrid(lines, LIE)
+
+
+def test_isotropy_near_the_rank_threshold_is_the_svd_verdict():
+    """Pairs of points on the quadric whose sine sits within a factor of 3
+    of RANK_RTOL (1 + |c|), of isotropic torus contact lines and of secants
+    of the quadric, with c of either sign: IsoLineGrid accepts exactly where
+    the SVD basis does.  Pairs of rank 2 that close are rejected by both,
+    the direction w / sine being rounding there."""
+    rng = np.random.default_rng(26)
+    us, vs = rng.uniform(0, 6, 60), rng.uniform(-1.2, 1.2, 60)
+    ratios, verdicts = [], []
+    for k, (u, v) in enumerate(zip(us, vs)):
+        a, t = normalize(torus_contact_grid(2.0, 0.5, [u], [v]).lines[0, 0])
+        if k % 2:
+            t = on_cone(a + rng.normal(size=6), LIE)
+        t = t - (t @ a) * a
+        t /= np.linalg.norm(t)
+        sine = 10 ** rng.uniform(-np.log10(3), np.log10(3)) * RANK_RTOL * 2
+        sign = 1.0 if k % 4 < 2 else -1.0
+        b = on_cone(sign * np.sqrt(1 - sine**2) * a + sine * t, LIE)
+        b /= np.linalg.norm(b)
+        c = a @ b
+        ratios.append(np.linalg.norm(b - c * a) / (RANK_RTOL * (1 + abs(c))))
+        verdicts.append(accepts([a, b], LIE))
+        assert verdicts[-1] == svd_isotropic(np.array([a, b]), LIE)
+    ratios = np.array(ratios)
+    assert np.all((ratios > 1 / 3.5) & (ratios < 3.5))
+    assert np.any(ratios < 1) and np.any(ratios > 1)
+    assert verdicts == (ratios <= 1).tolist()
+
+
+def test_isotropy_near_the_quadric_threshold_is_the_svd_verdict():
+    """Torus contact lines (a, b) with b moved off the quadric so that the
+    restricted form has a Frobenius norm within a factor of 3 of
+    QUADRIC_RTOL, given as (a, b) and as (a, a + 1e-4 b): IsoLineGrid
+    accepts exactly where the SVD basis does, on both sides of the threshold."""
+    rng = np.random.default_rng(27)
+    seen = set()
+    for u, v in zip(rng.uniform(0, 6, 40), rng.uniform(-1.2, 1.2, 40)):
+        a, b = normalize(torus_contact_grid(2.0, 0.5, [u], [v]).lines[0, 0])
+        n = rng.normal(size=6)
+        # the restricted form is linear in a small move of b
+        slope = svd_restricted_norm(np.array([a, b + 1e-6 * n]), LIE) / 1e-6
+        b = b + 10 ** rng.uniform(-np.log10(3), np.log10(3)) * QUADRIC_RTOL / slope * n
+        for pair in (np.array([a, b]), np.array([a, a + 1e-4 * b])):
+            want = svd_isotropic(pair, LIE)
+            assert accepts(pair, LIE) == want
+            seen.add(want)
+    assert seen == {True, False}
+
 
 
 def test_planar_family_lines_through_point(rng):
@@ -347,7 +541,7 @@ def test_grid_validation_rejects_non_isotropic():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [(0, 0, 0, 0), (1, 2, 1, 4), (2, 1, 0, 5)])
 def test_non_finite_spanning_point_raises_non_finite(bad, entry):
-    """A NaN or an infinity is caught before the isotropy SVD (before: a NaN
+    """A NaN or an infinity is caught before the isotropy test (before: a NaN
     grid was accepted and an infinite one raised numpy's LinAlgError)."""
     lines = hyperboloid_ruling_grid([-1, 0, 1], [-1, 0.5, 2]).lines.copy()
     lines[entry] = bad
@@ -385,25 +579,44 @@ def test_torus_contact_grid_needs_lists_of_angles(us, vs):
         torus_contact_grid(2.0, 0.5, us, vs)
 
 
+def grid_6x6(kind):
+    """A 6x6 torus contact grid (Lie) or hyperboloid ruling grid (Pluecker)
+    with the class it has."""
+    if kind == "lie":
+        return (torus_contact_grid(2.0, 0.5, np.linspace(0.0, 2.5, 6), np.linspace(-1.2, 0.8, 6)),
+                CongruenceClass.DUPIN_CYCLIDE)
+    return (hyperboloid_ruling_grid(np.linspace(-2.0, 1.0, 6), np.linspace(-1.5, 1.5, 6)),
+            CongruenceClass.HYPERBOLOID)
+
+
 @pytest.mark.parametrize("kind", ["lie", "pluecker"])
-def test_classifying_a_6x6_congruence_makes_seven_svd_calls(kind, monkeypatch):
+def test_classifying_a_6x6_congruence_makes_six_svd_calls(kind, svd_shapes):
     """Each rank question is answered once: the passing multi-congruence
     listing and its identical-lines check (_pair_span) run no SVD; then one
     SVD per family of rows and of columns, one per meet_lines call (its line
-    ranks from _pair_span, its four-point rank off the meet's own SVD), one
-    over the cells and one per factor span."""
-    if kind == "lie":
-        g = torus_contact_grid(2.0, 0.5, np.linspace(0.0, 2.5, 6), np.linspace(-1.2, 0.8, 6))
-        want = CongruenceClass.DUPIN_CYCLIDE
-    else:
-        g = hyperboloid_ruling_grid(np.linspace(-2.0, 1.0, 6), np.linspace(-1.5, 1.5, 6))
-        want = CongruenceClass.HYPERBOLOID
-    svd, shapes = np.linalg.svd, []
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    ranks from _pair_span, its four-point rank off the meet's own SVD) and
+    one per factor span.  No cell is checked by rank: every cell line holds
+    both factor points once the checks before pass."""
+    g, want = grid_6x6(kind)
     assert classify_congruence(g).kind == want
-    assert shapes == [(6, 12, 6), (6, 12, 6), (6, 6, 4), (6, 6, 4), (6, 6, 4, 6), (6, 6), (6, 6)]
+    assert svd_shapes == [(6, 12, 6), (6, 12, 6), (6, 6, 4), (6, 6, 4), (6, 6), (6, 6)]
+
+
+@pytest.mark.parametrize("kind", ["lie", "pluecker"])
+def test_building_a_6x6_grid_runs_no_svd(kind, svd_shapes):
+    """IsoLineGrid tests isotropy on the closed-form basis of _pair_span."""
+    grid_6x6(kind)
+    assert svd_shapes == []
+
+
+@pytest.mark.parametrize(
+    "s1, s2",
+    [(np.ones((2, 5)), np.ones((2, 5))), (np.ones((2, 5)), np.ones((2, 6))),
+     (np.ones((2, 6)), np.ones((3, 5))), (np.ones((2, 3, 6)), np.ones((2, 6)))],
+    ids=["both dimension 5", "first dimension 5", "second dimension 5", "first of shape (2, 3, 6)"],
+)
+def test_from_generators_names_the_expected_family_shape(s1, s2):
+    """A family of the wrong dimension or shape raises DimensionMismatch
+    (before: numpy's ValueError from the broadcast into the grid)."""
+    with pytest.raises(DimensionMismatch, match=r"expected families of shape \(k, 6\)"):
+        from_generators(s1, s2, LIE)

@@ -476,25 +476,18 @@ def test_multi_conical_listing_near_the_rank_threshold(part):
     assert np.any((ratios < 1.0) & (ratios > 0.95))
 
 
-def test_multi_conical_nets_hand_no_four_point_stack_to_svd(monkeypatch):
+def test_multi_conical_nets_hand_no_four_point_stack_to_svd(svd_shapes):
     """On polar strip, rotational and stereographic nets and a parallel net
     of each, the volume certificate of _above_rank3 decides every Blaschke
     stack, and the pairwise-distinct check of the normals is closed form: no
     matrix reaches np.linalg.svd (only the empty batch of the stacks that the
     certificate leaves open)."""
     nets = multi_conical_nets()
-    shapes = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    svd_shapes.clear()
     for pn in nets:
         assert is_multi_conical(pn)
         assert conical_violations(pn) == []
-    assert sum(int(np.prod(s[:-2])) for s in shapes) == 0
+    assert sum(int(np.prod(s[:-2])) for s in svd_shapes) == 0
 
 
 # -- parallel conical nets against the per-quad determinant recurrence -------------

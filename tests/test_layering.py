@@ -399,7 +399,8 @@ def test_the_classifiers_build_no_strip_gauge():
 def test_each_rank_question_is_answered_once():
     """A circular subdivision round decides circularity from its own Laplace
     spheres, S^2 nets are decided and classified on their rows (p, 1), and
-    the two-row ranks of lines come from projective._pair_span."""
+    the two-row ranks of lines, and the basis of each line of an
+    IsoLineGrid, come from projective._pair_span."""
     from multinets import conical
 
     tree = ast.parse((PACKAGE / "subdivision.py").read_text(encoding="utf-8"))
@@ -408,8 +409,10 @@ def test_each_rank_question_is_answered_once():
     assert not hasattr(conical, "_s2_lift")
     pair_span = set(package_sites(calls_named("_pair_span")))
     span_rank = set(package_sites(calls_named("span_rank")))
-    for site in ("projective.meet_lines", "projective.__post_init__", "congruences.multi_congruence_violations"):
+    for site in ("projective.meet_lines", "projective.__post_init__", "congruences.multi_congruence_violations",
+                 "congruences.__post_init__"):
         assert site in pair_span and site not in span_rank
+    assert "span_svd" not in CALLS["congruences"] and "congruences" not in callers("linalg.svd")
 
 
 def is_frozen_dataclass(decorator):

@@ -341,28 +341,22 @@ def test_strip_sphere_rejects_strip_off_concurrency_by_1e_7():
 # -- the certificate replaces the exhaustive SVD --------------------------------
 
 
-def count_svd_matrices(monkeypatch):
+def count_svd_matrices(svd_shapes):
+    """svd_shapes emptied, for a check on a cold grid view."""
     _view_of.cache_clear()
-    counts = []
-    svd = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        counts.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return counts
+    svd_shapes.clear()
+    return svd_shapes
 
 
 @pytest.mark.parametrize("family", ["q", "qstar", "circular"])
-def test_translation_nets_hand_only_the_first_chunk_to_svd(family, monkeypatch):
+def test_translation_nets_hand_only_the_first_chunk_to_svd(family, svd_shapes):
     if family == "circular":
         net, check, d = rotational_net(0, 16), is_multi_circular, 5
     else:
         pts = translation_points(3, 16, 16)
         net, check, d = (PointNet(pts), is_multi_q_net, 4) if family == "q" else (
             covectors(pts), is_multi_qstar, 4)
-    shapes = count_svd_matrices(monkeypatch)
+    shapes = count_svd_matrices(svd_shapes)
     assert check(net)
     # rectangle stacks (4, d); the gauge adds one corner quad of that shape
     # and O(n) small solves, against C(16, 2)^2 = 14 400 rectangles
@@ -371,7 +365,7 @@ def test_translation_nets_hand_only_the_first_chunk_to_svd(family, monkeypatch):
     assert sum(int(np.prod(s[:-2])) for s in shapes) < 2 * _FIRST_CHUNK
 
 
-def test_well_conditioned_q_net_hands_no_stack_to_svd(monkeypatch):
+def test_well_conditioned_q_net_hands_no_stack_to_svd(svd_shapes):
     """On a generic 11x11 Q-net whose corner triples are far from collinear
     the volume certificate decides every quad and Cramer's rule solves every
     Laplace equation: no matrix reaches np.linalg.svd."""
@@ -379,7 +373,7 @@ def test_well_conditioned_q_net_hands_no_stack_to_svd(monkeypatch):
     _, v3, _ = corner_minors(rect_stacks(net.points, elementary=True)[1])
     assert np.min(v3) >= _CRAMER_VOLUME
     for check, want in ((is_q_net, True), (laplace_transforms_degenerate, False)):
-        shapes = count_svd_matrices(monkeypatch)
+        shapes = count_svd_matrices(svd_shapes)
         assert check(net) is want
         assert sum(int(np.prod(s[:-2])) for s in shapes) == 0
 
