@@ -113,6 +113,11 @@ def multi_congruence_violations(g: IsoLineGrid):
     """Same-row / same-column line pairs that fail to intersect, as
     (("row", i0, i1, j) or ("col", i, j0, j1), residual) entries.
 
+    ("row", i0, i1, j) pairs the lines (i0, j) and (i1, j), which share the
+    second index j: both lie in what factor_congruence's PlanarFamily
+    message calls column j.  ("col", i, j0, j1) pairs (i, j0) and (i, j1),
+    which share the first index i, its row i.
+
     A pair is the 4-point stack of both spanning pairs; it fails when the
     stack spans rank 4.  A degenerate spanning pair raises ZeroVector or
     IdenticalLines, like ProjLine; the first such line in column-major order

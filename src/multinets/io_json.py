@@ -10,6 +10,7 @@ lossless and byte-deterministic.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -49,22 +50,6 @@ def _grid(net):
     return None
 
 
-def net_to_document(net, meta=None) -> dict:
-    """JSON-ready document for a PointNet, PlaneNet, EuclidNet or IsoLineGrid."""
-    grid = _grid(net)
-    if grid is None:
-        raise SchemaViolation(f"cannot serialize object of type {type(net).__name__}")
-    kind, ambient, coords, at_infinity = grid
-    nu, nv = coords.shape[:2]
-    data = coords.reshape(nu * nv, *coords.shape[2:]).tolist()
-    if at_infinity is not None:
-        for k in np.flatnonzero(at_infinity):
-            data[k] = None
-    doc = {"meta": dict(meta)} if meta else {}
-    doc.update(kind=kind, ambient=ambient, dims=[nu, nv], data=data)
-    return doc
-
-
 def _coordinates(entry, shape, k):
     """The coordinates of data[k], an entry of the given shape, as a flat list."""
     if len(shape) == 2:
@@ -80,6 +65,40 @@ def _coordinates(entry, shape, k):
         except OverflowError:  # an integer beyond the float range
             pass
     raise SchemaViolation(f"data[{k}]: non-numeric coordinate")
+
+
+def _lists_of(items, length):
+    """Whether every item is a list of the given length."""
+    return set(map(type, items)) <= {list} and set(map(len, items)) <= {length}
+
+
+def _whole_data(data, shape, nulls):
+    """(values, mask) of a data list whose entries all have the given shape
+    and JSON-number coordinates (null too where nulls marks a vertex at
+    infinity), checked and converted over the whole list; None otherwise.
+    values holds one row of zeros per null."""
+    mask = np.zeros(len(data), dtype=bool)
+    rows = data
+    if nulls:
+        mask[:] = [entry is None for entry in data]
+        rows = [entry for entry in data if entry is not None]
+    if len(shape) == 2:
+        if not _lists_of(rows, shape[0]):
+            return None
+        rows = list(chain.from_iterable(rows))
+    if not _lists_of(rows, shape[-1]):
+        return None
+    coords = list(chain.from_iterable(rows))
+    # JSON numbers only: np.array(..., dtype=float) would also take true and "1.5"
+    if not set(map(type, coords)) <= {int, float}:
+        return None
+    try:
+        finite = np.array(coords, dtype=float).reshape(-1, int(np.prod(shape)))
+    except OverflowError:  # an integer beyond the float range
+        return None
+    values = np.zeros((len(data), finite.shape[1]))
+    values[~mask] = finite
+    return values, mask
 
 
 def document_to_net(doc: dict):
@@ -110,16 +129,20 @@ def document_to_net(doc: dict):
             raise SchemaViolation(f"unknown {kind.split('_')[0]} ambient '{ambient}'")
         raise SchemaViolation(f"unknown kind '{kind}'")
     shape, build = _LAYOUTS[kind, ambient]
-    size = int(np.prod(shape))
-    mask = np.zeros(nu * nv, dtype=bool)
-    values = []
-    for k, entry in enumerate(data):
-        if entry is None and ambient == "E3":
-            mask[k] = True
-            values += [0.0] * size
-        else:
-            values += _coordinates(entry, shape, k)
-    return build(np.array(values).reshape(nu, nv, *shape), mask.reshape(nu, nv))
+    parsed = _whole_data(data, shape, ambient == "E3")
+    if parsed is None:  # name the first bad entry
+        size = int(np.prod(shape))
+        mask = np.zeros(nu * nv, dtype=bool)
+        values = []
+        for k, entry in enumerate(data):
+            if entry is None and ambient == "E3":
+                mask[k] = True
+                values += [0.0] * size
+            else:
+                values += _coordinates(entry, shape, k)
+        parsed = np.array(values), mask
+    values, mask = parsed
+    return build(values.reshape(nu, nv, *shape), mask.reshape(nu, nv))
 
 
 def _write_text(text, target):
@@ -130,9 +153,42 @@ def _write_text(text, target):
             fh.write(text)
 
 
+def _template(shape, depth):
+    """The json.dumps(indent=1) text of a data entry of the given shape at
+    the given nesting depth, with %r in place of each coordinate."""
+    pad = " " * depth
+    if not shape:
+        return pad + "%r"
+    inner = ",\n".join([_template(shape[1:], depth + 1)] * shape[0])
+    return f"{pad}[\n{inner}\n{pad}]"
+
+
 def write_net(net, target, meta=None):
-    """Write a net to a path or text stream; lossless float round trip."""
-    _write_text(json.dumps(net_to_document(net, meta), indent=1, sort_keys=True) + "\n", target)
+    """Write a net to a path or text stream; lossless float round trip.
+
+    The text is json.dumps(document, indent=1, sort_keys=True): json writes
+    everything but the data, whose entries fill one %r template per entry
+    shape.  json writes a finite float with float.__repr__, and every net
+    is finite, so the bytes are the same."""
+    grid = _grid(net)
+    if grid is None:
+        raise SchemaViolation(f"cannot serialize object of type {type(net).__name__}")
+    kind, ambient, coords, at_infinity = grid
+    nu, nv = coords.shape[:2]
+    doc = {"meta": dict(meta)} if meta else {}
+    doc.update(kind=kind, ambient=ambient, dims=[nu, nv], data=[])
+    # no JSON string holds a newline, so only the top-level key starts a
+    # line with one space and "data"
+    head, tail = json.dumps(doc, indent=1, sort_keys=True).split('\n "data": []', 1)
+    entry = _template(coords.shape[2:], 2)
+    if at_infinity is None:
+        entries, values = [entry] * (nu * nv), coords
+    else:
+        entries = ["  null" if inf else entry for inf in at_infinity.ravel().tolist()]
+        values = coords[~at_infinity]
+    data = ("[\n" + ",\n".join(entries) + "\n ]") if entries else "[]"
+    text = f'{head}\n "data": {data % tuple(values.ravel().tolist())}{tail}\n'
+    _write_text(text, target)
 
 
 def read_net(source):

@@ -156,12 +156,84 @@ def test_valid_docs_read(kind):
     read_net(io.StringIO(json.dumps(valid_doc(kind))))
 
 
+def expected_message(kind, bad, k=0):
+    """The SchemaViolation message of a malformation, the bad entry at data[k]."""
+    name = VALID_DOCS[kind][0]
+    pair = name == "line_grid"
+    length = len(first_coords(valid_doc(kind)))
+    entry = f"data[{k}]: "
+    return {
+        "short-entry": entry + f"expected {length} coordinates",
+        "non-numeric": entry + "non-numeric coordinate",
+        "bool-coordinate": entry + "non-numeric coordinate",
+        "numeric-string": entry + "non-numeric coordinate",
+        "nested-coordinate": entry + "non-numeric coordinate",
+        "huge-integer": entry + "non-numeric coordinate",
+        "null-entry": entry + ("expected a spanning pair" if pair else f"expected {length} coordinates"),
+        "not-a-pair": entry + "expected a spanning pair",
+        "unknown-ambient": "unknown {} ambient 'R99'".format(
+            {"point_net": "point", "plane_net": "plane", "line_grid": "line"}[name]
+        ),
+        "unknown-kind": "unknown kind 'curve_net'",
+        "dims-zero": "field 'dims' must be two positive integers",
+        "dims-one-entry": "field 'dims' must be two positive integers",
+        "dims-float": "field 'dims' must be two positive integers",
+        "dims-bool": "field 'dims' must be two positive integers",
+        "dims-string": "field 'dims' must be two positive integers",
+        "data-not-list": "field 'data' must hold dims[0]*dims[1] = 2 entries, got dict",
+        "missing-data": "missing field 'data'",
+        "top-level-array": "top-level value must be an object",
+        "truncated": "invalid JSON at line 1: " + ("Expecting ',' delimiter" if pair else "Expecting value"),
+    }[bad]
+
+
 @pytest.mark.parametrize("kind, bad", MALFORMED_CASES)
 def test_malformed_input_rejected(kind, bad):
     text = malformed_text(kind, bad)
     for source in (io.StringIO(text), text):
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(SchemaViolation) as info:
             read_net(source)
+        assert str(info.value) == expected_message(kind, bad)
+
+
+def bad_entry(kind, bad):
+    doc = valid_doc(kind)
+    MALFORMATIONS[bad](doc)
+    return doc["data"][0]
+
+
+# the malformations of one data entry, whose message names its index
+ENTRY_BREAKS = {
+    "short-entry", "non-numeric", "bool-coordinate", "numeric-string", "nested-coordinate",
+    "huge-integer", "null-entry", "not-a-pair",
+}
+ENTRY_CASES = [(kind, bad) for kind, bad in MALFORMED_CASES if bad in ENTRY_BREAKS]
+
+
+@pytest.mark.parametrize("kind, bad", ENTRY_CASES)
+def test_bad_last_entry_of_a_28x28_net_is_named(kind, bad):
+    """The whole-list check of a large net finds a bad entry at the end and
+    hands it to the per-entry parse, which names it."""
+    doc = valid_doc(kind)
+    good = [entry for entry in doc["data"] if entry is not None][0]
+    doc["dims"] = [28, 28]
+    doc["data"] = ([good, None] * 392 if kind == "e3" else [good] * 784)[:783] + [bad_entry(kind, bad)]
+    with pytest.raises(SchemaViolation) as info:
+        read_net(json.dumps(doc))
+    assert str(info.value) == expected_message(kind, bad, 783)
+
+
+@pytest.mark.parametrize("bad", [bad for kind, bad in ENTRY_CASES if kind == "e3"])
+@pytest.mark.parametrize("k", [1, 2, 400, 783])
+def test_bad_entry_right_after_a_null_is_named(bad, k):
+    """Nulls before a bad E3 entry do not shift the index named, and a later
+    bad entry is not the one named."""
+    data = [[0.5, -1, 2.0]] * (k - 1) + [None, bad_entry("e3", bad)]
+    data += ([None, [1.0, True, 0.0]] * 392)[: 784 - len(data)]
+    doc = {"kind": "point_net", "ambient": "E3", "dims": [28, 28], "data": data}
+    with pytest.raises(SchemaViolation) as info:
+        read_net(json.dumps(doc))
+    assert str(info.value) == expected_message("e3", bad, k)
 
 
 def test_plane_net_ambient_must_be_rp3():

@@ -310,7 +310,6 @@ LOOPS = {
     "conical.parallel_conical_net",
     "errors.first_failure",
     "io_json.document_to_net",
-    "io_json.net_to_document",
     "projective._read_only",
     "projective.classify_spans",
     "qnets.build_qqstar_net",
