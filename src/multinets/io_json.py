@@ -20,6 +20,8 @@ from .errors import InfiniteVertex, SchemaViolation
 from .projective import LIE, PLUECKER, ZERO_RTOL
 from .qnets import PlaneNet, PointNet
 
+_DIMS_MESSAGE = "field 'dims' must be two positive integers"
+
 # (kind, ambient) -> (entry shape, builder of the net from its coordinate grid
 # (nu, nv, *entry) and infinity mask); only E3 nets mark vertices with null
 _LAYOUTS = {
@@ -117,7 +119,7 @@ def document_to_net(doc: dict):
         or len(dims) != 2
         or not all(type(n) is int and n > 0 for n in dims)
     ):
-        raise SchemaViolation("field 'dims' must be two positive integers")
+        raise SchemaViolation(_DIMS_MESSAGE)
     nu, nv = dims
     if not isinstance(data, list) or len(data) != nu * nv:
         raise SchemaViolation(
@@ -169,12 +171,15 @@ def write_net(net, target, meta=None):
     The text is json.dumps(document, indent=1, sort_keys=True): json writes
     everything but the data, whose entries fill one %r template per entry
     shape.  json writes a finite float with float.__repr__, and every net
-    is finite, so the bytes are the same."""
+    is finite, so the bytes are the same.  A net with a zero dimension
+    raises, as read_net would on its text."""
     grid = _grid(net)
     if grid is None:
         raise SchemaViolation(f"cannot serialize object of type {type(net).__name__}")
     kind, ambient, coords, at_infinity = grid
     nu, nv = coords.shape[:2]
+    if nu == 0 or nv == 0:
+        raise SchemaViolation(_DIMS_MESSAGE)
     doc = {"meta": dict(meta)} if meta else {}
     doc.update(kind=kind, ambient=ambient, dims=[nu, nv], data=[])
     # no JSON string holds a newline, so only the top-level key starts a
@@ -186,7 +191,7 @@ def write_net(net, target, meta=None):
     else:
         entries = ["  null" if inf else entry for inf in at_infinity.ravel().tolist()]
         values = coords[~at_infinity]
-    data = ("[\n" + ",\n".join(entries) + "\n ]") if entries else "[]"
+    data = "[\n" + ",\n".join(entries) + "\n ]"
     text = f'{head}\n "data": {data % tuple(values.ravel().tolist())}{tail}\n'
     _write_text(text, target)
 

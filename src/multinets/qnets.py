@@ -38,6 +38,7 @@ from .projective import (
     ZERO_RTOL,
     ProjLine,
     _above_rank3,
+    _pair_span,
     _read_only,
     common_point_of_spans,
     corner_minors,
@@ -50,6 +51,7 @@ from .projective import (
     rect_indices,
     rect_stacks,
     repeated_rows,
+    row_dot,
     span_rank,
     span_svd,
 )
@@ -136,7 +138,9 @@ _RANK3_VOLUME = 1e-8
 # span a volume of at least _CRAMER_VOLUME.  The minors are off by a few u
 # (u = 2^-53), and the solve divides by the squared volume, so its relative
 # error grows like u / volume: below 1e-11 here.  Thinner quads keep the
-# SVD solve of _unit_lstsq.
+# SVD solve of _unit_lstsq.  _unit_lstsq solves two unit columns in closed
+# form where they span an area (the sine of their angle) of at least
+# _CRAMER_VOLUME, with the same u / sine growth; thinner pairs keep the SVD.
 _CRAMER_VOLUME = 1e-4
 
 
@@ -159,18 +163,44 @@ def _unit_lstsq(m, rhs):
     """Batched least squares m c = rhs, m (..., d, k), on unit-normalized columns.
 
     Solving on unit columns with lstsq's default cutoff keeps the solve
-    independent of the scale of each column.  Returns the coefficients c of
-    the columns as given, the scale-free coefficients of the unit columns,
-    and the residual relative to |rhs|.
+    independent of the scale of each column.  m and rhs (..., d) broadcast
+    against each other.  Returns the coefficients c of the columns as given,
+    the scale-free coefficients of the unit columns, and the residual
+    relative to |rhs|.
+
+    Two unit columns a, b whose sine (projective._pair_span) is at least
+    _CRAMER_VOLUME are solved in closed form on the orthonormal basis
+    (a, w / sine): the coefficient of b is <rhs, w> / sine^2 and that of a
+    is <rhs, a> - <a, b> times it.  A second Gram-Schmidt pass takes <a, w>
+    from a few u down to a few u sine, so the coefficients and the residual
+    are off by about u / sine relative to the largest unit coefficient and
+    to |rhs| (below 1e-11 here), as the SVD's are; a single pass would give
+    u / sine^2.  Thinner pairs, and every system of three or more columns,
+    keep the SVD.  The basis is computed on the columns' own shape; only
+    the right-hand side broadcasts.
     """
     norms = np.linalg.norm(m, axis=-2)
     unit_m = m / norms[..., None, :]
-    u, s, vh = np.linalg.svd(unit_m, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(m.shape[-2:]) * s[..., :1]
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    unit = np.einsum("...ji,...j->...i", vh, inv_s * np.einsum("...dj,...d->...j", u, rhs))
-    resid = np.linalg.norm(np.einsum("...dj,...j->...d", unit_m, unit) - rhs, axis=-1)
-    return unit / norms, unit, resid / np.linalg.norm(rhs, axis=-1)
+    shape = np.broadcast_shapes(m.shape[:-2], rhs.shape[:-1])
+    if m.shape[-1] == 2:
+        a, b = np.moveaxis(unit_m, -1, 0)
+        w, sine, _ = _pair_span(a, b)
+        w = w - row_dot(a, w)[..., None] * a
+        thin = ~(sine[..., 0] >= _CRAMER_VOLUME)  # NaN columns too, which the SVD rejects
+        coeff_b = row_dot(rhs, w) / np.where(thin, 1.0, row_dot(w, w))
+        unit = np.stack([row_dot(rhs, a) - row_dot(a, b) * coeff_b, coeff_b], axis=-1)
+    else:
+        thin = np.ones(m.shape[:-2], dtype=bool)
+        unit = np.empty(shape + m.shape[-1:])
+    if np.any(thin):
+        thin = np.broadcast_to(thin, shape)
+        u, s, vh = np.linalg.svd(np.broadcast_to(unit_m, shape + m.shape[-2:])[thin], full_matrices=False)
+        keep = s > np.finfo(float).eps * max(m.shape[-2:]) * s[..., :1]
+        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        rhs_thin = np.broadcast_to(rhs, shape + rhs.shape[-1:])[thin]
+        unit[thin] = np.einsum("...ji,...j->...i", vh, inv_s * np.einsum("...dj,...d->...j", u, rhs_thin))
+    resid = np.einsum("...dj,...j->...d", unit_m, unit) - rhs
+    return unit / norms, unit, np.sqrt(row_dot(resid, resid) / row_dot(rhs, rhs))
 
 
 def laplace_gauges(quads):
@@ -364,8 +394,7 @@ def _perspective_gauge(raw0, raw1, y):
     through [raw0] and [y]; the first sample (in row-major order) whose
     relative residual exceeds MATCH_TOL raises PerspectivityViolation.
     """
-    m = np.stack([raw1, -raw0], axis=-1)
-    coeffs, _, resid = _unit_lstsq(m, np.broadcast_to(y, m.shape[:-1]))
+    coeffs, _, resid = _unit_lstsq(np.stack([raw1, -raw0], axis=-1), y)
     bad = np.argwhere(resid > MATCH_TOL)
     if bad.size:
         k = tuple(bad[0])

@@ -138,19 +138,6 @@ class EdgePolylines:
         return self.u.shape[2] - 1, self.v.shape[2] - 1
 
 
-def _transport(poly, src, dst):
-    """Images of polylines (..., K, d) under the linear maps src -> dst.
-
-    src and dst (..., 2, d) are corresponding representatives on the source
-    and target edge lines; each sample is written in the basis src and
-    mapped to the same combination of dst, canonicalized as by normalize.
-    For a face's Laplace gauge with src (t00, t10) and dst (t01, t11) this
-    is the projection from the Laplace point y2 = t01 - t00 = t11 - t10.
-    """
-    coords, _, _ = _unit_lstsq(np.swapaxes(src, -1, -2)[..., None, :, :], poly)
-    return normalize(np.einsum("...kj,...jd->...kd", coords, dst))
-
-
 def _check_seeds(name, seed, verts):
     """Raise the error of the first bad polyline of one axis seed (E, n+1, d)
     whose edges join the consecutive axis vertices verts (E+1, d).
@@ -185,33 +172,52 @@ def _check_seeds(name, seed, verts):
     ])
 
 
+def _uniform_seeds(ends, n):
+    """n+1 uniform samples (E, n+1, d) of each edge between the gauge
+    representatives ends (E, 2, d)."""
+    w = np.linspace(0.0, 1.0, n + 1)[:, None]
+    return (1.0 - w) * ends[:, None, 0] + w * ends[:, None, 1]
+
+
+def _carried(seed, t):
+    """Polylines (E, F+1, K, d) on the edges x_{i,j} -> x_{i+1,j} of faces
+    with Laplace gauges t (E, F, 4, d), from the polylines seed (E, K, d)
+    on the edges j = 0.
+
+    Face j maps the edge j to the edge j+1 by the projection from its
+    Laplace point: a sample alpha t00 + beta t10 goes to alpha t01 + beta
+    t11.  Face j+1 restates the corners of edge j+1 as t[:, j+1, 0] =
+    lambda_j t[:, j, 2] and t[:, j+1, 1] = mu_j t[:, j, 3], so the edge j+1
+    holds normalize(alpha sigma_j t[:, j, 2] + beta tau_j t[:, j, 3]) with
+    sigma_j, tau_j the products of 1 / lambda_k, 1 / mu_k over k < j: one
+    solve for (alpha, beta) on the first faces and one product of ratios.
+    """
+    coords, _, _ = _unit_lstsq(np.swapaxes(t[:, None, 0, :2], -1, -2), seed)
+    ends, starts = t[:, :-1, 2:], t[:, 1:, :2]
+    ratios = row_dot(ends, ends) / row_dot(ends, starts)
+    scales = np.concatenate([np.ones_like(ratios[:, :1]), np.cumprod(ratios, axis=1)], axis=1)
+    carried = (coords[:, None] * scales[:, :, None]) @ t[:, :, 2:]
+    return np.concatenate([seed[:, None], normalize(carried)], axis=1)
+
+
 def _edge_polylines(net: PointNet, n_u, n_v, seeds, t) -> EdgePolylines:
     """attach_edge_polylines with the face gauges t (nu-1, nv-1, 4, d) given."""
     nu, nv = net.dims
     d = net.ambient_dim
-    p = net.points
-    u_edges = np.empty((nu - 1, nv, n_u + 1, d))
-    v_edges = np.empty((nu, nv - 1, n_v + 1, d))
-
     if seeds is None:
         # uniform samples of each axis edge in its face's gauge representatives
-        for edges, ends, n in ((u_edges[:, 0], t[:, 0], n_u), (v_edges[0], t[0][:, [0, 2]], n_v)):
-            w = np.linspace(0.0, 1.0, n + 1)[:, None]
-            edges[...] = (1.0 - w) * ends[:, None, 0] + w * ends[:, None, 1]
+        seed_u, seed_v = _uniform_seeds(t[:, 0, :2], n_u), _uniform_seeds(t[0, :, ::2], n_v)
     else:
         seed_u = np.asarray(seeds["u"], dtype=float)
         seed_v = np.asarray(seeds["v"], dtype=float)
         if seed_u.shape != (nu - 1, n_u + 1, d) or seed_v.shape != (nv - 1, n_v + 1, d):
             raise DimensionMismatch("seed polyline arrays have wrong shape")
-        _check_seeds("u", seed_u, p[:, 0])
-        _check_seeds("v", seed_v, p[0])
-        u_edges[:, 0], v_edges[0] = seed_u, seed_v
-
-    for j in range(nv - 1):
-        u_edges[:, j + 1] = _transport(u_edges[:, j], t[:, j][:, [0, 1]], t[:, j][:, [2, 3]])
-    for i in range(nu - 1):
-        v_edges[i + 1] = _transport(v_edges[i], t[i][:, [0, 2]], t[i][:, [1, 3]])
-    return EdgePolylines(u_edges, v_edges)
+        _check_seeds("u", seed_u, net.points[:, 0])
+        _check_seeds("v", seed_v, net.points[0])
+    u_edges = _carried(seed_u, t)
+    # the v direction is the u direction of the transposed faces (t00, t01, t10, t11)
+    v_edges = _carried(seed_v, np.swapaxes(t, 0, 1)[:, :, [0, 2, 1, 3]])
+    return EdgePolylines(u_edges, np.swapaxes(v_edges, 0, 1))
 
 
 def _face_gauges(net: PointNet):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from multinets.circular import EuclidNet
 from multinets.congruences import IsoLineGrid
+from multinets.errors import SchemaViolation
 from multinets.io_json import _LAYOUTS, read_net, write_net
 from multinets.projective import LIE, PLUECKER
 from multinets.qnets import PlaneNet, PointNet
@@ -141,3 +142,18 @@ def test_write_net_is_json_dumps_and_reads_back_bit_identical(kind, ambient, nu,
         assert back.ambient == ambient
         assert np.array_equal(bits(back.points), bits(coords))
 
+
+@pytest.mark.parametrize("net", [
+    PointNet(np.ones((0, 2, 4))),
+    PointNet(np.ones((3, 0, 5)), ambient="R41"),
+    EuclidNet(np.ones((0, 0, 3))),
+    PlaneNet(np.ones((2, 0, 4))),
+], ids=["point-rows", "r41-columns", "e3-both", "plane-columns"])
+def test_write_net_refuses_a_zero_dimension_as_read_net_does(net):
+    """read_net rejects dims with a zero, so write_net raises the same
+    error instead of writing a document that cannot be read back."""
+    buf = io.StringIO()
+    with pytest.raises(SchemaViolation) as info:
+        write_net(net, buf)
+    assert str(info.value) == "field 'dims' must be two positive integers"
+    assert buf.getvalue() == ""

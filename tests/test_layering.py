@@ -315,7 +315,6 @@ LOOPS = {
     "qnets.build_qqstar_net",
     "qnets.from_two_strips",
     "quadric_nets.generate_by_reflections",
-    "subdivision._edge_polylines",
     "subdivision._q_patches",
     "subdivision._subdivide_circular_round",
     "subdivision.subdivide_circular",
@@ -459,3 +458,26 @@ def test_a_multi_conical_grid_costs_one_rank_mask(monkeypatch):
             calls.clear()
             assert conical._conical_violations(pn, elementary) == []
             assert calls == [(4, 5)]
+
+
+def test_edge_polylines_solve_once_per_direction(monkeypatch):
+    """_edge_polylines carries each axis seed across its rows of faces with
+    one composed transport: one _unit_lstsq call per direction, whatever the
+    number of faces, and no per-step transport."""
+    import numpy as np
+
+    from conftest import random_q_net
+    from multinets import subdivision
+
+    assert not hasattr(subdivision, "_transport")
+    calls = []
+    unit_lstsq = subdivision._unit_lstsq
+
+    def counting(m, rhs):
+        calls.append(m.shape)
+        return unit_lstsq(m, rhs)
+
+    monkeypatch.setattr(subdivision, "_unit_lstsq", counting)
+    net = random_q_net(np.random.default_rng(8), 5, 7)
+    subdivision.attach_edge_polylines(net, (3, 2))
+    assert calls == [(4, 1, 4, 2), (6, 1, 4, 2)]

@@ -692,6 +692,142 @@ def test_perspective_gauge_equals_lstsq_loop(rng):
     assert outcomes == [False, True] * 3
 
 
+# -- the two-column solve ----------------------------------------------------------
+
+U = np.finfo(float).eps / 2
+
+
+def _svd_lstsq_reference(m, rhs):
+    """The SVD solve of _unit_lstsq on every system, as before the closed
+    form: lstsq's default cutoff on unit columns."""
+    norms = np.linalg.norm(m, axis=-2)
+    unit_m = m / norms[..., None, :]
+    u, s, vh = np.linalg.svd(unit_m, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(m.shape[-2:]) * s[..., :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    unit = np.einsum("...ji,...j->...i", vh, inv_s * np.einsum("...dj,...d->...j", u, rhs))
+    resid = np.linalg.norm(np.einsum("...dj,...j->...d", unit_m, unit) - rhs, axis=-1)
+    return unit / norms, unit, resid / np.linalg.norm(rhs, axis=-1)
+
+
+def column_pairs(rng, shape, d, sine):
+    """Column pairs (*shape, d, 2) at the given sines of their angles (a
+    scalar or an array broadcasting against (*shape, 1)), each column scaled
+    by a random factor in [1e-3, 1e3]."""
+    a = rng.normal(size=(*shape, d))
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    v = rng.normal(size=(*shape, d))
+    v -= np.sum(v * a, axis=-1, keepdims=True) * a
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    b = np.sqrt(1.0 - sine**2) * a + sine * v
+    return np.stack([a, b], axis=-1) * 10 ** rng.uniform(-3, 3, (*shape, 1, 2))
+
+
+def right_hand_sides(rng, m, off):
+    """Random combinations of the columns of m, moved off their span by off
+    times their norm."""
+    rhs = np.einsum("...dk,...k->...d", m, rng.normal(size=m.shape[:-2] + (2,)))
+    q, _ = np.linalg.qr(m)
+    perp = rng.normal(size=rhs.shape)
+    perp -= np.einsum("...dk,...ek,...e->...d", q, q, perp)
+    perp *= off * np.linalg.norm(rhs, axis=-1, keepdims=True) / np.linalg.norm(perp, axis=-1, keepdims=True)
+    return rhs + perp
+
+
+def assert_solves_agree(m, got, want, sine):
+    """_unit_lstsq's closed form against the SVD: the unit coefficients to
+    16 u (1 + rho / sine) / sine of the largest one, rho the relative
+    residual (the rho / sine^2 term is the least-squares problem's own
+    conditioning, which no method avoids), the coefficients of the columns
+    as given to that over the column norms, and the relative residual to
+    16 u / sine."""
+    (coeffs, unit, resid), (ref_coeffs, ref_unit, ref_resid) = got, want
+    rho = ref_resid[..., None]
+    bound = 16 * U * (1 + rho / sine) / sine * np.max(np.abs(ref_unit), axis=-1, keepdims=True)
+    assert np.all(np.abs(unit - ref_unit) <= bound)
+    assert np.all(np.abs(coeffs - ref_coeffs) <= bound / np.linalg.norm(m, axis=-2))
+    assert np.all(np.abs(resid - ref_resid) <= 16 * U / sine)
+
+
+@pytest.mark.parametrize("sine", [1e-3, 1.01e-4, 0.99e-4, 1e-7])
+@pytest.mark.parametrize("off", [0.0, 1e-9, 1e-3])
+def test_unit_lstsq_closed_form_matches_the_svd_on_both_sides_of_the_threshold(sine, off, svd_shapes):
+    """Pairs at a sine of at least _CRAMER_VOLUME are solved without an SVD
+    and agree with it to about u / sine; thinner pairs take one SVD over
+    all of them and are the SVD's solution."""
+    rng = np.random.default_rng(28)
+    for d in (3, 4, 5):
+        m = column_pairs(rng, (300,), d, sine)
+        rhs = right_hand_sides(rng, m, off)
+        want = _svd_lstsq_reference(m, rhs)
+        svd_shapes.clear()
+        got = _unit_lstsq(m, rhs)
+        if sine >= _CRAMER_VOLUME:
+            assert svd_shapes == []
+            assert_solves_agree(m, got, want, sine)
+        else:
+            assert svd_shapes == [(300, d, 2)]
+            for g, w in zip(got, want):
+                assert np.all(np.abs(g - w) <= 4 * U * np.abs(w))
+
+
+@pytest.mark.parametrize("factor", [1.0, -2.5, 1e3])
+def test_unit_lstsq_solves_rank_one_pairs_by_the_svd(factor, svd_shapes):
+    """Parallel columns (sine 0 up to rounding) keep the SVD's minimum-norm
+    solution, for right-hand sides on their line and off it."""
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(40, 4))
+    m = np.stack([a, factor * a], axis=-1)
+    for rhs in (rng.uniform(0.5, 2.0, (40, 1)) * a, rng.normal(size=(40, 4))):
+        want = _svd_lstsq_reference(m, rhs)
+        svd_shapes.clear()
+        got = _unit_lstsq(m, rhs)
+        assert svd_shapes == [(40, 4, 2)]
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 4 * U * np.abs(w))
+
+
+def test_unit_lstsq_broadcasts_the_right_hand_side_of_a_transport(svd_shapes):
+    """Columns (E, 1, d, 2), one basis per edge as in the transport of
+    subdivision._edge_polylines, against samples (E, K, d): the basis is
+    taken once per edge, and only the thin edges' samples go to the SVD."""
+    rng = np.random.default_rng(6)
+    sines = np.array([0.5, 1e-3, 1e-6, 0.2, 1e-8, 0.9])[:, None, None]
+    m = column_pairs(rng, (6, 1), 4, sines)
+    full = np.broadcast_to(m, (6, 5, 4, 2))
+    rhs = right_hand_sides(rng, full, 1e-9)
+    want = _svd_lstsq_reference(full, rhs)
+    svd_shapes.clear()
+    got = _unit_lstsq(m, rhs)
+    assert svd_shapes == [(2 * 5, 4, 2)]
+    wide = sines[:, 0, 0] >= _CRAMER_VOLUME
+    assert_solves_agree(full[wide], [g[wide] for g in got], [w[wide] for w in want], 1e-3)
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g[~wide] - w[~wide]) <= 4 * U * np.abs(w[~wide]))
+
+
+def test_unit_lstsq_broadcasts_the_right_hand_side_of_a_patch(svd_shapes):
+    """Columns (E, K, d, 2), one pair of samples in perspective each as in
+    subdivision._q_patches, against one Laplace vector (E, 1, d) per face."""
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=(4, 1, 4))
+    r0 = rng.normal(size=(4, 6, 4))
+    r0[1, 2] = y[1, 0] + 1e-7 * rng.normal(size=4)  # a thin pair: r0 and r0 + y nearly parallel
+    scales = rng.uniform(0.5, 2.0, (2, 4, 6, 1)) * rng.choice([-1, 1], (2, 4, 6, 1))
+    m = np.stack([scales[0] * (r0 + y), -scales[1] * r0], axis=-1)
+    want = _svd_lstsq_reference(m, np.broadcast_to(y, r0.shape))
+    svd_shapes.clear()
+    got = _unit_lstsq(m, y)
+    assert svd_shapes == [(1, 4, 2)]
+    assert np.all(got[2] <= 1e-8)
+    assert np.allclose(got[0][..., 0], 1 / scales[0, ..., 0], rtol=1e-6)
+    assert np.allclose(got[0][..., 1], 1 / scales[1, ..., 0], rtol=1e-6)
+    thick = np.ones(r0.shape[:2], dtype=bool)
+    thick[1, 2] = False
+    sine = np.min(proj_distance(m[..., 0], m[..., 1])[thick])
+    assert_solves_agree(m[thick], [g[thick] for g in got], [w[thick] for w in want], sine)
+
+
 @pytest.mark.parametrize("corner", [(0, 0), (2, 3)])
 @pytest.mark.parametrize("scale", [1.0, 1e6, 1e9, 1e12])
 def test_rescaled_vertex_keeps_translation_verdicts(corner, scale):

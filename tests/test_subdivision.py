@@ -36,10 +36,11 @@ from multinets.projective import (
     proj_equal,
     span_rank,
 )
-from multinets.qnets import PointNet, from_translation, is_q_net
+from multinets.qnets import PointNet, _unit_lstsq, from_translation, is_q_net
 from multinets.quadric_nets import generate_by_reflections
 from multinets.subdivision import (
     CircArc,
+    _face_gauges,
     adapted_cyclide_patch,
     adapted_q_patch,
     arc_through_points,
@@ -345,6 +346,70 @@ def test_non_finite_seed_sample_raises_a_typed_error():
     seeds["u"][0, -1] = np.inf
     with pytest.raises(InconsistentCorner, match="u seed 0 does not interpolate its edge"):
         attach_edge_polylines(net, 3, seeds)
+
+
+def _edge_polylines_by_steps(net, n, seeds=None):
+    """The face-by-face transport that _edge_polylines composes: each step
+    solves every sample of edge j in the basis (t00, t10) of face j, maps it
+    to the same combination of (t01, t11) and normalizes; the v direction
+    steps through the rows of faces the same way."""
+    n_u, n_v = (n, n) if isinstance(n, int) else n
+    nu, nv = net.dims
+    d = net.ambient_dim
+    t, _ = _face_gauges(net)
+    u = np.empty((nu - 1, nv, n_u + 1, d))
+    v = np.empty((nu, nv - 1, n_v + 1, d))
+    if seeds is None:
+        for edges, ends, k in ((u[:, 0], t[:, 0], n_u), (v[0], t[0][:, [0, 2]], n_v)):
+            w = np.linspace(0.0, 1.0, k + 1)[:, None]
+            edges[...] = (1.0 - w) * ends[:, None, 0] + w * ends[:, None, 1]
+    else:
+        u[:, 0], v[0] = seeds["u"], seeds["v"]
+
+    def transport(poly, src, dst):
+        coords, _, _ = _unit_lstsq(np.swapaxes(src, -1, -2)[..., None, :, :], poly)
+        return normalize(np.einsum("...kj,...jd->...kd", coords, dst))
+
+    for j in range(nv - 1):
+        u[:, j + 1] = transport(u[:, j], t[:, j][:, [0, 1]], t[:, j][:, [2, 3]])
+    for i in range(nu - 1):
+        v[i + 1] = transport(v[i], t[i][:, [0, 2]], t[i][:, [1, 3]])
+    return u, v
+
+
+def sliding_seeds(rng, net, n_u, n_v):
+    """Seed polylines at random increasing positions along the row-0 u-edge
+    and column-0 v-edge lines, ending on the vertices."""
+    p = net.points
+    seeds = {}
+    for name, verts, n in (("u", p[:, 0], n_u), ("v", p[0], n_v)):
+        w = np.sort(rng.uniform(0.0, 1.0, (len(verts) - 1, n + 1, 1)), axis=1)
+        w[:, 0], w[:, -1] = 0.0, 1.0
+        seeds[name] = (1 - w) * verts[:-1, None] + w * verts[1:, None]
+    return seeds
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape, n, bound", [
+    ((4, 5), 3, 1e-12), ((5, 3), (3, 1), 1e-12), ((3, 6), (1, 4), 1e-12), ((20, 20), (2, 3), 1e-8),
+])
+def test_composed_transport_equals_the_stepwise_transport(seed, shape, n, bound):
+    """attach_edge_polylines carries each axis seed across a row of faces in
+    one product of the per-face maps; the face-by-face loop is the reference.
+    Both agree to a sine of 1e-12 on nets of up to 5 faces a side, and to 1e-8
+    on 20x20 nets, where the samples next to a vertex carry the drift of
+    sigma_j / tau_j over 19 faces (worst seen over 30 nets of each kind:
+    7e-14 and 2.5e-10); default and explicit seeds alike."""
+    rng = np.random.default_rng(seed)
+    net = random_q_net(rng, *shape, dim=int(rng.integers(3, 6)))
+    n_u, n_v = (n, n) if isinstance(n, int) else n
+    for seeds in (None, line_seeds(net, n_u, n_v), sliding_seeds(rng, net, n_u, n_v)):
+        u, v = _edge_polylines_by_steps(net, n, seeds)
+        ep = attach_edge_polylines(net, n, seeds)
+        assert ep.u.shape == u.shape and ep.v.shape == v.shape
+        assert np.max(proj_distance(ep.u, u)) <= bound and np.max(proj_distance(ep.v, v)) <= bound
+        # the seeds are kept as given
+        assert np.array_equal(ep.u[:, 0], u[:, 0]) and np.array_equal(ep.v[0], v[0])
 
 
 def test_collinear_joins_flag_a_bent_join():
