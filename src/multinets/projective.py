@@ -570,6 +570,16 @@ def _reflect(q: QuadricForm, n, x):
     return x - 2.0 * (q._apply(n, x) / q._apply(n, n))[..., None] * n
 
 
+def _orbit(q: QuadricForm, mirrors, x):
+    """Successive _reflect images (..., F+1, K, d) of points x (..., K, d)
+    in mirrors (..., F, d): image 0 is x, image f+1 is image f reflected in
+    mirror f.  Unchecked, as _reflect."""
+    images = [x]
+    for f in range(mirrors.shape[-2]):
+        images.append(_reflect(q, mirrors[..., f, None, :], images[-1]))
+    return np.stack(images, axis=-3)
+
+
 # -- projective lines --------------------------------------------------------
 
 

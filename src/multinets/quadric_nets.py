@@ -20,7 +20,9 @@ from .errors import (
     SeedNotOnQuadric,
     ZeroVector,
 )
-from .projective import _ABS_EPS, MATCH_TOL, ZERO_RTOL, QuadricForm, _nonzero_rows, _reflect, proj_distance
+from .projective import (
+    _ABS_EPS, MATCH_TOL, ZERO_RTOL, QuadricForm, _nonzero_rows, _orbit, _reflect, proj_distance,
+)
 from .qnets import PointNet, translation_gauge
 
 _AMBIENT_BY_FORM = {
@@ -74,13 +76,7 @@ def generate_by_reflections(q: QuadricForm, n1_seq, n2_seq, x00):
 
     # the checks above have validated the mirrors and the seed, so the
     # reflections go unchecked; proj_distance validates the orbit points
-    (k1, d), k2 = n1.shape, len(n2)
-    pts = np.empty((k1 + 1, k2 + 1, d))
-    pts[0, 0] = x00
-    for j in range(k2):
-        pts[0, j + 1] = _reflect(q, n2[j], pts[0, j])
-    for i in range(k1):
-        pts[i + 1] = _reflect(q, n1[i], pts[i])
+    pts = _orbit(q, n1, _orbit(q, n2, x00[None])[:, 0])
 
     fixed1 = proj_distance(pts[1:], pts[:-1]) <= ZERO_RTOL
     fixed2 = proj_distance(pts[:, 1:], pts[:, :-1]) <= ZERO_RTOL

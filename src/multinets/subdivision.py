@@ -40,6 +40,7 @@ from .projective import (
     QUADRIC_RTOL,
     REPRODUCE_TOL,
     ZERO_RTOL,
+    _orbit,
     _read_only,
     moebius_drop,
     moebius_lift,
@@ -63,6 +64,7 @@ C1_ANGLE_TOL = 1e-6  # radians between the tangents of adjacent spline arcs
 _ORTHOGONAL_TOL = 1e-8  # |<t1, t2>| of the unit tangents of orthogonal arcs
 _ENDPOINT_RTOL = 1e-6  # gap of a gauged polyline end to its gauged corner, relative to the corner
 _COLLINEAR_RTOL = 1e-10  # |u x v| / (|u| |v|) of the chords u, v of three collinear points
+_STAND_IN = (1.0, 0.0, 0.0, 0.0, 0.0)  # Moebius mirror of a failed face: the plane x = 0
 
 
 def _resolve_counts(n):
@@ -73,6 +75,11 @@ def _resolve_counts(n):
     if n_u < 1 or n_v < 1:
         raise ValueError("subdivision counts must be >= 1")
     return n_u, n_v
+
+
+def _require_faces(net):
+    if min(net.dims) < 2:
+        raise DimensionMismatch(f"subdivision needs a net of at least 2x2 vertices, got {net.dims}")
 
 
 # -- adapted multi-Q patch ------------------------------------------------------
@@ -222,6 +229,7 @@ def _edge_polylines(net: PointNet, n_u, n_v, seeds, t) -> EdgePolylines:
 
 def _face_gauges(net: PointNet):
     """Laplace gauges t (nu-1, nv-1, 4, d) and y (nu-1, nv-1, 2, d) of all faces."""
+    _require_faces(net)
     nu, nv = net.dims
     t, y, _ = laplace_gauges(rect_stacks(net.points, elementary=True)[1])
     return (
@@ -390,7 +398,7 @@ def _chart_arcs(arcs, centre, scale):
 
 
 def _arcs_through(a, mid, b):
-    """Arcs (E, 3, 3) from a to b through mid (E, 3), and the error code of each.
+    """Arcs (..., 3, 3) from a to b through mid (..., 3), and the error code of each.
 
     Inversion about a maps the circle onto the line through
     mid' = (mid - a) / |mid - a|^2 and b' = (b - a) / |b - a|^2, and points
@@ -406,8 +414,8 @@ def _arcs_through(a, mid, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         s = uv / vv
         code = np.where(line & ~((0.0 <= s) & (s <= 1.0)), 3, 0)
-        tangent = u / uu[:, None] - v / vv[:, None]
-    arcs, arc_code = _arcs(a, b, np.where(line[:, None], v, tangent))
+        tangent = u / uu[..., None] - v / vv[..., None]
+    arcs, arc_code = _arcs(a, b, np.where(line[..., None], v, tangent))
     return arcs, np.where(code == 0, arc_code, code)
 
 
@@ -454,27 +462,31 @@ class CircArc:
     def transform(self, mirror) -> "CircArc":
         """Image arc under inversion in a Moebius sphere representative,
         transported through three sample points (circles map to circles)."""
-        mirror = np.asarray(mirror, dtype=float)
-        _, arcs, code = _invert_edges(_arc_array([self]), np.empty((1, 0, 3)), mirror[None])
-        _raise_arc_errors(code)
+        anchors = np.stack([self.start, self.point_at(0.5), self.end])
+        images, at_inf = invert_point(np.asarray(mirror, dtype=float), anchors)
+        arcs, code = _arcs_through(*images[:, None])
+        _raise_arc_errors(np.where(at_inf.any(), 4, code))
         return CircArc(*arcs[0])
 
 
 def _invert_edges(arcs, samples, mirrors):
-    """Images of edge arcs (E, 3, 3) and of their samples (E, K, 3) under
-    inversion in one mirror (E, 5) per edge.
-
-    Each image arc is transported through the images of its start, middle
-    and end (circles map to circles).  Returns the image samples, the image
-    arcs and the error code of each edge: first its arc's, then its samples'.
+    """Images (E, F+1, ...) of edge arcs (E, 3, 3) and of their samples
+    (E, K, 3), the given ones first, under successive inversions in the
+    mirrors (E, F, 5) of each edge: lifted once, reflected in turn (_orbit)
+    and dropped once.  Each image arc is fitted through the images of its
+    arc's start, middle and end (circles map to circles).  Returns samples,
+    arcs and the error code of each: 4 for an anchor at oo, then its arc's,
+    then 5 for a sample at oo.
     """
     middle, _ = _arc_at(arcs, np.array([0.5]))
-    anchors = np.concatenate([arcs[:, :1], middle, arcs[:, 1:2]], axis=1)
-    images, at_inf = invert_point(mirrors[:, None], np.concatenate([samples, anchors], axis=1))
-    image_arcs, code = _arcs_through(images[:, -3], images[:, -2], images[:, -1])
-    code = np.where(at_inf[:, -3:].any(axis=-1), 4, code)
-    code = np.where((code == 0) & at_inf[:, :-3].any(axis=-1), 5, code)
-    return images[:, :-3], image_arcs, code
+    points = np.concatenate([samples, arcs[:, :1], middle, arcs[:, 1:2]], axis=1)
+    images, at_inf = moebius_drop(_orbit(MOEBIUS, mirrors, moebius_lift(points)))
+    images[:, 0] = points
+    image_arcs, code = _arcs_through(*np.moveaxis(images[:, :, -3:], -2, 0))
+    image_arcs[:, 0] = arcs
+    code = np.where(at_inf[..., -3:].any(axis=-1), 4, code)
+    code = np.where((code == 0) & at_inf[..., :-3].any(axis=-1), 5, code)
+    return images[:, :, :-3], image_arcs, code
 
 
 def arc_through_points(a, mid, b) -> CircArc:
@@ -514,20 +526,20 @@ def _laplace_spheres(quads):
 
 
 def _cyclide_patches(t, y, u0, u1, v0, v1):
-    """Adapted Dupin cyclide patches (F, n_u+1, n_v+1, 3) of a batch of
+    """Adapted Dupin cyclide patches (..., n_u+1, n_v+1, 3) of a batch of
     circular quads, and their infinity masks.
 
     t and y are the Laplace gauges of the lifted quads (_laplace_spheres).
-    u0 (F, n_u+1, 3) samples x00 -> x10 and u1 holds its images x01 -> x11
-    in the second Laplace sphere; v0 (F, n_v+1, 3) samples x00 -> x01 and v1
-    holds its images x10 -> x11 in the first.  In the lift the patch is the
+    u0 (..., n_u+1, 3) samples x00 -> x10 and u1 holds its images x01 -> x11
+    in the second Laplace sphere; v0 (..., n_v+1, 3) samples x00 -> x01 and
+    v1 its images x10 -> x11 in the first.  In the lift the patch is the
     adapted multi-Q patch of the lifted samples, unique given its four
     boundary polylines; the boundary is the samples as given.
     """
     pts, at_inf = moebius_drop(_q_patches(t, y, *map(moebius_lift, (u0, u1, v0, v1))))
-    pts[:, :, 0], pts[:, :, -1], pts[:, 0], pts[:, -1] = u0, u1, v0, v1
-    at_inf[:, :, [0, -1]] = False
-    at_inf[:, [0, -1]] = False
+    pts[..., 0, :], pts[..., -1, :], pts[..., 0, :, :], pts[..., -1, :, :] = u0, u1, v0, v1
+    at_inf[..., [0, -1]] = False
+    at_inf[..., [0, -1], :] = False
     return pts, at_inf
 
 
@@ -605,6 +617,7 @@ def subdivide_circular(
     with similarities; the input vertices reappear bit-identically.
     """
     n_u, n_v = _resolve_counts(n)
+    _require_faces(net)
     if not net.is_finite():
         raise NotCircular("subdivision requires a finite circular net")
     points, centre, scale = _unit_chart(net.points)
@@ -642,41 +655,28 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     if abs(float(np.dot(row0[0, 2], col0[0, 2]))) > _ORTHOGONAL_TOL:
         raise ArcsNotOrthogonal("axis splines must meet orthogonally at the origin")
 
-    u_arcs = np.empty((nu - 1, nv, 3, 3))
-    v_arcs = np.empty((nu, nv - 1, 3, 3))
-    u_smp = np.empty((nu - 1, nv, n_u + 1, 3))
-    v_smp = np.empty((nu, nv - 1, n_v + 1, 3))
-    u_arcs[:, 0], v_arcs[0] = row0, col0
-    u_smp[:, 0], u_tangents = _arc_at(row0, np.arange(n_u + 1) / n_u)
-    v_smp[0], v_tangents = _arc_at(col0, np.arange(n_v + 1) / n_v)
+    u_seed, u_tangents = _arc_at(row0, np.arange(n_u + 1) / n_u)
+    v_seed, v_tangents = _arc_at(col0, np.arange(n_v + 1) / n_v)
 
     # inversion in the Laplace spheres along the rows (u-arcs, one step per
-    # j) and the columns (v-arcs, one step per i); code[...] holds the error
-    # code of the transport onto an edge, -1 where its face or its input
-    # failed and it was not transported
-    r1, r2 = y[:, 0].reshape(nu - 1, nv - 1, 5), y[:, 1].reshape(nu - 1, nv - 1, 5)
-    failed = np.any([fails for fails, _ in checks], axis=0).reshape(nu - 1, nv - 1)
-    u_code = np.full((nu - 1, nv), -1)
-    v_code = np.full((nu, nv - 1), -1)
-    u_code[:, 0] = v_code[0] = 0
-    for j in range(nv - 1):
-        live = np.flatnonzero((u_code[:, j] == 0) & ~failed[:, j])
-        u_smp[live, j + 1], u_arcs[live, j + 1], u_code[live, j + 1] = _invert_edges(
-            u_arcs[live, j], u_smp[live, j], r2[live, j]
-        )
-    for i in range(nu - 1):
-        live = np.flatnonzero((v_code[i] == 0) & ~failed[i])
-        v_smp[i + 1, live], v_arcs[i + 1, live], v_code[i + 1, live] = _invert_edges(
-            v_arcs[i, live], v_smp[i, live], r1[i, live]
-        )
+    # j) and the columns (v-arcs, one step per i), in the lift; a failed
+    # face inverts in the stand-in plane, so the transport cannot raise
+    grid = (nu - 1, nv - 1)
+    t, y = t.reshape(*grid, 4, 5), y.reshape(*grid, 2, 5)
+    failed = np.any([fails for fails, _ in checks], axis=0).reshape(grid)
+    r1, r2 = np.moveaxis(np.where(failed[..., None, None], _STAND_IN, y), -2, 0)
+    u_smp, u_arcs, u_code = _invert_edges(row0, u_seed, r2)
+    v_smp, v_arcs, v_code = (a.swapaxes(0, 1) for a in _invert_edges(col0, v_seed, r1.swapaxes(0, 1)))
 
-    # the first error in face order j-major, as face-by-face propagation meets it
+    # the first error in face order j-major, as face-by-face propagation
+    # meets it: every edge that a failed face or edge feeds comes later in
+    # that order, and a face's checks come before the edges it feeds
     def transported(code):
         code = code.T.ravel()
         return code > 0, lambda k: _arc_error(code[k])
 
     raise_first_failure(
-        [(fails.reshape(nu - 1, nv - 1).T.ravel(), make) for fails, make in checks]
+        [(fails.reshape(grid).T.ravel(), make) for fails, make in checks]
         + [transported(u_code[:, 1:]), transported(v_code[1:])]
     )
 
@@ -684,22 +684,14 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     _check_spline_c1(u_arcs.swapaxes(0, 1), [f"row {j} spline" for j in range(nv)])
     _check_spline_c1(v_arcs, [f"column {i} spline" for i in range(nu)])
 
-    faces = (nu - 1) * (nv - 1)
-    patches, at_inf = _cyclide_patches(
-        t,
-        y,
-        u_smp[:, :-1].reshape(faces, n_u + 1, 3),
-        u_smp[:, 1:].reshape(faces, n_u + 1, 3),
-        v_smp[:-1].reshape(faces, n_v + 1, 3),
-        v_smp[1:].reshape(faces, n_v + 1, 3),
-    )
+    patches, at_inf = _cyclide_patches(t, y, u_smp[:, :-1], u_smp[:, 1:], v_smp[:-1], v_smp[1:])
     if at_inf.any():
         raise DegenerateLaplaceSphere("patch produced a vertex at infinity")
-    fine = _assemble(patches.reshape(nu - 1, nv - 1, n_u + 1, n_v + 1, 3), u_smp, v_smp, p)
+    fine = _assemble(patches, u_smp, v_smp, p)
 
     # seed data for a further round: sub-arcs between consecutive samples
     seeds = []
-    for smp, tangents in ((u_smp[:, 0], u_tangents), (v_smp[0], v_tangents)):
+    for smp, tangents in ((u_seed, u_tangents), (v_seed, v_tangents)):
         sub, code = _arcs(smp[:, :-1], smp[:, 1:], tangents[:, :-1])
         _raise_arc_errors(code)
         seeds.append(sub.reshape(-1, 3, 3))

@@ -584,6 +584,21 @@ def test_cli_subdivide_checks_the_net_before_its_seeds(scheme, net, seeds, messa
     assert (code, out, err) == (2, "", message)
 
 
+@pytest.mark.parametrize("scheme, shape", [("q", (3, 1)), ("q", (1, 3)), ("circular", (3, 1)), ("circular", (1, 1))])
+def test_cli_subdivide_rejects_a_net_without_faces(scheme, shape, tmp_path, capsys, monkeypatch):
+    points = np.random.default_rng(1).uniform(-1.0, 1.0, (*shape, 3))
+    args = ["subdivide", "--scheme", scheme]
+    if scheme == "q":
+        net = PointNet(np.concatenate([points, np.ones((*shape, 1))], axis=-1))
+    else:
+        net = EuclidNet(points)
+        (tmp_path / "seeds.json").write_text(json.dumps({"row0": [], "col0": []}))
+        args += ["--seeds", str(tmp_path / "seeds.json")]
+    code, out, err = run_cli(args, stdin_text=_net_text(net), capsys=capsys, monkeypatch=monkeypatch)
+    message = f"subdivision needs a net of at least 2x2 vertices, got {shape}"
+    assert (code, out, err) == (2, "", f"error: DimensionMismatch: {message}\n")
+
+
 def test_cli_subdivide_passes_nu_and_nv_through(capsys, monkeypatch):
     text = _net_text(_point_net())
     code, out, _ = run_cli(

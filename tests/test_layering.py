@@ -310,6 +310,7 @@ LOOPS = {
     "conical.parallel_conical_net",
     "errors.first_failure",
     "io_json.document_to_net",
+    "projective._orbit",
     "projective._read_only",
     "projective.classify_spans",
     "qnets.build_qqstar_net",
@@ -481,3 +482,27 @@ def test_edge_polylines_solve_once_per_direction(monkeypatch):
     net = random_q_net(np.random.default_rng(8), 5, 7)
     subdivision.attach_edge_polylines(net, (3, 2))
     assert calls == [(4, 1, 4, 2), (6, 1, 4, 2)]
+
+
+def test_a_circular_round_inverts_edges_once_per_direction(monkeypatch):
+    """A circular round carries the row-0 and column-0 seed arcs across all
+    faces with one _invert_edges call per direction, whatever the number of
+    faces, and no per-step transport."""
+    import numpy as np
+
+    from multinets import subdivision
+    from test_subdivision import torus_net, torus_seed_arcs
+
+    calls = []
+    invert_edges = subdivision._invert_edges
+
+    def counting(arcs, samples, mirrors):
+        calls.append(mirrors.shape)
+        return invert_edges(arcs, samples, mirrors)
+
+    monkeypatch.setattr(subdivision, "_invert_edges", counting)
+    for nu, nv in ((2, 2), (4, 7), (9, 5)):
+        calls.clear()
+        us, vs = np.linspace(0.2, 2.0, nu), np.linspace(-0.6, 1.2, nv)
+        subdivision.subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs))
+        assert calls == [(nu - 1, nv - 1, 5), (nv - 1, nu - 1, 5)]

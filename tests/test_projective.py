@@ -28,7 +28,9 @@ from multinets.projective import (
     polar_reflect,
     RANK_RTOL,
     _above_rank3,
+    _orbit,
     _pair_span,
+    _reflect,
     _rank4_certificate,
     corner_minors,
     proj_distance,
@@ -214,6 +216,28 @@ def test_polar_reflect_preserves_form(rng):
 def test_polar_reflect_isotropic_mirror():
     with pytest.raises(IsotropicMirror):
         polar_reflect(MOEBIUS, [1, 0, 0, 0, 1], [0, 1, 0, 0, 0])
+
+
+@pytest.mark.parametrize("signature", [(1, 1, 1), (1, 1, 1, 1, -1), (1, 1, 1, 1, -1, -1)])
+@pytest.mark.parametrize("mirror_shape, point_shape", [
+    ((3,), (4,)), ((2, 4), (2, 1)), ((1, 3), (5, 2)), ((2, 3, 2), (2, 3, 3)), ((0,), (3,)),
+])
+def test_orbit_equals_a_reflect_loop_bit_for_bit(rng, signature, mirror_shape, point_shape):
+    """_orbit of mirrors (..., F, d) and points (..., K, d) equals reflecting
+    every point, one mirror after the other, as single vectors."""
+    q = QuadricForm(signature)
+    mirrors = rng.normal(size=(*mirror_shape, q.dim))
+    points = rng.normal(size=(*point_shape, q.dim))
+    orbit = _orbit(q, mirrors, points)
+    batch = np.broadcast_shapes(mirror_shape[:-1], point_shape[:-1])
+    assert orbit.shape == (*batch, mirror_shape[-1] + 1, point_shape[-1], q.dim)
+    for b in np.ndindex(batch):
+        m = np.broadcast_to(mirrors, (*batch, *mirrors.shape[-2:]))[b]
+        for k, x in enumerate(np.broadcast_to(points, (*batch, *points.shape[-2:]))[b]):
+            for f in range(len(m) + 1):
+                assert np.array_equal(orbit[b][f, k], x)
+                if f < len(m):
+                    x = _reflect(q, m[f], x)
 
 
 def test_moebius_lift_origin():

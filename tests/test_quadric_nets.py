@@ -3,6 +3,7 @@ import pytest
 
 from multinets.errors import (
     DegenerateOrbit,
+    GeometryError,
     DimensionMismatch,
     IsotropicMirror,
     MirrorsNotOrthogonal,
@@ -10,7 +11,7 @@ from multinets.errors import (
     NotOnQuadric,
     SeedNotOnQuadric,
 )
-from multinets.projective import MOEBIUS, bilinear_eval, polar_reflect, proj_distance
+from multinets.projective import MOEBIUS, _reflect, bilinear_eval, polar_reflect, proj_distance
 from multinets.qnets import PointNet, is_multi_q_net, laplace_transforms
 from multinets.quadric_nets import generate_by_reflections, verify_polar_laplace
 
@@ -35,6 +36,37 @@ def quadric_seed(rng):
     u = rng.normal(size=4)
     u /= np.linalg.norm(u)
     return np.concatenate([u, [1.0]])
+
+
+def orbit_by_steps(q, n1, n2, x00):
+    """The row and column loops that generate_by_reflections replaced by
+    two orbits: row 0 one mirror of n2 after the other, then each row the
+    previous one reflected in its mirror of n1."""
+    (k1, d), k2 = n1.shape, len(n2)
+    pts = np.empty((k1 + 1, k2 + 1, d))
+    pts[0, 0] = x00
+    for j in range(k2):
+        pts[0, j + 1] = _reflect(q, n2[j], pts[0, j])
+    for i in range(k1):
+        pts[i + 1] = _reflect(q, n1[i], pts[i])
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generated_net_equals_the_stepwise_orbit_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    built = 0
+    for _ in range(25):
+        k1, k2 = (int(k) for k in rng.integers(1, 9, 2))
+        n1, n2 = split_block_mirrors(rng, k1, k2)
+        x00 = quadric_seed(rng)
+        try:
+            net = generate_by_reflections(MOEBIUS, n1, n2, x00)
+        except GeometryError:
+            continue
+        assert np.array_equal(net.points, orbit_by_steps(MOEBIUS, n1, n2, x00))
+        built += 1
+    assert built >= 20
 
 
 def test_hand_checked_orbit():
