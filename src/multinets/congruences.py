@@ -37,6 +37,7 @@ from .projective import (
     _pair_span,
     _raise_unless_meet,
     _read_only,
+    _row_norms,
     classify_spans,
     index_pairs,
     meet_lines,
@@ -74,7 +75,7 @@ class IsoLineGrid:
         if lines.shape[3] != self.form.dim:
             raise DimensionMismatch("line coordinates do not match the form")
         raise_unless_finite(lines, "spanning point")
-        live = np.linalg.norm(lines, axis=-1) > _ABS_EPS
+        live = _row_norms(lines)[..., 0] > _ABS_EPS
         pairs = np.where(live[..., None], lines, lines[..., ::-1, :])
         a, b = np.moveaxis(normalized_rows(pairs[np.any(live, axis=-1)]), -2, 0)
         w, sine, two = _pair_span(a, b)

@@ -44,6 +44,7 @@ ZERO_RTOL = 1e-12  # a sum, difference or coefficient vanishes at this times the
 INPUT_ATOL = 1e-12  # a radius, length, sine or offset gap handed to a sampler is zero up to this
 MATCH_TOL = 1e-8  # points that must coincide match to a sine, or a relative distance, of this
 REPRODUCE_TOL = 1e-7  # a construction reproduces the data it was built from to this
+_HUGE = 1e150  # a row with an entry beyond this takes its norm scaled (_row_norms)
 
 
 class Infinity:
@@ -63,6 +64,19 @@ class Infinity:
 INF = Infinity()
 
 
+def _row_norms(v):
+    """Row norms (..., 1) of a float stack (..., d).  A finite row with an entry
+    beyond _HUGE, whose square would overflow, is scaled by its largest entry
+    first; every other row keeps its plain norm bit for bit."""
+    # one pass: vdot overflows to inf without a warning, and NaN fails too;
+    # the plain norm is np.linalg.norm's own sum, without its argument checks
+    if np.vdot(v, v) <= _HUGE * _HUGE:
+        return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    big = np.max(abs(v), axis=-1, keepdims=True)
+    scale = np.where((big > _HUGE) & (big < np.inf), big, 1.0)
+    return np.linalg.norm(v / scale, axis=-1, keepdims=True) * scale
+
+
 def _nonzero_rows(points):
     """A stack of points (..., d) as floats, with its row norms (..., 1).
 
@@ -72,7 +86,7 @@ def _nonzero_rows(points):
     v = np.asarray(points, dtype=float)
     if v.ndim == 0:
         raise DimensionMismatch(f"expected coordinate vectors, got shape {v.shape}")
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    norms = _row_norms(v)
     if np.any(norms <= _ABS_EPS):
         raise ZeroVector("homogeneous coordinates must not vanish")
     return v, norms

@@ -40,6 +40,7 @@ from .projective import (
     _above_rank3,
     _pair_span,
     _read_only,
+    _row_norms,
     common_point_of_spans,
     corner_minors,
     hpoint,
@@ -68,7 +69,7 @@ class PointNet:
         points = np.array(self.points, dtype=float)
         if points.ndim != 3:
             raise DimensionMismatch("PointNet expects an array of shape (nu, nv, n+1)")
-        if np.any(np.linalg.norm(points, axis=-1) <= _ABS_EPS):
+        if np.any(_row_norms(points) <= _ABS_EPS):
             raise ZeroVector("net contains a zero coordinate vector")
         raise_unless_finite(points, "vertex")
         object.__setattr__(self, "points", *_read_only(points))
@@ -97,7 +98,7 @@ class PlaneNet:
         covectors = np.array(self.covectors, dtype=float)
         if covectors.ndim != 3 or covectors.shape[2] != 4:
             raise DimensionMismatch("PlaneNet expects an array of shape (nu, nv, 4)")
-        if np.any(np.linalg.norm(covectors, axis=-1) <= _ABS_EPS):
+        if np.any(_row_norms(covectors) <= _ABS_EPS):
             raise ZeroVector("plane net contains a zero covector")
         raise_unless_finite(covectors, "covector")
         object.__setattr__(self, "covectors", *_read_only(covectors))

@@ -67,13 +67,15 @@ _COLLINEAR_RTOL = 1e-10  # |u x v| / (|u| |v|) of the chords u, v of three colli
 _STAND_IN = (1.0, 0.0, 0.0, 0.0, 0.0)  # Moebius mirror of a failed face: the plane x = 0
 
 
-def _resolve_counts(n):
+def _resolve_counts(n, rounds=0):
     if isinstance(n, (tuple, list)):
         n_u, n_v = int(n[0]), int(n[1])
     else:
         n_u = n_v = int(n)
     if n_u < 1 or n_v < 1:
         raise ValueError("subdivision counts must be >= 1")
+    if rounds < 0:
+        raise ValueError("subdivision rounds must be >= 0")
     return n_u, n_v
 
 
@@ -294,7 +296,7 @@ def subdivide_q(net: PointNet, n, rounds: int = 1, seeds=None) -> PointNet:
     patches share their boundary polylines, so the result is crack free by
     construction.
     """
-    n_u, n_v = _resolve_counts(n)
+    n_u, n_v = _resolve_counts(n, rounds)
     out = net
     for r in range(rounds):
         t, y = _face_gauges(out)
@@ -314,20 +316,15 @@ _ARC_ERRORS = (
     (DuplicatePoints, "arc endpoints coincide"),
     (DuplicatePoints, "collinear arc points with exterior midpoint"),
     (DegenerateLaplaceSphere, "arc passes through the inversion center"),
-    (DegenerateLaplaceSphere, "boundary sample maps to infinity"),
 )
-
-
-def _arc_error(code):
-    kind, message = _ARC_ERRORS[code]
-    return kind(message)
 
 
 def _raise_arc_errors(code):
     """Raise the error of the first arc (C order) with a nonzero code."""
     bad = np.flatnonzero(code)
     if bad.size:
-        raise _arc_error(np.ravel(code)[bad[0]])
+        kind, message = _ARC_ERRORS[np.ravel(code)[bad[0]]]
+        raise kind(message)
 
 
 def _dot(x, y):
@@ -380,6 +377,10 @@ def _arc_points(arcs, t):
 
 def _away_error(k):
     return DuplicatePoints("segment tangent points away from the chord")
+
+
+def _at_infinity_error(k):
+    return DegenerateLaplaceSphere("boundary sample maps to infinity")
 
 
 def _arc_at(arcs, t):
@@ -469,24 +470,15 @@ class CircArc:
         return CircArc(*arcs[0])
 
 
-def _invert_edges(arcs, samples, mirrors):
-    """Images (E, F+1, ...) of edge arcs (E, 3, 3) and of their samples
-    (E, K, 3), the given ones first, under successive inversions in the
-    mirrors (E, F, 5) of each edge: lifted once, reflected in turn (_orbit)
-    and dropped once.  Each image arc is fitted through the images of its
-    arc's start, middle and end (circles map to circles).  Returns samples,
-    arcs and the error code of each: 4 for an anchor at oo, then its arc's,
-    then 5 for a sample at oo.
+def _invert_edges(samples, mirrors):
+    """Images (E, F+1, K, 3) of the samples (E, K, 3) of each edge, the
+    given ones first, under successive inversions in the mirrors (E, F, 5)
+    of that edge: lifted once, reflected in turn (_orbit) and dropped once.
+    Returns the images and a flag (E, F+1) for each image with a sample at oo.
     """
-    middle, _ = _arc_at(arcs, np.array([0.5]))
-    points = np.concatenate([samples, arcs[:, :1], middle, arcs[:, 1:2]], axis=1)
-    images, at_inf = moebius_drop(_orbit(MOEBIUS, mirrors, moebius_lift(points)))
-    images[:, 0] = points
-    image_arcs, code = _arcs_through(*np.moveaxis(images[:, :, -3:], -2, 0))
-    image_arcs[:, 0] = arcs
-    code = np.where(at_inf[..., -3:].any(axis=-1), 4, code)
-    code = np.where((code == 0) & at_inf[..., :-3].any(axis=-1), 5, code)
-    return images[:, :, :-3], image_arcs, code
+    images, at_inf = moebius_drop(_orbit(MOEBIUS, mirrors, moebius_lift(samples)))
+    images[:, 0], at_inf[:, 0] = samples, False
+    return images, at_inf.any(axis=-1)
 
 
 def arc_through_points(a, mid, b) -> CircArc:
@@ -570,11 +562,10 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
     raise_first_failure(checks)
     (p_samples,), _ = _arc_at(arcs[:1], np.arange(n_u + 1) / n_u)
     (q_samples,), _ = _arc_at(arcs[1:], np.arange(n_v + 1) / n_v)
-    p_ref, p_inf = invert_point(y[0, 1], p_samples)
-    q_ref, q_inf = invert_point(y[0, 0], q_samples)
-    if p_inf.any() or q_inf.any():
-        raise DegenerateLaplaceSphere("boundary sample maps to infinity")
-    pts, at_inf = _cyclide_patches(t, y, p_samples[None], p_ref[None], q_samples[None], q_ref[None])
+    p_rows, p_inf = _invert_edges(p_samples[None], y[:, None, 1])
+    q_rows, q_inf = _invert_edges(q_samples[None], y[:, None, 0])
+    raise_first_failure([(p_inf | q_inf, _at_infinity_error)])
+    pts, at_inf = _cyclide_patches(t, y, *p_rows.swapaxes(0, 1), *q_rows.swapaxes(0, 1))
     # the patch corners, in the order of the given ones; boundary samples are never at oo
     ends = ([0, n_u, 0, n_u], [0, 0, n_v, n_v])
     drift = pts[0][ends] - corners
@@ -588,18 +579,14 @@ def adapted_cyclide_patch(x00, x10, x01, x11, p0: CircArc, q0: CircArc, n) -> Eu
 # -- circular net subdivision ----------------------------------------------------------
 
 
-def _check_spline_c1(splines, names):
-    """Splines (S, K, 3, 3) of K consecutive arcs each must be tangent
-    continuous; raises for the first bent join of the first such spline."""
-    k = splines.shape[1]
-    if k < 2:
-        return
-    _, t_out, away = _arc_points(splines[:, :-1].reshape(-1, 3, 3), np.array([1.0]))
-    t_in = splines[:, 1:, 2].reshape(-1, 3)
-    ang = np.arccos(np.clip(np.sum(t_out[:, 0] * t_in, axis=-1), -1.0, 1.0))
+def _check_spline_c1(spline, name):
+    """A spline (K, 3, 3) of K consecutive arcs must be tangent continuous;
+    raises for its first bent join."""
+    _, t_out, away = _arc_points(spline[:-1], np.array([1.0]))
+    ang = np.arccos(np.clip(_dot(t_out[:, 0], spline[1:, 2]), -1.0, 1.0))
 
     def bent(j):
-        return SeedArcsNotC1(f"{names[j // (k - 1)]} join {j % (k - 1)} bends by {ang[j]:.2e} rad")
+        return SeedArcsNotC1(f"{name} join {j} bends by {ang[j]:.2e} rad")
 
     raise_first_failure([(away, _away_error), (ang > C1_ANGLE_TOL, bent)])
 
@@ -610,13 +597,14 @@ def subdivide_circular(
     """Interpolatory circular-net subdivision by adapted cyclide patches.
 
     Seed arcs cover the row-0 and column-0 edges, form tangent-continuous
-    splines, and meet orthogonally at the origin vertex.  Arcs and their
-    samples propagate to all edges by inversion in the face Laplace spheres,
-    which preserves the tangent continuity at all interior vertices.  Every
+    splines, and meet orthogonally at the origin vertex.  Their samples
+    propagate to all edges by inversion in the face Laplace spheres, which
+    are conformal, so every parameter line keeps the seeds' join angles
+    (README, Circular subdivision); only the seeds are checked.  Every
     round runs in the unit chart of the input net, so the result commutes
     with similarities; the input vertices reappear bit-identically.
     """
-    n_u, n_v = _resolve_counts(n)
+    n_u, n_v = _resolve_counts(n, rounds)
     _require_faces(net)
     if not net.is_finite():
         raise NotCircular("subdivision requires a finite circular net")
@@ -650,8 +638,8 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
         off = np.flatnonzero(gaps > MATCH_TOL * scale)
         if off.size:
             raise InconsistentCorner(f"{name} seed arc {off[0]} does not interpolate its edge")
-    _check_spline_c1(row0[None], ["row-0 spline"])
-    _check_spline_c1(col0[None], ["column-0 spline"])
+    _check_spline_c1(row0, "row-0 spline")
+    _check_spline_c1(col0, "column-0 spline")
     if abs(float(np.dot(row0[0, 2], col0[0, 2]))) > _ORTHOGONAL_TOL:
         raise ArcsNotOrthogonal("axis splines must meet orthogonally at the origin")
 
@@ -665,24 +653,16 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     t, y = t.reshape(*grid, 4, 5), y.reshape(*grid, 2, 5)
     failed = np.any([fails for fails, _ in checks], axis=0).reshape(grid)
     r1, r2 = np.moveaxis(np.where(failed[..., None, None], _STAND_IN, y), -2, 0)
-    u_smp, u_arcs, u_code = _invert_edges(row0, u_seed, r2)
-    v_smp, v_arcs, v_code = (a.swapaxes(0, 1) for a in _invert_edges(col0, v_seed, r1.swapaxes(0, 1)))
+    u_smp, u_inf = _invert_edges(u_seed, r2)
+    v_smp, v_inf = (a.swapaxes(0, 1) for a in _invert_edges(v_seed, r1.swapaxes(0, 1)))
 
     # the first error in face order j-major, as face-by-face propagation
     # meets it: every edge that a failed face or edge feeds comes later in
     # that order, and a face's checks come before the edges it feeds
-    def transported(code):
-        code = code.T.ravel()
-        return code > 0, lambda k: _arc_error(code[k])
-
     raise_first_failure(
         [(fails.reshape(grid).T.ravel(), make) for fails, make in checks]
-        + [transported(u_code[:, 1:]), transported(v_code[1:])]
+        + [(at_inf.T.ravel(), _at_infinity_error) for at_inf in (u_inf[:, 1:], v_inf[1:])]
     )
-
-    # propagation must keep the splines tangent-continuous
-    _check_spline_c1(u_arcs.swapaxes(0, 1), [f"row {j} spline" for j in range(nv)])
-    _check_spline_c1(v_arcs, [f"column {i} spline" for i in range(nu)])
 
     patches, at_inf = _cyclide_patches(t, y, u_smp[:, :-1], u_smp[:, 1:], v_smp[:-1], v_smp[1:])
     if at_inf.any():

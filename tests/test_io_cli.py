@@ -599,6 +599,17 @@ def test_cli_subdivide_rejects_a_net_without_faces(scheme, shape, tmp_path, caps
     assert (code, out, err) == (2, "", f"error: DimensionMismatch: {message}\n")
 
 
+@pytest.mark.parametrize("scheme, rounds", [("q", "-1"), ("q", "-2"), ("circular", "-1")])
+def test_cli_subdivide_rejects_negative_rounds(scheme, rounds, tmp_path, capsys, monkeypatch):
+    args = ["subdivide", "--scheme", scheme, "--rounds", rounds]
+    if scheme == "circular":
+        (tmp_path / "seeds.json").write_text(json.dumps({"row0": [], "col0": []}))
+        args += ["--seeds", str(tmp_path / "seeds.json")]
+    net = _point_net() if scheme == "q" else _e3_net()
+    code, out, err = run_cli(args, stdin_text=_net_text(net), capsys=capsys, monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "input error: ValueError: subdivision rounds must be >= 0\n")
+
+
 def test_cli_subdivide_passes_nu_and_nv_through(capsys, monkeypatch):
     text = _net_text(_point_net())
     code, out, _ = run_cli(

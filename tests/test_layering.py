@@ -485,7 +485,7 @@ def test_edge_polylines_solve_once_per_direction(monkeypatch):
 
 
 def test_a_circular_round_inverts_edges_once_per_direction(monkeypatch):
-    """A circular round carries the row-0 and column-0 seed arcs across all
+    """A circular round carries the row-0 and column-0 seed samples across all
     faces with one _invert_edges call per direction, whatever the number of
     faces, and no per-step transport."""
     import numpy as np
@@ -496,9 +496,9 @@ def test_a_circular_round_inverts_edges_once_per_direction(monkeypatch):
     calls = []
     invert_edges = subdivision._invert_edges
 
-    def counting(arcs, samples, mirrors):
+    def counting(samples, mirrors):
         calls.append(mirrors.shape)
-        return invert_edges(arcs, samples, mirrors)
+        return invert_edges(samples, mirrors)
 
     monkeypatch.setattr(subdivision, "_invert_edges", counting)
     for nu, nv in ((2, 2), (4, 7), (9, 5)):
@@ -506,3 +506,34 @@ def test_a_circular_round_inverts_edges_once_per_direction(monkeypatch):
         us, vs = np.linspace(0.2, 2.0, nu), np.linspace(-0.6, 1.2, nv)
         subdivision.subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs))
         assert calls == [(nu - 1, nv - 1, 5), (nv - 1, nu - 1, 5)]
+
+
+def test_arcs_are_fitted_and_checked_at_the_boundary_only(monkeypatch):
+    """A circular round carries samples, not arcs: the three-point fit serves
+    arc_through_points and CircArc.transform alone, and only the row-0 and
+    column-0 seed splines of each round are checked for tangent continuity,
+    which inversions keep (README, Circular subdivision)."""
+    import numpy as np
+
+    from multinets import subdivision
+    from test_subdivision import torus_net, torus_seed_arcs
+
+    assert list(inspect.signature(subdivision._invert_edges).parameters) == ["samples", "mirrors"]
+    assert package_sites(calls_named("_arcs_through")) == [
+        "subdivision.arc_through_points", "subdivision.transform",
+    ]
+    assert package_sites(calls_named("_check_spline_c1")) == ["subdivision._subdivide_circular_round"] * 2
+    checked = []
+    check_spline_c1 = subdivision._check_spline_c1
+
+    def counting(spline, name):
+        checked.append((name, spline.shape))
+        return check_spline_c1(spline, name)
+
+    monkeypatch.setattr(subdivision, "_check_spline_c1", counting)
+    us, vs = np.linspace(0.2, 2.0, 4), np.linspace(-0.6, 1.2, 3)
+    subdivision.subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs), rounds=2)
+    assert checked == [
+        ("row-0 spline", (3, 3, 3)), ("column-0 spline", (2, 3, 3)),
+        ("row-0 spline", (6, 3, 3)), ("column-0 spline", (4, 3, 3)),
+    ]

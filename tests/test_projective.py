@@ -616,3 +616,49 @@ def test_a_quad_alone_and_in_a_batch_gets_the_same_minors_and_coefficients():
             _, v3_k, v4_k = corner_minors(quads[k : k + 1])
             assert (v3_k[0].tolist(), v4_k.tolist()) == (v3[k].tolist(), [v4[k]])
             assert _laplace_gauges(quads[k : k + 1])[2][0].tolist() == coeffs[k].tolist()
+
+
+# -- row norms beyond the square root of the largest float ----------------------------
+
+
+def test_row_norms_keep_the_plain_norm_below_huge_and_scale_above(rng):
+    from multinets.projective import _HUGE, _row_norms
+
+    plain = rng.normal(size=(300, 5)) * 10.0 ** rng.uniform(-150, np.log10(_HUGE) - 1, (300, 1))
+    huge = rng.normal(size=(300, 5)) * 10.0 ** rng.uniform(151, 300, (300, 1))
+    want = np.linalg.norm(plain, axis=-1, keepdims=True)
+    assert np.array_equal(_row_norms(plain), want)
+    # plain rows keep their norm bit for bit next to huge ones, and a huge
+    # row's norm is its norm taken at an exact power-of-two scale
+    got = _row_norms(np.concatenate([plain, huge]))
+    assert np.array_equal(got[:300], want)
+    exact = np.linalg.norm(huge * 2.0**-800, axis=-1, keepdims=True) * 2.0**800
+    assert np.max(np.abs(got[300:] / exact - 1.0)) <= 4e-16
+    # non-finite rows keep their plain norm next to huge ones, and empty
+    # stacks have none
+    odd = _row_norms(np.array([[np.inf, 2.0, 0.0], [np.nan, 1.0, 0.0], [-np.inf, 1e100, 0.0], [1e200, 0.0, 0.0]]))
+    assert odd[0, 0] == np.inf and np.isnan(odd[1, 0]) and odd[2, 0] == np.inf and odd[3, 0] == 1e200
+    assert np.isnan(_row_norms(np.array([[np.nan, 1.0]]))[0, 0])
+    assert _row_norms(np.empty((0, 4))).shape == (0, 1)
+
+
+@pytest.mark.parametrize("size", [1e155, 1e200, 1e300])
+def test_huge_coordinates_keep_their_geometry(size):
+    """Coordinates whose squares overflow: normalize keeps the point,
+    proj_distance reads two distinct points apart, the net classes build
+    quietly, and IsoLineGrid still tells an isotropic line from one that
+    is not."""
+    from multinets.congruences import IsoLineGrid
+    from multinets.projective import LIE
+    from multinets.qnets import PlaneNet, PointNet
+
+    assert np.allclose(normalize([size, 0.0, 0.0, 1.0]), [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
+    assert normalize([size, 0.0, 0.0, 1.0])[3] > 0.0
+    assert abs(proj_distance([size, 0.0, 0.0, 1.0], [0.0, size, 0.0, 1.0]) - 1.0) <= 1e-15
+    assert abs(proj_distance([size, 0.0, 0.0, 1.0], [size, size, 0.0, 1.0]) - np.sqrt(0.5)) <= 1e-15
+    PointNet([[[size, 0.0, 0.0, 1.0]]])
+    PlaneNet([[[size, 0.0, 0.0, 1.0]]])
+    isotropic = size * np.array([[1.0, 0, 0, 0, 1, 0], [0.0, 1, 0, 0, 0, 1]])
+    IsoLineGrid(isotropic[None, None], LIE)
+    with pytest.raises(NotOnQuadric):
+        IsoLineGrid(size * np.eye(6)[None, None, :2], LIE)
