@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=2)
     s.add_argument("--nu", type=int, help="per-direction count (first direction)")
     s.add_argument("--nv", type=int, help="per-direction count (second direction)")
-    s.add_argument("--rounds", type=int, default=1)
+    s.add_argument("--rounds", type=int, default=1, help="refine by n**rounds, in one round (default 1)")
     s.add_argument("--seeds", help="JSON file with seed polylines or arcs")
     s.add_argument("-i", "--input")
     s.add_argument("-o", "--output")

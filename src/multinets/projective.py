@@ -67,14 +67,16 @@ INF = Infinity()
 def _row_norms(v):
     """Row norms (..., 1) of a float stack (..., d).  A finite row with an entry
     beyond _HUGE, whose square would overflow, is scaled by its largest entry
-    first; every other row keeps its plain norm bit for bit."""
+    first; a non-finite row takes that entry (inf, or NaN) unsquared; every
+    other row keeps its plain norm bit for bit."""
     # one pass: vdot overflows to inf without a warning, and NaN fails too;
     # the plain norm is np.linalg.norm's own sum, without its argument checks
     if np.vdot(v, v) <= _HUGE * _HUGE:
         return np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     big = np.max(abs(v), axis=-1, keepdims=True)
-    scale = np.where((big > _HUGE) & (big < np.inf), big, 1.0)
-    return np.linalg.norm(v / scale, axis=-1, keepdims=True) * scale
+    finite = big < np.inf
+    scale = np.where(finite & (big > _HUGE), big, 1.0)
+    return np.where(finite, np.linalg.norm(np.where(finite, v / scale, 0.0), axis=-1, keepdims=True) * scale, big)
 
 
 def _nonzero_rows(points):

@@ -42,6 +42,7 @@ from .projective import (
     ZERO_RTOL,
     _orbit,
     _read_only,
+    _reflect,
     moebius_drop,
     moebius_lift,
     normalize,
@@ -67,7 +68,7 @@ _COLLINEAR_RTOL = 1e-10  # |u x v| / (|u| |v|) of the chords u, v of three colli
 _STAND_IN = (1.0, 0.0, 0.0, 0.0, 0.0)  # Moebius mirror of a failed face: the plane x = 0
 
 
-def _resolve_counts(n, rounds=0):
+def _resolve_counts(n, rounds=1):
     if isinstance(n, (tuple, list)):
         n_u, n_v = int(n[0]), int(n[1])
     else:
@@ -76,7 +77,7 @@ def _resolve_counts(n, rounds=0):
         raise ValueError("subdivision counts must be >= 1")
     if rounds < 0:
         raise ValueError("subdivision rounds must be >= 0")
-    return n_u, n_v
+    return n_u**rounds, n_v**rounds
 
 
 def _require_faces(net):
@@ -188,6 +189,20 @@ def _uniform_seeds(ends, n):
     return (1.0 - w) * ends[:, None, 0] + w * ends[:, None, 1]
 
 
+def _refined_seeds(seed, ends, m):
+    """seed (E, n+1, d), kept bit for bit at stride m, with m uniform steps
+    between each two samples on their representatives alpha t00 + beta t10
+    with alpha + beta = 1 in the gauge ends (E, 2, d) (README, Refinement)."""
+    coords, _, _ = _unit_lstsq(np.swapaxes(ends[:, None], -1, -2), seed)
+    total = np.sum(coords, axis=-1)  # 0 at a Laplace point, whose face raises
+    w = np.divide(coords[..., 1], total, out=np.zeros_like(total), where=total != 0.0)
+    steps = w[:, :-1, None] + np.diff(w)[..., None] * (np.arange(m) / m)
+    w = np.concatenate([steps.reshape(len(w), -1), w[:, -1:]], axis=1)[..., None]
+    fine = (1.0 - w) * ends[:, None, 0] + w * ends[:, None, 1]
+    fine[:, ::m] = seed
+    return fine
+
+
 def _carried(seed, t):
     """Polylines (E, F+1, K, d) on the edges x_{i,j} -> x_{i+1,j} of faces
     with Laplace gauges t (E, F, 4, d), from the polylines seed (E, K, d)
@@ -209,20 +224,27 @@ def _carried(seed, t):
     return np.concatenate([seed[:, None], normalize(carried)], axis=1)
 
 
-def _edge_polylines(net: PointNet, n_u, n_v, seeds, t) -> EdgePolylines:
-    """attach_edge_polylines with the face gauges t (nu-1, nv-1, 4, d) given."""
+def _edge_polylines(net: PointNet, n, seeds, t, rounds=1) -> EdgePolylines:
+    """attach_edge_polylines with the face gauges t (nu-1, nv-1, 4, d) given,
+    at the counts n**rounds; explicit seeds have the counts n."""
     nu, nv = net.dims
     d = net.ambient_dim
+    u_ends, v_ends = t[:, 0, :2], t[0, :, ::2]
     if seeds is None:
         # uniform samples of each axis edge in its face's gauge representatives
-        seed_u, seed_v = _uniform_seeds(t[:, 0, :2], n_u), _uniform_seeds(t[0, :, ::2], n_v)
+        n_u, n_v = _resolve_counts(n, rounds)
+        seed_u, seed_v = _uniform_seeds(u_ends, n_u), _uniform_seeds(v_ends, n_v)
     else:
+        n_u, n_v = _resolve_counts(n)
         seed_u = np.asarray(seeds["u"], dtype=float)
         seed_v = np.asarray(seeds["v"], dtype=float)
         if seed_u.shape != (nu - 1, n_u + 1, d) or seed_v.shape != (nv - 1, n_v + 1, d):
             raise DimensionMismatch("seed polyline arrays have wrong shape")
         _check_seeds("u", seed_u, net.points[:, 0])
         _check_seeds("v", seed_v, net.points[0])
+        if rounds > 1:
+            seed_u = _refined_seeds(seed_u, u_ends, n_u ** (rounds - 1))
+            seed_v = _refined_seeds(seed_v, v_ends, n_v ** (rounds - 1))
     u_edges = _carried(seed_u, t)
     # the v direction is the u direction of the transposed faces (t00, t01, t10, t11)
     v_edges = _carried(seed_v, np.swapaxes(t, 0, 1)[:, :, [0, 2, 1, 3]])
@@ -251,9 +273,9 @@ def attach_edge_polylines(net: PointNet, n, seeds=None) -> EdgePolylines:
     each known polyline through the face Laplace point onto the opposite
     edge line.
     """
-    n_u, n_v = _resolve_counts(n)
+    _resolve_counts(n)
     t, _ = _face_gauges(net)
-    return _edge_polylines(net, n_u, n_v, seeds, t)
+    return _edge_polylines(net, n, seeds, t)
 
 
 def has_collinear_joins(net: PointNet, ep: EdgePolylines) -> bool:
@@ -291,19 +313,18 @@ def _assemble(patches, u_samples, v_samples, vertices):
 def subdivide_q(net: PointNet, n, rounds: int = 1, seeds=None) -> PointNet:
     """Interpolatory Q-net subdivision: one adapted multi-Q patch per face.
 
-    Output dims per round are ((nu-1) n_u + 1, (nv-1) n_v + 1); the input
-    vertices reappear bit-identically at stride (n_u, n_v) and adjacent
-    patches share their boundary polylines, so the result is crack free by
-    construction.
+    Output dims are ((nu-1) N_u + 1, (nv-1) N_v + 1), N = n**rounds in one
+    round (README, Refinement); the input vertices reappear bit-identically
+    at stride N and adjacent patches share their boundary polylines, so the
+    result is crack free by construction.
     """
-    n_u, n_v = _resolve_counts(n, rounds)
-    out = net
-    for r in range(rounds):
-        t, y = _face_gauges(out)
-        ep = _edge_polylines(out, n_u, n_v, seeds if r == 0 else None, t)
-        patches = _q_patches(t, y, ep.u[:, :-1], ep.u[:, 1:], ep.v[:-1], ep.v[1:])
-        out = PointNet(_assemble(patches, ep.u, ep.v, out.points), ambient=net.ambient)
-    return out
+    _resolve_counts(n, rounds)  # bad counts and negative rounds raise before any work
+    if rounds == 0:
+        return net
+    t, y = _face_gauges(net)
+    ep = _edge_polylines(net, n, seeds, t, rounds)
+    patches = _q_patches(t, y, ep.u[:, :-1], ep.u[:, 1:], ep.v[:-1], ep.v[1:])
+    return PointNet(_assemble(patches, ep.u, ep.v, net.points), ambient=net.ambient)
 
 
 # -- circular arcs -----------------------------------------------------------------
@@ -315,7 +336,6 @@ _ARC_ERRORS = (
     (DuplicatePoints, "arc tangent must be nonzero and finite"),
     (DuplicatePoints, "arc endpoints coincide"),
     (DuplicatePoints, "collinear arc points with exterior midpoint"),
-    (DegenerateLaplaceSphere, "arc passes through the inversion center"),
 )
 
 
@@ -461,13 +481,20 @@ class CircArc:
         return self._at(np.arange(n + 1) / n)[0][0]
 
     def transform(self, mirror) -> "CircArc":
-        """Image arc under inversion in a Moebius sphere representative,
-        transported through three sample points (circles map to circles)."""
-        anchors = np.stack([self.start, self.point_at(0.5), self.end])
-        images, at_inf = invert_point(np.asarray(mirror, dtype=float), anchors)
-        arcs, code = _arcs_through(*images[:, None])
-        _raise_arc_errors(np.where(at_inf.any(), 4, code))
-        return CircArc(*arcs[0])
+        """Image arc under inversion in a Moebius sphere representative: the
+        ends by invert_point, the start tangent by the differential, the
+        lifted velocity reflected as the lift (README, How circular
+        subdivision samples and fits arcs)."""
+        mirror = np.asarray(mirror, dtype=float)
+        ends, at_inf = invert_point(mirror, np.stack([self.start, self.end]))
+        p, v = self.start, self.tangent
+        velocity = np.r_[2.0 * v, 2.0 * np.dot(p, v), 2.0 * np.dot(p, v)]
+        x, dx = _reflect(MOEBIUS, mirror, np.stack([moebius_lift(p), velocity]))
+        if not at_inf.any():
+            image = CircArc(*ends, dx[:3] * (x[4] - x[3]) - x[:3] * (dx[4] - dx[3]))
+            if not _arc_points(_arc_array([image]), np.zeros(1))[2][0]:
+                return image
+        raise DegenerateLaplaceSphere("arc passes through the inversion center")
 
 
 def _invert_edges(samples, mirrors):
@@ -600,42 +627,33 @@ def subdivide_circular(
     splines, and meet orthogonally at the origin vertex.  Their samples
     propagate to all edges by inversion in the face Laplace spheres, which
     are conformal, so every parameter line keeps the seeds' join angles
-    (README, Circular subdivision); only the seeds are checked.  Every
-    round runs in the unit chart of the input net, so the result commutes
-    with similarities; the input vertices reappear bit-identically.
+    (README, Circular subdivision); only the seeds are checked.  One round of
+    the counts n**rounds (README, Refinement) runs in the unit chart of the
+    input, so the result commutes with similarities; the input vertices
+    reappear bit-identically.
     """
     n_u, n_v = _resolve_counts(n, rounds)
     _require_faces(net)
     if not net.is_finite():
         raise NotCircular("subdivision requires a finite circular net")
-    points, centre, scale = _unit_chart(net.points)
-    out = EuclidNet(points)
-    arcs_u, arcs_v = (_chart_arcs(arcs, centre, scale) for arcs in (row0_arcs, col0_arcs))
-    for _ in range(rounds):
-        out, arcs_u, arcs_v = _subdivide_circular_round(out, n_u, n_v, arcs_u, arcs_v)
-    fine = out.points * scale + centre
-    fine[:: n_u**rounds, :: n_v**rounds] = net.points
-    return EuclidNet(fine)
-
-
-def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
-    """One round from seed arcs row0 (nu-1, 3, 3) and col0 (nv-1, 3, 3);
-    returns the fine net and the seed arcs of the next round."""
+    if rounds == 0:
+        return EuclidNet(net.points)
     nu, nv = net.dims
-    p = net.points
+    p, centre, scale = _unit_chart(net.points)
+    row0, col0 = (_chart_arcs(arcs, centre, scale) for arcs in (row0_arcs, col0_arcs))
     # the rank-4 mask of the lifted faces is the verdict of circular_violations
     t, y, checks = _laplace_spheres(rect_stacks(p, elementary=True)[1])
     if np.any(checks[0][0]):
         raise NotCircular("input is not a circular net")
     if len(row0) != nu - 1 or len(col0) != nv - 1:
         raise DimensionMismatch("need one seed arc per axis edge")
-    scale = max(1.0, float(np.max(np.abs(p))))
+    size = max(1.0, float(np.max(np.abs(p))))
     for name, arcs, ends in (("row", row0, p[:, 0]), ("column", col0, p[0])):
         gaps = np.maximum(
             np.linalg.norm(arcs[:, 0] - ends[:-1], axis=-1),
             np.linalg.norm(arcs[:, 1] - ends[1:], axis=-1),
         )
-        off = np.flatnonzero(gaps > MATCH_TOL * scale)
+        off = np.flatnonzero(gaps > MATCH_TOL * size)
         if off.size:
             raise InconsistentCorner(f"{name} seed arc {off[0]} does not interpolate its edge")
     _check_spline_c1(row0, "row-0 spline")
@@ -643,8 +661,8 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     if abs(float(np.dot(row0[0, 2], col0[0, 2]))) > _ORTHOGONAL_TOL:
         raise ArcsNotOrthogonal("axis splines must meet orthogonally at the origin")
 
-    u_seed, u_tangents = _arc_at(row0, np.arange(n_u + 1) / n_u)
-    v_seed, v_tangents = _arc_at(col0, np.arange(n_v + 1) / n_v)
+    u_seed, _ = _arc_at(row0, np.arange(n_u + 1) / n_u)
+    v_seed, _ = _arc_at(col0, np.arange(n_v + 1) / n_v)
 
     # inversion in the Laplace spheres along the rows (u-arcs, one step per
     # j) and the columns (v-arcs, one step per i), in the lift; a failed
@@ -667,12 +685,6 @@ def _subdivide_circular_round(net: EuclidNet, n_u, n_v, row0, col0):
     patches, at_inf = _cyclide_patches(t, y, u_smp[:, :-1], u_smp[:, 1:], v_smp[:-1], v_smp[1:])
     if at_inf.any():
         raise DegenerateLaplaceSphere("patch produced a vertex at infinity")
-    fine = _assemble(patches, u_smp, v_smp, p)
-
-    # seed data for a further round: sub-arcs between consecutive samples
-    seeds = []
-    for smp, tangents in ((u_seed, u_tangents), (v_seed, v_tangents)):
-        sub, code = _arcs(smp[:, :-1], smp[:, 1:], tangents[:, :-1])
-        _raise_arc_errors(code)
-        seeds.append(sub.reshape(-1, 3, 3))
-    return EuclidNet(fine), *seeds
+    fine = _assemble(patches, u_smp, v_smp, p) * scale + centre
+    fine[::n_u, ::n_v] = net.points
+    return EuclidNet(fine)

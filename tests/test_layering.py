@@ -317,9 +317,7 @@ LOOPS = {
     "qnets.from_two_strips",
     "quadric_nets.generate_by_reflections",
     "subdivision._q_patches",
-    "subdivision._subdivide_circular_round",
     "subdivision.subdivide_circular",
-    "subdivision.subdivide_q",
 }
 
 # Samplers, fixtures and the helpers that build representatives: one array expression each.
@@ -509,20 +507,19 @@ def test_a_circular_round_inverts_edges_once_per_direction(monkeypatch):
 
 
 def test_arcs_are_fitted_and_checked_at_the_boundary_only(monkeypatch):
-    """A circular round carries samples, not arcs: the three-point fit serves
-    arc_through_points and CircArc.transform alone, and only the row-0 and
-    column-0 seed splines of each round are checked for tangent continuity,
-    which inversions keep (README, Circular subdivision)."""
+    """A circular subdivision carries samples, not arcs: the three-point fit
+    serves arc_through_points alone (CircArc.transform maps the tangent by
+    the inversion's differential), and only the row-0 and column-0 seed
+    splines are checked for tangent continuity, once whatever the number of
+    rounds, since inversions keep it (README, Circular subdivision)."""
     import numpy as np
 
     from multinets import subdivision
     from test_subdivision import torus_net, torus_seed_arcs
 
     assert list(inspect.signature(subdivision._invert_edges).parameters) == ["samples", "mirrors"]
-    assert package_sites(calls_named("_arcs_through")) == [
-        "subdivision.arc_through_points", "subdivision.transform",
-    ]
-    assert package_sites(calls_named("_check_spline_c1")) == ["subdivision._subdivide_circular_round"] * 2
+    assert package_sites(calls_named("_arcs_through")) == ["subdivision.arc_through_points"]
+    assert package_sites(calls_named("_check_spline_c1")) == ["subdivision.subdivide_circular"] * 2
     checked = []
     check_spline_c1 = subdivision._check_spline_c1
 
@@ -533,7 +530,4 @@ def test_arcs_are_fitted_and_checked_at_the_boundary_only(monkeypatch):
     monkeypatch.setattr(subdivision, "_check_spline_c1", counting)
     us, vs = np.linspace(0.2, 2.0, 4), np.linspace(-0.6, 1.2, 3)
     subdivision.subdivide_circular(torus_net(us, vs), 2, *torus_seed_arcs(us, vs), rounds=2)
-    assert checked == [
-        ("row-0 spline", (3, 3, 3)), ("column-0 spline", (2, 3, 3)),
-        ("row-0 spline", (6, 3, 3)), ("column-0 spline", (4, 3, 3)),
-    ]
+    assert checked == [("row-0 spline", (3, 3, 3)), ("column-0 spline", (2, 3, 3))]

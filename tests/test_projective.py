@@ -622,7 +622,9 @@ def test_a_quad_alone_and_in_a_batch_gets_the_same_minors_and_coefficients():
 
 
 def test_row_norms_keep_the_plain_norm_below_huge_and_scale_above(rng):
+    from multinets.errors import NonFiniteCoordinate
     from multinets.projective import _HUGE, _row_norms
+    from multinets.qnets import PointNet
 
     plain = rng.normal(size=(300, 5)) * 10.0 ** rng.uniform(-150, np.log10(_HUGE) - 1, (300, 1))
     huge = rng.normal(size=(300, 5)) * 10.0 ** rng.uniform(151, 300, (300, 1))
@@ -634,10 +636,15 @@ def test_row_norms_keep_the_plain_norm_below_huge_and_scale_above(rng):
     assert np.array_equal(got[:300], want)
     exact = np.linalg.norm(huge * 2.0**-800, axis=-1, keepdims=True) * 2.0**800
     assert np.max(np.abs(got[300:] / exact - 1.0)) <= 4e-16
-    # non-finite rows keep their plain norm next to huge ones, and empty
-    # stacks have none
-    odd = _row_norms(np.array([[np.inf, 2.0, 0.0], [np.nan, 1.0, 0.0], [-np.inf, 1e100, 0.0], [1e200, 0.0, 0.0]]))
+    # non-finite rows keep their plain norm next to huge ones, without
+    # squaring an entry beyond _HUGE (an overflow, an error here), so a net
+    # of such a row raises NonFiniteCoordinate; empty stacks have no norm
+    odd = _row_norms(np.array([[np.inf, 2.0, 0.0], [np.nan, 1.0, 0.0], [-np.inf, 1e100, 0.0], [1e200, 0.0, 0.0],
+                               [np.inf, 1e200, 0.0], [np.nan, 1e200, 0.0]]))
     assert odd[0, 0] == np.inf and np.isnan(odd[1, 0]) and odd[2, 0] == np.inf and odd[3, 0] == 1e200
+    assert odd[4, 0] == np.inf and np.isnan(odd[5, 0])
+    with pytest.raises(NonFiniteCoordinate):
+        PointNet(np.array([[[np.nan, 1e200, 0.0, 1.0]]]))
     assert np.isnan(_row_norms(np.array([[np.nan, 1.0]]))[0, 0])
     assert _row_norms(np.empty((0, 4))).shape == (0, 1)
 
