@@ -1,7 +1,7 @@
 """Command-line driver: generate, verify, classify, subdivide, export.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage, IO or geometry error.
+2 usage, IO, geometry or memory error.
 """
 
 from __future__ import annotations
@@ -9,16 +9,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 
 import numpy as np
 
-from . import circular, conical, congruences, qnets, quadric_nets, subdivision
-from .circular import EuclidNet
 from .errors import GeometryError
 from .io_json import export_obj, read_net, write_net
-from .projective import MOEBIUS, ProjLine, span_rank
-from .qnets import PlaneNet, PointNet
-from .subdivision import CircArc
+
+
+# Each command imports the library modules it uses when it starts, before it
+# draws a random number or builds an array: a stage compiles and runs only
+# those modules, and their compile does not stack on numpy's allocations.
+
+
+def _load(module):
+    """The package module multinets.<module>, imported on first use."""
+    return import_module(f".{module}", __package__)
 
 
 # -- generators -------------------------------------------------------------------
@@ -27,15 +33,20 @@ _MIN_DRAW_NORM = 1e-3  # a translation net is drawn again while some p_i + q_j i
 
 
 def _gen_translation(rng, args):
+    from .qnets import from_translation
+
     while True:
         p = rng.uniform(-1.0, 1.0, size=(args.nu, 4))
         q = rng.uniform(-1.0, 1.0, size=(args.nv, 4))
         s = p[:, None, :] + q[None, :, :]
         if np.min(np.linalg.norm(s, axis=-1)) > _MIN_DRAW_NORM:
-            return qnets.from_translation(p, q)
+            return from_translation(p, q)
 
 
 def _gen_reflect(rng, args):
+    from .projective import MOEBIUS
+    from .quadric_nets import generate_by_reflections
+
     for _ in range(64):
         n1 = np.zeros((args.nu - 1, 5))
         n1[:, 0:2] = rng.uniform(-1.0, 1.0, size=(args.nu - 1, 2))
@@ -50,35 +61,44 @@ def _gen_reflect(rng, args):
         u = u / np.linalg.norm(u)
         x00 = np.concatenate([u, [1.0]])
         try:
-            return quadric_nets.generate_by_reflections(MOEBIUS, n1, n2, x00)
+            return generate_by_reflections(MOEBIUS, n1, n2, x00)
         except GeometryError:
             continue
     raise GeometryError("could not draw a generic mirror configuration")
 
 
 def _gen_rotational(rng, args):
+    from .circular import sample_rotational
+
     r = rng.uniform(0.5, 1.5, size=args.profile_len)
     z = np.cumsum(rng.uniform(0.2, 0.6, size=args.profile_len))
     angles = np.sort(rng.uniform(0.0, 2 * np.pi, size=args.angles))
-    while np.min(np.diff(angles)) < 1e-2:
+    while np.any(np.diff(angles) < 1e-2):  # one angle has no gap: the sampler rejects it
         angles = np.sort(rng.uniform(0.0, 2 * np.pi, size=args.angles))
-    return circular.sample_rotational(np.stack([r, z], axis=1), angles)
+    return sample_rotational(np.stack([r, z], axis=1), angles)
 
 
 def _gen_cone(rng, args):
+    from .circular import sample_cone
+
     dirs = rng.normal(size=(args.profile_len, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
     radii = np.cumsum(rng.uniform(0.3, 1.0, size=args.steps))
-    return circular.sample_cone(dirs, radii)
+    return sample_cone(dirs, radii)
 
 
 def _gen_cylinder(rng, args):
+    from .circular import sample_cylinder
+
     base = rng.uniform(-1.0, 1.0, size=(args.profile_len, 2))
     offsets = np.cumsum(rng.uniform(0.3, 1.0, size=args.steps))
-    return circular.sample_cylinder(base, offsets)
+    return sample_cylinder(base, offsets)
 
 
 def _gen_qqstar(rng, args):
+    from .projective import ProjLine, span_rank
+    from .qnets import build_qqstar_net
+
     while True:
         pts = rng.uniform(-1.0, 1.0, size=(4, 4))
         try:
@@ -94,54 +114,64 @@ def _gen_qqstar(rng, args):
         y2 = t2 @ np.stack([line2.a, line2.b])
         x00 = rng.uniform(-1.0, 1.0, size=4)
         try:
-            return qnets.build_qqstar_net(line1, line2, y1, y2, x00)
+            return build_qqstar_net(line1, line2, y1, y2, x00)
         except GeometryError:
             continue
 
 
 def _gen_cyclide_patch(rng, args):
+    from .subdivision import adapted_cyclide_patch
+
     big, small = 2.0, 0.5
     u0, du = rng.uniform(0.0, np.pi), rng.uniform(0.5, 1.2)
     v0, dv = rng.uniform(-0.6, 0.2), rng.uniform(0.5, 1.2)
     corners, p_arc, q_arc = _torus_patch_data(big, small, u0, u0 + du, v0, v0 + dv)
-    return subdivision.adapted_cyclide_patch(*corners, p_arc, q_arc, args.n)
+    return adapted_cyclide_patch(*corners, p_arc, q_arc, args.n)
 
 
 def _gen_congruence(rng, args):
+    from .congruences import hyperboloid_ruling_grid, torus_contact_grid
+
     if args.form == "lie":
         us = np.sort(rng.uniform(0.0, 2 * np.pi, size=args.nu))
         vs = np.sort(rng.uniform(-1.0, 1.0, size=args.nv))
-        return congruences.torus_contact_grid(2.0, 0.5, us, vs)
+        return torus_contact_grid(2.0, 0.5, us, vs)
     a = np.sort(rng.uniform(-2.0, 2.0, size=args.nu))
     b = np.sort(rng.uniform(-2.0, 2.0, size=args.nv))
-    return congruences.hyperboloid_ruling_grid(a, b)
+    return hyperboloid_ruling_grid(a, b)
 
 
 def _torus_patch_data(big, small, u0, u1, v0, v1):
     """Corners x00, x10, x01, x11 (4, 3) of a torus patch plus the two
     curvature-circle arcs at x00."""
+    from .circular import torus_point, torus_u_tangent, torus_v_tangent
+    from .subdivision import CircArc
+
     u, v = np.array([u0, u1, u0, u1]), np.array([v0, v0, v1, v1])
-    corners = circular.torus_point(big, small, u, v)
-    p_arc = CircArc(corners[0], corners[1], circular.torus_u_tangent(u0, v0))
-    q_arc = CircArc(corners[0], corners[2], circular.torus_v_tangent(u0, v0))
+    corners = torus_point(big, small, u, v)
+    p_arc = CircArc(corners[0], corners[1], torus_u_tangent(u0, v0))
+    q_arc = CircArc(corners[0], corners[2], torus_v_tangent(u0, v0))
     return corners, p_arc, q_arc
 
 
+# what -> (module whose import loads every module the generator uses, generator)
 _GEN = {
-    "translation": _gen_translation,
-    "reflect": _gen_reflect,
-    "rotational": _gen_rotational,
-    "cone": _gen_cone,
-    "cylinder": _gen_cylinder,
-    "qqstar": _gen_qqstar,
-    "cyclide-patch": _gen_cyclide_patch,
-    "congruence": _gen_congruence,
+    "translation": ("qnets", _gen_translation),
+    "reflect": ("quadric_nets", _gen_reflect),
+    "rotational": ("circular", _gen_rotational),
+    "cone": ("circular", _gen_cone),
+    "cylinder": ("circular", _gen_cylinder),
+    "qqstar": ("qnets", _gen_qqstar),
+    "cyclide-patch": ("subdivision", _gen_cyclide_patch),
+    "congruence": ("congruences", _gen_congruence),
 }
 
 
 def _cmd_gen(args) -> int:
+    module, generate = _GEN[args.what]
+    _load(module)
     rng = np.random.default_rng(args.seed)
-    net = _GEN[args.what](rng, args)
+    net = generate(rng, args)
     write_net(net, args.output or sys.stdout, {"generator": args.what, "seed": args.seed})
     return 0
 
@@ -149,25 +179,33 @@ def _cmd_gen(args) -> int:
 # -- verify and classify ------------------------------------------------------------
 
 
-# command -> what -> (expected net type, function of the net)
+# command -> what -> (module.name of the expected net type, module.name of the
+# function of the net); the function's module imports the type's
 _COMMANDS = {
     "verify": {
-        "q": (PointNet, qnets.q_violations),
-        "multi-q": (PointNet, qnets.multi_q_violations),
-        "qstar": (PlaneNet, qnets.qstar_violations),
-        "multi-qstar": (PlaneNet, qnets.multi_qstar_violations),
-        "circular": (EuclidNet, circular.circular_violations),
-        "multi-circular": (EuclidNet, circular.multi_circular_violations),
-        "conical": (PlaneNet, conical.conical_violations),
-        "multi-conical": (PlaneNet, conical.multi_conical_violations),
-        "congruence": (congruences.IsoLineGrid, congruences.multi_congruence_violations),
+        "q": ("qnets.PointNet", "qnets.q_violations"),
+        "multi-q": ("qnets.PointNet", "qnets.multi_q_violations"),
+        "qstar": ("qnets.PlaneNet", "qnets.qstar_violations"),
+        "multi-qstar": ("qnets.PlaneNet", "qnets.multi_qstar_violations"),
+        "circular": ("circular.EuclidNet", "circular.circular_violations"),
+        "multi-circular": ("circular.EuclidNet", "circular.multi_circular_violations"),
+        "conical": ("qnets.PlaneNet", "conical.conical_violations"),
+        "multi-conical": ("qnets.PlaneNet", "conical.multi_conical_violations"),
+        "congruence": ("congruences.IsoLineGrid", "congruences.multi_congruence_violations"),
     },
     "classify": {
-        "circular": (EuclidNet, circular.classify_multi_circular),
-        "gauss": (EuclidNet, conical.classify_gauss),
-        "congruence": (congruences.IsoLineGrid, congruences.classify_congruence),
+        "circular": ("circular.EuclidNet", "circular.classify_multi_circular"),
+        "gauss": ("circular.EuclidNet", "conical.classify_gauss"),
+        "congruence": ("congruences.IsoLineGrid", "congruences.classify_congruence"),
     },
 }
+
+
+def _resolve(dotted):
+    """The object multinets.<module>.<name> that dotted names, importing
+    the module on first use."""
+    module, name = dotted.split(".")
+    return getattr(_load(module), name)
 
 
 class _UsageError(Exception):
@@ -177,8 +215,8 @@ class _UsageError(Exception):
 def _apply_to_input(args):
     """The command's function applied to the input net, once the net is
     of the kind that function expects."""
+    expected, function = map(_resolve, _COMMANDS[args.command][args.what])
     net = read_net(args.input or sys.stdin)
-    expected, function = _COMMANDS[args.command][args.what]
     if not isinstance(net, expected):
         raise _UsageError(f"'{args.what}' expects a {expected.__name__}, got {type(net).__name__}")
     return function(net)
@@ -203,12 +241,18 @@ def _cmd_classify(args) -> int:
 
 
 def _load_arcs(doc_list):
+    from .subdivision import CircArc
+
     return [CircArc(a["start"], a["end"], a["tangent"]) for a in doc_list]
 
 
 def _cmd_subdivide(args) -> int:
     if (args.nu is None) != (args.nv is None):
         raise _UsageError("--nu and --nv must be given together")
+    from . import subdivision
+    from .circular import EuclidNet
+    from .qnets import PointNet
+
     net = read_net(args.input or sys.stdin)
     n = args.n if args.nu is None else (args.nu, args.nv)
     if args.scheme == "q" and not isinstance(net, PointNet):
@@ -244,6 +288,17 @@ def _cmd_export(args) -> int:
 # -- argument parsing -----------------------------------------------------------------
 
 
+def _count(text):
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="multinets", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -251,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a net")
     g.add_argument("what", choices=sorted(_GEN))
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--nu", type=int, default=5)
-    g.add_argument("--nv", type=int, default=5)
-    g.add_argument("--profile-len", type=int, default=5)
-    g.add_argument("--angles", type=int, default=8)
-    g.add_argument("--steps", type=int, default=5)
-    g.add_argument("--n", type=int, default=4)
+    g.add_argument("--nu", type=_count, default=5)
+    g.add_argument("--nv", type=_count, default=5)
+    g.add_argument("--profile-len", type=_count, default=5)
+    g.add_argument("--angles", type=_count, default=8)
+    g.add_argument("--steps", type=_count, default=5)
+    g.add_argument("--n", type=_count, default=4)
     g.add_argument("--form", choices=["lie", "pluecker"], default="lie")
     g.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_gen)
@@ -300,6 +355,9 @@ def main(argv=None) -> int:
         return 2
     except GeometryError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy raises a private subclass
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

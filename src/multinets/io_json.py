@@ -10,43 +10,78 @@ lossless and byte-deterministic.
 from __future__ import annotations
 
 import json
+import sys
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .circular import EuclidNet
-from .congruences import IsoLineGrid
 from .errors import InfiniteVertex, SchemaViolation
 from .projective import LIE, PLUECKER, ZERO_RTOL
-from .qnets import PlaneNet, PointNet
 
 _DIMS_MESSAGE = "field 'dims' must be two positive integers"
+
+# Each net class is imported by the first builder that makes one: reading a
+# point net loads qnets, not congruences.
+
+
+def _euclid_net(coords, mask):
+    from .circular import EuclidNet
+
+    return EuclidNet(coords, mask)
+
+
+def _point_net(coords, mask, ambient):
+    from .qnets import PointNet
+
+    return PointNet(coords, ambient=ambient)
+
+
+def _plane_net(coords, mask):
+    from .qnets import PlaneNet
+
+    return PlaneNet(coords)
+
+
+def _line_grid(coords, mask, form):
+    from .congruences import IsoLineGrid
+
+    return IsoLineGrid(coords, form)
+
 
 # (kind, ambient) -> (entry shape, builder of the net from its coordinate grid
 # (nu, nv, *entry) and infinity mask); only E3 nets mark vertices with null
 _LAYOUTS = {
-    ("point_net", "E3"): ((3,), EuclidNet),
+    ("point_net", "E3"): ((3,), _euclid_net),
     **{
-        ("point_net", ambient): ((d,), lambda c, m, a=ambient: PointNet(c, ambient=a))
+        ("point_net", ambient): ((d,), partial(_point_net, ambient=ambient))
         for ambient, d in (("RP3", 4), ("R41", 5), ("R31", 4), ("R42", 6), ("R33", 6))
     },
-    ("plane_net", "RP3"): ((4,), lambda c, m: PlaneNet(c)),
-    ("line_grid", "R42"): ((2, 6), lambda c, m: IsoLineGrid(c, LIE)),
-    ("line_grid", "R33"): ((2, 6), lambda c, m: IsoLineGrid(c, PLUECKER)),
+    ("plane_net", "RP3"): ((4,), _plane_net),
+    ("line_grid", "R42"): ((2, 6), partial(_line_grid, form=LIE)),
+    ("line_grid", "R33"): ((2, 6), partial(_line_grid, form=PLUECKER)),
 }
+
+
+def _loaded(module, name):
+    """The class multinets.<module>.<name>, or () while that module is not
+    loaded: no net of a class whose module was never imported can exist, and
+    isinstance(net, ()) is False."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return () if loaded is None else getattr(loaded, name)
 
 
 def _grid(net):
     """(kind, ambient, coords, at_infinity) of a net, coords (nu, nv, *entry);
     at_infinity is the mask of an EuclidNet and None otherwise.  None for an
     object that is not a net."""
-    if isinstance(net, EuclidNet):
+    if isinstance(net, _loaded("circular", "EuclidNet")):
         return "point_net", "E3", net.points, net.at_infinity
-    if isinstance(net, PointNet):
+    if isinstance(net, _loaded("qnets", "PointNet")):
         return "point_net", net.ambient, net.points, None
-    if isinstance(net, PlaneNet):
+    if isinstance(net, _loaded("qnets", "PlaneNet")):
         return "plane_net", "RP3", net.covectors, None
-    if isinstance(net, IsoLineGrid):
+    if isinstance(net, _loaded("congruences", "IsoLineGrid")):
         ambient = "R42" if net.form.signature == LIE.signature else "R33"
         return "line_grid", ambient, net.lines, None
     return None

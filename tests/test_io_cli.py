@@ -512,6 +512,50 @@ def test_cli_wrong_net_kind_exit_2(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("option", ["--nu", "--nv", "--profile-len", "--angles", "--steps", "--n"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cli_gen_rejects_counts_below_one_at_parse_time(option, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "translation", option, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: must be at least 1, got {value}\n")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["rotational", "--angles", "1"], ["rotational", "--profile-len", "1"]],
+    ids=["one-angle", "one-profile-point"],
+)
+def test_cli_gen_rotational_defers_to_the_sampler(args, capsys, monkeypatch):
+    code, out, err = run_cli(["gen", *args], capsys=capsys, monkeypatch=monkeypatch)
+    message = "error: DegenerateProfile: need at least two profile points and two angles\n"
+    assert (code, out, err) == (2, "", message)
+
+
+def test_cli_out_of_memory_exit_2(capsys, monkeypatch):
+    """numpy raises a private MemoryError subclass when a subdivision is too
+    large to allocate; the CLI reports it on one line and exits 2.  The
+    subdivision is replaced, so nothing is allocated."""
+    from multinets import subdivision
+
+    class ArrayMemoryError(MemoryError):
+        pass
+
+    def out_of_memory(*args, **kwargs):
+        raise ArrayMemoryError("Unable to allocate 8.00 TiB for an array with shape (1099511627777,)")
+
+    monkeypatch.setattr(subdivision, "subdivide_q", out_of_memory)
+    code, out, err = run_cli(
+        ["subdivide", "--scheme", "q", "--n", "2", "--rounds", "40"],
+        stdin_text=_net_text(_point_net()),
+        capsys=capsys,
+        monkeypatch=monkeypatch,
+    )
+    message = "error: MemoryError: Unable to allocate 8.00 TiB for an array with shape (1099511627777,)\n"
+    assert (code, out, err) == (2, "", message)
+
+
 def _net_text(net):
     buf = io.StringIO()
     write_net(net, buf)

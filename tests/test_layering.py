@@ -14,8 +14,12 @@ PACKAGE = Path(multinets.__file__).parent
 
 def package_imports(path):
     """Names of the multinets modules that the module at path imports."""
+    return package_imports_of(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def package_imports_of(tree):
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 1 and node.module:  # from .x import ...
                 found.add(node.module.split(".")[0])
@@ -33,6 +37,16 @@ def package_imports(path):
 IMPORTS = {path.stem: package_imports(path) for path in PACKAGE.glob("*.py")}
 
 
+def module_level_imports(path):
+    """Names of the multinets modules that the module at path imports when
+    it is itself imported: its imports outside function bodies."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node.body = []
+    return package_imports_of(tree)
+
+
 def test_every_module_parsed():
     assert {"projective", "congruences", "circular", "cli", "__init__"} <= set(IMPORTS)
 
@@ -43,6 +57,20 @@ def test_congruences_imports_only_errors_and_projective():
 
 def test_projective_imports_only_errors():
     assert IMPORTS["projective"] <= {"errors"}
+
+
+def test_module_level_imports_load_only_what_every_caller_needs():
+    """import multinets loads no submodule, and the CLI and the net file
+    reader load only what every command needs; each command and each net
+    builder imports the rest when it first runs."""
+    imports = {
+        name: module_level_imports(PACKAGE / f"{name}.py") for name in ("__init__", "cli", "io_json")
+    }
+    assert imports == {
+        "__init__": set(),
+        "cli": {"errors", "io_json"},
+        "io_json": {"errors", "projective"},
+    }
 
 
 def test_no_module_imports_cli():
