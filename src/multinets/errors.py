@@ -194,7 +194,7 @@ def first_failure(checks):
     """
     first = None
     for fails, make in checks:
-        hits = np.flatnonzero(fails)
+        hits = fails.ravel().nonzero()[0]
         if hits.size and (first is None or hits[0] < first[0]):
             first = (int(hits[0]), make)
     return None if first is None else (first[0], first[1](first[0]))

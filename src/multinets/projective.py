@@ -89,7 +89,7 @@ def _nonzero_rows(points):
     if v.ndim == 0:
         raise DimensionMismatch(f"expected coordinate vectors, got shape {v.shape}")
     norms = _row_norms(v)
-    if np.any(norms <= _ABS_EPS):
+    if (norms <= _ABS_EPS).any():
         raise ZeroVector("homogeneous coordinates must not vanish")
     return v, norms
 
@@ -123,8 +123,9 @@ def proj_distance(u, v):
     if u.shape[-1] != v.shape[-1]:
         raise DimensionMismatch(f"{u.shape} vs {v.shape}")
     uu, vv = u / nu, v / nv
-    c = np.sum(uu * vv, axis=-1, keepdims=True)
-    return np.linalg.norm(vv - c * uu, axis=-1)
+    c = np.add.reduce(uu * vv, axis=-1, keepdims=True)
+    w = vv - c * uu
+    return np.sqrt(np.add.reduce(w * w, axis=-1))  # the plain norm of _row_norms: w is at most a unit row
 
 
 def proj_equal(u, v) -> bool:
@@ -425,9 +426,9 @@ def _pair_span(a, b):
     1 +- |c|, so sigma_2 / sigma_1 = sine / (1 + |c|), and two is _kept of
     the pair.
     """
-    c = np.sum(a * b, axis=-1, keepdims=True)
+    c = np.add.reduce(a * b, axis=-1, keepdims=True)
     w = b - c * a
-    sine = np.linalg.norm(w, axis=-1, keepdims=True)
+    sine = _row_norms(w)
     return w, sine, sine > RANK_RTOL * (1.0 + np.abs(c))
 
 

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .projective import (
     _ABS_EPS,
+    _HUGE,
     MATCH_TOL,
     RANK_RTOL,
     REPRODUCE_TOL,
@@ -69,9 +70,7 @@ class PointNet:
         points = np.array(self.points, dtype=float)
         if points.ndim != 3:
             raise DimensionMismatch("PointNet expects an array of shape (nu, nv, n+1)")
-        if np.any(_row_norms(points) <= _ABS_EPS):
-            raise ZeroVector("net contains a zero coordinate vector")
-        raise_unless_finite(points, "vertex")
+        _check_vertices(points)
         object.__setattr__(self, "points", *_read_only(points))
 
     @property
@@ -86,6 +85,14 @@ class PointNet:
         """Corners (x00, x10, x01, x11) of the elementary quad at (i, j)."""
         p = self.points
         return p[i, j], p[i + 1, j], p[i, j + 1], p[i + 1, j + 1]
+
+
+def _check_vertices(points):
+    """The vertex checks of PointNet on a float grid (nu, nv, d): ZeroVector
+    for a vanishing row, then NonFiniteCoordinate for the first non-finite one."""
+    if (_row_norms(points) <= _ABS_EPS).any():
+        raise ZeroVector("net contains a zero coordinate vector")
+    raise_unless_finite(points, "vertex")
 
 
 @dataclass(frozen=True)
@@ -154,10 +161,10 @@ def _collinear_triples(quads, v3):
     """
     thin = v3 < _RANK3_VOLUME
     low = np.zeros(thin.shape, dtype=bool)
-    if np.any(thin):
-        q, t = np.nonzero(thin)
+    if thin.any():
+        q, t = thin.nonzero()
         low[q, t] = span_rank(quads[q[:, None], np.take(_CORNER_TRIPLES, t, axis=0)]) < 3
-    return np.any(low, axis=-1)
+    return low.any(axis=-1)
 
 
 def _unit_lstsq(m, rhs):
@@ -180,7 +187,7 @@ def _unit_lstsq(m, rhs):
     keep the SVD.  The basis is computed on the columns' own shape; only
     the right-hand side broadcasts.
     """
-    norms = np.linalg.norm(m, axis=-2)
+    norms = _row_norms(np.swapaxes(m, -1, -2))[..., 0]
     unit_m = m / norms[..., None, :]
     shape = np.broadcast_shapes(m.shape[:-2], rhs.shape[:-1])
     if m.shape[-1] == 2:
@@ -193,7 +200,7 @@ def _unit_lstsq(m, rhs):
     else:
         thin = np.ones(m.shape[:-2], dtype=bool)
         unit = np.empty(shape + m.shape[-1:])
-    if np.any(thin):
+    if thin.any():
         thin = np.broadcast_to(thin, shape)
         u, s, vh = np.linalg.svd(np.broadcast_to(unit_m, shape + m.shape[-2:])[thin], full_matrices=False)
         keep = s > np.finfo(float).eps * max(m.shape[-2:]) * s[..., :1]
@@ -238,22 +245,22 @@ def _laplace_gauges(quads):
     nonplanar = _above_rank3(quads, v3, v4)
     collinear = _collinear_triples(quads, v3)
     x00, x10, x01, x11 = np.moveaxis(quads, -2, 0)
-    norms = np.linalg.norm(quads, axis=-1)
+    norms = _row_norms(quads)[..., 0]
     cramer = v3[:, 3] >= _CRAMER_VOLUME
     dots = np.einsum("qtk,qk->qt", w, w[:, 3])
     scale = norms[:, 3] / np.where(cramer, dots[:, 3], 1.0)
     unit = scale[:, None] * dots[:, [1, 2, 0]] * (-1.0, 1.0, -1.0)
     coeffs = unit / norms[:, [1, 2, 0]]
-    rest = np.flatnonzero(~cramer)
+    rest = (~cramer).nonzero()[0]
     if rest.size:
         m = np.stack([x10[rest], x01[rest], -x00[rest]], axis=-1)
         coeffs[rest], unit[rest], _ = _unit_lstsq(m, x11[rest])
     mags = np.abs(unit)
-    vanishing = np.min(mags, axis=-1) <= ZERO_RTOL * np.max(mags, axis=-1)
+    vanishing = mags.min(axis=-1) <= ZERO_RTOL * mags.max(axis=-1)
     a, b, c = coeffs.T
     t = np.stack([c[:, None] * x00, a[:, None] * x10, b[:, None] * x01, x11], axis=1)
     y = t[:, 1:3] - t[:, :1]
-    coincident = np.min(np.linalg.norm(y, axis=-1), axis=-1) <= ZERO_RTOL * norms[:, 3]
+    coincident = _row_norms(y)[..., 0].min(axis=-1) <= ZERO_RTOL * norms[:, 3]
     checks = [
         (nonplanar, lambda k: NonPlanarQuad("quad spans rank 4")),
         (collinear, lambda k: DegenerateQuad("three corners are collinear or coincident")),
@@ -405,19 +412,34 @@ def _perspective_gauge(raw0, raw1, y):
     return coeffs[..., 1:] * raw0, coeffs[..., :1] * raw1
 
 
-def _strip_cauchy(rows, cols, x00, y, ambient: str = "RP3"):
+def _strip_cauchy(rows, cols, x00, y):
     """Laplace vectors y1, y2 of the multi-Q-net through a row strip
-    rows (2, nv, d) and a column strip cols (nu, 2, d), and that net.
+    rows (2, nv, d) and a column strip cols (nu, 2, d), its partial sums
+    acc1 (nu, d), acc2 (nv, d) and its points (nu, nv, d).
 
     x00 (d,) and y (2, d) are the gauged corner t00 and the Laplace vectors
     of the Laplace gauge of the corner quad of rows.  Both strips are gauged
-    from it: row i=1 is row 0 translated by its y1, column j=1 is column 0
-    translated by its y2.
+    from it in one _unit_lstsq solve, as _perspective_gauge gauges each:
+    row i=1 is row 0 translated by its y1, column j=1 is column 0 translated
+    by its y2.  The first row sample out of perspective raises
+    PerspectivityViolation, then the first column sample; the points raise
+    what from_cauchy_homogeneous raises for them.
     """
-    row0, _ = _perspective_gauge(rows[0], rows[1], y[0])
-    col0, _ = _perspective_gauge(cols[:, 0], cols[:, 1], y[1])
-    y1, y2 = np.diff(col0, axis=0), np.diff(row0, axis=0)
-    return y1, y2, from_cauchy_homogeneous(y1, y2, x00, ambient=ambient)
+    nv = rows.shape[1]
+    raw0 = np.concatenate([rows[0], cols[:, 0]])
+    raw1 = np.concatenate([rows[1], cols[:, 1]])
+    coeffs, _, resid = _unit_lstsq(np.stack([raw1, -raw0], axis=-1), np.repeat(y, (nv, len(cols)), axis=0))
+    bad = (resid > MATCH_TOL).nonzero()[0]
+    if bad.size:
+        k = bad[0]
+        raise PerspectivityViolation(
+            f"sample {k - nv if k >= nv else k} not in perspective (residual {resid[k]:.2e})"
+        )
+    gauged = coeffs[:, 1:] * raw0
+    y1, y2 = np.diff(gauged[nv:], axis=0), np.diff(gauged[:nv], axis=0)
+    acc1, acc2, points = _cauchy_points(y1, y2, x00)
+    _check_vertices(points)
+    return y1, y2, acc1, acc2, points
 
 
 @dataclass(frozen=True)
@@ -426,10 +448,10 @@ class _StripGauge:
 
     Where the corner quad's checks or _strip_cauchy raised a GeometryError,
     error holds its type and message and nothing else is set.  Otherwise
-    x00 is the gauged corner, y1, y2 and points are _strip_cauchy's Laplace
-    vectors and reconstruction, acc1 (nu, d) and acc2 (nv, d) the partial
-    sums Y1_i, Y2_j with Y1_0 = Y2_0 = 0, and eps, min_norm and delta the
-    eps, m and delta of _translation_certified.  The arrays are read-only.
+    x00 is the gauged corner, y1, y2, points, acc1 (nu, d) and acc2 (nv, d)
+    are _strip_cauchy's Laplace vectors, reconstruction and partial sums
+    Y1_i, Y2_j with Y1_0 = Y2_0 = 0, and eps, min_norm and delta the eps, m
+    and delta of _translation_certified.  The arrays are read-only.
     """
 
     error: tuple | None = None
@@ -455,13 +477,18 @@ class _GridView:
     - rects_planar: the verdict of _rects_planar.
     - strip: the _StripGauge, gauged from quad 0 of the elementary stage
       and raising from that quad's checks only.
+    - neighbor_rows: whether every two neighbouring rows are in
+      perspective, the first chunk of both perspectivity predicates.
 
-    The grid and every array held are read-only, and public functions hand
-    out copies.  Nets are frozen, so a view never goes stale.
+    The view holds the grid with each row whose entries exceed _HUGE divided
+    by a power of two (_tame_rows): the same points, whose squares and dot
+    products do not overflow.  The grid and every array held are read-only,
+    and public functions hand out copies.  Nets are frozen, so a view never
+    goes stale.
     """
 
     def __init__(self, grid):
-        self.grid = grid
+        self.grid = _tame_rows(grid)
 
     @functools.cached_property
     def elementary(self):
@@ -500,28 +527,42 @@ class _GridView:
         x00 = t[0, 0]
         try:
             raise_first_failure([(fails[:1], make) for fails, make in checks])
-            y1, y2, rec = _strip_cauchy(grid[0:2], grid[:, 0:2], x00, y[0])
+            y1, y2, acc1, acc2, r = _strip_cauchy(grid[0:2], grid[:, 0:2], x00, y[0])
         except GeometryError as exc:
             return _StripGauge(error=(type(exc), str(exc)))
-        acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
-        acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
-        r = rec.points
-        lam = np.sum(r * grid, axis=-1) / np.sum(grid * grid, axis=-1)
+        lam = np.add.reduce(r * grid, axis=-1) / np.add.reduce(grid * grid, axis=-1)
         fitted = lam[..., None] * grid
-        l_norms = np.linalg.norm(fitted, axis=-1)
-        sizes = (
-            np.linalg.norm(x00)
-            + np.linalg.norm(acc1, axis=-1)[:, None]
-            + np.linalg.norm(acc2, axis=-1)[None, :]
-            + l_norms
-        )
+        l_norms = _row_norms(fitted)[..., 0]
+        # |x00| as np.linalg.norm takes a single vector: the square root of a dot product
+        sizes = np.sqrt(x00 @ x00) + _row_norms(acc1) + _row_norms(acc2)[:, 0] + l_norms
         return _StripGauge(
             None,
             *_read_only(x00, y1, y2, r, acc1, acc2),
-            eps=float(np.max(np.linalg.norm(fitted - r, axis=-1))),
-            min_norm=float(np.min(l_norms)),
-            delta=float(16 * grid.shape[-1] * np.finfo(float).eps * np.max(sizes)),
+            eps=float(_row_norms(fitted - r).max()),
+            min_norm=float(l_norms.min()),
+            delta=float(16 * grid.shape[-1] * np.finfo(float).eps * sizes.max()),
         )
+
+    @functools.cached_property
+    def neighbor_rows(self) -> bool:
+        """_joins_concurrent over the row pairs (i, i + 1): the first chunk
+        of neighbor_perspectivity and of all_pairs_perspectivity, whose row
+        pairs include these."""
+        nu = self.grid.shape[0]
+        return _joins_concurrent(self.grid, np.arange(nu - 1), np.arange(1, nu))
+
+
+def _tame_rows(grid):
+    """grid (..., d) as it is if no entry exceeds _HUGE, else a read-only
+    copy in which each row with such an entry is divided by the power of
+    two that takes its largest entry into [0.5, 1).  That moves exponents
+    only: each row is exact but for entries below 2^-1021 of its largest,
+    and represents the same point of RP^n."""
+    if np.vdot(grid, grid) <= _HUGE * _HUGE:  # overflows to inf without a warning
+        return grid
+    big = abs(grid).max(axis=-1, keepdims=True)
+    exponent = np.where(big > _HUGE, np.frexp(big)[1], 0)
+    return _read_only(np.ldexp(grid, -exponent))[0]
 
 
 def _grid_view(grid) -> _GridView:
@@ -576,8 +617,8 @@ def is_translation_net(net: PointNet) -> bool:
 def _vanishing_sum(total, *summands):
     """Rows of total (..., d) that vanish next to the summands it adds up,
     which broadcast against it: |total| <= ZERO_RTOL * sum of |summand|."""
-    scale = sum(np.linalg.norm(s, axis=-1) for s in summands)
-    return np.linalg.norm(total, axis=-1) <= ZERO_RTOL * scale
+    scale = sum(_row_norms(s) for s in summands)
+    return (_row_norms(total) <= ZERO_RTOL * scale)[..., 0]
 
 
 def from_translation(p_seq, q_seq, ambient: str = "RP3") -> PointNet:
@@ -597,13 +638,21 @@ def from_cauchy_homogeneous(y1, y2, x00, ambient: str = "RP3") -> PointNet:
     x_{ij} = x00 + sum_{k<i} y1_k + sum_{l<j} y2_l."""
     y1 = np.atleast_2d(np.asarray(y1, dtype=float))
     y2 = np.atleast_2d(np.asarray(y2, dtype=float))
+    return PointNet(_cauchy_points(y1, y2, x00)[2], ambient=ambient)
+
+
+def _cauchy_points(y1, y2, x00):
+    """The partial sums acc1 (nu, d), acc2 (nv, d) of float stacks
+    y1 (nu-1, d), y2 (nv-1, d), each starting at 0, and the points
+    x00 + acc1_i + acc2_j (nu, nv, d).  A vanishing x00 raises ZeroVector
+    and a vanishing point ZeroSum."""
     x00 = hpoint(x00)
     acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
     acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
     pts = x00[None, None, :] + acc1[:, None, :] + acc2[None, :, :]
-    if np.any(_vanishing_sum(pts, x00, acc1[:, None], acc2[None, :])):
+    if _vanishing_sum(pts, x00, acc1[:, None], acc2[None, :]).any():
         raise ZeroSum("a homogeneous partial sum vanished")
-    return PointNet(pts, ambient=ambient)
+    return acc1, acc2, pts
 
 
 def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
@@ -621,7 +670,7 @@ def from_two_strips(strip1: PointNet, strip2: PointNet) -> PointNet:
     if off.size:
         raise InconsistentCorner(f"strips disagree at corner ({i[off[0]]},{j[off[0]]})")
     t, y, _ = laplace_gauges(rows[i, j][None])
-    *_, net = _strip_cauchy(rows, cols, t[0, 0], y[0], ambient=strip1.ambient)
+    net = PointNet(_strip_cauchy(rows, cols, t[0, 0], y[0])[-1], ambient=strip1.ambient)
     for name, dist, where in (
         ("row strip", proj_distance(net.points[1], rows[1]), "column"),
         ("column strip", proj_distance(net.points[:, 1], cols[:, 1]), "row"),
@@ -693,22 +742,22 @@ def _parameter_polygons_perspective(net: PointNet, pairs) -> bool:
     columns, the lines joining corresponding points of the two polygons are
     concurrent by common_point_of_spans.  Joins of coincident points are
     left out, and a pair with fewer than two joins is in perspective.
+    pairs(n) includes the neighbouring pairs (i, i + 1).
 
-    The first nu - 1 row pairs go to common_point_of_spans: a residual above
-    RANK_RTOL there gives False.  Then _perspectivity_certified may pass
-    every pair at once.  Failing that, the remaining row pairs and then the
-    column pairs go to common_point_of_spans, one call per direction.
+    The neighbouring row pairs go to common_point_of_spans once per grid
+    (_GridView.neighbor_rows): a residual above RANK_RTOL there gives False.
+    Then _perspectivity_certified may pass every pair at once.  Failing
+    that, the remaining row pairs and then the column pairs go to
+    common_point_of_spans, one call per direction.
     """
     p = net.points
-    (r0, r1), (c0, c1) = pairs(p.shape[0]), pairs(p.shape[1])
-    first = p.shape[0] - 1
-    if not _joins_concurrent(p, r0[:first], r1[:first]):
+    if not _grid_view(p).neighbor_rows:
         return False
+    (r0, r1), (c0, c1) = pairs(p.shape[0]), pairs(p.shape[1])
     if _perspectivity_certified(p, (r0, r1), (c0, c1)):
         return True
-    return _joins_concurrent(p, r0[first:], r1[first:]) and _joins_concurrent(
-        p.swapaxes(0, 1), c0, c1
-    )
+    far = r1 - r0 > 1
+    return _joins_concurrent(p, r0[far], r1[far]) and _joins_concurrent(p.swapaxes(0, 1), c0, c1)
 
 
 def _joins_concurrent(grid, i0, i1) -> bool:

@@ -1,8 +1,9 @@
 """How the multi-rectangle predicates reach their verdicts: the first chunk
 by SVD, the translation certificate, one SVD call for the rest; the shared
 strip gauge and the perspectivity certificate; their agreement under Q/Q* duality and projective maps; the agreement of the
-equivalent multi-Q characterizations away from their thresholds; and the
-typed error for non-finite coordinates."""
+equivalent multi-Q characterizations away from their thresholds; verdicts
+on coordinates whose squares overflow; and the typed error for non-finite
+coordinates."""
 
 import dataclasses
 import json
@@ -37,6 +38,7 @@ from multinets.errors import (
     NonFiniteCoordinate,
     NotMultiCircular,
     ZeroVector,
+    raise_first_failure,
     raise_unless_finite,
 )
 from multinets.projective import (
@@ -563,9 +565,14 @@ def test_a_multiq_verify_op_builds_each_stage_once(multi, monkeypatch):
     """The seven checks of a multiq-verify op on a 7x7 translation net or
     generic Q-net make one _laplace_gauges pass over the 36 elementary
     quads, whose rank mask is is_q_net's verdict and whose quad 0 gauges
-    the strip, one rank mask over the first chunk of rectangles, and one
-    strip gauge; the dual's homogeneous covectors are the same floats, so
-    it reads the same rectangle verdict."""
+    the strip, one rank mask over the first chunk of rectangles, one strip
+    gauge that solves both strips (7 + 7 samples) in one _unit_lstsq call,
+    and one common_point_of_spans call over the 6 neighbouring row pairs,
+    which both perspectivity predicates read; the dual's homogeneous
+    covectors are the same floats, so it reads the same rectangle verdict.
+    A translation net builds the strip for the rectangle certificate, before
+    the perspectivity predicates; a generic net fails the first chunks and
+    builds it for is_translation_net."""
     calls = []
 
     def count(module, name):
@@ -578,20 +585,111 @@ def test_a_multiq_verify_op_builds_each_stage_once(multi, monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     for module, name in ((qnets, "_laplace_gauges"), (qnets, "corner_minors"), (projective, "corner_minors"),
-                         (qnets, "_above_rank3"), (qnets, "_strip_cauchy")):
+                         (qnets, "_above_rank3"), (qnets, "_strip_cauchy"), (qnets, "_unit_lstsq"),
+                         (qnets, "common_point_of_spans")):
         count(module, name)
     _view_of.cache_clear()
     rng = np.random.default_rng(5)
     net = PointNet(translation_points(5, 7, 7)) if multi else random_q_net(rng, 7, 7)
     assert tuple(check(net) for check in MULTIQ_VERIFY) == (True,) + (multi,) * 6
+    strip = [("_strip_cauchy", (2, 7, 4)), ("_unit_lstsq", (14, 4, 2))]
+    neighbours = [("common_point_of_spans", (6, 7, 2, 4))]
     assert calls == [
         ("_laplace_gauges", (36, 4, 4)),
         ("corner_minors", (36, 4, 4)),
         ("_above_rank3", (36, 4, 4)),
         ("_above_rank3", (_FIRST_CHUNK, 4, 4)),
         ("corner_minors", (_FIRST_CHUNK, 4, 4)),
-        ("_strip_cauchy", (2, 7, 4)),
-    ]
+    ] + (strip + neighbours if multi else neighbours + strip)
+
+
+def strip_nets():
+    """Nets for the strip gauge, by kind: translation, generic, a repeated
+    row, a column strip out of perspective at row 4, a reconstruction that
+    vanishes at vertex (2, 3), and 10 noisy translation nets at each of
+    1e-10, 3e-10 and 3e-8."""
+    repeated = translation_points(1, 6, 5)
+    repeated[4] = -2.0 * repeated[1]
+    column = translation_points(2, 7, 6)
+    column[4, 1, 2] *= 1.0 + 1e-3
+    rng = np.random.default_rng(3)
+    p, q = rng.uniform(-1, 1, (6, 4)), rng.uniform(-1, 1, (5, 4))
+    q[3] = -p[2]  # p_2 + q_3 = 0: the gauge vanishes at (2, 3), which the strips do not see
+    zero = p[:, None] + q[None]
+    zero[2, 3] = rng.uniform(-1, 1, 4)
+    nets = {
+        "translation": [PointNet(translation_points(5, 7, 7))],
+        "generic": [random_q_net(np.random.default_rng(5), 7, 7)],
+        "repeated row": [PointNet(repeated)],
+        "column out of perspective": [PointNet(column)],
+        "zero sum": [PointNet(zero)],
+    }
+    nets.update({f"noisy {eps:g}": noisy_translation_nets(eps, count=10) for eps in (1e-10, 3e-10, 3e-8)})
+    return nets
+
+
+def strip_by_two_solves(grid):
+    """The strip stage as one _perspective_gauge solve per strip and
+    from_cauchy_homogeneous, with the partial sums formed again and the
+    bound terms summed by np.sum and np.linalg.norm."""
+    t, y, _, checks = _grid_view(grid).elementary
+    x00 = t[0, 0]
+    try:
+        raise_first_failure([(fails[:1], make) for fails, make in checks])
+        row0, _ = qnets._perspective_gauge(grid[0], grid[1], y[0, 0])
+        col0, _ = qnets._perspective_gauge(grid[:, 0], grid[:, 1], y[0, 1])
+        y1, y2 = np.diff(col0, axis=0), np.diff(row0, axis=0)
+        r = qnets.from_cauchy_homogeneous(y1, y2, x00).points
+    except GeometryError as exc:
+        return qnets._StripGauge(error=(type(exc), str(exc)))
+    acc1 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y1, axis=0)])
+    acc2 = np.concatenate([[np.zeros_like(x00)], np.cumsum(y2, axis=0)])
+    lam = np.sum(r * grid, axis=-1) / np.sum(grid * grid, axis=-1)
+    fitted = lam[..., None] * grid
+    l_norms = np.linalg.norm(fitted, axis=-1)
+    sizes = (
+        np.linalg.norm(x00)
+        + np.linalg.norm(acc1, axis=-1)[:, None]
+        + np.linalg.norm(acc2, axis=-1)[None, :]
+        + l_norms
+    )
+    return qnets._StripGauge(
+        None, x00, y1, y2, r, acc1, acc2,
+        eps=float(np.max(np.linalg.norm(fitted - r, axis=-1))),
+        min_norm=float(np.min(l_norms)),
+        delta=float(16 * grid.shape[-1] * np.finfo(float).eps * np.max(sizes)),
+    )
+
+
+STRIP_ERRORS = {
+    "translation": None,
+    "generic": (qnets.PerspectivityViolation, "sample 2 not in perspective"),
+    "repeated row": None,
+    "column out of perspective": (qnets.PerspectivityViolation, "sample 4 not in perspective"),
+    "zero sum": (qnets.ZeroSum, "a homogeneous partial sum vanished"),
+}
+
+
+@pytest.mark.parametrize("kind", list(strip_nets()))
+def test_one_strip_solve_equals_a_solve_per_strip(kind):
+    """The strip stage gauges both strips in one solve and keeps the partial
+    sums and points it forms: every field of its _StripGauge equals the one
+    built by a solve per strip and from_cauchy_homogeneous, bit for bit,
+    and so do the error type and message where the gauge fails."""
+    for net in strip_nets()[kind]:
+        _view_of.cache_clear()
+        got, want = _grid_view(net.points).strip, strip_by_two_solves(net.points)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b or (a != a and b != b), field.name
+    if kind in STRIP_ERRORS:
+        want = STRIP_ERRORS[kind]
+        assert (got.error is None) == (want is None)
+        if want:
+            assert got.error[0] is want[0] and got.error[1].startswith(want[1])
 
 
 def memo_nets():
@@ -648,6 +746,44 @@ def test_every_answer_is_the_same_from_a_cold_and_a_warm_view(kind):
     if kind in BROKEN_NET_ERRORS:
         answers = dict(zip(POINT_NET_PREDICATES, warm))
         assert [answers[translation_gauge], answers[qnets.laplace_transforms]] == BROKEN_NET_ERRORS[kind]
+
+
+# -- coordinates whose squares overflow ---------------------------------------------
+
+HUGE_NET_CHECKS = MULTIQ_VERIFY + (
+    lambda net: multi_q_violations(net) == [],
+    lambda net: qnets.has_planar_parameter_polygons(net),
+)
+
+
+def test_translation_nets_of_huge_generators_build():
+    """from_translation weighs each sum against its summands by row norms
+    that do not overflow: generators scaled by 1e155 give their sums."""
+    rng = np.random.default_rng(0)
+    p, q = rng.uniform(-1, 1, (5, 4)) * 1e155, rng.uniform(-1, 1, (5, 4)) * 1e155
+    assert np.array_equal(from_translation(p, q).points, p[:, None] + q[None])
+
+
+@pytest.mark.parametrize("size", [1e155, 1e200, 1e300, "one vertex"])
+@pytest.mark.parametrize("multi", [True, False])
+def test_huge_coordinates_keep_every_multi_q_verdict(size, multi):
+    """A 6x6 translation net or generic Q-net scaled by a size whose squares
+    overflow, or with one vertex representative scaled by 1e160, gets the
+    verdicts of the net at scale 1 from every multiq-verify check, the
+    exhaustive listing and the planarity of its parameter polygons, without
+    a warning: the grid view divides each huge row by a power of two."""
+    points = translation_points(7, 6, 6) if multi else random_q_net(np.random.default_rng(7), 6, 6).points
+    huge = points.copy()
+    if size == "one vertex":
+        huge[2, 3] *= 1e160
+    else:
+        huge *= size
+    want = [check(PointNet(points)) for check in HUGE_NET_CHECKS]
+    _view_of.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert [check(PointNet(huge)) for check in HUGE_NET_CHECKS] == want
+    assert want[:7] == [True] + [multi] * 6
 
 
 # -- non-finite coordinates -----------------------------------------------------

@@ -583,16 +583,16 @@ def test_batched_perspectivity_equals_pair_loop(rng):
     nets += _nets_with_repeated_points(rng)
     # within a sine of about 1e-7 of perspective: past RANK_RTOL
     nets += noisy_translation_nets(3e-8, count=4)
+    # near RANK_RTOL: most keep their neighbouring pairs in perspective and
+    # lose some farther pair, so the two predicates part
+    nets += noisy_translation_nets(1e-10)
     verdicts = []
     for net in nets:
-        for predicate, pairs in (
-            (neighbor_perspectivity, _neighbor_pairs),
-            (all_pairs_perspectivity, _all_pairs),
-        ):
-            got = predicate(net)
-            assert got == _perspective_by_loop(net, pairs)
-            verdicts.append(got)
-    assert True in verdicts and False in verdicts
+        verdicts.append(tuple(
+            predicate(net) for predicate in (neighbor_perspectivity, all_pairs_perspectivity)
+        ))
+        assert verdicts[-1] == (_perspective_by_loop(net, _neighbor_pairs), _perspective_by_loop(net, _all_pairs))
+    assert {(True, True), (True, False), (False, False)} <= set(verdicts)
 
 
 def test_laplace_transforms_equal_edge_line_meets(rng):
